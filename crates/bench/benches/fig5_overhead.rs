@@ -3,7 +3,7 @@
 //!
 //! NOTE: wall-clock here measures the *host cost of running the
 //! simulator* (the interpreter loop is cheaper per op for the host than
-//! the optimizing executor, so `nojit` can be faster in wall-clock).
+//! the LIR executor, so `nojit` can be faster in wall-clock).
 //! The paper's metric is the deterministic simulated-cycle count, which
 //! `repro -- fig5` reports.
 

@@ -3,17 +3,19 @@
 //! entirely.
 //!
 //! The optimization pipeline is a pure function of three inputs: the
-//! pre-pipeline MIR snapshot, the sequence of slots that actually run
-//! (the pass schedule — disabled slots change it), and the engine's
-//! vulnerability context (injected incorrect transforms change what
-//! passes do). A [`MemoKey`] captures exactly those three, so two traces
-//! with equal keys are byte-identical and share one DNA.
+//! pre-pipeline MIR, the sequence of slots that actually run (the pass
+//! schedule — disabled slots change it), and the engine's vulnerability
+//! context (injected incorrect transforms change what passes do). A
+//! [`MemoKey`] captures exactly those three, so two traces with equal
+//! keys are byte-identical and share one DNA. The pre-pipeline MIR is
+//! its snapshot *plus* the trace's [`PassTrace::literals`]: snapshot
+//! labels drop constant values, names and branch targets, and passes fold
+//! on them — `if (1)` and `if (0)` snapshot alike but compile apart.
 //!
 //! Safety properties, mirroring the comparator's query cache:
 //!
-//! * **Collision-proof**: entries are bucketed by a 64-bit structural
-//!   hash but verified by full key equality — a collision degrades to a
-//!   miss, never to a wrong DNA.
+//! * **Collision-proof**: entries are found by full key equality — a
+//!   hash collision costs a comparison, never a wrong DNA.
 //! * **Invalidation by construction**: a pass-schedule or vulnerability
 //!   change produces a *different key*, so stale entries are simply
 //!   never looked up again (and are bounded by the wholesale clear).
@@ -30,10 +32,11 @@
 //! the memo survives database hot-swaps because it keys on compilation
 //! inputs, not database content.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use jitbull_mir::{MirSnapshot, PassTrace};
+use jitbull_mir::{Literal, MirSnapshot, PassTrace};
 
 use crate::dna::{chain, Dna};
 
@@ -47,10 +50,12 @@ pub const MEMO_HIT_COST: u64 = 40;
 pub const DEFAULT_MEMO_ENTRIES: usize = 1024;
 
 /// Everything that determines a traced compilation's DNA.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemoKey {
     /// The MIR entering the pipeline (the first record's `before`).
     pre_mir: MirSnapshot,
+    /// What `pre_mir`'s labels drop (the trace's literals).
+    literals: Vec<Literal>,
     /// The slots that ran, in order, with their pass names.
     schedule: Vec<(usize, &'static str)>,
     /// Pipeline length the DNA was sized to.
@@ -68,6 +73,7 @@ impl MemoKey {
         let first = trace.records.first()?;
         Some(MemoKey {
             pre_mir: first.before.clone(),
+            literals: trace.literals.clone(),
             schedule: trace.records.iter().map(|r| (r.slot, r.name)).collect(),
             n_slots,
             context,
@@ -78,40 +84,6 @@ impl MemoKey {
     #[must_use]
     pub fn pre_mir_len(&self) -> usize {
         self.pre_mir.len()
-    }
-
-    /// FNV-1a structural hash over all key components. Equal keys always
-    /// hash equal; the memo verifies bucket candidates by full equality.
-    #[must_use]
-    pub fn structural_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        let mut h = OFFSET;
-        mix(&mut h, &(self.n_slots as u64).to_le_bytes());
-        mix(&mut h, &self.context.to_le_bytes());
-        mix(&mut h, &(self.schedule.len() as u64).to_le_bytes());
-        for (slot, name) in &self.schedule {
-            mix(&mut h, &(*slot as u64).to_le_bytes());
-            mix(&mut h, &(name.len() as u64).to_le_bytes());
-            mix(&mut h, name.as_bytes());
-        }
-        mix(&mut h, &(self.pre_mir.instrs.len() as u64).to_le_bytes());
-        for i in &self.pre_mir.instrs {
-            mix(&mut h, &i.id.to_le_bytes());
-            mix(&mut h, &(i.label.len() as u64).to_le_bytes());
-            mix(&mut h, i.label.as_bytes());
-            mix(&mut h, &(i.operands.len() as u64).to_le_bytes());
-            for o in &i.operands {
-                mix(&mut h, &o.to_le_bytes());
-            }
-        }
-        h
     }
 }
 
@@ -132,10 +104,7 @@ pub struct MemoStats {
 
 #[derive(Debug)]
 struct MemoInner {
-    /// structural hash → (key, DNA) buckets; key equality guards
-    /// against collisions.
-    entries: HashMap<u64, Vec<(MemoKey, Dna)>>,
-    cached: usize,
+    entries: HashMap<MemoKey, Dna>,
     max_entries: usize,
     poisoned: bool,
     stats: MemoStats,
@@ -145,7 +114,6 @@ impl MemoInner {
     fn purge_if_poisoned(&mut self) {
         if self.poisoned {
             self.entries.clear();
-            self.cached = 0;
             self.poisoned = false;
             self.stats.poison_purges += 1;
         }
@@ -187,7 +155,6 @@ impl DnaMemo {
         DnaMemo {
             inner: Arc::new(Mutex::new(MemoInner {
                 entries: HashMap::new(),
-                cached: 0,
                 max_entries,
                 poisoned: false,
                 stats: MemoStats::default(),
@@ -204,12 +171,7 @@ impl DnaMemo {
         if inner.max_entries == 0 {
             return None;
         }
-        let hash = key.structural_hash();
-        let found = inner
-            .entries
-            .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|(k, _)| k == key))
-            .map(|(_, dna)| dna.clone());
+        let found = inner.entries.get(key).cloned();
         if found.is_some() {
             inner.stats.hits += 1;
         }
@@ -223,19 +185,14 @@ impl DnaMemo {
         if inner.max_entries == 0 {
             return;
         }
-        if inner.cached >= inner.max_entries {
+        if inner.entries.len() >= inner.max_entries {
             inner.entries.clear();
-            inner.cached = 0;
             inner.stats.evictions += 1;
         }
-        let hash = key.structural_hash();
-        let bucket = inner.entries.entry(hash).or_default();
-        if bucket.iter().any(|(k, _)| *k == key) {
-            return;
+        if let Entry::Vacant(slot) = inner.entries.entry(key) {
+            slot.insert(dna);
+            inner.stats.insertions += 1;
         }
-        bucket.push((key, dna));
-        inner.cached += 1;
-        inner.stats.insertions += 1;
     }
 
     /// Corrupts the memo in place (a torn write over the shared state):
@@ -247,10 +204,8 @@ impl DnaMemo {
         let mut inner = self.inner.lock().expect("memo lock");
         let mut garbage = Dna::with_slots(1);
         garbage.deltas[0].removed.insert(chain(&["<poisoned>"]));
-        for bucket in inner.entries.values_mut() {
-            for (_, dna) in bucket.iter_mut() {
-                *dna = garbage.clone();
-            }
+        for dna in inner.entries.values_mut() {
+            *dna = garbage.clone();
         }
         inner.poisoned = true;
     }
@@ -259,14 +214,13 @@ impl DnaMemo {
     pub fn purge(&self) {
         let mut inner = self.inner.lock().expect("memo lock");
         inner.entries.clear();
-        inner.cached = 0;
         inner.poisoned = false;
     }
 
     /// Memoised functions currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("memo lock").cached
+        self.inner.lock().expect("memo lock").entries.len()
     }
 
     /// Whether nothing is memoised.
@@ -305,6 +259,7 @@ mod tests {
     fn trace(labels: &[&str], slot: usize, name: &'static str) -> PassTrace {
         PassTrace {
             function: "f".into(),
+            literals: Vec::new(),
             records: vec![PassRecord {
                 slot,
                 name,
@@ -340,8 +295,13 @@ mod tests {
         let mir =
             MemoKey::from_trace(&trace(&["return", "mul", "parameter0"], 2, "GVN"), 8, 7).unwrap();
         assert!(memo.lookup(&mir).is_none());
+        // Same labels, different literal → miss.
+        let mut literal = t.clone();
+        literal.literals.push(Literal::Number(6f64.to_bits()));
+        let literal = MemoKey::from_trace(&literal, 8, 7).unwrap();
+        assert!(memo.lookup(&literal).is_none());
         let stats = memo.stats();
-        assert_eq!(stats.lookups, 5);
+        assert_eq!(stats.lookups, 6);
         assert_eq!(stats.hits, 1);
     }
 
@@ -358,6 +318,7 @@ mod tests {
     fn empty_trace_has_no_key() {
         let t = PassTrace {
             function: "f".into(),
+            literals: Vec::new(),
             records: vec![],
         };
         assert!(MemoKey::from_trace(&t, 8, 0).is_none());

@@ -513,6 +513,7 @@ mod tests {
     fn trace_removing_check(slot: usize) -> PassTrace {
         PassTrace {
             function: "f".into(),
+            literals: Vec::new(),
             records: vec![PassRecord {
                 slot,
                 name: "GVN",
@@ -575,6 +576,7 @@ mod tests {
         };
         let trace = PassTrace {
             function: "g".into(),
+            literals: Vec::new(),
             records: vec![PassRecord {
                 slot: 6,
                 name: "GVN",

@@ -5,8 +5,9 @@
 //! * **interpreter** — 10 cycles/op, from the first invocation;
 //! * **baseline** — 4 cycles/op, after 100 invocations (unoptimized
 //!   machine code: same bytecode, cheaper dispatch);
-//! * **optimizing (Ion)** — 1 cycle/MIR-instruction, after 1500
-//!   invocations, produced by the 32-slot pipeline.
+//! * **optimizing (Ion)** — 1 cycle/LIR instruction, after 1500
+//!   invocations: the 32-slot pipeline's output, lowered and
+//!   register-allocated by `jitbull-lir`.
 //!
 //! When a JITBULL guard is installed *and its database is non-empty*, each
 //! optimizing compilation is traced, its DNA extracted and compared, and
@@ -29,30 +30,8 @@ use jitbull_vm::interp;
 use jitbull_vm::runtime::{ExploitStatus, Outcome, Runtime, BASELINE_COST, INTERP_COST};
 use jitbull_vm::{compile_program, Dispatcher, Value, VmError};
 
-use crate::executor::CompiledCode;
 use crate::pipeline::{optimize, slot_disableable, OptimizeOptions, N_SLOTS};
 use crate::vuln::VulnConfig;
-
-/// Which form the optimizing tier executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Full pipeline (paper Figure 1 steps ⑤–⑦): optimized MIR is
-    /// lowered to register-allocated LIR and the LIR executes.
-    #[default]
-    Lir,
-    /// Execute the optimized MIR directly (skips the backend; useful for
-    /// differential testing of the LIR layer).
-    Mir,
-}
-
-/// Optimizing-tier code in whichever backend form was selected.
-#[derive(Debug)]
-pub enum CompiledTier {
-    /// Register-allocated LIR.
-    Lir(jitbull_lir::LFunction),
-    /// Indexed optimized MIR.
-    Mir(CompiledCode),
-}
 
 /// Cycle cost charged per bytecode op for a baseline compilation.
 const BASELINE_COMPILE_COST: u64 = 15;
@@ -80,8 +59,6 @@ pub struct EngineConfig {
     /// Pipeline slots to skip unconditionally (debugging / ablations —
     /// e.g. "run everything without GVN"). Mandatory slots still run.
     pub disabled_slots: std::collections::HashSet<usize>,
-    /// Optimizing-tier backend (LIR by default).
-    pub backend: Backend,
     /// Which Δ-comparator implementation the guard uses (indexed by
     /// default; `Reference` runs the naive normative Algorithm 2 loop).
     pub comparator: ComparatorMode,
@@ -117,7 +94,6 @@ impl Default for EngineConfig {
             whole_jit_policy: false,
             fuel: 500_000_000,
             disabled_slots: std::collections::HashSet::new(),
-            backend: Backend::default(),
             comparator: ComparatorMode::default(),
             extractor: ExtractorMode::default(),
             memo: DnaMemo::default(),
@@ -177,7 +153,7 @@ pub struct FunctionStats {
 struct FuncState {
     invocations: u64,
     baseline: bool,
-    ion: Option<Rc<CompiledTier>>,
+    ion: Option<Rc<jitbull_lir::LFunction>>,
     no_ion: bool,
     /// Watchdog verdict: this function runs interpreter-only, no
     /// baseline, no Ion, no further compile attempts.
@@ -488,7 +464,7 @@ impl Engine {
                     function: module.function(func).name.clone(),
                     tier: Tier::Ion,
                 });
-                let tier = Rc::new(self.build_tier(result.mir));
+                let tier = Rc::new(jitbull_lir::compile(&result.mir));
                 let st = self.state.entry(func).or_default();
                 st.ion = Some(tier);
                 st.vulns_fired = fired;
@@ -552,7 +528,7 @@ impl Engine {
                         function: module.function(func).name.clone(),
                         tier: Tier::Ion,
                     });
-                    let tier = Rc::new(self.build_tier(result.mir));
+                    let tier = Rc::new(jitbull_lir::compile(&result.mir));
                     let st = self.state.entry(func).or_default();
                     st.disabled_slots = jitbull_slots;
                     st.matched = matched;
@@ -586,13 +562,6 @@ impl Engine {
         let st = self.state.entry(func).or_default();
         st.no_ion = true;
         st.matched = matched;
-    }
-
-    fn build_tier(&self, mir: jitbull_mir::MirFunction) -> CompiledTier {
-        match self.config.backend {
-            Backend::Lir => CompiledTier::Lir(jitbull_lir::compile(&mir)),
-            Backend::Mir => CompiledTier::Mir(CompiledCode::new(mir)),
-        }
     }
 
     /// Parses, compiles and runs a source program under this engine
@@ -677,55 +646,45 @@ impl Dispatcher for Engine {
         this: Value,
         args: Vec<Value>,
     ) -> Result<Value, VmError> {
-        let (tier_code, cost) = {
-            let st = self.state.entry(func).or_default();
-            st.invocations += 1;
-            let inv = st.invocations;
-            if self.config.jit_enabled && !st.pinned_interp {
-                let mut promoted_baseline = false;
-                if !st.baseline && inv >= self.config.baseline_threshold {
-                    st.baseline = true;
-                    rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
-                    promoted_baseline = true;
-                }
-                let needs_ion = st.baseline
-                    && st.ion.is_none()
-                    && !st.no_ion
-                    && inv >= self.config.ion_threshold;
-                if promoted_baseline {
-                    self.emit(|| Event::CompileStarted {
-                        function: module.function(func).name.clone(),
-                        tier: Tier::Baseline,
-                    });
-                    self.emit(|| Event::TierPromoted {
-                        function: module.function(func).name.clone(),
-                        tier: Tier::Baseline,
-                    });
-                }
-                if needs_ion {
-                    self.compile_ion(rt, module, func);
-                }
+        let st = self.state.entry(func).or_default();
+        st.invocations += 1;
+        let inv = st.invocations;
+        if self.config.jit_enabled && !st.pinned_interp {
+            let mut promoted_baseline = false;
+            if !st.baseline && inv >= self.config.baseline_threshold {
+                st.baseline = true;
+                rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
+                promoted_baseline = true;
             }
-            let st = self.state.entry(func).or_default();
-            if st.pinned_interp {
-                // Watchdog verdict: interpreter-only, whatever tiers the
-                // function had reached before.
-                (None, INTERP_COST)
-            } else {
-                match (&st.ion, st.baseline) {
-                    (Some(code), _) => (Some(Rc::clone(code)), 0),
-                    (None, true) => (None, BASELINE_COST),
-                    (None, false) => (None, INTERP_COST),
-                }
+            let needs_ion =
+                st.baseline && st.ion.is_none() && !st.no_ion && inv >= self.config.ion_threshold;
+            if promoted_baseline {
+                self.emit(|| Event::CompileStarted {
+                    function: module.function(func).name.clone(),
+                    tier: Tier::Baseline,
+                });
+                self.emit(|| Event::TierPromoted {
+                    function: module.function(func).name.clone(),
+                    tier: Tier::Baseline,
+                });
             }
-        };
-        match tier_code {
-            Some(code) => match &*code {
-                CompiledTier::Lir(lf) => jitbull_lir::run(lf, rt, module, this, &args, self),
-                CompiledTier::Mir(mc) => crate::executor::run(mc, rt, module, this, &args, self),
-            },
-            None => interp::run_function(rt, module, func, this, args, self, cost),
+            if needs_ion {
+                self.compile_ion(rt, module, func);
+            }
         }
+        let st = self.state.entry(func).or_default();
+        let cost = match (&st.ion, st.baseline) {
+            // Watchdog verdict: interpreter-only, whatever tiers the
+            // function had reached before.
+            _ if st.pinned_interp => INTERP_COST,
+            (Some(code), _) => {
+                let code = Rc::clone(code);
+                return jitbull_lir::run(&code, rt, module, this, &args, self);
+            }
+            (None, true) => BASELINE_COST,
+            (None, false) => INTERP_COST,
+        };
+        interp::run_function(rt, module, func, this, args, self, cost)
     }
 }
 

@@ -15,13 +15,13 @@
 //!   triggers. With a vulnerability enabled, the corresponding exploit
 //!   pattern really does lose its `boundscheck`/`unbox` guard and really
 //!   does corrupt the simulated heap.
-//! * [`executor`] — runs optimized MIR with raw (unchecked) element
-//!   accesses wherever guards vouch for them — or were wrongly removed.
 //! * [`engine`] — invocation counting, tier promotion (interpreter at
 //!   cost 10/op → baseline at 100 calls, cost 4/op → optimizing tier at
 //!   1500 calls, cost 1/op), compile-cost charging, JITBULL guard
 //!   integration, and the per-function statistics behind the paper's
-//!   Figures 4–6.
+//!   Figures 4–6. The optimizing tier runs the register-allocated LIR of
+//!   `jitbull-lir`, whose executor turns removed guards into raw
+//!   (unchecked) element accesses.
 //!
 //! # Examples
 //!
@@ -40,7 +40,6 @@
 //! ```
 
 pub mod engine;
-pub mod executor;
 pub mod passes;
 pub mod pipeline;
 pub mod vuln;

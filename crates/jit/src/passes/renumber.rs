@@ -1,7 +1,7 @@
 //! Instruction renumbering (IonMonkey `RenumberInstructions`).
 //!
-//! Assigns dense, block-ordered ids. Mandatory: the executor indexes value
-//! slots by id, and several passes assume `id_bound()` is tight.
+//! Assigns dense, block-ordered ids. Mandatory: lowering sizes its vreg
+//! table by id, and several passes assume `id_bound()` is tight.
 
 use std::collections::HashMap;
 

@@ -1,8 +1,9 @@
 //! Type specialization: inserts `unbox:number` guards in front of
 //! arithmetic consumers of untyped definitions (parameters, property and
 //! element loads, calls), mirroring how IonMonkey specializes on type
-//! feedback. The guards are value-transparent; the executor uses them to
-//! fall back to generic semantics when a speculation misses.
+//! feedback. The guards are value-transparent: the LIR executor records
+//! whether each speculation held and keeps generic semantics for the
+//! consumers, so a missed speculation never changes a result.
 
 use std::collections::HashSet;
 

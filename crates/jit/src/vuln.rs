@@ -7,7 +7,7 @@
 //! IR pattern its proof-of-concept sets up (the *trigger*). The effect is
 //! always the removal or weakening of a guard (`boundscheck` /
 //! `unbox:array`), which is exactly the bug class the paper's Section III
-//! analysis identifies; with the guard gone, the executor's raw memory
+//! analysis identifies; with the guard gone, the LIR executor's raw memory
 //! accesses become reachable and the simulated heap can actually be
 //! corrupted.
 //!

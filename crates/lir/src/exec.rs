@@ -1,7 +1,21 @@
-//! The LIR executor: a register machine over [`Value`] cells with the
-//! same raw-vs-guarded memory semantics as the MIR executor (see
-//! `jitbull-jit`'s `executor` module) — removed guards leave genuinely
-//! exploitable raw accesses.
+//! The LIR executor: the optimizing tier's only executor, a register
+//! machine over [`Value`] cells at 1 cycle per instruction.
+//!
+//! ## Guarded vs raw memory accesses
+//!
+//! This is where the vulnerability models become *exploitable* rather than
+//! cosmetic. A `loadelement`/`storeelement` consults the guards lowering
+//! captured for it ([`GuardRefs`]):
+//!
+//! * if the index flows through a live `boundscheck`, the access takes the
+//!   **raw** fast path when the check passed and the **safe** (interpreter
+//!   semantics) path when it failed — exactly as compiled fast paths and
+//!   bailouts behave;
+//! * if the bounds check was removed (legitimately by a sound pass, or
+//!   incorrectly by a modeled CVE), the access is raw and *unchecked*: an
+//!   out-of-range index reads or writes neighbouring heap cells;
+//! * if the base's `unbox:array` guard was removed and a number flows in,
+//!   the number is dereferenced as a heap address (type confusion).
 
 use std::rc::Rc;
 

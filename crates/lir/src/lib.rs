@@ -18,9 +18,9 @@
 //! * [`passes`] — LIR-level cleanups (redundant-move elimination, jump
 //!   threading through empty blocks);
 //! * [`exec`] — the LIR executor: a register machine over
-//!   [`jitbull_vm::Value`] cells with the same raw-vs-guarded memory
-//!   semantics as the MIR executor, so removed `boundscheck`/`unbox`
-//!   guards stay exploitable end to end.
+//!   [`jitbull_vm::Value`] cells whose element accesses go raw wherever
+//!   guards vouch for them — or were wrongly removed — so removed
+//!   `boundscheck`/`unbox` guards stay exploitable end to end.
 //!
 //! JITBULL itself never sees LIR — the paper instruments the MIR
 //! optimization passes only (§V: "specifically within the optimization

@@ -89,7 +89,8 @@ pub fn lower(mir: &MirFunction) -> LFunction {
 }
 
 /// Captures which guards (by vreg) vouch for this operation's memory
-/// access, mirroring the MIR executor's def-kind checks.
+/// access: the defining `boundscheck` of the index and `unbox:array` of
+/// the base, which the executor's raw-vs-guarded split reads.
 fn capture_guards(
     op: &MOpcode,
     operands: &[InstrId],

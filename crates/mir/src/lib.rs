@@ -44,4 +44,4 @@ pub use build::build_mir;
 pub use graph::{Block, BlockId, MirFunction};
 pub use instr::{InstrId, Instruction};
 pub use opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
-pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SnapInstr};
+pub use snapshot::{literals, Literal, MirSnapshot, PassRecord, PassTrace, SnapInstr};

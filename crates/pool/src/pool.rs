@@ -5,9 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use jitbull::{
-    CompareConfig, DbError, Dna, DnaDatabase, DnaMemo, ExtractorMode, LoadMode, LoadReport,
-};
+use jitbull::{CompareConfig, DbError, Dna, DnaDatabase, DnaMemo, LoadMode, LoadReport};
 use jitbull_chaos::retry::{retry_with, RetryPolicy};
 use jitbull_chaos::{BreakerConfig, BreakerStats, CircuitBreaker, FaultInjector, Quarantine};
 use jitbull_jit::engine::EngineConfig;
@@ -32,8 +30,6 @@ pub struct PoolConfig {
     pub capacity: usize,
     /// Δ-comparator thresholds shared by every worker's guard.
     pub compare: CompareConfig,
-    /// Which Δ-extractor implementation every worker's guard runs.
-    pub extractor: ExtractorMode,
     /// DNA memo cache shared by every worker's extractor. The default is
     /// one fresh store per pool; handing the same handle to several pools
     /// shares extraction work across them. Extraction is independent of
@@ -55,7 +51,6 @@ impl Default for PoolConfig {
             workers: 4,
             capacity: 64,
             compare: CompareConfig::default(),
-            extractor: ExtractorMode::default(),
             memo: DnaMemo::default(),
             faults: FaultInjector::disabled(),
             breaker: BreakerConfig::default(),
@@ -370,7 +365,6 @@ impl Pool {
                     stats: Arc::clone(&stats),
                     collector: collector.clone(),
                     compare: config.compare,
-                    extractor: config.extractor,
                     memo: config.memo.clone(),
                     faults: config.faults.clone(),
                     breaker: breaker.clone(),

@@ -191,6 +191,7 @@ fn random_trace(rng: &mut Rng, n_records: usize, pathological: bool) -> PassTrac
     }
     PassTrace {
         function: "f".into(),
+        literals: Vec::new(),
         records,
     }
 }

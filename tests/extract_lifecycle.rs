@@ -246,3 +246,55 @@ fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
     );
     assert!(rec.metrics().counter("extract.queries") >= 2);
 }
+
+/// Traced pipeline run over function `f` of `source` on a patched
+/// engine: exactly the trace an Ion compilation hands the guard.
+fn traced_f(source: &str) -> jitbull_mir::PassTrace {
+    use jitbull_jit::pipeline::{optimize, OptimizeOptions};
+    let program = jitbull_frontend::parse_program(source).unwrap();
+    let module = jitbull_vm::compile_program(&program).unwrap();
+    let mir = jitbull_mir::build_mir(&module, module.function_id("f").unwrap()).unwrap();
+    let options = OptimizeOptions {
+        trace: true,
+        ..Default::default()
+    };
+    optimize(mir, &VulnConfig::none(), &options).trace
+}
+
+#[test]
+fn functions_differing_only_in_literals_never_share_a_memo_entry() {
+    use jitbull::{extract_dna, DnaDatabase};
+    use jitbull_jit::pipeline::N_SLOTS;
+
+    // Each pair builds identical pre-pipeline snapshots (labels drop
+    // literal values) but folds to different graphs, so the reference
+    // DNAs differ.
+    let branch = "function f(a) { if (COND) { a[0] = 1; } else { a[1] = 2; a[2] = a[0] + 3; } return a[0]; }";
+    let product = "function f(a) { var x = 2 * K; if (x > 5) { a[0] = 1; } else { a[1] = 2; a[2] = a[0] + 3; } return a[0]; }";
+    let pairs = [
+        (branch.replace("COND", "1"), branch.replace("COND", "0")),
+        (product.replace('K', "3"), product.replace('K', "1")),
+    ];
+    let memo = DnaMemo::default();
+    for (pair, (first, second)) in pairs.iter().enumerate() {
+        let first = traced_f(first);
+        let second = traced_f(second);
+        assert_ne!(
+            extract_dna(&first, N_SLOTS),
+            extract_dna(&second, N_SLOTS),
+            "the pair must differ under the oracle for the test to bite"
+        );
+        // Two guards over one memo, as two pool workers share it: the
+        // second function must get its own DNA, not the first one's.
+        for trace in [&first, &second] {
+            let mut guard = Guard::new(DnaDatabase::new(), PERMISSIVE);
+            guard.set_dna_memo(memo.clone());
+            assert_eq!(
+                guard.analyze(trace, N_SLOTS).dna,
+                extract_dna(trace, N_SLOTS),
+                "pair {pair}: the memo served a foreign DNA"
+            );
+        }
+    }
+    assert_eq!(memo.stats().hits, 0, "no pair member may hit the other");
+}

@@ -1,13 +1,14 @@
 //! Randomized tests over the LIR backend, driven by the fuzz generator's
 //! program space: every generated program's functions must (a) lower to
 //! valid LIR, (b) receive a register allocation with no two overlapping
-//! live intervals sharing a register, and (c) execute identically on the
-//! LIR and MIR backends. Seeds are fixed, so every run checks the same
+//! live intervals sharing a register, and (c) print the same output (or
+//! fail with the same error) through the tiered LIR engine as through the
+//! bytecode interpreter. Seeds are fixed, so every run checks the same
 //! programs.
 
 use jitbull_frontend::parse_program;
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
-use jitbull_jit::engine::{Backend, Engine, EngineConfig};
+use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::pipeline::{optimize, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_lir::regalloc::{allocate, verify};
@@ -50,14 +51,14 @@ fn lowering_and_allocation_are_sound() {
 }
 
 #[test]
-fn lir_and_mir_backends_agree() {
+fn lir_tier_agrees_with_interpreter() {
     for seed in 0..64u64 {
         let source = source_for(seed * 7_919 + 1);
-        let run = |backend: Backend| {
+        let run = |jit_enabled: bool| {
             Engine::run_source(
                 &source,
                 EngineConfig {
-                    backend,
+                    jit_enabled,
                     baseline_threshold: 3,
                     ion_threshold: 6,
                     fuel: 2_000_000,
@@ -67,10 +68,6 @@ fn lir_and_mir_backends_agree() {
             .map(|o| o.outcome.printed)
             .map_err(|e| format!("{e}"))
         };
-        assert_eq!(
-            run(Backend::Mir),
-            run(Backend::Lir),
-            "seed {seed}, source:\n{source}"
-        );
+        assert_eq!(run(false), run(true), "seed {seed}, source:\n{source}");
     }
 }
