@@ -2,7 +2,7 @@
 //! run once per comparator mode (naive reference vs indexed pipeline),
 //! plus a kernel microbench of the comparator itself.
 
-use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig, IndexConfig};
+use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_jit::engine::EngineConfig;
@@ -34,8 +34,7 @@ fn main() {
     }
 
     // Comparator kernel in isolation: one DNA queried against the full
-    // 8-entry database, naive loop vs indexed scan (cold cache) vs
-    // indexed with the verdict cache warm.
+    // 8-entry database, naive loop vs indexed scan.
     println!("comparator_kernel_db8");
     let (db, _) = db_with(8);
     let query = db.entries()[0].dna.clone();
@@ -47,20 +46,11 @@ fn main() {
             .sum::<usize>()
     });
     bench("indexed_build", 50, 200, || {
-        let mut index = ComparatorIndex::new(IndexConfig::default());
+        let mut index = ComparatorIndex::default();
         index.ensure(&db);
         index
     });
-    let mut uncached = ComparatorIndex::new(IndexConfig {
-        max_cache_entries: 0,
-        ..Default::default()
-    });
-    uncached.ensure(&db);
-    bench("indexed_uncached", 50, 200, || {
-        uncached.query(&query, &config)
-    });
-    let mut warm = ComparatorIndex::new(IndexConfig::default());
-    warm.ensure(&db);
-    warm.query(&query, &config);
-    bench("indexed_cached", 50, 200, || warm.query(&query, &config));
+    let mut index = ComparatorIndex::default();
+    index.ensure(&db);
+    bench("indexed_scan", 50, 200, || index.query(&query, &config));
 }

@@ -5,14 +5,14 @@
 //! simulated-cycle count, printed alongside; wall-clock measures the host
 //! cost of running the simulator.
 
-use jitbull::{DnaMemo, ExtractorMode, IncrementalExtractor};
+use jitbull::{DnaMemo, ExtractorMode, IncrementalExtractor, MemoEntry};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
 use jitbull_jit::engine::EngineConfig;
 use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
-use jitbull_mir::build_mir;
+use jitbull_mir::{build_mir, CompileKey};
 use jitbull_vm::compile_program;
 use jitbull_workloads::{run_workload, workload};
 
@@ -115,11 +115,16 @@ fn main() {
         warm_extractor.extract_dna(&trace, N_SLOTS)
     });
     let memo = DnaMemo::default();
-    let key = jitbull::MemoKey::from_trace(&trace, N_SLOTS, 0).expect("non-empty trace");
+    let key = || CompileKey::new(module.function(fid), Vec::new(), N_SLOTS, 0);
     let (dna, _) = IncrementalExtractor::new().extract_dna(&trace, N_SLOTS);
-    memo.insert(key.clone(), dna);
+    let pre_mir_len = trace.records[0].before.len();
+    let entry = MemoEntry {
+        dna,
+        pre_mir_len,
+        verdict: None,
+    };
+    memo.insert(key(), entry);
     bench("memo_hit", 20, 100, || {
-        let key = jitbull::MemoKey::from_trace(&trace, N_SLOTS, 0).expect("non-empty trace");
-        memo.lookup(&key).expect("memoized")
+        memo.lookup(&key(), None).expect("memoized")
     });
 }

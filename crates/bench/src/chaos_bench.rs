@@ -464,9 +464,9 @@ fn torn_read_rung(seed: u64) -> (LadderStep, ChaosTally) {
     (step, inj.tally())
 }
 
-/// Rung 7 — the comparator's verdict cache is poisoned in place; the
-/// generation check purges and rebuilds it, and the poisoned verdict is
-/// never served (the honest false positive still matches).
+/// Rung 7 — the comparator index is poisoned in place; the generation
+/// check rebuilds it, and no wrong verdict is ever served (the honest
+/// false positive still matches).
 fn cache_poison_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosTally) {
     let inj = FaultInjector::from_plan(FaultPlan::new(seed ^ 0x7).script(
         FaultSite::ComparatorQuery,

@@ -36,9 +36,9 @@ pub struct ObsRow {
     pub pipeline_cycles: u64,
     /// Simulated cycles spent in guard analysis.
     pub guard_cycles: u64,
-    /// Indexed-comparator queries served.
+    /// Indexed comparisons run.
     pub comparator_queries: u64,
-    /// Queries answered from the DNA-keyed verdict cache.
+    /// Comparisons answered from the compile cache's verdicts.
     pub comparator_cache_hits: u64,
     /// Delta-side comparisons skipped by the fingerprint prefilter.
     pub comparator_prefilter_rejects: u64,
@@ -46,7 +46,7 @@ pub struct ObsRow {
     pub comparator_set_merges: u64,
     /// Incremental-extractor queries served.
     pub extract_queries: u64,
-    /// Extractions answered straight from the shared DNA memo.
+    /// Extractions answered straight from the shared compile cache.
     pub extract_memo_hits: u64,
     /// Passes whose changed subgraphs were actually enumerated.
     pub extract_passes_enumerated: u64,

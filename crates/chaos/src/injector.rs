@@ -22,7 +22,7 @@ pub enum FaultSite {
     ComparatorQuery,
     /// One pool worker about to serve a dequeued request.
     WorkerServe,
-    /// One incremental extractor query (DNA memo consultation).
+    /// One compile-cache lookup (incremental extractor only).
     ExtractQuery,
 }
 
@@ -80,8 +80,10 @@ pub enum FaultKind {
     /// The DB text is truncated mid-entry before parsing (a torn read;
     /// strict parsing must refuse the partial file).
     DbTruncate,
-    /// The comparator's verdict cache is corrupted in place, generation
-    /// stamp included (a torn write).
+    /// Cached state is corrupted in place (a torn write): at
+    /// [`FaultSite::ExtractQuery`] the compile cache's DNAs and verdicts,
+    /// at [`FaultSite::ComparatorQuery`] the comparator index's
+    /// generation stamp.
     CachePoison,
     /// The request is treated as having blown its deadline.
     DeadlineBlowout,

@@ -62,43 +62,13 @@ impl Dna {
         self.deltas.iter().all(PassDelta::is_empty)
     }
 
-    /// A 64-bit structural hash over slot indices, delta sides, and
-    /// chain labels (FNV-1a over label bytes with explicit length and
-    /// side framing). Equal DNAs always hash equal; the comparator's
-    /// query cache uses this as its key and verifies candidates by full
-    /// equality, so a collision costs a cache miss, never a wrong
-    /// verdict.
+    /// Sub-chains across every slot and side (comparison cost accounting).
     #[must_use]
-    pub fn structural_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        fn mix_chains(h: &mut u64, side: u8, chains: &BTreeSet<Chain>) {
-            for chain in chains {
-                mix(h, &[side]);
-                mix(h, &(chain.len() as u64).to_le_bytes());
-                for label in chain {
-                    mix(h, &(label.len() as u64).to_le_bytes());
-                    mix(h, label.as_bytes());
-                }
-            }
-        }
-        let mut h = OFFSET;
-        mix(&mut h, &(self.deltas.len() as u64).to_le_bytes());
-        for (i, d) in self.deltas.iter().enumerate() {
-            if d.is_empty() {
-                continue;
-            }
-            mix(&mut h, &(i as u64).to_le_bytes());
-            mix_chains(&mut h, b'-', &d.removed);
-            mix_chains(&mut h, b'+', &d.added);
-        }
-        h
+    pub fn chain_count(&self) -> u64 {
+        self.deltas
+            .iter()
+            .map(|d| (d.removed.len() + d.added.len()) as u64)
+            .sum()
     }
 
     /// Serialises to the compact line-oriented text format used for
@@ -208,34 +178,6 @@ mod tests {
     fn from_text_skips_comments_and_blanks() {
         let dna = Dna::from_text("# comment\n\n0 - a>b\n", 2).unwrap();
         assert_eq!(dna.deltas[0].removed.len(), 1);
-    }
-
-    #[test]
-    fn structural_hash_tracks_content() {
-        let mut a = Dna::with_slots(4);
-        a.deltas[1]
-            .removed
-            .insert(chain(&["boundscheck", "initializedlength"]));
-        let mut b = a.clone();
-        assert_eq!(a.structural_hash(), b.structural_hash());
-        // Moving the chain to the other side changes the hash.
-        b.deltas[1].removed.clear();
-        b.deltas[1]
-            .added
-            .insert(chain(&["boundscheck", "initializedlength"]));
-        assert_ne!(a.structural_hash(), b.structural_hash());
-        // Moving it to another slot changes the hash.
-        let mut c = Dna::with_slots(4);
-        c.deltas[2]
-            .removed
-            .insert(chain(&["boundscheck", "initializedlength"]));
-        assert_ne!(a.structural_hash(), c.structural_hash());
-        // Label-boundary framing: ["ab","c"] must differ from ["a","bc"].
-        let mut d = Dna::with_slots(4);
-        d.deltas[0].removed.insert(chain(&["ab", "c"]));
-        let mut e = Dna::with_slots(4);
-        e.deltas[0].removed.insert(chain(&["a", "bc"]));
-        assert_ne!(d.structural_hash(), e.structural_hash());
     }
 
     #[test]

@@ -460,7 +460,6 @@ mod tests {
         let end = snap(vec![instr(0, "parameter0", &[]), instr(5, "return", &[0])]);
         let trace = PassTrace {
             function: "f".into(),
-            literals: Vec::new(),
             records: vec![
                 PassRecord {
                     slot: 0,
@@ -489,7 +488,6 @@ mod tests {
         let s = guarded();
         let trace = PassTrace {
             function: "f".into(),
-            literals: Vec::new(),
             records: vec![
                 PassRecord {
                     slot: 0,

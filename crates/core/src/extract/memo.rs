@@ -1,44 +1,48 @@
-//! The shared DNA memo: whole-function extraction results keyed by what
-//! determines them, so recompiling a hot function skips Algorithm 1
-//! entirely.
+//! The compile cache: one entry per optimizing compilation, holding its
+//! DNA and the last verdict given on it, so recompiling a hot function
+//! skips tracing, Algorithm 1 and — while the database is unchanged —
+//! Algorithm 2.
 //!
-//! The optimization pipeline is a pure function of three inputs: the
-//! pre-pipeline MIR, the sequence of slots that actually run (the pass
-//! schedule — disabled slots change it), and the engine's vulnerability
-//! context (injected incorrect transforms change what passes do). A
-//! [`MemoKey`] captures exactly those three, so two traces with equal
-//! keys are byte-identical and share one DNA. The pre-pipeline MIR is
-//! its snapshot *plus* the trace's [`PassTrace::literals`]: snapshot
-//! labels drop constant values, names and branch targets, and passes fold
-//! on them — `if (1)` and `if (0)` snapshot alike but compile apart.
+//! Entries are keyed on a [`CompileKey`]: the function's bytecode, the
+//! disabled pipeline slots, the pipeline length and the engine's enabled
+//! vulnerabilities. The key is built *before* the pipeline runs and holds
+//! every input the pipeline's trace depends on, so equal keys mean equal
+//! DNA, and the engine traces a compilation only when the cache has no
+//! DNA for it. A verdict additionally depends on the database and the
+//! comparator thresholds; it is stored with the [`VerdictStamp`] it was
+//! given under and served only to a lookup with an equal stamp. Database
+//! generations are unique process-wide per content change, so an equal
+//! stamp means equal database content, whichever guard asks.
 //!
-//! Safety properties, mirroring the comparator's query cache:
+//! Safety properties:
 //!
 //! * **Collision-proof**: entries are found by full key equality — a
 //!   hash collision costs a comparison, never a wrong DNA.
 //! * **Invalidation by construction**: a pass-schedule or vulnerability
-//!   change produces a *different key*, so stale entries are simply
-//!   never looked up again (and are bounded by the wholesale clear).
+//!   change produces a *different key*, and a database or threshold
+//!   change a different stamp, so stale results are simply never served
+//!   (and are bounded by the wholesale clear).
 //! * **Poison recovery**: [`DnaMemo::poison`] models a torn write over
 //!   the shared state (the chaos layer fires it at
-//!   `FaultSite::ExtractQuery`). Every entry is garbled *and* the memo
-//!   is flagged; the next access purges everything before serving, so a
-//!   poisoned memo costs one full re-extraction per function, never a
-//!   wrong DNA.
+//!   `FaultSite::ExtractQuery`). Every DNA and verdict is garbled *and*
+//!   the memo is flagged; the next access purges everything before
+//!   serving, so a poisoned memo costs one full re-analysis per function,
+//!   never a wrong verdict.
 //!
 //! The handle is `Arc`-shared ([`DnaMemo::clone`] aliases the same
 //! store), which is how the serving pool gives every worker the same
-//! memo: a function compiled on worker 0 is a memo hit on worker 3, and
-//! the memo survives database hot-swaps because it keys on compilation
-//! inputs, not database content.
+//! cache: a function compiled on worker 0 is a hit on worker 3, and the
+//! DNAs survive database hot-swaps because extraction never reads the
+//! database.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use jitbull_mir::{Literal, MirSnapshot, PassTrace};
+use jitbull_mir::CompileKey;
 
+use crate::compare::CompareConfig;
 use crate::dna::{chain, Dna};
+use crate::index::EntryMatches;
 
 /// Cycles charged per pre-pipeline MIR instruction for hashing a memo
 /// key.
@@ -49,42 +53,27 @@ pub const MEMO_HIT_COST: u64 = 40;
 /// Default bound on memoised functions before a wholesale clear.
 pub const DEFAULT_MEMO_ENTRIES: usize = 1024;
 
-/// Everything that determines a traced compilation's DNA.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MemoKey {
-    /// The MIR entering the pipeline (the first record's `before`).
-    pre_mir: MirSnapshot,
-    /// What `pre_mir`'s labels drop (the trace's literals).
-    literals: Vec<Literal>,
-    /// The slots that ran, in order, with their pass names.
-    schedule: Vec<(usize, &'static str)>,
-    /// Pipeline length the DNA was sized to.
-    n_slots: usize,
-    /// Engine context (vulnerability-config fingerprint): the same MIR
-    /// under a different set of injected bugs compiles differently.
-    context: u64,
+/// What a verdict was given against: database content and comparator
+/// thresholds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VerdictStamp {
+    /// [`crate::DnaDatabase::generation`] of the database compared with.
+    pub generation: u64,
+    /// The comparator thresholds.
+    pub config: CompareConfig,
 }
 
-impl MemoKey {
-    /// Builds the key for a trace, or `None` for an untraced (empty)
-    /// compilation — there is nothing to memoise there.
-    #[must_use]
-    pub fn from_trace(trace: &PassTrace, n_slots: usize, context: u64) -> Option<MemoKey> {
-        let first = trace.records.first()?;
-        Some(MemoKey {
-            pre_mir: first.before.clone(),
-            literals: trace.literals.clone(),
-            schedule: trace.records.iter().map(|r| (r.slot, r.name)).collect(),
-            n_slots,
-            context,
-        })
-    }
-
-    /// Pre-pipeline MIR size (cost accounting).
-    #[must_use]
-    pub fn pre_mir_len(&self) -> usize {
-        self.pre_mir.len()
-    }
+/// One compilation's cached analysis.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemoEntry {
+    /// The compilation's DNA.
+    pub dna: Dna,
+    /// Instructions in the MIR entering the pipeline (the key-hashing
+    /// charge of later hits).
+    pub pre_mir_len: usize,
+    /// The last indexed verdict: per-entry dangerous slots, in the
+    /// stamped database's entry order.
+    pub verdict: Option<(VerdictStamp, EntryMatches)>,
 }
 
 /// Cumulative counters across a memo's lifetime.
@@ -92,9 +81,11 @@ impl MemoKey {
 pub struct MemoStats {
     /// Lookups performed.
     pub lookups: u64,
-    /// Lookups served from the memo.
+    /// Lookups served a DNA.
     pub hits: u64,
-    /// Entries stored.
+    /// Lookups also served a verdict (stamp matched).
+    pub verdict_hits: u64,
+    /// Entries stored under a new key.
     pub insertions: u64,
     /// Wholesale clears forced by the entry bound.
     pub evictions: u64,
@@ -104,7 +95,7 @@ pub struct MemoStats {
 
 #[derive(Debug)]
 struct MemoInner {
-    entries: HashMap<MemoKey, Dna>,
+    entries: HashMap<CompileKey, MemoEntry>,
     max_entries: usize,
     poisoned: bool,
     stats: MemoStats,
@@ -120,7 +111,7 @@ impl MemoInner {
     }
 }
 
-/// A clone-shared, mutex-protected DNA memo (see the module docs).
+/// A clone-shared, mutex-protected compile cache (see the module docs).
 ///
 /// # Examples
 ///
@@ -162,50 +153,56 @@ impl DnaMemo {
         }
     }
 
-    /// The memoised DNA for `key`, if present and the memo is healthy.
+    /// The cached analysis for `key`, if present and the memo is healthy.
+    /// The returned entry keeps its verdict only when `stamp` is given
+    /// and equals the verdict's stamp.
     #[must_use]
-    pub fn lookup(&self, key: &MemoKey) -> Option<Dna> {
+    pub fn lookup(&self, key: &CompileKey, stamp: Option<&VerdictStamp>) -> Option<MemoEntry> {
         let mut inner = self.inner.lock().expect("memo lock");
         inner.purge_if_poisoned();
         inner.stats.lookups += 1;
-        if inner.max_entries == 0 {
-            return None;
+        let mut found = inner.entries.get(key).cloned()?;
+        inner.stats.hits += 1;
+        found.verdict = found.verdict.filter(|(s, _)| Some(s) == stamp);
+        if found.verdict.is_some() {
+            inner.stats.verdict_hits += 1;
         }
-        let found = inner.entries.get(key).cloned();
-        if found.is_some() {
-            inner.stats.hits += 1;
-        }
-        found
+        Some(found)
     }
 
-    /// Stores one extraction result.
-    pub fn insert(&self, key: MemoKey, dna: Dna) {
+    /// Stores one compilation's analysis, replacing any entry under
+    /// `key` (a refreshed verdict overwrites the stale one).
+    pub fn insert(&self, key: CompileKey, entry: MemoEntry) {
         let mut inner = self.inner.lock().expect("memo lock");
         inner.purge_if_poisoned();
         if inner.max_entries == 0 {
             return;
         }
-        if inner.entries.len() >= inner.max_entries {
+        let fresh = !inner.entries.contains_key(&key);
+        if fresh && inner.entries.len() >= inner.max_entries {
             inner.entries.clear();
             inner.stats.evictions += 1;
         }
-        if let Entry::Vacant(slot) = inner.entries.entry(key) {
-            slot.insert(dna);
+        inner.entries.insert(key, entry);
+        if fresh {
             inner.stats.insertions += 1;
         }
     }
 
     /// Corrupts the memo in place (a torn write over the shared state):
-    /// every stored DNA is overwritten with garbage and the memo is
-    /// flagged poisoned. The next access — lookup or insert — discards
-    /// everything before touching it, so the garbage can never be
-    /// served.
+    /// every stored DNA and verdict is overwritten with garbage and the
+    /// memo is flagged poisoned. The next access — lookup or insert —
+    /// discards everything before touching it, so the garbage can never
+    /// be served.
     pub fn poison(&self) {
         let mut inner = self.inner.lock().expect("memo lock");
         let mut garbage = Dna::with_slots(1);
         garbage.deltas[0].removed.insert(chain(&["<poisoned>"]));
-        for dna in inner.entries.values_mut() {
-            *dna = garbage.clone();
+        for entry in inner.entries.values_mut() {
+            entry.dna = garbage.clone();
+            if let Some((_, matches)) = &mut entry.verdict {
+                *matches = vec![(usize::MAX, vec![usize::MAX])];
+            }
         }
         inner.poisoned = true;
     }
@@ -217,7 +214,7 @@ impl DnaMemo {
         inner.poisoned = false;
     }
 
-    /// Memoised functions currently stored.
+    /// Memoised compilations currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
         self.inner.lock().expect("memo lock").entries.len()
@@ -239,108 +236,108 @@ impl DnaMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jitbull_mir::{PassRecord, SnapInstr};
-    use std::sync::Arc as StdArc;
+    use jitbull_vm::bytecode::{BinOp, Function, Op};
 
-    fn snap(labels: &[&str]) -> MirSnapshot {
-        MirSnapshot {
-            instrs: labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| SnapInstr {
-                    id: i as u32,
-                    label: StdArc::from(*l),
-                    operands: if i == 0 { vec![] } else { vec![i as u32 - 1] },
-                })
-                .collect(),
-        }
+    /// The key of `function f(a) { return a + k; }`, no slot disabled.
+    fn key(k: f64) -> CompileKey {
+        let f = Function {
+            name: "f".into(),
+            arity: 1,
+            n_locals: 1,
+            code: vec![
+                Op::LoadLocal(0),
+                Op::ConstNum(k),
+                Op::Bin(BinOp::Add),
+                Op::Return,
+            ],
+        };
+        CompileKey::new(&f, Vec::new(), 8, 0)
     }
 
-    fn trace(labels: &[&str], slot: usize, name: &'static str) -> PassTrace {
-        PassTrace {
-            function: "f".into(),
-            literals: Vec::new(),
-            records: vec![PassRecord {
-                slot,
-                name,
-                before: snap(labels),
-                after: snap(&labels[..labels.len() - 1]),
-            }],
-        }
+    fn add() -> CompileKey {
+        key(1.0)
     }
 
-    fn some_dna() -> Dna {
+    fn entry(verdict: Option<(VerdictStamp, EntryMatches)>) -> MemoEntry {
         let mut dna = Dna::with_slots(4);
         dna.deltas[1].removed.insert(chain(&["a", "b"]));
-        dna
+        MemoEntry {
+            dna,
+            pre_mir_len: 5,
+            verdict,
+        }
+    }
+
+    fn stamp(generation: u64) -> VerdictStamp {
+        VerdictStamp {
+            generation,
+            config: CompareConfig::default(),
+        }
     }
 
     #[test]
     fn hit_requires_equal_key() {
         let memo = DnaMemo::new();
-        let t = trace(&["return", "add", "parameter0"], 2, "GVN");
-        let key = MemoKey::from_trace(&t, 8, 7).unwrap();
-        assert!(memo.lookup(&key).is_none());
-        memo.insert(key.clone(), some_dna());
-        assert_eq!(memo.lookup(&key), Some(some_dna()));
+        assert!(memo.lookup(&add(), None).is_none());
+        memo.insert(add(), entry(None));
+        assert_eq!(memo.lookup(&add(), None), Some(entry(None)));
         assert_eq!(memo.len(), 1);
-        // Different schedule → different key → miss.
-        let other =
-            MemoKey::from_trace(&trace(&["return", "add", "parameter0"], 3, "DCE"), 8, 7).unwrap();
-        assert!(memo.lookup(&other).is_none());
-        // Different context → miss.
-        let ctx = MemoKey::from_trace(&t, 8, 8).unwrap();
-        assert!(memo.lookup(&ctx).is_none());
-        // Different pre-MIR → miss.
-        let mir =
-            MemoKey::from_trace(&trace(&["return", "mul", "parameter0"], 2, "GVN"), 8, 7).unwrap();
-        assert!(memo.lookup(&mir).is_none());
-        // Same labels, different literal → miss.
-        let mut literal = t.clone();
-        literal.literals.push(Literal::Number(6f64.to_bits()));
-        let literal = MemoKey::from_trace(&literal, 8, 7).unwrap();
-        assert!(memo.lookup(&literal).is_none());
+        // Same labels, different literal → different key → miss.
+        assert!(memo.lookup(&key(2.0), None).is_none());
         let stats = memo.stats();
-        assert_eq!(stats.lookups, 6);
+        assert_eq!(stats.lookups, 3);
         assert_eq!(stats.hits, 1);
+    }
+
+    #[test]
+    fn verdict_is_served_only_under_its_stamp() {
+        let memo = DnaMemo::new();
+        let matches: EntryMatches = vec![(0, vec![6])];
+        memo.insert(add(), entry(Some((stamp(7), matches.clone()))));
+        let served = memo.lookup(&add(), Some(&stamp(7))).unwrap();
+        assert_eq!(served.verdict, Some((stamp(7), matches)));
+        // A new generation, new thresholds, or a reference comparator
+        // (no stamp) get the DNA without the verdict.
+        assert_eq!(memo.lookup(&add(), Some(&stamp(8))), Some(entry(None)));
+        let strict = VerdictStamp {
+            config: CompareConfig { thr: 1, ratio: 0.5 },
+            ..stamp(7)
+        };
+        assert_eq!(memo.lookup(&add(), Some(&strict)), Some(entry(None)));
+        assert_eq!(memo.lookup(&add(), None), Some(entry(None)));
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.verdict_hits), (4, 1));
+        // A refreshed verdict overwrites without a new insertion.
+        memo.insert(add(), entry(Some((stamp(8), Vec::new()))));
+        assert!(memo
+            .lookup(&add(), Some(&stamp(8)))
+            .unwrap()
+            .verdict
+            .is_some());
+        assert_eq!(memo.stats().insertions, 1);
     }
 
     #[test]
     fn clones_share_the_store() {
         let memo = DnaMemo::new();
         let alias = memo.clone();
-        let key = MemoKey::from_trace(&trace(&["return", "add"], 1, "GVN"), 8, 0).unwrap();
-        memo.insert(key.clone(), some_dna());
-        assert_eq!(alias.lookup(&key), Some(some_dna()));
-    }
-
-    #[test]
-    fn empty_trace_has_no_key() {
-        let t = PassTrace {
-            function: "f".into(),
-            literals: Vec::new(),
-            records: vec![],
-        };
-        assert!(MemoKey::from_trace(&t, 8, 0).is_none());
+        memo.insert(add(), entry(None));
+        assert_eq!(alias.lookup(&add(), None), Some(entry(None)));
     }
 
     #[test]
     fn zero_capacity_disables_memoisation() {
         let memo = DnaMemo::with_capacity(0);
-        let key = MemoKey::from_trace(&trace(&["return", "add"], 1, "GVN"), 8, 0).unwrap();
-        memo.insert(key.clone(), some_dna());
-        assert!(memo.lookup(&key).is_none());
+        memo.insert(add(), entry(None));
+        assert!(memo.lookup(&add(), None).is_none());
         assert!(memo.is_empty());
     }
 
     #[test]
     fn bound_forces_wholesale_clear() {
         let memo = DnaMemo::with_capacity(2);
-        for i in 0..3usize {
-            let labels: Vec<String> = (0..=i).map(|k| format!("op{k}")).collect();
-            let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-            let key = MemoKey::from_trace(&trace(&refs, 1, "GVN"), 8, 0).unwrap();
-            memo.insert(key, some_dna());
+        for k in [1.0, 2.0, 3.0] {
+            memo.insert(key(k), entry(None));
         }
         assert_eq!(memo.stats().evictions, 1);
         assert_eq!(memo.len(), 1);
@@ -349,23 +346,21 @@ mod tests {
     #[test]
     fn poisoned_memo_is_purged_not_served() {
         let memo = DnaMemo::new();
-        let key = MemoKey::from_trace(&trace(&["return", "add"], 1, "GVN"), 8, 0).unwrap();
-        memo.insert(key.clone(), some_dna());
+        memo.insert(add(), entry(Some((stamp(7), Vec::new()))));
         memo.poison();
         // The garbled entry must never come back.
-        assert!(memo.lookup(&key).is_none());
+        assert!(memo.lookup(&add(), Some(&stamp(7))).is_none());
         assert_eq!(memo.stats().poison_purges, 1);
         // The memo is healthy again and usable.
-        memo.insert(key.clone(), some_dna());
-        assert_eq!(memo.lookup(&key), Some(some_dna()));
+        memo.insert(add(), entry(None));
+        assert_eq!(memo.lookup(&add(), None), Some(entry(None)));
         assert_eq!(memo.stats().poison_purges, 1);
     }
 
     #[test]
     fn purge_empties_without_counting_poison() {
         let memo = DnaMemo::new();
-        let key = MemoKey::from_trace(&trace(&["return", "add"], 1, "GVN"), 8, 0).unwrap();
-        memo.insert(key.clone(), some_dna());
+        memo.insert(add(), entry(None));
         memo.purge();
         assert!(memo.is_empty());
         assert_eq!(memo.stats().poison_purges, 0);

@@ -396,7 +396,6 @@ mod tests {
         let after = snap(vec![instr(0, "parameter0", &[]), instr(2, "return", &[0])]);
         let trace = PassTrace {
             function: "f".into(),
-            literals: Vec::new(),
             records: vec![PassRecord {
                 slot: 2,
                 name: "DCE",

@@ -1,30 +1,36 @@
-//! The engine-facing facade: extract DNA from a compilation trace, compare
-//! against the database, and account the analysis cost.
+//! The engine-facing facade: look a compilation up in the compile cache,
+//! extract DNA from its trace on a miss, compare against the database,
+//! and account the analysis cost.
 
 use std::cell::RefCell;
 
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
-use jitbull_mir::PassTrace;
+use jitbull_mir::{CompileKey, PassTrace};
 use jitbull_telemetry::{Collector, Event};
 
 use crate::compare::CompareConfig;
 use crate::db::DnaDatabase;
 use crate::dna::Dna;
 use crate::extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
-use crate::extract::memo::{DnaMemo, MemoKey, MemoStats, MEMO_HIT_COST, MEMO_KEY_COST_PER_INSTR};
+use crate::extract::memo::{
+    DnaMemo, MemoEntry, MemoStats, VerdictStamp, MEMO_HIT_COST, MEMO_KEY_COST_PER_INSTR,
+};
 use crate::extract::{extract_dna, trace_work};
-use crate::index::{ComparatorIndex, IndexConfig, IndexStats, QueryReceipt};
+use crate::index::{
+    ComparatorIndex, EntryMatches, IndexStats, QueryReceipt, CACHE_HIT_COST, HASH_COST_PER_CHAIN,
+};
 
 /// Which Δ-comparator implementation a [`Guard`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ComparatorMode {
-    /// The interned / prefiltered / cached comparator pipeline
-    /// ([`crate::index`]) — the production path.
+    /// The interned / prefiltered comparator ([`crate::index`]) behind
+    /// the compile cache's verdicts — the production path.
     #[default]
     Indexed,
     /// The naive normative loop over [`crate::compare::reference`] —
     /// the oracle the differential harness compares against, and the
-    /// baseline the fig6 bench reports speedups over.
+    /// baseline the fig6 bench reports speedups over. Never reads or
+    /// writes cached verdicts.
     Reference,
 }
 
@@ -32,15 +38,15 @@ pub enum ComparatorMode {
 /// [`ComparatorMode`]: extraction produces the DNA, comparison judges it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtractorMode {
-    /// The incremental extractor ([`crate::extract::incremental`]) in
-    /// front of the shared DNA memo ([`crate::extract::memo`]) — the
+    /// The incremental extractor ([`crate::extract::incremental`]) behind
+    /// the shared compile cache ([`crate::extract::memo`]) — the
     /// production path.
     #[default]
     Incremental,
     /// The naive normative [`crate::extract::extract_dna`] — the
     /// Algorithm 1 oracle the extractor differential harness compares
     /// against, and the baseline the `fig_extract` bench reports
-    /// speedups over.
+    /// speedups over. Bypasses the compile cache.
     Reference,
 }
 
@@ -65,6 +71,26 @@ pub struct Analysis {
     pub dna: Dna,
 }
 
+/// The compile cache's answer for one optimizing compilation, taken
+/// before its pipeline runs ([`Guard::lookup`]). The default is keyless:
+/// an analysis under it neither reads nor fills the cache.
+#[derive(Debug, Default)]
+pub struct Lookup {
+    key: Option<CompileKey>,
+    cached: Option<MemoEntry>,
+    /// The memo's purge count, when this lookup purged a poisoned store.
+    purged: Option<u64>,
+}
+
+impl Lookup {
+    /// Whether the compilation must be traced: the cache holds no DNA
+    /// for it.
+    #[must_use]
+    pub fn needs_trace(&self) -> bool {
+        self.cached.is_none()
+    }
+}
+
 /// JITBULL's runtime guard: database + comparator configuration.
 ///
 /// # Examples
@@ -81,54 +107,40 @@ pub struct Guard {
     mode: ComparatorMode,
     extractor: ExtractorMode,
     /// Lazily (re)built comparator index over `db`; interior-mutable so
-    /// `analyze(&self)` can populate caches. Cloning a guard clones the
-    /// index too — valid, because the clone starts from identical
-    /// database content at the same generation.
+    /// `analyze(&self)` can rebuild it. Cloning a guard clones the index
+    /// too — valid, because the clone starts from identical database
+    /// content at the same generation.
     index: RefCell<ComparatorIndex>,
     /// Incremental extractor state (interner, run-window cache);
     /// interior-mutable for the same reason as `index`. Cloning forks
     /// the caches — both forks stay exact, they just warm separately.
     incremental: RefCell<IncrementalExtractor>,
-    /// Whole-function DNA memo. Clone-shared: guards built from the same
+    /// The compile cache. Clone-shared: guards built from the same
     /// [`DnaMemo`] handle (e.g. all pool workers) alias one store.
     memo: DnaMemo,
-    /// Engine context folded into every memo key (vulnerability-config
-    /// fingerprint): a different engine build compiles the same MIR
-    /// differently, so its DNAs must never collide in the shared memo.
-    extract_context: u64,
-    /// Chaos hook: consulted once per indexed query
-    /// ([`jitbull_chaos::FaultSite::ComparatorQuery`]) and once per
-    /// incremental extraction
-    /// ([`jitbull_chaos::FaultSite::ExtractQuery`]). Disabled by
-    /// default — a single pointer test on the hot path.
+    /// Chaos hook: consulted once per cache lookup
+    /// ([`jitbull_chaos::FaultSite::ExtractQuery`]) and once per indexed
+    /// comparison ([`jitbull_chaos::FaultSite::ComparatorQuery`]).
+    /// Disabled by default — a single pointer test on the hot path.
     faults: FaultInjector,
 }
 
 impl Guard {
-    /// Creates a guard over a database (indexed comparator).
+    /// Creates a guard over a database (indexed comparator, incremental
+    /// extractor, a private compile cache).
     pub fn new(db: DnaDatabase, config: CompareConfig) -> Self {
-        Guard::with_comparator(db, config, ComparatorMode::Indexed)
-    }
-
-    /// Creates a guard with an explicit comparator implementation.
-    pub fn with_comparator(db: DnaDatabase, config: CompareConfig, mode: ComparatorMode) -> Self {
         Guard {
             db,
             config,
-            mode,
-            extractor: ExtractorMode::default(),
-            index: RefCell::new(ComparatorIndex::default()),
-            incremental: RefCell::new(IncrementalExtractor::default()),
-            memo: DnaMemo::default(),
-            extract_context: 0,
-            faults: FaultInjector::disabled(),
+            ..Guard::default()
         }
     }
 
-    /// Arms (or disarms) the fault injector consulted per indexed query.
-    /// A [`jitbull_chaos::FaultKind::CachePoison`] fault fired here
-    /// corrupts the comparator's memoised state *before* the query runs,
-    /// exercising the poison-purge recovery path.
+    /// Arms (or disarms) the fault injector. A
+    /// [`jitbull_chaos::FaultKind::CachePoison`] fault fired at a lookup
+    /// corrupts the compile cache, and one fired at an indexed comparison
+    /// corrupts the comparator index, each *before* it is read —
+    /// exercising the poison-purge recovery paths.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
         self.faults = faults;
     }
@@ -153,26 +165,10 @@ impl Guard {
         self.extractor = mode;
     }
 
-    /// Replaces the DNA memo handle (the pool installs one shared memo
-    /// into every worker's guard).
+    /// Replaces the compile-cache handle (the pool installs one shared
+    /// cache into every worker's guard).
     pub fn set_dna_memo(&mut self, memo: DnaMemo) {
         self.memo = memo;
-    }
-
-    /// The DNA memo handle (aliases the shared store).
-    pub fn dna_memo(&self) -> &DnaMemo {
-        &self.memo
-    }
-
-    /// Sets the engine-context fingerprint folded into memo keys (the
-    /// engine derives it from its vulnerability configuration).
-    pub fn set_extract_context(&mut self, context: u64) {
-        self.extract_context = context;
-    }
-
-    /// Replaces the index tuning knobs (cache bound, shard opt-in).
-    pub fn set_index_config(&mut self, config: IndexConfig) {
-        self.index.borrow_mut().set_config(config);
     }
 
     /// Cumulative indexed-comparator counters (all zero while the guard
@@ -187,7 +183,7 @@ impl Guard {
         self.incremental.borrow().stats()
     }
 
-    /// Cumulative DNA-memo counters for the guard's memo handle.
+    /// Cumulative compile-cache counters for the guard's cache handle.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
     }
@@ -210,11 +206,11 @@ impl Guard {
     /// when it drops ([`DnaDatabase::touch`]). `install` / `remove_cve`
     /// already bump on content change, but a raw `&mut DnaDatabase` also
     /// allows mutations that bypass them (`*guard.db_mut() = other`,
-    /// `std::mem::take`, …) — without the drop bump those would leave the
-    /// comparator's verdict cache keyed to a generation whose content no
-    /// longer exists, silently serving stale verdicts. The bump-on-drop
-    /// makes that unrepresentable at the cost of over-invalidating when
-    /// the borrow turns out not to mutate.
+    /// `std::mem::take`, …) — without the drop bump those would leave
+    /// cached verdicts stamped with a generation whose content no longer
+    /// exists, silently serving stale verdicts. The bump-on-drop makes
+    /// that unrepresentable at the cost of over-invalidating when the
+    /// borrow turns out not to mutate.
     pub fn db_mut(&mut self) -> DbMut<'_> {
         DbMut { db: &mut self.db }
     }
@@ -224,188 +220,130 @@ impl Guard {
         &self.config
     }
 
-    /// Analyses one compilation trace against every VDC entry (step 2 of
-    /// the paper's workflow; Algorithm 2 inside). Extraction runs in the
-    /// implementation selected by [`Guard::extractor_mode`]; comparison
-    /// in the one selected by [`Guard::comparator_mode`]. Every
-    /// combination returns identical `dangerous` / `matches` / `dna`
-    /// (only `cost_cycles` differs, reflecting the work each actually
-    /// does).
+    /// Consults the compile cache for a compilation about to run the
+    /// pipeline. With the reference extractor the cache is bypassed and
+    /// nothing is looked up.
+    pub fn lookup(&self, key: CompileKey) -> Lookup {
+        if self.extractor == ExtractorMode::Reference {
+            return Lookup::default();
+        }
+        if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ExtractQuery) {
+            // The torn write lands before the lookup — the memo's
+            // purge-before-serve guarantee is the recovery path under
+            // test.
+            self.memo.poison();
+        }
+        let purges = self.memo.stats().poison_purges;
+        let cached = self.memo.lookup(&key, self.stamp().as_ref());
+        let after = self.memo.stats().poison_purges;
+        Lookup {
+            key: Some(key),
+            cached,
+            purged: (after > purges).then_some(after),
+        }
+    }
+
+    /// The stamp verdicts are cached under; `None` for the reference
+    /// comparator, which never reads or writes them.
+    fn stamp(&self) -> Option<VerdictStamp> {
+        (self.mode == ComparatorMode::Indexed).then_some(VerdictStamp {
+            generation: self.db.generation(),
+            config: self.config,
+        })
+    }
+
+    /// Analyses one compilation trace against every VDC entry, without
+    /// the compile cache. See [`Guard::analyze_compile`].
     pub fn analyze(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
-        self.analyze_with_receipts(trace, n_slots).0
+        self.analyze_compile(Lookup::default(), trace, n_slots, None)
     }
 
-    /// Extraction dispatch: the configured extractor produces the DNA
-    /// and the simulated cycles it cost; the incremental path
-    /// additionally consults the shared memo and returns a receipt.
-    fn extract_with_receipt(
+    /// Analyses one compilation (step 2 of the paper's workflow;
+    /// Algorithm 2 inside). A DNA cached under `lookup`'s key is used as
+    /// is, and `trace` is then the untraced compilation's empty one.
+    /// Otherwise the DNA is extracted from `trace` by the implementation
+    /// selected by [`Guard::extractor_mode`] and, for a keyed lookup,
+    /// cached. Comparison runs in the implementation selected by
+    /// [`Guard::comparator_mode`]; the indexed one serves the cached
+    /// verdict when its stamp matches and caches the verdict it computes
+    /// otherwise. Every combination returns identical `dangerous` /
+    /// `matches` / `dna` (only `cost_cycles` differs, reflecting the work
+    /// each actually does).
+    ///
+    /// With a `collector`, the analysis is reported as an
+    /// [`Event::GuardAnalyzed`], preceded on the incremental path by an
+    /// [`Event::ExtractorQuery`] describing the cache/fast-path work and,
+    /// on the indexed path, by an [`Event::ComparatorQuery`] describing
+    /// the verdict-cache/prefilter work.
+    pub fn analyze_compile(
         &self,
+        lookup: Lookup,
         trace: &PassTrace,
         n_slots: usize,
-    ) -> (Dna, u64, Option<ExtractReceipt>) {
-        match self.extractor {
-            ExtractorMode::Reference => (
-                extract_dna(trace, n_slots),
-                trace_work(trace) * EXTRACT_COST_PER_INSTR,
-                None,
-            ),
-            ExtractorMode::Incremental => {
-                if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ExtractQuery) {
-                    // The torn write lands before the lookup — the
-                    // memo's purge-before-serve guarantee is the
-                    // recovery path under test.
-                    self.memo.poison();
-                }
-                let key = MemoKey::from_trace(trace, n_slots, self.extract_context);
-                let mut cost = 0u64;
-                if let Some(k) = &key {
-                    cost += k.pre_mir_len() as u64 * MEMO_KEY_COST_PER_INSTR;
-                    if let Some(dna) = self.memo.lookup(k) {
-                        cost += MEMO_HIT_COST;
-                        let receipt = ExtractReceipt {
-                            memo_hit: true,
-                            cost_cycles: cost,
-                            ..ExtractReceipt::default()
-                        };
-                        return (dna, cost, Some(receipt));
-                    }
-                }
-                let (dna, mut receipt) = self.incremental.borrow_mut().extract_dna(trace, n_slots);
-                receipt.cost_cycles += cost;
-                if let Some(k) = key {
-                    self.memo.insert(k, dna.clone());
-                }
-                (dna, receipt.cost_cycles, Some(receipt))
+        collector: Option<&mut dyn Collector>,
+    ) -> Analysis {
+        let Lookup {
+            key,
+            cached,
+            purged,
+        } = lookup;
+        let dna_hit = cached.is_some();
+        let (mut entry, mut cost, extract_receipt) = match cached {
+            Some(entry) => {
+                let cost = entry.pre_mir_len as u64 * MEMO_KEY_COST_PER_INSTR + MEMO_HIT_COST;
+                let receipt = ExtractReceipt {
+                    memo_hit: true,
+                    cost_cycles: cost,
+                    ..ExtractReceipt::default()
+                };
+                (entry, cost, Some(receipt))
             }
-        }
-    }
-
-    fn analyze_with_receipts(
-        &self,
-        trace: &PassTrace,
-        n_slots: usize,
-    ) -> (Analysis, Option<ExtractReceipt>, Option<QueryReceipt>) {
-        let (dna, extract_cost, extract_receipt) = self.extract_with_receipt(trace, n_slots);
-        match self.mode {
-            ComparatorMode::Reference => (
-                self.compare_reference(dna, extract_cost),
-                extract_receipt,
-                None,
-            ),
+            None => self.extract_fresh(trace, n_slots, key.is_some()),
+        };
+        let index_purges = self.index.borrow().stats().poison_purges;
+        let (hits, receipt) = match self.mode {
+            ComparatorMode::Reference => (self.compare_reference(&entry.dna, &mut cost), None),
             ComparatorMode::Indexed => {
-                let (analysis, receipt) = self.compare_indexed(dna, extract_cost);
-                (analysis, extract_receipt, Some(receipt))
+                let cached = entry.verdict.take().map(|(_, hits)| hits);
+                let (hits, receipt) = self.compare_indexed(&entry.dna, cached, &mut cost);
+                (hits, Some(receipt))
+            }
+        };
+        // Cache what this analysis computed: a new DNA, or a verdict the
+        // cached one's stamp no longer covered.
+        if let Some(key) = key {
+            if !dna_hit || receipt.is_some_and(|r| !r.cache_hit) {
+                entry.verdict = self.stamp().map(|stamp| (stamp, hits.clone()));
+                self.memo.insert(key, entry.clone());
             }
         }
-    }
-
-    /// The naive Algorithm 2 loop over a pre-extracted DNA: full set
-    /// intersections per (entry, slot), costed by sub-chain volume. This
-    /// is the normative comparator — the indexed path must agree with it
-    /// on every verdict.
-    fn compare_reference(&self, dna: Dna, extract_cost: u64) -> Analysis {
-        let mut cost = extract_cost;
-        let mut dangerous: Vec<usize> = Vec::new();
-        let mut matches = Vec::new();
-        for entry in self.db.entries() {
-            let slots = crate::compare::reference(&dna, &entry.dna, &self.config);
-            // Comparison cost: proportional to the sub-chain volume on both
-            // sides.
-            let f_chains: usize = dna
-                .deltas
-                .iter()
-                .map(|d| d.removed.len() + d.added.len())
-                .sum();
-            let v_chains: usize = entry
-                .dna
-                .deltas
-                .iter()
-                .map(|d| d.removed.len() + d.added.len())
-                .sum();
-            cost += (f_chains + v_chains) as u64 * COMPARE_COST_PER_CHAIN;
-            if !slots.is_empty() {
-                matches.push((entry.cve.clone(), entry.function.clone(), slots.clone()));
-                dangerous.extend(slots);
-            }
-        }
-        dangerous.sort_unstable();
-        dangerous.dedup();
-        Analysis {
-            dangerous,
-            matches,
-            cost_cycles: cost,
-            dna,
-        }
-    }
-
-    /// Reference-comparator analysis of one trace (kept as the public
-    /// normative entry point; extraction still follows
-    /// [`Guard::extractor_mode`]).
-    pub fn analyze_reference(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
-        let (dna, extract_cost, _) = self.extract_with_receipt(trace, n_slots);
-        self.compare_reference(dna, extract_cost)
-    }
-
-    /// The indexed pipeline: ensure the index matches the database
-    /// generation, query it (cache → prefilter → interned merges), and
-    /// rebuild the entry-keyed result into the reference shape.
-    fn compare_indexed(&self, dna: Dna, extract_cost: u64) -> (Analysis, QueryReceipt) {
-        let mut cost = extract_cost;
-        let mut index = self.index.borrow_mut();
-        if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ComparatorQuery) {
-            // The torn write lands before `ensure` — recovery is the
-            // rebuild the zeroed generation stamp forces next line.
-            index.poison();
-        }
-        cost += index.ensure(&self.db);
-        let (hits, receipt) = index.query(&dna, &self.config);
-        cost += receipt.cost_cycles;
         let entries = self.db.entries();
         let mut dangerous: Vec<usize> = Vec::new();
         let mut matches = Vec::new();
-        for (idx, slots) in hits.iter() {
-            let entry = &entries[*idx];
-            matches.push((entry.cve.clone(), entry.function.clone(), slots.clone()));
-            dangerous.extend(slots);
+        for (idx, slots) in hits {
+            let e = &entries[idx];
+            dangerous.extend(&slots);
+            matches.push((e.cve.clone(), e.function.clone(), slots));
         }
         dangerous.sort_unstable();
         dangerous.dedup();
-        (
-            Analysis {
-                dangerous,
-                matches,
-                cost_cycles: cost,
-                dna,
-            },
-            receipt,
-        )
-    }
-
-    /// Like [`Guard::analyze`], additionally reporting the analysis as an
-    /// [`Event::GuardAnalyzed`] (preceded, on the incremental path, by an
-    /// [`Event::ExtractorQuery`] describing the memo/fast-path work and,
-    /// on the indexed path, by an [`Event::ComparatorQuery`] describing
-    /// the cache/prefilter/shard work) to `collector`.
-    pub fn analyze_observed(
-        &self,
-        trace: &PassTrace,
-        n_slots: usize,
-        collector: &mut dyn Collector,
-    ) -> Analysis {
-        let purges_before = self.index.borrow().stats().poison_purges;
-        let memo_purges_before = self.memo.stats().poison_purges;
-        let (analysis, extract_receipt, receipt) = self.analyze_with_receipts(trace, n_slots);
-        let stats_after = self.index.borrow().stats();
-        if stats_after.poison_purges > purges_before {
+        let analysis = Analysis {
+            dangerous,
+            matches,
+            cost_cycles: cost,
+            dna: entry.dna,
+        };
+        let Some(collector) = collector else {
+            return analysis;
+        };
+        let index_stats = self.index.borrow().stats();
+        if index_stats.poison_purges > index_purges {
             collector.record(Event::CachePoisonPurged {
-                rebuilds: stats_after.rebuilds,
+                rebuilds: index_stats.rebuilds,
             });
         }
-        let memo_stats_after = self.memo.stats();
-        if memo_stats_after.poison_purges > memo_purges_before {
-            collector.record(Event::ExtractMemoPurged {
-                purges: memo_stats_after.poison_purges,
-            });
+        if let Some(purges) = purged {
+            collector.record(Event::ExtractMemoPurged { purges });
         }
         if let Some(r) = extract_receipt {
             collector.record(Event::ExtractorQuery {
@@ -423,7 +361,6 @@ impl Guard {
                 cache_hit: r.cache_hit,
                 prefilter_rejects: r.prefilter_rejects,
                 set_merges: r.set_merges,
-                shards: r.shards,
             });
         }
         collector.record(Event::GuardAnalyzed {
@@ -433,6 +370,86 @@ impl Guard {
             cost_cycles: analysis.cost_cycles,
         });
         analysis
+    }
+
+    /// Extraction by the configured extractor: the DNA (with no verdict
+    /// yet), the simulated cycles it cost — plus the key hash when
+    /// `keyed` — and, on the incremental path, a receipt.
+    fn extract_fresh(
+        &self,
+        trace: &PassTrace,
+        n_slots: usize,
+        keyed: bool,
+    ) -> (MemoEntry, u64, Option<ExtractReceipt>) {
+        let pre_mir_len = trace.records.first().map_or(0, |r| r.before.len());
+        let (dna, cost, receipt) = match self.extractor {
+            ExtractorMode::Reference => (
+                extract_dna(trace, n_slots),
+                trace_work(trace) * EXTRACT_COST_PER_INSTR,
+                None,
+            ),
+            ExtractorMode::Incremental => {
+                let (dna, mut receipt) = self.incremental.borrow_mut().extract_dna(trace, n_slots);
+                if keyed {
+                    receipt.cost_cycles += pre_mir_len as u64 * MEMO_KEY_COST_PER_INSTR;
+                }
+                (dna, receipt.cost_cycles, Some(receipt))
+            }
+        };
+        let entry = MemoEntry {
+            dna,
+            pre_mir_len,
+            verdict: None,
+        };
+        (entry, cost, receipt)
+    }
+
+    /// The naive Algorithm 2 loop: full set intersections per (entry,
+    /// slot), costed by sub-chain volume. This is the normative
+    /// comparator — the indexed path must agree with it on every verdict.
+    fn compare_reference(&self, dna: &Dna, cost: &mut u64) -> EntryMatches {
+        let f_chains = dna.chain_count();
+        self.db
+            .entries()
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, entry)| {
+                // Proportional to the sub-chain volume on both sides.
+                *cost += (f_chains + entry.dna.chain_count()) * COMPARE_COST_PER_CHAIN;
+                let slots = crate::compare::reference(dna, &entry.dna, &self.config);
+                (!slots.is_empty()).then_some((idx, slots))
+            })
+            .collect()
+    }
+
+    /// The indexed pipeline: ensure the index matches the database
+    /// generation, then serve the `cached` verdict or scan the index.
+    fn compare_indexed(
+        &self,
+        dna: &Dna,
+        cached: Option<EntryMatches>,
+        cost: &mut u64,
+    ) -> (EntryMatches, QueryReceipt) {
+        let mut index = self.index.borrow_mut();
+        if let Some(FaultKind::CachePoison) = self.faults.fire(FaultSite::ComparatorQuery) {
+            // The torn write lands before `ensure` — recovery is the
+            // rebuild the zeroed generation stamp forces next line.
+            index.poison();
+        }
+        *cost += index.ensure(&self.db);
+        let (hits, receipt) = match cached {
+            Some(hits) => {
+                let receipt = QueryReceipt {
+                    cache_hit: true,
+                    cost_cycles: dna.chain_count() * HASH_COST_PER_CHAIN + CACHE_HIT_COST,
+                    ..QueryReceipt::default()
+                };
+                (hits, receipt)
+            }
+            None => index.query(dna, &self.config),
+        };
+        *cost += receipt.cost_cycles;
+        (hits, receipt)
     }
 
     /// Extracts DNA only (step 1: building database entries from a VDC
@@ -474,7 +491,31 @@ impl Drop for DbMut<'_> {
 mod tests {
     use super::*;
     use jitbull_mir::{MirSnapshot, PassRecord, SnapInstr};
+    use jitbull_vm::bytecode::{Function, Op};
     use std::sync::Arc;
+
+    /// A compile key standing for the compilation of `trace_removing_check(slot)`.
+    fn key(slot: usize) -> CompileKey {
+        let f = Function {
+            name: "f".into(),
+            arity: 0,
+            n_locals: 0,
+            code: vec![Op::ConstNum(slot as f64), Op::Return],
+        };
+        CompileKey::new(&f, Vec::new(), 32, 0)
+    }
+
+    /// One engine round: look the compilation up, then analyse it (with
+    /// an untraced, empty trace when the cache holds its DNA).
+    fn round(guard: &Guard, slot: usize, collector: Option<&mut dyn Collector>) -> Analysis {
+        let lookup = guard.lookup(key(slot));
+        let trace = if lookup.needs_trace() {
+            trace_removing_check(slot)
+        } else {
+            PassTrace::default()
+        };
+        guard.analyze_compile(lookup, &trace, 32, collector)
+    }
 
     fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
         SnapInstr {
@@ -513,7 +554,6 @@ mod tests {
     fn trace_removing_check(slot: usize) -> PassTrace {
         PassTrace {
             function: "f".into(),
-            literals: Vec::new(),
             records: vec![PassRecord {
                 slot,
                 name: "GVN",
@@ -576,7 +616,6 @@ mod tests {
         };
         let trace = PassTrace {
             function: "g".into(),
-            literals: Vec::new(),
             records: vec![PassRecord {
                 slot: 6,
                 name: "GVN",
@@ -594,8 +633,9 @@ mod tests {
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         db.install("CVE-B", "g", Guard::extract(&trace_removing_check(11), 32));
-        let indexed = Guard::with_comparator(db.clone(), cfg, ComparatorMode::Indexed);
-        let reference = Guard::with_comparator(db, cfg, ComparatorMode::Reference);
+        let indexed = Guard::new(db.clone(), cfg);
+        let mut reference = Guard::new(db, cfg);
+        reference.set_comparator_mode(ComparatorMode::Reference);
         for trace in [
             trace_removing_check(6),
             trace_removing_check(11),
@@ -613,18 +653,40 @@ mod tests {
     }
 
     #[test]
-    fn indexed_cache_hits_on_repeat_and_invalidates_on_change() {
+    fn cached_verdict_hits_on_repeat_and_is_refreshed_on_change() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
-        let trace = trace_removing_check(6);
-        assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
-        assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
-        assert_eq!(guard.comparator_stats().cache_hits, 1);
-        // Removing the CVE must not serve the stale cached verdict.
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(guard.memo_stats().verdict_hits, 1);
+        assert_eq!(guard.comparator_stats().queries, 1);
+        // Removing the CVE must not serve the stale cached verdict: the
+        // DNA still hits, the verdict is recomputed and replaces it.
         guard.db_mut().remove_cve("CVE-A");
-        assert!(guard.analyze(&trace, 32).dangerous.is_empty());
+        assert!(round(&guard, 6, None).dangerous.is_empty());
+        assert!(round(&guard, 6, None).dangerous.is_empty());
+        let stats = guard.memo_stats();
+        assert_eq!((stats.hits, stats.verdict_hits), (3, 2));
+        assert_eq!(guard.comparator_stats().queries, 2);
+    }
+
+    #[test]
+    fn reference_comparator_never_touches_verdicts() {
+        let cfg = CompareConfig { thr: 1, ratio: 0.5 };
+        let mut db = DnaDatabase::new();
+        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
+        let mut guard = Guard::new(db, cfg);
+        guard.set_comparator_mode(ComparatorMode::Reference);
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        // The DNA is shared with an indexed guard; the verdict is not.
+        let mut indexed = guard.clone();
+        indexed.set_comparator_mode(ComparatorMode::Indexed);
+        assert_eq!(round(&indexed, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        let stats = guard.memo_stats();
+        assert_eq!((stats.hits, stats.verdict_hits), (2, 0));
     }
 
     #[test]
@@ -634,9 +696,8 @@ mod tests {
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
-        let trace = trace_removing_check(6);
         // Warm the verdict cache.
-        assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
         // Poison the comparator state on the next query.
         guard.set_fault_injector(FaultInjector::from_plan(FaultPlan::new(5).script(
             Site::ComparatorQuery,
@@ -645,16 +706,16 @@ mod tests {
             1,
         )));
         let mut rec = jitbull_telemetry::Recorder::new();
-        let analysis = guard.analyze_observed(&trace, 32, &mut rec);
+        let analysis = round(&guard, 6, Some(&mut rec));
         assert_eq!(
             analysis.dangerous,
             vec![6],
-            "a poisoned cache must cost a rebuild, never a wrong verdict"
+            "a poisoned index must cost a rebuild, never a wrong verdict"
         );
         assert_eq!(guard.comparator_stats().poison_purges, 1);
         assert_eq!(rec.metrics().counter("recovery.cache_poison_purged"), 1);
         // The fault window is over: the next query is clean again.
-        assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
         assert_eq!(guard.comparator_stats().poison_purges, 1);
     }
 
@@ -668,13 +729,9 @@ mod tests {
         incremental.set_extractor_mode(ExtractorMode::Incremental);
         let mut reference = Guard::new(db, cfg);
         reference.set_extractor_mode(ExtractorMode::Reference);
-        for trace in [
-            trace_removing_check(6),
-            trace_removing_check(11),
-            trace_removing_check(3),
-        ] {
-            let a = incremental.analyze(&trace, 32);
-            let b = reference.analyze(&trace, 32);
+        for slot in [6, 11, 3] {
+            let a = round(&incremental, slot, None);
+            let b = round(&reference, slot, None);
             assert_eq!(a.dangerous, b.dangerous);
             assert_eq!(a.matches, b.matches);
             assert_eq!(a.dna, b.dna, "extractor modes must emit identical DNA");
@@ -688,19 +745,20 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_on_repeat_analysis_and_costs_less() {
+    fn memo_hit_skips_the_trace_and_costs_less() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         let guard = Guard::new(db, cfg);
-        let trace = trace_removing_check(6);
-        let cold = guard.analyze(&trace, 32);
-        let warm = guard.analyze(&trace, 32);
+        assert!(guard.lookup(key(6)).needs_trace());
+        let cold = round(&guard, 6, None);
+        assert!(!guard.lookup(key(6)).needs_trace());
+        let warm = round(&guard, 6, None);
         assert_eq!(cold.dangerous, warm.dangerous);
         assert_eq!(cold.dna, warm.dna);
         let stats = guard.memo_stats();
-        assert_eq!(stats.lookups, 2);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.lookups, 4);
+        assert_eq!(stats.hits, 2);
         assert!(
             warm.cost_cycles < cold.cost_cycles,
             "memo hit ({}) must be cheaper than the cold extraction ({})",
@@ -710,32 +768,15 @@ mod tests {
     }
 
     #[test]
-    fn extract_context_change_invalidates_the_memo() {
-        let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let mut guard = Guard::new(DnaDatabase::new(), cfg);
-        let trace = trace_removing_check(6);
-        guard.analyze(&trace, 32);
-        guard.analyze(&trace, 32);
-        assert_eq!(guard.memo_stats().hits, 1);
-        // A new vulnerability context keys a different memo entry: the
-        // same trace must be re-extracted, never served stale.
-        guard.set_extract_context(0xdead_beef);
-        guard.analyze(&trace, 32);
-        assert_eq!(guard.memo_stats().hits, 1);
-        assert_eq!(guard.memo_stats().lookups, 3);
-    }
-
-    #[test]
     fn extract_memo_poison_is_purged_and_reported() {
         use jitbull_chaos::{FaultPlan, FaultSite as Site};
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
-        let trace = trace_removing_check(6);
         // Warm the memo.
-        assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
-        // Poison the memo on the next extraction query.
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        // Poison the memo on the next lookup.
         guard.set_fault_injector(FaultInjector::from_plan(FaultPlan::new(5).script(
             Site::ExtractQuery,
             FaultKind::CachePoison,
@@ -743,7 +784,7 @@ mod tests {
             1,
         )));
         let mut rec = jitbull_telemetry::Recorder::new();
-        let analysis = guard.analyze_observed(&trace, 32, &mut rec);
+        let analysis = round(&guard, 6, Some(&mut rec));
         assert_eq!(
             analysis.dangerous,
             vec![6],
@@ -752,7 +793,7 @@ mod tests {
         assert_eq!(guard.memo_stats().poison_purges, 1);
         assert_eq!(rec.metrics().counter("recovery.extract_memo_purged"), 1);
         // The fault window is over: the next analysis re-warms cleanly.
-        assert_eq!(guard.analyze(&trace, 32).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
         assert_eq!(guard.memo_stats().poison_purges, 1);
     }
 

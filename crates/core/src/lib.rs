@@ -17,8 +17,9 @@
 //! * [`extract`] — the **Δ extractor** (§IV-D, Algorithm 1): dependency
 //!   graph → root-to-leaf chains → removed/added sub-chains per pass.
 //!   [`extract::incremental`] is the fast structural-diff implementation
-//!   and [`extract::memo`] the shared DNA memo cache in front of it; the
-//!   top-level functions remain the normative oracle.
+//!   and [`extract::memo`] the shared compile cache in front of it (DNA
+//!   and last verdict per compilation, keyed before the pipeline runs);
+//!   the top-level functions remain the normative oracle.
 //! * [`dna`] — `Δ_i` / DNA vector types and their textual serialisation
 //!   (the update format a maintainer would ship to users).
 //! * [`compare`] — the **Δ comparator** (§IV-E, Algorithm 2) with the
@@ -27,9 +28,9 @@
 //!   patch).
 //! * [`policy`] — the go / recompile-without-passes / no-JIT decision
 //!   (§V's three scenarios).
-//! * [`index`] — the fast comparator pipeline (chain interner, Bloom-style
-//!   fingerprint prefilter, DNA-keyed query cache, opt-in sharded scan)
-//!   that must agree with [`compare`] on every verdict.
+//! * [`index`] — the fast comparator (chain interner, Bloom-style
+//!   fingerprint prefilter) that must agree with [`compare`] on every
+//!   verdict.
 //! * [`guard`] — the engine-facing facade gluing the above together, with
 //!   the analysis cycle-cost accounting used by the benchmark harness.
 //!
@@ -57,8 +58,8 @@ pub use db::{DnaDatabase, LoadMode, LoadReport, VdcEntry};
 pub use dna::{Chain, Dna, PassDelta};
 pub use error::DbError;
 pub use extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
-pub use extract::memo::{DnaMemo, MemoKey, MemoStats};
+pub use extract::memo::{DnaMemo, MemoEntry, MemoStats, VerdictStamp};
 pub use extract::{extract_delta, extract_dna};
-pub use guard::{Analysis, ComparatorMode, DbMut, ExtractorMode, Guard};
-pub use index::{ChainInterner, ComparatorIndex, IndexConfig, IndexStats, QueryReceipt};
+pub use guard::{Analysis, ComparatorMode, DbMut, ExtractorMode, Guard, Lookup};
+pub use index::{ChainInterner, ComparatorIndex, IndexStats, QueryReceipt};
 pub use policy::{decide, decide_observed, Decision};

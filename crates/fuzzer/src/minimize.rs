@@ -86,15 +86,27 @@ pub fn minimize(find: &Find, vulns: &VulnConfig) -> Find {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate_complete, GenConfig};
     use crate::run_campaign;
-    use jitbull_vdc::VdcOutcome;
+
+    /// The first find of a small campaign over every modeled CVE.
+    fn first_find(vulns: &VulnConfig) -> Find {
+        let report = run_campaign(0, 96, vulns).expect("campaign");
+        report.finds.first().expect("at least one find").clone()
+    }
+
+    fn function_statements(source: &str) -> usize {
+        parse_program(source)
+            .unwrap()
+            .functions
+            .iter()
+            .map(|f| f.body.len())
+            .sum()
+    }
 
     #[test]
     fn minimized_find_still_compromises_and_is_smaller_or_equal() {
         let vulns = VulnConfig::all();
-        let report = run_campaign(0, 96, &vulns).expect("campaign");
-        let find = report.finds.first().expect("at least one find").clone();
+        let find = first_find(&vulns);
         let min = minimize(&find, &vulns);
         assert!(
             still_compromises(&min.source, &vulns),
@@ -109,31 +121,17 @@ mod tests {
 
     #[test]
     fn minimization_strips_benign_filler() {
-        // A hand-made find with obvious filler statements.
+        // A real find: generated programs carry filler statements around
+        // the ones that trigger the bug.
         let vulns = VulnConfig::all();
-        let source = generate_complete(&GenConfig {
-            seed: 2,
-            warmup: 20,
-            body_len: 5,
-        });
-        let find = Find {
-            seed: 2,
-            source,
-            outcome: VdcOutcome::Crashed(String::new()),
-        };
-        let original_stmts = parse_program(&find.source)
-            .unwrap()
-            .functions
-            .iter()
-            .map(|f| f.body.len())
-            .sum::<usize>();
+        let find = first_find(&vulns);
+        assert!(
+            still_compromises(&find.source, &vulns),
+            "the find must compromise for minimization to mean anything"
+        );
+        let original_stmts = function_statements(&find.source);
         let min = minimize(&find, &vulns);
-        let min_stmts = parse_program(&min.source)
-            .unwrap()
-            .functions
-            .iter()
-            .map(|f| f.body.len())
-            .sum::<usize>();
+        let min_stmts = function_statements(&min.source);
         assert!(
             min_stmts < original_stmts,
             "expected some statement to be removable ({original_stmts} -> {min_stmts})\n{}",

@@ -10,10 +10,11 @@
 //!   register-allocated by `jitbull-lir`.
 //!
 //! When a JITBULL guard is installed *and its database is non-empty*, each
-//! optimizing compilation is traced, its DNA extracted and compared, and
-//! the paper's go / recompile-without-passes / no-Ion policy applied. With
-//! an empty database no snapshots are taken at all — the zero-overhead
-//! property of §V.
+//! optimizing compilation is looked up in the guard's compile cache by its
+//! [`CompileKey`], traced only when the cache holds no DNA for it, compared,
+//! and the paper's go / recompile-without-passes / no-Ion policy applied.
+//! With an empty database there is no key, no lookup and no snapshot — the
+//! zero-overhead property of §V.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,7 +24,7 @@ use std::rc::Rc;
 use jitbull::{decide, decide_observed, ComparatorMode, Decision, DnaMemo, ExtractorMode, Guard};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
-use jitbull_mir::build_mir;
+use jitbull_mir::{build_mir, CompileKey};
 use jitbull_telemetry::{Collector, Event, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
 use jitbull_vm::interp;
@@ -65,8 +66,8 @@ pub struct EngineConfig {
     /// Which Δ-extractor implementation the guard uses (incremental by
     /// default; `Reference` runs the naive normative Algorithm 1 walk).
     pub extractor: ExtractorMode,
-    /// DNA memo cache handed to the guard. Cloning the config clones the
-    /// handle, not the store, so a pool can share one memo across every
+    /// Compile cache handed to the guard. Cloning the config clones the
+    /// handle, not the store, so a pool can share one cache across every
     /// worker's engine.
     pub memo: DnaMemo,
     /// Chaos fault injector, threaded into the pipeline and the guard.
@@ -197,15 +198,13 @@ impl Engine {
 
     /// Creates an engine protected by a JITBULL guard. The guard is
     /// switched to the comparator selected by
-    /// [`EngineConfig::comparator`] and the extractor selected by
-    /// [`EngineConfig::extractor`] (keyed by the vulnerability-set
-    /// fingerprint, backed by [`EngineConfig::memo`]), so the config
-    /// knobs are authoritative.
+    /// [`EngineConfig::comparator`], the extractor selected by
+    /// [`EngineConfig::extractor`] and the compile cache
+    /// [`EngineConfig::memo`], so the config knobs are authoritative.
     pub fn with_guard(config: EngineConfig, mut guard: Guard) -> Self {
         guard.set_comparator_mode(config.comparator);
         guard.set_extractor_mode(config.extractor);
         guard.set_dna_memo(config.memo.clone());
-        guard.set_extract_context(config.vulns.fingerprint());
         guard.set_fault_injector(config.faults.clone());
         Engine {
             config,
@@ -246,7 +245,7 @@ impl Engine {
     }
 
     /// Consumes the engine, returning its guard (with the comparator
-    /// index and verdict cache it warmed up). The serving pool uses this
+    /// index and extractor state it warmed up). The serving pool uses this
     /// to carry a worker's warm guard into the replacement engine after a
     /// database hot-swap instead of re-interning the world from scratch.
     pub fn into_guard(self) -> Option<Guard> {
@@ -403,8 +402,22 @@ impl Engine {
                 self.state.entry(func).or_default().no_ion = true;
                 return;
             };
+            // The key holds only the disabled slots the pipeline honours.
+            let lookup = jitbull_active.then(|| {
+                let honoured = disabled
+                    .iter()
+                    .copied()
+                    .filter(|&s| s < N_SLOTS && slot_disableable(s));
+                let key = CompileKey::new(
+                    module.function(func),
+                    honoured.collect(),
+                    N_SLOTS,
+                    self.config.vulns.mask(),
+                );
+                self.guard.as_ref().expect("guard present").lookup(key)
+            });
             let options = OptimizeOptions {
-                trace: jitbull_active,
+                trace: lookup.as_ref().is_some_and(jitbull::Lookup::needs_trace),
                 disabled_slots: disabled.clone(),
                 stats: self.collector.is_some(),
                 faults: self.config.faults.clone(),
@@ -459,7 +472,7 @@ impl Engine {
                 .map(|(c, _)| c.name().to_owned())
                 .collect();
             fired.dedup();
-            if !jitbull_active {
+            let Some(lookup) = lookup else {
                 self.emit(|| Event::TierPromoted {
                     function: module.function(func).name.clone(),
                     tier: Tier::Ion,
@@ -469,11 +482,16 @@ impl Engine {
                 st.ion = Some(tier);
                 st.vulns_fired = fired;
                 return;
-            }
+            };
             let guard = self.guard.as_ref().expect("guard present");
             let analysis = match &self.collector {
-                Some(c) => guard.analyze_observed(&result.trace, N_SLOTS, &mut *c.borrow_mut()),
-                None => guard.analyze(&result.trace, N_SLOTS),
+                Some(c) => guard.analyze_compile(
+                    lookup,
+                    &result.trace,
+                    N_SLOTS,
+                    Some(&mut *c.borrow_mut()),
+                ),
+                None => guard.analyze_compile(lookup, &result.trace, N_SLOTS, None),
             };
             if let Some(budget) = self.config.watchdog_budget {
                 if spent.saturating_add(analysis.cost_cycles) > budget {

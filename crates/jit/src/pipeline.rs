@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
-use jitbull_mir::{literals, MirFunction, PassRecord, PassTrace};
+use jitbull_mir::{MirFunction, PassRecord, PassTrace};
 
 use crate::passes::{self, PassContext};
 use crate::vuln::{self, VulnConfig};
@@ -304,11 +304,6 @@ pub fn optimize(
     let mut cx = PassContext::new(vulns);
     let mut trace = PassTrace {
         function: mir.name.clone(),
-        literals: if options.trace {
-            literals(&mir)
-        } else {
-            Vec::new()
-        },
         records: Vec::new(),
     };
     let mut work = 0u64;

@@ -167,23 +167,12 @@ impl VulnConfig {
         self.enabled.iter().copied()
     }
 
-    /// A stable fingerprint of the enabled set (FNV-1a over the canonical
-    /// CVE names, in `BTreeSet` order). Two configs fingerprint equal iff
-    /// they enable the same CVEs; the guard keys its DNA memo on this so
-    /// changing the engine's vulnerability surface can never serve a
-    /// stale extraction.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for cve in &self.enabled {
-            for b in cve.name().as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            // Frame each name so concatenations can't collide.
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+    /// The enabled set as a bitmask, bit `cve as u32` per enabled CVE:
+    /// exact, so two configs share a mask iff they enable the same CVEs.
+    /// Compile keys hold it, so changing the engine's vulnerability
+    /// surface can never serve a stale extraction.
+    pub fn mask(&self) -> u64 {
+        self.enabled.iter().fold(0, |m, &cve| m | 1 << cve as u32)
     }
 }
 
@@ -632,23 +621,25 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_distinct_vuln_sets() {
-        let mut seen = std::collections::HashSet::new();
-        assert!(seen.insert(VulnConfig::none().fingerprint()));
-        assert!(seen.insert(VulnConfig::all().fingerprint()));
-        for cve in CveId::all() {
-            assert!(
-                seen.insert(VulnConfig::with([cve]).fingerprint()),
-                "{cve} collides with a previous set"
-            );
-        }
+    fn mask_is_one_bit_per_enabled_cve() {
+        assert_eq!(VulnConfig::none().mask(), 0);
+        assert_eq!(VulnConfig::all().mask(), (1 << CveId::all().len()) - 1);
+        let singles: u64 = CveId::all()
+            .into_iter()
+            .map(|cve| VulnConfig::with([cve]).mask())
+            .inspect(|m| assert_eq!(m.count_ones(), 1))
+            .fold(0, |acc, m| {
+                assert_eq!(acc & m, 0, "two CVEs share a bit");
+                acc | m
+            });
+        assert_eq!(singles, VulnConfig::all().mask());
         // Order of enablement is irrelevant: the set is canonical.
         let mut a = VulnConfig::none();
         a.enable(CveId::Cve2019_9810);
         a.enable(CveId::Cve2019_17026);
-        let mut b = VulnConfig::none();
-        b.enable(CveId::Cve2019_17026);
-        b.enable(CveId::Cve2019_9810);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(
+            a.mask(),
+            VulnConfig::with([CveId::Cve2019_17026, CveId::Cve2019_9810]).mask()
+        );
     }
 }

@@ -14,9 +14,11 @@
 //! * [`analysis`] — CFG utilities (reverse postorder, dominators, natural
 //!   loops) used by the optimization passes in `jitbull-jit`;
 //! * [`snapshot`] — cheap, engine-agnostic IR snapshots
-//!   ([`snapshot::MirSnapshot`]): the *only* type the `jitbull` core crate
-//!   consumes, keeping JITBULL decoupled from this particular engine just
-//!   as the paper argues the approach ports to TurboFan.
+//!   ([`snapshot::MirSnapshot`]): the *only* IR type the `jitbull` core
+//!   crate consumes, keeping JITBULL decoupled from this particular engine
+//!   just as the paper argues the approach ports to TurboFan;
+//! * [`key`] — the [`CompileKey`] the core's DNA memo is keyed on: every
+//!   input of one optimizing compilation, taken before the pipeline runs.
 //!
 //! # Examples
 //!
@@ -37,11 +39,13 @@ pub mod analysis;
 pub mod build;
 pub mod graph;
 pub mod instr;
+pub mod key;
 pub mod opcode;
 pub mod snapshot;
 
 pub use build::build_mir;
 pub use graph::{Block, BlockId, MirFunction};
 pub use instr::{InstrId, Instruction};
+pub use key::CompileKey;
 pub use opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
-pub use snapshot::{literals, Literal, MirSnapshot, PassRecord, PassTrace, SnapInstr};
+pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SnapInstr};

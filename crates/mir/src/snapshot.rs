@@ -6,15 +6,10 @@
 //! variable/property names, so DNA comparisons key on the structural shape
 //! of the optimization — exactly what lets the paper's system recognise a
 //! renamed/minified exploit variant.
-//!
-//! Passes do read what labels drop (constant folding reads values, branch
-//! folding reads block targets), so a cache keyed on snapshots must also
-//! key on [`literals`]: everything the labels leave out.
 
 use std::sync::Arc;
 
 use crate::graph::MirFunction;
-use crate::opcode::{ConstVal, MOpcode};
 
 /// One instruction in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -60,20 +55,6 @@ pub struct PassRecord {
     pub after: MirSnapshot,
 }
 
-/// A payload a snapshot label drops, in the order [`literals`] emits it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Literal {
-    /// A number constant, by bit pattern.
-    Number(u64),
-    /// A string constant or a property name.
-    Str(Arc<str>),
-    /// A boolean constant.
-    Bool(bool),
-    /// A callee or global id, a block target, an arity, or a block shape
-    /// (instruction count, predecessors).
-    Index(u32),
-}
-
 /// The full per-compilation trace a JIT engine hands to JITBULL: one
 /// [`PassRecord`] per executed pipeline slot. This is the engine-agnostic
 /// interface of the paper's Δ extractor input.
@@ -81,10 +62,6 @@ pub enum Literal {
 pub struct PassTrace {
     /// Name of the function being compiled (diagnostics).
     pub function: String,
-    /// [`literals`] of the MIR entering the pipeline: with the first
-    /// record's `before` snapshot, everything the pipeline's output
-    /// depends on. Extraction ignores it; the DNA memo keys on it.
-    pub literals: Vec<Literal>,
     /// One record per pass, in pipeline order.
     pub records: Vec<PassRecord>,
 }
@@ -102,45 +79,6 @@ pub fn snapshot(f: &MirFunction) -> MirSnapshot {
         }
     }
     MirSnapshot { instrs }
-}
-
-/// Everything `f`'s [`snapshot`] drops: the id bound, then per block its
-/// instruction count and phi predecessors, then each instruction's
-/// literal values, property names, global and callee ids, branch targets
-/// and arities. Together with the snapshot this determines `f` up to its
-/// name and VM function id, which no pass reads.
-pub fn literals(f: &MirFunction) -> Vec<Literal> {
-    use Literal::Index;
-    let mut out = vec![Index(f.id_bound())];
-    for b in &f.blocks {
-        out.push(Index((b.phis.len() + b.instrs.len()) as u32));
-        out.push(Index(b.phi_preds.len() as u32));
-        out.extend(b.phi_preds.iter().map(|p| Index(p.0)));
-        for i in &b.instrs {
-            match &i.op {
-                MOpcode::Constant(ConstVal::Number(n)) => out.push(Literal::Number(n.to_bits())),
-                MOpcode::Constant(ConstVal::Str(s))
-                | MOpcode::LoadProperty(s)
-                | MOpcode::StoreProperty(s) => out.push(Literal::Str(Arc::from(&**s))),
-                MOpcode::Constant(ConstVal::Bool(v)) => out.push(Literal::Bool(*v)),
-                MOpcode::Constant(ConstVal::Func(id)) => out.push(Index(id.0)),
-                MOpcode::LoadGlobal(n) | MOpcode::StoreGlobal(n) | MOpcode::NewArray(n) => {
-                    out.push(Index(u32::from(*n)));
-                }
-                MOpcode::Call(n)
-                | MOpcode::CallMethod(n)
-                | MOpcode::New(n)
-                | MOpcode::Intrinsic(_, n) => out.push(Index(u32::from(*n))),
-                MOpcode::Goto(target) => out.push(Index(target.0)),
-                MOpcode::Test {
-                    then_block,
-                    else_block,
-                } => out.extend([Index(then_block.0), Index(else_block.0)]),
-                _ => {}
-            }
-        }
-    }
-    out
 }
 
 impl MirFunction {
@@ -186,23 +124,6 @@ mod tests {
         let add = s.instrs.iter().find(|i| &*i.label == "add").unwrap();
         assert_eq!(add.operands.len(), 2);
         assert_eq!(add.operands[0], add.operands[1]); // both operands are `a`
-    }
-
-    #[test]
-    fn literals_keep_what_labels_drop() {
-        let lits = |src: &str| {
-            let m = compile_program(&parse_program(src).unwrap()).unwrap();
-            let f = build_mir(&m, m.function_id("f").unwrap()).unwrap();
-            (f.snapshot(), literals(&f))
-        };
-        let (s1, l1) = lits("function f(a) { return a.x + 1; }");
-        let (s2, l2) = lits("function f(a) { return a.y + 1; }");
-        let (s3, l3) = lits("function f(a) { return a.x + 2; }");
-        assert_eq!(s1, s2);
-        assert_eq!(s1, s3);
-        assert_ne!(l1, l2, "property names differ");
-        assert_ne!(l1, l3, "constant values differ");
-        assert_eq!(l1, lits("function f(b) { return b.x + 1; }").1);
     }
 
     #[test]

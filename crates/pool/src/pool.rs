@@ -30,10 +30,11 @@ pub struct PoolConfig {
     pub capacity: usize,
     /// Δ-comparator thresholds shared by every worker's guard.
     pub compare: CompareConfig,
-    /// DNA memo cache shared by every worker's extractor. The default is
-    /// one fresh store per pool; handing the same handle to several pools
-    /// shares extraction work across them. Extraction is independent of
-    /// the VDC database, so the memo stays warm across hot swaps.
+    /// Compile cache (DNAs and verdicts) shared by every worker's guard.
+    /// The default is one fresh store per pool; handing the same handle
+    /// to several pools shares analysis work across them. Extraction is
+    /// independent of the VDC database, so DNAs stay warm across hot
+    /// swaps; verdicts are stamped with the database generation.
     pub memo: DnaMemo,
     /// Fault injector threaded through every worker (dequeue hook, the
     /// engine's pipeline, the guard's comparator) and the reload path.

@@ -58,8 +58,8 @@ impl WorkerCtx {
 }
 
 /// Per-worker mutable state: the snapshot the worker currently serves
-/// from and the warm guard (comparator index + verdict cache) built over
-/// it. Dropped wholesale when the epoch moves or the worker respawns.
+/// from and the warm guard (comparator index + extractor state) built
+/// over it. Dropped wholesale when the epoch moves or the worker respawns.
 struct WorkerState {
     epoch: u64,
     db: Option<Arc<DnaDatabase>>,
@@ -103,7 +103,7 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
 
     // Refresh the snapshot if a publisher moved the epoch. The lock-free
     // check makes the steady state cheap; the reload drops the warm guard
-    // because its index and verdict cache belong to the old content.
+    // because its database and index belong to the old content.
     if state.db.is_none() || ctx.cell.epoch() != state.epoch {
         let (epoch, db) = ctx.cell.load();
         state.epoch = epoch;
@@ -141,10 +141,11 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     // quarantine strikes accumulate across requests and worker respawns.
     config.faults = ctx.faults.clone();
     config.quarantine = ctx.quarantine.clone();
-    // The pool's shared DNA memo is authoritative: every worker memoizes
-    // into (and hits from) the same store, and the memo outlives snapshot
-    // swaps because extraction never reads the VDC database. The request
-    // keeps its own extractor mode.
+    // The pool's shared compile cache is authoritative: every worker
+    // caches into (and hits from) the same store. DNAs outlive snapshot
+    // swaps because extraction never reads the VDC database; verdicts are
+    // shared by workers on the same snapshot generation. The request
+    // keeps its own extractor and comparator modes.
     config.memo = ctx.memo.clone();
 
     // Circuit breaker: an open breaker degrades the run engine-wide; a
@@ -164,7 +165,7 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     let guard = state
         .guard
         .take()
-        .unwrap_or_else(|| Guard::with_comparator((*db).clone(), ctx.compare, config.comparator));
+        .unwrap_or_else(|| Guard::new((*db).clone(), ctx.compare));
     let mut engine = Engine::with_guard(config, guard);
     if let Some(shared) = &ctx.collector {
         engine.set_collector(Rc::new(RefCell::new(Forward(Arc::clone(shared)))));

@@ -83,15 +83,13 @@ pub enum Event {
     ComparatorQuery {
         /// Function whose DNA was queried.
         function: String,
-        /// Whether the verdict came from the DNA-keyed query cache.
+        /// Whether the verdict came from the compile cache.
         cache_hit: bool,
         /// (entry, slot, side) comparisons skipped by the fingerprint
         /// prefilter.
         prefilter_rejects: u64,
         /// Full interned-id set merges actually performed.
         set_merges: u64,
-        /// Scan shards used (1 = sequential).
-        shards: u64,
     },
     /// The incremental extractor served one guard extraction (emitted
     /// before the matching [`Event::GuardAnalyzed`]; absent on the
@@ -252,13 +250,13 @@ pub enum Event {
         /// Attempts it took (≥ 2; first-try successes emit nothing).
         attempts: u32,
     },
-    /// The comparator detected a poisoned verdict cache (torn generation
-    /// stamp) and discarded it via a full index rebuild.
+    /// The comparator detected a poisoned index (torn generation stamp)
+    /// and discarded it via a full index rebuild.
     CachePoisonPurged {
         /// Index rebuilds performed so far, purges included.
         rebuilds: u64,
     },
-    /// The extractor detected a poisoned DNA memo (torn write) and
+    /// A compile-cache lookup detected a poisoned store (torn write) and
     /// discarded every cached entry before serving anything.
     ExtractMemoPurged {
         /// Memo poison purges performed so far.

@@ -104,9 +104,8 @@ fn event_line(ev: &Event) -> String {
             cache_hit,
             prefilter_rejects,
             set_merges,
-            shards,
         } => format!(
-            "comparator_query fn={function} cache_hit={cache_hit} prefilter_rejects={prefilter_rejects} merges={set_merges} shards={shards}"
+            "comparator_query fn={function} cache_hit={cache_hit} prefilter_rejects={prefilter_rejects} merges={set_merges}"
         ),
         Event::ExtractorQuery {
             function,
@@ -258,13 +257,12 @@ fn push_event_json(out: &mut String, ev: &Event) {
             cache_hit,
             prefilter_rejects,
             set_merges,
-            shards,
         } => {
             out.push_str(",\"function\":");
             push_json_str(out, function);
             let _ = write!(
                 out,
-                ",\"cache_hit\":{cache_hit},\"prefilter_rejects\":{prefilter_rejects},\"set_merges\":{set_merges},\"shards\":{shards}"
+                ",\"cache_hit\":{cache_hit},\"prefilter_rejects\":{prefilter_rejects},\"set_merges\":{set_merges}"
             );
         }
         Event::ExtractorQuery {

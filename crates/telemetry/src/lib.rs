@@ -178,7 +178,6 @@ impl Recorder {
                 cache_hit,
                 prefilter_rejects,
                 set_merges,
-                shards,
                 ..
             } => {
                 self.metrics.counter_inc("comparator.queries");
@@ -191,10 +190,6 @@ impl Recorder {
                     .counter_add("comparator.prefilter_rejects", *prefilter_rejects);
                 self.metrics
                     .counter_add("comparator.set_merges", *set_merges);
-                if *shards > 1 {
-                    self.metrics.counter_inc("comparator.sharded_scans");
-                }
-                self.metrics.counter_add("comparator.shards", *shards);
             }
             Event::ExtractorQuery {
                 memo_hit,

@@ -108,10 +108,7 @@ fn run_inner(
     collector: Option<Rc<RefCell<dyn Collector>>>,
 ) -> Result<Measurement, VmError> {
     let mut engine = match db {
-        Some(db) => {
-            let guard = Guard::with_comparator(db, CompareConfig::default(), config.comparator);
-            Engine::with_guard(config, guard)
-        }
+        Some(db) => Engine::with_guard(config, Guard::new(db, CompareConfig::default())),
         None => Engine::new(config),
     };
     if let Some(c) = collector {

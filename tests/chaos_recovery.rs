@@ -425,8 +425,8 @@ fn partial_mode_skips_malformed_entries_with_line_numbers() {
 // Comparator cache poisoning.
 // ---------------------------------------------------------------------
 
-/// A poisoned verdict cache is detected by the generation check, purged,
-/// and rebuilt — the poisoned sentinel verdict is never served.
+/// A poisoned comparator index is detected by the generation check and
+/// rebuilt — no wrong verdict is ever served.
 #[test]
 fn cache_poison_is_purged_not_served() {
     let rec = Rc::new(RefCell::new(Recorder::new()));

@@ -1,18 +1,19 @@
 //! Differential lockdown of the indexed Δ comparator.
 //!
 //! `jitbull::compare::reference` is the normative Algorithm 2
-//! implementation; every configuration of the indexed comparator
-//! (`jitbull::index::ComparatorIndex` — interned, prefiltered, cached,
-//! optionally sharded) must return byte-identical verdicts. These tests
-//! sweep seeded random DNA pairs, the full VDC catalog, and adversarial
-//! near-threshold constructions, and fail on the first divergence.
+//! implementation; the indexed comparator
+//! (`jitbull::index::ComparatorIndex` — interned and prefiltered) must
+//! return byte-identical verdicts, also when one index persists across
+//! many queries. These tests sweep seeded random DNA pairs, the full VDC
+//! catalog, and adversarial near-threshold constructions, and fail on the
+//! first divergence.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use jitbull::compare::{reference, CompareConfig};
 use jitbull::index::EntryMatches;
-use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase, IndexConfig};
+use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase};
 use jitbull_prng::Rng;
 use jitbull_vdc::{all_vdcs, build_database, extract_dna};
 
@@ -80,31 +81,9 @@ fn reference_matches(db: &DnaDatabase, query: &Dna, config: &CompareConfig) -> E
         .collect()
 }
 
-/// Three index configurations that must all agree with the oracle:
-/// default (cached, sequential), cache disabled, and forced-parallel.
-fn index_variants() -> Vec<(&'static str, IndexConfig)> {
-    vec![
-        ("default", IndexConfig::default()),
-        (
-            "uncached",
-            IndexConfig {
-                max_cache_entries: 0,
-                ..IndexConfig::default()
-            },
-        ),
-        (
-            "parallel",
-            IndexConfig {
-                parallel_threshold: 0,
-                max_shards: 4,
-                max_cache_entries: 64,
-            },
-        ),
-    ]
-}
-
 /// Runs `cases` queries against databases derived from `seed`, checking
-/// every index variant against the oracle. Returns the case count.
+/// one persistent index per database against the oracle. Returns the case
+/// count.
 fn sweep(seed: u64, databases: usize, cases_per_db: usize) -> usize {
     let mut rng = Rng::seed_from_u64(seed);
     let mut checked = 0;
@@ -117,12 +96,9 @@ fn sweep(seed: u64, databases: usize, cases_per_db: usize) -> usize {
                 random_dna(&mut rng),
             );
         }
-        let mut indexes: Vec<(&str, ComparatorIndex)> = index_variants()
-            .into_iter()
-            .map(|(name, cfg)| (name, ComparatorIndex::new(cfg)))
-            .collect();
+        let mut index = ComparatorIndex::default();
         let config = random_config(&mut rng);
-        // Pre-generate a small pool so repeats exercise the cache.
+        // Pre-generate a small pool so repeats re-use interned chains.
         let pool: Vec<Dna> = (0..8).map(|_| random_dna(&mut rng)).collect();
         for _ in 0..cases_per_db {
             let query = if rng.gen_bool(0.5) {
@@ -131,26 +107,25 @@ fn sweep(seed: u64, databases: usize, cases_per_db: usize) -> usize {
                 random_dna(&mut rng)
             };
             let expected = reference_matches(&db, &query, &config);
-            for (name, index) in &mut indexes {
-                index.ensure(&db);
-                let (got, _) = index.query(&query, &config);
-                assert_eq!(
-                    *got, expected,
-                    "divergence: variant={name} db={db_i} seed={seed} config={config:?}\nquery:\n{}",
-                    query.to_text()
-                );
-                checked += 1;
-            }
+            index.ensure(&db);
+            let (got, _) = index.query(&query, &config);
+            assert_eq!(
+                got,
+                expected,
+                "divergence: db={db_i} seed={seed} config={config:?}\nquery:\n{}",
+                query.to_text()
+            );
+            checked += 1;
         }
     }
     checked
 }
 
 /// The main differential sweep: ≥10k indexed-vs-reference comparisons
-/// across random databases, configurations, and all index variants.
+/// across random databases and configurations.
 #[test]
 fn random_sweep_finds_zero_divergences() {
-    let checked = sweep(0xD1FF, 56, 60);
+    let checked = sweep(0xD1FF, 56, 180);
     assert!(checked >= 10_000, "only {checked} cases checked");
 }
 
@@ -158,7 +133,7 @@ fn random_sweep_finds_zero_divergences() {
 #[test]
 #[ignore = "large sweep; run with --release -- --ignored"]
 fn large_random_sweep_finds_zero_divergences() {
-    let checked = sweep(0xB16_5EED, 160, 110);
+    let checked = sweep(0xB16_5EED, 160, 330);
     assert!(checked >= 50_000, "only {checked} cases checked");
 }
 
@@ -186,24 +161,19 @@ fn full_vdc_catalog_agrees() {
         CompareConfig { thr: 2, ratio: 1.0 },
     ];
     for config in &configs {
-        for (name, idx_cfg) in index_variants() {
-            let mut index = ComparatorIndex::new(idx_cfg);
-            index.ensure(&db);
-            for (fname, query) in &queries {
-                let expected = reference_matches(&db, query, config);
-                let (got, _) = index.query(query, config);
-                assert_eq!(
-                    *got, expected,
-                    "divergence: variant={name} query={fname} config={config:?}"
-                );
-            }
+        let mut index = ComparatorIndex::default();
+        index.ensure(&db);
+        for (fname, query) in &queries {
+            let expected = reference_matches(&db, query, config);
+            let (got, _) = index.query(query, config);
+            assert_eq!(got, expected, "divergence: query={fname} config={config:?}");
         }
     }
     // At the permissive threshold, each trigger function's own DNA must
     // match its own database entry — the detection property the whole
     // mechanism rests on.
     let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-    let mut index = ComparatorIndex::new(IndexConfig::default());
+    let mut index = ComparatorIndex::default();
     index.ensure(&db);
     for (fname, query) in &queries {
         if query.is_trivial() {
@@ -292,17 +262,15 @@ fn threshold_boundaries_agree() {
                 let mut db = DnaDatabase::new();
                 db.install("CVE-B", "f", entry.clone());
                 let expected = reference_matches(&db, &query, &config);
-                for (name, idx_cfg) in index_variants() {
-                    let mut index = ComparatorIndex::new(idx_cfg);
-                    index.ensure(&db);
-                    let (got, _) = index.query(&query, &config);
-                    assert_eq!(
-                        *got, expected,
-                        "divergence: case={case_i} variant={name} shared={shared} \
-                         a_extra={a_extra} b_extra={b_extra} config={config:?} \
-                         removed_side={removed_side} slot={slot}"
-                    );
-                }
+                let mut index = ComparatorIndex::default();
+                index.ensure(&db);
+                let (got, _) = index.query(&query, &config);
+                assert_eq!(
+                    got, expected,
+                    "divergence: case={case_i} shared={shared} \
+                     a_extra={a_extra} b_extra={b_extra} config={config:?} \
+                     removed_side={removed_side} slot={slot}"
+                );
             }
         }
     }
@@ -337,12 +305,10 @@ fn degenerate_shapes_agree() {
             // itself a degenerate case worth sweeping.
             for query in &shapes {
                 let expected = reference_matches(&db, query, config);
-                for (name, idx_cfg) in index_variants() {
-                    let mut index = ComparatorIndex::new(idx_cfg);
-                    index.ensure(&db);
-                    let (got, _) = index.query(query, config);
-                    assert_eq!(*got, expected, "variant={name} config={config:?}");
-                }
+                let mut index = ComparatorIndex::default();
+                index.ensure(&db);
+                let (got, _) = index.query(query, config);
+                assert_eq!(got, expected, "config={config:?}");
             }
         }
     }

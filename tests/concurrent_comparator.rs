@@ -1,22 +1,28 @@
 //! Multithreaded differential lockdown of the Δ comparator.
 //!
 //! Four reader threads each keep a *persistent* [`ComparatorIndex`] —
-//! interned labels, prefilter, verdict cache and all — while a publisher
-//! hot-swaps the shared database through an [`EpochCell`], exactly the
-//! shape `jitbull-pool` workers run in production. Every verdict from
-//! every thread must be byte-identical to the single-threaded normative
+//! interned labels, prefilter and all — while a publisher hot-swaps the
+//! shared database through an [`EpochCell`], exactly the shape
+//! `jitbull-pool` workers run in production. Every verdict from every
+//! thread must be byte-identical to the single-threaded normative
 //! comparator (`jitbull::compare::reference`) evaluated on the same
-//! snapshot. A stale verdict cache surviving a generation change, a torn
+//! snapshot. A stale index surviving a generation change, a torn
 //! epoch/snapshot pair, or any non-`Sync` sharing bug shows up here as a
 //! divergence.
+//!
+//! Progress is bound by counts, not by time: the publisher swaps only
+//! after every reader has checked a batch on the current epoch, and
+//! readers stop once the publisher is done and they have each run
+//! [`MIN_CHECKS`] comparisons — so a loaded host slows the test down but
+//! cannot starve it.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jitbull::compare::{reference, CompareConfig};
 use jitbull::index::EntryMatches;
-use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase, IndexConfig};
+use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase};
 use jitbull_pool::EpochCell;
 use jitbull_prng::Rng;
 
@@ -37,6 +43,10 @@ const LABELS: &[&str] = &[
 const SLOTS: usize = 8;
 const READERS: usize = 4;
 const PUBLISHES: u64 = 40;
+/// Comparisons each reader runs at least.
+const MIN_CHECKS: usize = 250;
+/// Comparisons per reader batch.
+const BATCH: usize = 12;
 
 fn random_chain(rng: &mut Rng) -> Chain {
     (0..rng.gen_range(1..5usize))
@@ -83,24 +93,44 @@ fn reference_matches(db: &DnaDatabase, query: &Dna, config: &CompareConfig) -> E
         .collect()
 }
 
+/// Marks a reader as out of the publisher's way when it exits, panics
+/// included, so a divergence fails the test instead of hanging it.
+struct ReleaseOnExit<'a>(&'a AtomicU64);
+
+impl Drop for ReleaseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.store(u64::MAX, Ordering::Release);
+    }
+}
+
 /// 4 readers × persistent indexes × a publisher swapping 40 databases:
 /// zero divergences from the reference comparator, and every reader must
-/// actually observe multiple generations (i.e. the cache-invalidation
-/// path runs mid-flight, not just at startup).
+/// actually observe multiple generations (i.e. the index-rebuild path
+/// runs mid-flight, not just at startup).
 #[test]
 fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
     let mut seed_rng = Rng::seed_from_u64(0xC0C0);
     let cell = Arc::new(EpochCell::new(random_db(&mut seed_rng, 0).snapshot()));
     let done = Arc::new(AtomicBool::new(false));
+    // The last epoch each reader finished a batch on.
+    let checked_epochs: Arc<Vec<AtomicU64>> =
+        Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
 
     let publisher = {
         let cell = Arc::clone(&cell);
         let done = Arc::clone(&done);
+        let checked_epochs = Arc::clone(&checked_epochs);
         std::thread::spawn(move || {
             let mut rng = Rng::seed_from_u64(0x5EED_5EED);
             for tag in 1..=PUBLISHES {
+                let epoch = cell.epoch();
+                while checked_epochs
+                    .iter()
+                    .any(|e| e.load(Ordering::Acquire) < epoch)
+                {
+                    std::thread::yield_now();
+                }
                 cell.publish(random_db(&mut rng, tag).snapshot());
-                std::thread::sleep(std::time::Duration::from_millis(2));
             }
             done.store(true, Ordering::Release);
         })
@@ -110,10 +140,12 @@ fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
         .map(|reader| {
             let cell = Arc::clone(&cell);
             let done = Arc::clone(&done);
+            let checked_epochs = Arc::clone(&checked_epochs);
             std::thread::spawn(move || {
+                let _release = ReleaseOnExit(&checked_epochs[reader]);
                 let mut rng = Rng::seed_from_u64(0xBEEF + reader as u64);
                 // Persistent across hot-swaps — the production shape.
-                let mut index = ComparatorIndex::new(IndexConfig::default());
+                let mut index = ComparatorIndex::default();
                 let mut generations = BTreeSet::new();
                 let mut checked = 0usize;
                 let mut last_epoch = 0;
@@ -128,10 +160,10 @@ fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
                         thr: rng.gen_range(0..4usize),
                         ratio: rng.gen_range(0..101u32) as f64 / 100.0,
                     };
-                    // A small pool so repeats hit the verdict cache; the
-                    // cache must still never outlive its generation.
+                    // A small pool so repeats hit interned chains; the
+                    // index must still never outlive its generation.
                     let pool: Vec<Dna> = (0..4).map(|_| random_dna(&mut rng)).collect();
-                    for _ in 0..12 {
+                    for _ in 0..BATCH {
                         let query = if rng.gen_bool(0.5) {
                             rng.pick(&pool).clone()
                         } else {
@@ -140,13 +172,14 @@ fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
                         let expected = reference_matches(&db, &query, &config);
                         let (got, _) = index.query(&query, &config);
                         assert_eq!(
-                            *got, expected,
+                            got, expected,
                             "reader {reader} diverged at epoch {epoch} config {config:?}\nquery:\n{}",
                             query.to_text()
                         );
                         checked += 1;
                     }
-                    if finish {
+                    checked_epochs[reader].fetch_max(epoch, Ordering::AcqRel);
+                    if finish && checked >= MIN_CHECKS {
                         return (checked, generations.len());
                     }
                 }

@@ -63,8 +63,28 @@ fn database_file_workflow() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The comparator cache must never serve a verdict from a previous
-/// database state: install → query → remove → query must see the removal
+/// One optimizing compilation of `name` in `source`, run against the
+/// guard's compile cache the way the engine runs it: keyed before the
+/// pipeline, traced only on a DNA miss, then analysed.
+fn ion_round(guard: &Guard, source: &str, name: &str, vulns: &VulnConfig) -> jitbull::Analysis {
+    use jitbull_jit::pipeline::{optimize, OptimizeOptions};
+    let program = jitbull_frontend::parse_program(source).unwrap();
+    let module = jitbull_vm::compile_program(&program).unwrap();
+    let func = module.function_id(name).unwrap();
+    let key =
+        jitbull_mir::CompileKey::new(module.function(func), Vec::new(), N_SLOTS, vulns.mask());
+    let lookup = guard.lookup(key);
+    let options = OptimizeOptions {
+        trace: lookup.needs_trace(),
+        ..Default::default()
+    };
+    let mir = jitbull_mir::build_mir(&module, func).unwrap();
+    let trace = optimize(mir, vulns, &options).trace;
+    guard.analyze_compile(lookup, &trace, N_SLOTS, None)
+}
+
+/// The compile cache must never serve a verdict from a previous database
+/// state: install → compile → remove → compile must see the removal
 /// immediately, and re-install must see the new entry.
 #[test]
 fn comparator_cache_never_goes_stale_across_installs_and_removals() {
@@ -77,45 +97,29 @@ fn comparator_cache_never_goes_stale_across_installs_and_removals() {
         .cloned()
         .collect();
     assert!(!entry_9810.is_empty());
-    // Query DNA: one of 9810's own entries (guaranteed self-match at the
+    // Compile one of 9810's own trigger functions on an engine carrying
+    // the CVE: its DNA is that entry's (guaranteed self-match at the
     // permissive threshold).
-    let query = entry_9810[0].dna.clone();
+    let vulns = VulnConfig::with([CveId::Cve2019_9810]);
+    let trigger = &entry_9810[0].function;
     let cfg = CompareConfig { thr: 1, ratio: 0.5 };
     let mut guard = Guard::new(db, cfg);
-
-    let matched_cves = |guard: &Guard, dna: &jitbull::Dna| -> Vec<String> {
-        let entries = guard.db().entries();
-        let mut cves: Vec<String> = entries
+    let hits_9810 = |guard: &Guard| {
+        ion_round(guard, &vdcs[0].source, trigger, &vulns)
+            .matches
             .iter()
-            .filter(|e| !jitbull::compare::reference(dna, &e.dna, guard.config()).is_empty())
-            .map(|e| e.cve.clone())
-            .collect();
-        cves.dedup();
-        cves
+            .any(|(cve, _, _)| cve == "CVE-2019-9810")
     };
-    // Before the patch: the 9810 DNA matches its own entry.
-    assert!(matched_cves(&guard, &query).contains(&"CVE-2019-9810".to_string()));
+    // Compile twice so the verdict is definitely cached.
+    assert!(hits_9810(&guard));
+    assert!(hits_9810(&guard));
+    assert_eq!(guard.memo_stats().verdict_hits, 1);
 
-    // One *persistent* index across the whole lifecycle — the same
-    // object the guard keeps internally — so a stale cached verdict
-    // would actually be observable.
-    let mut index = jitbull::ComparatorIndex::new(jitbull::IndexConfig::default());
-    let query_hits = |guard: &Guard, index: &mut jitbull::ComparatorIndex| -> bool {
-        index.ensure(guard.db());
-        let entries = guard.db().entries();
-        let (hits, _) = index.query(&query, guard.config());
-        hits.iter().any(|(i, _)| entries[*i].cve == "CVE-2019-9810")
-    };
-    // Query twice so the verdict is definitely cached.
-    assert!(query_hits(&guard, &mut index));
-    assert!(query_hits(&guard, &mut index));
-    assert_eq!(index.stats().cache_hits, 1);
-
-    // Patch lands: remove the CVE. The next query must not resurrect it.
+    // Patch lands: remove the CVE. The next compile must not resurrect it.
     let g_before = guard.db().generation();
     assert!(guard.db_mut().remove_cve("CVE-2019-9810") > 0);
     assert!(guard.db().generation() > g_before, "generation must move");
-    assert!(!query_hits(&guard, &mut index));
+    assert!(!hits_9810(&guard));
 
     // Re-install the same entries: the cache must pick the entry back up.
     for e in &entry_9810 {
@@ -123,7 +127,11 @@ fn comparator_cache_never_goes_stale_across_installs_and_removals() {
             .db_mut()
             .install(e.cve.clone(), e.function.clone(), e.dna.clone());
     }
-    assert!(query_hits(&guard, &mut index));
+    assert!(hits_9810(&guard));
+    // Every repeat compile was served its DNA; only the unchanged
+    // database's verdict was served with it.
+    let stats = guard.memo_stats();
+    assert_eq!((stats.hits, stats.verdict_hits), (3, 1));
 }
 
 /// Closing the `db_mut` hazard: a mutation that *bypasses*
@@ -132,33 +140,26 @@ fn comparator_cache_never_goes_stale_across_installs_and_removals() {
 /// the generation when its borrow drops, so the bypass is impossible.
 #[test]
 fn bypass_mutation_through_db_mut_cannot_leave_stale_verdicts() {
-    let vdcs = [vdc(CveId::Cve2019_9810)];
-    let db = build_database(&vdcs).unwrap();
-    let query = db
-        .entries()
-        .iter()
-        .find(|e| e.cve == "CVE-2019-9810")
-        .unwrap()
-        .dna
-        .clone();
+    let poc = vdc(CveId::Cve2019_9810);
+    let db = build_database(std::slice::from_ref(&poc)).unwrap();
+    let trigger = db.entries()[0].function.clone();
+    let vulns = VulnConfig::with([CveId::Cve2019_9810]);
     let cfg = CompareConfig { thr: 1, ratio: 0.5 };
     let mut guard = Guard::new(db, cfg);
-
-    let mut index = jitbull::ComparatorIndex::new(jitbull::IndexConfig::default());
-    let query_hits = |guard: &Guard, index: &mut jitbull::ComparatorIndex| -> bool {
-        index.ensure(guard.db());
-        let (hits, _) = index.query(&query, guard.config());
-        !hits.is_empty()
+    let hits = |guard: &Guard| {
+        !ion_round(guard, &poc.source, &trigger, &vulns)
+            .matches
+            .is_empty()
     };
     // Cache the verdict.
-    assert!(query_hits(&guard, &mut index));
-    assert!(query_hits(&guard, &mut index));
-    assert_eq!(index.stats().cache_hits, 1);
+    assert!(hits(&guard));
+    assert!(hits(&guard));
+    assert_eq!(guard.memo_stats().verdict_hits, 1);
 
     // Bypass mutation: replace the whole database through the borrow,
     // never calling install/remove_cve. A clone carries the *donor's*
-    // generation, so without the drop bump the index could keep serving
-    // the pre-replacement verdict.
+    // generation, so without the drop bump a verdict stamped with it
+    // could outlive the replacement.
     let empty = DnaDatabase::new();
     *guard.db_mut() = empty.clone();
     assert!(
@@ -166,7 +167,7 @@ fn bypass_mutation_through_db_mut_cannot_leave_stale_verdicts() {
         "the drop bump must move the generation past the donor's"
     );
     assert!(
-        !query_hits(&guard, &mut index),
+        !hits(&guard),
         "stale verdict served after a bypass replacement"
     );
 

@@ -191,7 +191,6 @@ fn random_trace(rng: &mut Rng, n_records: usize, pathological: bool) -> PassTrac
     }
     PassTrace {
         function: "f".into(),
-        literals: Vec::new(),
         records,
     }
 }

@@ -2,9 +2,9 @@
 //! up repeat compilations without *ever* serving a stale, corrupt, or
 //! quarantine-bypassing extraction.
 //!
-//! Invalidation in the memo is by construction — the key is (pre-pipeline
-//! MIR, executed pass schedule, slot count, vulnerability-set
-//! fingerprint) — so these tests drive the engine end-to-end through the
+//! Invalidation in the memo is by construction — the key is (bytecode,
+//! disabled slots, slot count, vulnerability bitmask), all taken before
+//! the pipeline runs — so these tests drive the engine end-to-end through the
 //! scenarios where a cache bug would be exploitable: recompile rounds
 //! that change the pass schedule, chaos-corrupted compilations, poisoned
 //! stores, and quarantined functions.
@@ -119,7 +119,8 @@ fn ir_corrupt_compilation_never_reaches_the_memo() {
 
     // Corrupt the IR on every pass run: the coherency check abandons the
     // compilation before analysis, so the extractor never runs and the
-    // memo must stay empty — no corrupt trace is ever memoized.
+    // memo must stay empty — no corrupt trace is ever memoized. (Each
+    // round still looks its key up: the lookup precedes the pipeline.)
     let mut config = vulnerable_config(&memo);
     config.faults = FaultInjector::from_plan(FaultPlan::new(7).script(
         FaultSite::PassRun,
@@ -132,7 +133,6 @@ fn ir_corrupt_compilation_never_reaches_the_memo() {
     assert!(!broken.outcome.printed.is_empty(), "the run still answers");
     assert!(engine.compile_failures > 0, "the corruption must fire");
     let stats = memo.stats();
-    assert_eq!(stats.lookups, 0, "no analysis ⇒ no memo traffic");
     assert_eq!(stats.insertions, 0, "a broken compile must not memoize");
     assert!(memo.is_empty());
 
@@ -168,7 +168,10 @@ fn quarantined_functions_never_compile_hence_never_touch_the_memo() {
         !quarantine.quarantined().is_empty(),
         "repeated panics must quarantine the function"
     );
-    assert_eq!(memo.stats().lookups, 0, "no extraction ever completed");
+    // Each round looked its key up before the pipeline panicked.
+    let panicked = memo.stats();
+    assert_eq!(panicked.insertions, 0, "no extraction ever completed");
+    assert!(memo.is_empty());
 
     // A healthy engine sharing the quarantine list refuses to compile the
     // pinned function at all — so the memo still sees zero traffic for
@@ -179,8 +182,8 @@ fn quarantined_functions_never_compile_hence_never_touch_the_memo() {
     let out = healthy.run_source_with(&src).unwrap();
     assert!(!out.outcome.printed.is_empty());
     assert_eq!(
-        memo.stats().lookups,
-        0,
+        memo.stats(),
+        panicked,
         "a quarantined function must never reach the extractor"
     );
     for name in quarantine.quarantined() {
@@ -261,6 +264,15 @@ fn traced_f(source: &str) -> jitbull_mir::PassTrace {
     optimize(mir, &VulnConfig::none(), &options).trace
 }
 
+/// The compile key of function `f` of `source` on a patched engine.
+fn key_f(source: &str) -> jitbull_mir::CompileKey {
+    use jitbull_jit::pipeline::N_SLOTS;
+    let program = jitbull_frontend::parse_program(source).unwrap();
+    let module = jitbull_vm::compile_program(&program).unwrap();
+    let f = module.function(module.function_id("f").unwrap());
+    jitbull_mir::CompileKey::new(f, Vec::new(), N_SLOTS, VulnConfig::none().mask())
+}
+
 #[test]
 fn functions_differing_only_in_literals_never_share_a_memo_entry() {
     use jitbull::{extract_dna, DnaDatabase};
@@ -277,21 +289,25 @@ fn functions_differing_only_in_literals_never_share_a_memo_entry() {
     ];
     let memo = DnaMemo::default();
     for (pair, (first, second)) in pairs.iter().enumerate() {
-        let first = traced_f(first);
-        let second = traced_f(second);
         assert_ne!(
-            extract_dna(&first, N_SLOTS),
-            extract_dna(&second, N_SLOTS),
+            extract_dna(&traced_f(first), N_SLOTS),
+            extract_dna(&traced_f(second), N_SLOTS),
             "the pair must differ under the oracle for the test to bite"
         );
         // Two guards over one memo, as two pool workers share it: the
         // second function must get its own DNA, not the first one's.
-        for trace in [&first, &second] {
+        for source in [first, second] {
             let mut guard = Guard::new(DnaDatabase::new(), PERMISSIVE);
             guard.set_dna_memo(memo.clone());
+            let lookup = guard.lookup(key_f(source));
+            let trace = if lookup.needs_trace() {
+                traced_f(source)
+            } else {
+                jitbull_mir::PassTrace::default()
+            };
             assert_eq!(
-                guard.analyze(trace, N_SLOTS).dna,
-                extract_dna(trace, N_SLOTS),
+                guard.analyze_compile(lookup, &trace, N_SLOTS, None).dna,
+                extract_dna(&traced_f(source), N_SLOTS),
                 "pair {pair}: the memo served a foreign DNA"
             );
         }

@@ -163,12 +163,6 @@ fn golden_corpus_round_trips_through_text() {
             let parsed = Dna::from_text(&text, N_SLOTS)
                 .unwrap_or_else(|e| panic!("{}/{name}: {e}", file.stem));
             assert_eq!(parsed, *dna, "{}/{name} fails to round-trip", file.stem);
-            assert_eq!(
-                parsed.structural_hash(),
-                dna.structural_hash(),
-                "{}/{name} hash drifts across round-trip",
-                file.stem
-            );
             if dna.is_trivial() {
                 trivial += 1;
                 assert!(text.is_empty(), "trivial DNA must serialise to nothing");
