@@ -3,9 +3,11 @@
 //! same output on both, and every security-set PoC compromises only the
 //! vulnerable Ion tier. The tiered runs also lock the simulated cost model
 //! — cycles, ops, tier counts and analysis cycles of every suite workload
-//! — to `tests/golden/cycles.txt`.
+//! — to `tests/golden/cycles.txt`, and the guard's share of it (every
+//! workload under a guard over the whole VDC catalog) to
+//! `tests/golden/guarded_cycles.txt`.
 //!
-//! Regenerate the cost table after an intentional cost-model change with:
+//! Regenerate the cost tables after an intentional cost-model change with:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test backends
@@ -14,10 +16,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use jitbull::{CompareConfig, ExtractorMode, Guard};
 use jitbull_jit::engine::{Engine, EngineConfig, EngineOutcome};
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_vdc::validate::{run_script, VdcOutcome};
-use jitbull_vdc::vdc;
+use jitbull_vdc::{all_vdcs, build_database, vdc};
 use jitbull_workloads::all_workloads;
 
 fn run(source: &str, config: EngineConfig) -> EngineOutcome {
@@ -38,16 +41,18 @@ fn cost_line(name: &str, o: &EngineOutcome) -> String {
     )
 }
 
-/// Compares `actual` against the checked-in cost table, or rewrites the
-/// table when `UPDATE_GOLDEN` is set.
-fn check_cost_table(actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cycles.txt");
+/// Compares `actual` against the checked-in cost table `file` (under
+/// `tests/golden/`), or rewrites the table when `UPDATE_GOLDEN` is set.
+fn check_cost_table(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, actual).expect("write tests/golden/cycles.txt");
+        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("write {file}: {e}"));
         return;
     }
     let golden = std::fs::read_to_string(&path)
-        .expect("missing tests/golden/cycles.txt — regenerate with UPDATE_GOLDEN=1");
+        .unwrap_or_else(|e| panic!("{file}: {e} — regenerate with UPDATE_GOLDEN=1"));
     let mut diff = String::new();
     for (g, a) in golden.lines().zip(actual.lines()) {
         if g != a {
@@ -73,7 +78,37 @@ fn all_workloads_agree_across_backends() {
         );
         table.push_str(&cost_line(w.name, &ion));
     }
-    check_cost_table(&table);
+    check_cost_table("cycles.txt", &table);
+}
+
+/// The guard's cost model: every workload under default `EngineConfig`
+/// (fresh compile cache) guarded by the whole VDC catalog. The reference
+/// extractor charges ~15x the incremental one's analysis work and runs as
+/// much slower, so its rows cover the two microbenches only.
+#[test]
+fn guarded_cost_model_is_pinned() {
+    let db = build_database(&all_vdcs()).expect("VDC catalog builds");
+    let mut table = String::from(
+        "# guarded by the whole VDC catalog, default EngineConfig and CompareConfig\n",
+    );
+    for w in all_workloads() {
+        let mut modes = vec![("incremental", ExtractorMode::Incremental)];
+        if w.name.starts_with("Microbench") {
+            modes.push(("reference", ExtractorMode::Reference));
+        }
+        for (mode, extractor) in modes {
+            let config = EngineConfig {
+                extractor,
+                ..Default::default()
+            };
+            let guard = Guard::new(db.clone(), CompareConfig::default());
+            let out = Engine::with_guard(config, guard)
+                .run_source_with(&w.source)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            table.push_str(&cost_line(&format!("{}/{mode}", w.name), &out));
+        }
+    }
+    check_cost_table("guarded_cycles.txt", &table);
 }
 
 #[test]
