@@ -117,7 +117,7 @@ fn main() {
     let memo = DnaMemo::default();
     let key = || CompileKey::new(module.function(fid), Vec::new(), N_SLOTS, 0);
     let (dna, _) = IncrementalExtractor::new().extract_dna(&trace, N_SLOTS);
-    let pre_mir_len = trace.records[0].before.len();
+    let pre_mir_len = trace.initial.len();
     let entry = MemoEntry {
         dna,
         pre_mir_len,

@@ -2,7 +2,7 @@
 //!
 //! This module is the **normative** implementation: it computes full
 //! `BTreeSet` intersections exactly as the paper's pseudo-code does, and
-//! [`reference`] is the oracle the differential harness
+//! [`reference()`] is the oracle the differential harness
 //! (`tests/comparator_differential.rs`) checks the indexed comparator
 //! ([`crate::index`]) against. Production queries go through the index;
 //! keep this path boring and obviously correct.

@@ -388,47 +388,7 @@ impl DnaDatabase {
     /// [`DbError::Parse`] when its content is malformed — the caller can
     /// tell "retry the read" apart from "the update itself is corrupt".
     pub fn load_from(path: impl AsRef<std::path::Path>, n_slots: usize) -> Result<Self, DbError> {
-        DnaDatabase::load_from_checked(path, n_slots, LoadMode::Strict).map(|(db, _)| db)
-    }
-
-    /// [`DnaDatabase::load_from`] with an explicit [`LoadMode`] and a
-    /// [`LoadReport`] describing skipped entries.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] when the file cannot be read; parse failures per
-    /// the chosen mode (see [`DnaDatabase::from_text_checked`]).
-    pub fn load_from_checked(
-        path: impl AsRef<std::path::Path>,
-        n_slots: usize,
-        mode: LoadMode,
-    ) -> Result<(Self, LoadReport), DbError> {
-        let text = std::fs::read_to_string(path)?;
-        DnaDatabase::from_text_checked(&text, n_slots, mode)
-    }
-
-    /// [`DnaDatabase::load_from_checked`] behind a fault-injection gate
-    /// (see [`DnaDatabase::from_text_faulted`]). An injected I/O fault
-    /// fails the load before the file is even read — modelling an
-    /// unreadable update file.
-    ///
-    /// # Errors
-    ///
-    /// Everything `load_from_checked` returns, plus the injected
-    /// failures themselves.
-    pub fn load_from_faulted(
-        path: impl AsRef<std::path::Path>,
-        n_slots: usize,
-        mode: LoadMode,
-        faults: &FaultInjector,
-    ) -> Result<(Self, LoadReport), DbError> {
-        let truncate = DnaDatabase::fault_gate(faults)?;
-        let text = std::fs::read_to_string(path)?;
-        if truncate {
-            DnaDatabase::from_text_checked(&torn_text(&text), n_slots, mode)
-        } else {
-            DnaDatabase::from_text_checked(&text, n_slots, mode)
-        }
+        DnaDatabase::from_text(&std::fs::read_to_string(path)?, n_slots)
     }
 }
 

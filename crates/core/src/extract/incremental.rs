@@ -10,7 +10,9 @@
 //! changed:
 //!
 //! 1. **Edge-multiset fast path**: a pass's label-pair edge multisets
-//!    ([`super::edge_counts`]) are compared before anything else. Equal
+//!    are compared before anything else. Each snapshot of a trace is
+//!    counted once: a record's `after` counts are the next record's
+//!    `before` counts, because that is the same snapshot. Equal
 //!    multisets mean both directed changed-edge sets are empty, which
 //!    means the reference's `diff_subchains` emits nothing regardless of
 //!    what the chains look like — so the delta is empty and chain
@@ -23,10 +25,10 @@
 //!    enumerated, the DFS visits nodes in exactly the reference order
 //!    with the same [`super::MAX_CHAINS`] / [`super::MAX_CHAIN_LEN`]
 //!    caps, but records instruction-id paths instead of label vectors.
-//!    Because nothing mutates the IR between two pipeline slots, a
-//!    record's `after` snapshot equals the next record's `before`; the
+//!    A record's `after` snapshot is the next record's `before`, so the
 //!    last enumeration is kept and reused when the snapshots compare
-//!    equal (full structural equality — reuse can never be wrong).
+//!    equal (full structural equality — reuse can never be wrong, and it
+//!    also serves an equal snapshot of a later trace).
 //! 4. **Interned runs and memoised windows**: changed-edge runs along a
 //!    path are materialised once, interned into the shared
 //!    [`ChainInterner`], and expanded into their contiguous windows via
@@ -52,7 +54,9 @@ use jitbull_mir::{MirSnapshot, PassTrace};
 use crate::dna::{Chain, Dna, PassDelta};
 use crate::index::ChainInterner;
 
-use super::{build_graph, changed_edges, edge_counts, DepGraph, MAX_CHAINS, MAX_CHAIN_LEN};
+use super::{
+    build_graph, changed_edges, edge_counts, DepGraph, EdgeCounts, MAX_CHAINS, MAX_CHAIN_LEN,
+};
 
 /// Cycles charged per instruction for building and comparing a pass's
 /// edge multisets (paid by every traced pass — the fast path's price).
@@ -143,23 +147,25 @@ impl IncrementalExtractor {
         self.stats
     }
 
-    /// Distinct sub-chains interned so far.
-    #[must_use]
-    pub fn interned_chains(&self) -> usize {
-        self.interner.len()
-    }
-
     /// Incremental Algorithm 1 over a whole trace. Chain-for-chain equal
     /// to [`super::extract_dna`].
     pub fn extract_dna(&mut self, trace: &PassTrace, n_slots: usize) -> (Dna, ExtractReceipt) {
         self.stats.traces += 1;
         let mut dna = Dna::with_slots(n_slots);
         let mut receipt = ExtractReceipt::default();
-        for record in &trace.records {
+        // Each snapshot is counted once and serves as `after` of one pass
+        // and `before` of the next.
+        let mut counts_before = edge_counts(&trace.initial);
+        for (before, record) in trace.passes() {
+            let counts_after = edge_counts(&record.after);
             if record.slot < n_slots {
-                dna.deltas[record.slot] =
-                    self.delta_with_receipt(&record.before, &record.after, &mut receipt);
+                dna.deltas[record.slot] = self.delta_with_receipt(
+                    [before, &record.after],
+                    [&counts_before, &counts_after],
+                    &mut receipt,
+                );
             }
+            counts_before = counts_after;
         }
         (dna, receipt)
     }
@@ -167,20 +173,20 @@ impl IncrementalExtractor {
     /// Incremental Algorithm 1 for one pass. Chain-for-chain equal to
     /// [`super::extract_delta`].
     pub fn extract_delta(&mut self, before: &MirSnapshot, after: &MirSnapshot) -> PassDelta {
-        let mut receipt = ExtractReceipt::default();
-        self.delta_with_receipt(before, after, &mut receipt)
+        let counts = [&edge_counts(before), &edge_counts(after)];
+        self.delta_with_receipt([before, after], counts, &mut ExtractReceipt::default())
     }
 
+    /// One pass's delta from its `(before, after)` snapshots and their
+    /// edge multisets.
     fn delta_with_receipt(
         &mut self,
-        before: &MirSnapshot,
-        after: &MirSnapshot,
+        [before, after]: [&MirSnapshot; 2],
+        [counts_before, counts_after]: [&EdgeCounts; 2],
         receipt: &mut ExtractReceipt,
     ) -> PassDelta {
         let work = (before.len() + after.len()) as u64;
         receipt.cost_cycles += work * EDGE_DIFF_COST_PER_INSTR;
-        let counts_before = edge_counts(before);
-        let counts_after = edge_counts(after);
         if counts_before == counts_after {
             // No label-pair multiplicity moved in either direction, so
             // the reference's changed-edge sets are both empty and its
@@ -191,8 +197,8 @@ impl IncrementalExtractor {
         }
         receipt.passes_enumerated += 1;
         self.stats.passes_enumerated += 1;
-        let removed_changed = changed_edges(&counts_before, &counts_after);
-        let added_changed = changed_edges(&counts_after, &counts_before);
+        let removed_changed = changed_edges(counts_before, counts_after);
+        let added_changed = changed_edges(counts_after, counts_before);
         PassDelta {
             removed: self.side(before, &removed_changed, receipt),
             added: self.side(after, &added_changed, receipt),
@@ -292,8 +298,8 @@ impl IncrementalExtractor {
     }
 
     /// Makes `enum_cache` hold `ir`'s id paths, reusing the previous
-    /// enumeration when the snapshots compare equal (adjacent trace
-    /// records share a snapshot: nothing mutates the IR between slots).
+    /// enumeration when the snapshots compare equal (one pass's `after`
+    /// is the next pass's `before`).
     fn ensure_enumerated(&mut self, ir: &MirSnapshot, receipt: &mut ExtractReceipt) {
         if let Some(cache) = &self.enum_cache {
             if cache.snapshot == *ir {
@@ -460,17 +466,16 @@ mod tests {
         let end = snap(vec![instr(0, "parameter0", &[]), instr(5, "return", &[0])]);
         let trace = PassTrace {
             function: "f".into(),
+            initial: guarded(),
             records: vec![
                 PassRecord {
                     slot: 0,
                     name: "GVN",
-                    before: guarded(),
-                    after: mid.clone(),
+                    after: mid,
                 },
                 PassRecord {
                     slot: 1,
                     name: "DCE",
-                    before: mid,
                     after: end,
                 },
             ],
@@ -488,17 +493,16 @@ mod tests {
         let s = guarded();
         let trace = PassTrace {
             function: "f".into(),
+            initial: s.clone(),
             records: vec![
                 PassRecord {
                     slot: 0,
                     name: "Renumber",
-                    before: s.clone(),
-                    after: s.clone(),
+                    after: s,
                 },
                 PassRecord {
                     slot: 2,
                     name: "GVN",
-                    before: s,
                     after: unguarded(),
                 },
             ],

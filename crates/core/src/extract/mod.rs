@@ -120,12 +120,14 @@ fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>, un
     }
 }
 
-/// Instruction-level label-pair edge multiset of a snapshot. Counting
-/// multiplicities (rather than set membership) keeps a removal visible
-/// even when an identically-labeled edge survives elsewhere in the
-/// function — e.g. one of two `loadelement→boundscheck` accesses losing
-/// its check.
-pub(crate) fn edge_counts(ir: &MirSnapshot) -> HashMap<(Arc<str>, Arc<str>), usize> {
+/// Instruction-level label-pair edge multiset of a snapshot.
+pub(crate) type EdgeCounts = HashMap<(Arc<str>, Arc<str>), usize>;
+
+/// A snapshot's [`EdgeCounts`]. Counting multiplicities (rather than set
+/// membership) keeps a removal visible even when an identically-labeled
+/// edge survives elsewhere in the function — e.g. one of two
+/// `loadelement→boundscheck` accesses losing its check.
+pub(crate) fn edge_counts(ir: &MirSnapshot) -> EdgeCounts {
     let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
     for i in &ir.instrs {
         labels.insert(i.id, i.label.clone());
@@ -143,10 +145,7 @@ pub(crate) fn edge_counts(ir: &MirSnapshot) -> HashMap<(Arc<str>, Arc<str>), usi
 }
 
 /// Edges whose multiplicity strictly dropped from `from` to `to`.
-pub(crate) fn changed_edges(
-    from: &HashMap<(Arc<str>, Arc<str>), usize>,
-    to: &HashMap<(Arc<str>, Arc<str>), usize>,
-) -> HashSet<(Arc<str>, Arc<str>)> {
+pub(crate) fn changed_edges(from: &EdgeCounts, to: &EdgeCounts) -> HashSet<(Arc<str>, Arc<str>)> {
     from.iter()
         .filter(|(k, n)| to.get(*k).copied().unwrap_or(0) < **n)
         .map(|(k, _)| k.clone())
@@ -222,9 +221,9 @@ pub fn extract_delta(before: &MirSnapshot, after: &MirSnapshot) -> PassDelta {
 /// empty.
 pub fn extract_dna(trace: &PassTrace, n_slots: usize) -> Dna {
     let mut dna = Dna::with_slots(n_slots);
-    for record in &trace.records {
+    for (before, record) in trace.passes() {
         if record.slot < n_slots {
-            dna.deltas[record.slot] = extract_delta(&record.before, &record.after);
+            dna.deltas[record.slot] = extract_delta(before, &record.after);
         }
     }
     dna
@@ -234,9 +233,8 @@ pub fn extract_dna(trace: &PassTrace, n_slots: usize) -> Dna {
 /// guard's cycle-cost accounting.
 pub fn trace_work(trace: &PassTrace) -> u64 {
     trace
-        .records
-        .iter()
-        .map(|r| (r.before.len() + r.after.len()) as u64)
+        .passes()
+        .map(|(before, r)| (before.len() + r.after.len()) as u64)
         .sum()
 }
 
@@ -396,10 +394,10 @@ mod tests {
         let after = snap(vec![instr(0, "parameter0", &[]), instr(2, "return", &[0])]);
         let trace = PassTrace {
             function: "f".into(),
+            initial: before,
             records: vec![PassRecord {
                 slot: 2,
                 name: "DCE",
-                before: before.clone(),
                 after,
             }],
         };

@@ -11,7 +11,7 @@ use jitbull_telemetry::{Collector, Event};
 use crate::compare::CompareConfig;
 use crate::db::DnaDatabase;
 use crate::dna::Dna;
-use crate::extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
+use crate::extract::incremental::{ExtractReceipt, IncrementalExtractor};
 use crate::extract::memo::{
     DnaMemo, MemoEntry, MemoStats, VerdictStamp, MEMO_HIT_COST, MEMO_KEY_COST_PER_INSTR,
 };
@@ -175,12 +175,6 @@ impl Guard {
     /// runs in [`ComparatorMode::Reference`]).
     pub fn comparator_stats(&self) -> IndexStats {
         self.index.borrow().stats()
-    }
-
-    /// Cumulative incremental-extractor counters (all zero while the
-    /// guard runs in [`ExtractorMode::Reference`]).
-    pub fn extractor_stats(&self) -> IncrementalStats {
-        self.incremental.borrow().stats()
     }
 
     /// Cumulative compile-cache counters for the guard's cache handle.
@@ -381,7 +375,7 @@ impl Guard {
         n_slots: usize,
         keyed: bool,
     ) -> (MemoEntry, u64, Option<ExtractReceipt>) {
-        let pre_mir_len = trace.records.first().map_or(0, |r| r.before.len());
+        let pre_mir_len = trace.initial.len();
         let (dna, cost, receipt) = match self.extractor {
             ExtractorMode::Reference => (
                 extract_dna(trace, n_slots),
@@ -554,10 +548,10 @@ mod tests {
     fn trace_removing_check(slot: usize) -> PassTrace {
         PassTrace {
             function: "f".into(),
+            initial: guarded_load(),
             records: vec![PassRecord {
                 slot,
                 name: "GVN",
-                before: guarded_load(),
                 after: unguarded_load(),
             }],
         }
@@ -616,10 +610,10 @@ mod tests {
         };
         let trace = PassTrace {
             function: "g".into(),
+            initial: before,
             records: vec![PassRecord {
                 slot: 6,
                 name: "GVN",
-                before,
                 after,
             }],
         };
@@ -804,10 +798,15 @@ mod tests {
         db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
         db.install("CVE-B", "f", Guard::extract(&trace_removing_check(11), 32));
         let guard = Guard::new(db, cfg);
+        // Slot 6 removes the check, slot 8 (in neither entry) restores
+        // it, slot 11 removes it again.
         let mut trace = trace_removing_check(6);
-        trace
-            .records
-            .push(trace_removing_check(11).records.pop().unwrap());
+        trace.records.push(PassRecord {
+            slot: 8,
+            name: "LICM",
+            after: guarded_load(),
+        });
+        trace.records.extend(trace_removing_check(11).records);
         let analysis = guard.analyze(&trace, 32);
         assert_eq!(analysis.dangerous, vec![6, 11]);
         assert_eq!(analysis.matches.len(), 2);

@@ -8,9 +8,9 @@
 //! (VDCs).
 //!
 //! The crate is engine-agnostic: it consumes only
-//! [`jitbull_mir::PassTrace`] — a sequence of before/after IR snapshots —
-//! mirroring the paper's claim that the approach ports to any pass-based
-//! JIT (IonMonkey, TurboFan, Chakra).
+//! [`jitbull_mir::PassTrace`] — the IR snapshots `IR_0 … IR_n` entering
+//! the pipeline and after each pass — mirroring the paper's claim that
+//! the approach ports to any pass-based JIT (IonMonkey, TurboFan, Chakra).
 //!
 //! Modules map one-to-one onto the paper's architecture:
 //!

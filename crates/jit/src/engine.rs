@@ -219,9 +219,8 @@ impl Engine {
 
     /// Attaches a telemetry collector: subsequent compilations, guard
     /// analyses, policy verdicts, and run outcomes are reported through
-    /// it. Without a collector no event is even constructed, and the
-    /// pipeline skips its per-slot bookkeeping — observability costs
-    /// nothing unless asked for.
+    /// it. Without a collector no event is even constructed —
+    /// observability costs nothing unless asked for.
     pub fn set_collector(&mut self, collector: Rc<RefCell<dyn Collector>>) {
         self.collector = Some(collector);
     }
@@ -236,12 +235,6 @@ impl Engine {
     /// The installed guard, if any.
     pub fn guard(&self) -> Option<&Guard> {
         self.guard.as_ref()
-    }
-
-    /// Mutable access to the installed guard (e.g. to install or remove
-    /// VDC DNA between runs).
-    pub fn guard_mut(&mut self) -> Option<&mut Guard> {
-        self.guard.as_mut()
     }
 
     /// Consumes the engine, returning its guard (with the comparator
@@ -419,7 +412,6 @@ impl Engine {
             let options = OptimizeOptions {
                 trace: lookup.as_ref().is_some_and(jitbull::Lookup::needs_trace),
                 disabled_slots: disabled.clone(),
-                stats: self.collector.is_some(),
                 faults: self.config.faults.clone(),
             };
             let vulns = &self.config.vulns;

@@ -1,11 +1,11 @@
 //! The optimization pipeline (`OptimizeMIR`): 32 slots over the MIR, in an
 //! order modeled on IonMonkey's, with per-slot disabling, vulnerability
-//! hooks, and before/after snapshot tracing for JITBULL's Δ extractor.
+//! hooks, and snapshot tracing (`IR_0 … IR_n`) for JITBULL's Δ extractor.
 
 use std::collections::HashSet;
 
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
-use jitbull_mir::{MirFunction, PassRecord, PassTrace};
+use jitbull_mir::{MirFunction, MirSnapshot, PassRecord, PassTrace};
 
 use crate::passes::{self, PassContext};
 use crate::vuln::{self, VulnConfig};
@@ -245,19 +245,16 @@ pub fn slot_disableable(slot_index: usize) -> bool {
 pub struct OptimizeOptions {
     /// Slots to skip (JITBULL recompile decision).
     pub disabled_slots: HashSet<usize>,
-    /// Capture before/after snapshots per slot (JITBULL enabled).
+    /// Capture the IR entering the pipeline and after every executed
+    /// slot (JITBULL enabled).
     pub trace: bool,
-    /// Record per-slot instruction counts and work units (telemetry). Off
-    /// by default, so unobserved compilations do no extra bookkeeping.
-    pub stats: bool,
     /// Chaos injector consulted once per executed slot
     /// ([`FaultSite::PassRun`]). Disabled by default: a single pointer
     /// test per slot, no cycle-model impact.
     pub faults: FaultInjector,
 }
 
-/// Measurements for one executed slot, captured when
-/// [`OptimizeOptions::stats`] is set.
+/// Measurements for one executed slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRun {
     /// Pipeline slot index.
@@ -287,8 +284,7 @@ pub struct OptimizeResult {
     pub broken: Option<String>,
     /// Total instructions processed across slots (compile-cost model).
     pub work: u64,
-    /// Per-slot measurements (empty when [`OptimizeOptions::stats`] was
-    /// off).
+    /// Per-slot measurements, one per executed slot.
     pub slot_runs: Vec<SlotRun>,
     /// Chaos faults injected during this run, as `(kind name, slot)`.
     /// `PassPanic` never appears here — it unwinds instead of returning.
@@ -304,6 +300,11 @@ pub fn optimize(
     let mut cx = PassContext::new(vulns);
     let mut trace = PassTrace {
         function: mir.name.clone(),
+        initial: if options.trace {
+            mir.snapshot()
+        } else {
+            MirSnapshot::default()
+        },
         records: Vec::new(),
     };
     let mut work = 0u64;
@@ -329,11 +330,6 @@ pub fn optimize(
             }
             _ => {}
         }
-        let before = if options.trace {
-            Some(mir.snapshot())
-        } else {
-            None
-        };
         let count_before = mir.instr_count() as u64;
         work += count_before + stall_work;
         (slot.run)(&mut mir, &mut cx);
@@ -341,20 +337,17 @@ pub fn optimize(
         if corrupt {
             cx.broken = Some(format!("chaos: injected IR corruption at slot {index}"));
         }
-        if options.stats {
-            slot_runs.push(SlotRun {
-                slot: index,
-                name: slot.name,
-                instrs_before: count_before,
-                instrs_after: mir.instr_count() as u64,
-                work: count_before + stall_work,
-            });
-        }
-        if let Some(before) = before {
+        slot_runs.push(SlotRun {
+            slot: index,
+            name: slot.name,
+            instrs_before: count_before,
+            instrs_after: mir.instr_count() as u64,
+            work: count_before + stall_work,
+        });
+        if options.trace {
             trace.records.push(PassRecord {
                 slot: index,
                 name: slot.name,
-                before,
                 after: mir.snapshot(),
             });
         }
@@ -408,6 +401,10 @@ mod tests {
         );
         assert!(result.triggered.is_empty());
         assert!(result.trace.records.is_empty());
+        assert!(
+            result.trace.initial.is_empty(),
+            "untraced runs snapshot nothing"
+        );
         assert!(result.work > 0);
     }
 
@@ -423,9 +420,35 @@ mod tests {
             },
         );
         assert_eq!(result.trace.records.len(), N_SLOTS);
-        // GVN's record must show a shrinking IR (the duplicate chains merge).
-        let gvn = &result.trace.records[slot::GVN_1];
-        assert!(gvn.after.len() < gvn.before.len());
+        // GVN's pass must show a shrinking IR (the duplicate chains merge).
+        let (before, gvn) = result.trace.passes().nth(slot::GVN_1).unwrap();
+        assert_eq!(gvn.slot, slot::GVN_1);
+        assert!(gvn.after.len() < before.len());
+    }
+
+    #[test]
+    fn trace_is_the_snapshot_sequence_of_executed_slots() {
+        let src = "function f(a, i) { return a[i] + a[i]; }";
+        let mut options = OptimizeOptions {
+            trace: true,
+            ..Default::default()
+        };
+        options.disabled_slots.insert(slot::GVN_1);
+        options.disabled_slots.insert(slot::LICM);
+        // Mandatory: still runs, so still traced.
+        options.disabled_slots.insert(slot::RENUMBER_FINAL);
+        let result = optimize(mir_of(src, "f"), &VulnConfig::none(), &options);
+        let trace = &result.trace;
+        assert_eq!(trace.initial, mir_of(src, "f").snapshot());
+        let executed: Vec<usize> = result.slot_runs.iter().map(|r| r.slot).collect();
+        let traced: Vec<usize> = trace.passes().map(|(_, r)| r.slot).collect();
+        assert_eq!(traced, executed);
+        assert_eq!(traced.len(), N_SLOTS - 2);
+        let mut expected_before = &trace.initial;
+        for (before, record) in trace.passes() {
+            assert_eq!(before, expected_before, "slot {}", record.slot);
+            expected_before = &record.after;
+        }
     }
 
     #[test]
@@ -487,10 +510,9 @@ mod tests {
             .iter()
             .flat_map(|b| b.iter_all())
             .any(|i| matches!(i.op, jitbull_mir::MOpcode::BoundsCheck)));
-        // And the GVN trace record shows the removal.
-        let gvn = &result.trace.records[slot::GVN_1];
-        let before_checks = gvn
-            .before
+        // And the GVN pass shows the removal.
+        let (before, gvn) = result.trace.passes().nth(slot::GVN_1).unwrap();
+        let before_checks = before
             .instrs
             .iter()
             .filter(|i| &*i.label == "boundscheck")
@@ -523,16 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_capture_per_slot_runs() {
+    fn slot_runs_partition_the_work() {
         let mir = mir_of("function f(a, i) { return a[i] + a[i]; }", "f");
-        let result = optimize(
-            mir,
-            &VulnConfig::none(),
-            &OptimizeOptions {
-                stats: true,
-                ..Default::default()
-            },
-        );
+        let result = optimize(mir, &VulnConfig::none(), &OptimizeOptions::default());
         assert_eq!(result.slot_runs.len(), N_SLOTS);
         let total: u64 = result.slot_runs.iter().map(|r| r.work).sum();
         assert_eq!(total, result.work, "slot work must partition total work");
@@ -540,9 +555,6 @@ mod tests {
         let gvn = &result.slot_runs[slot::GVN_1];
         assert_eq!(gvn.name, "GVN");
         assert!(gvn.instrs_after < gvn.instrs_before);
-        // Stats off: no bookkeeping at all.
-        let again = optimize(result.mir, &VulnConfig::none(), &OptimizeOptions::default());
-        assert!(again.slot_runs.is_empty());
     }
 
     #[test]

@@ -134,15 +134,6 @@ impl MirFunction {
         preds
     }
 
-    /// Looks up an instruction by id (linear scan; fine for pass-internal
-    /// assertions and tests).
-    pub fn find_instr(&self, id: InstrId) -> Option<&Instruction> {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.iter_all())
-            .find(|i| i.id == id)
-    }
-
     /// Structural well-formedness check used by tests and debug assertions
     /// between passes: terminators present, operand references defined,
     /// phi arity matches `phi_preds`.

@@ -6,6 +6,11 @@
 //! variable/property names, so DNA comparisons key on the structural shape
 //! of the optimization — exactly what lets the paper's system recognise a
 //! renamed/minified exploit variant.
+//!
+//! A compilation's [`PassTrace`] is the snapshot sequence `IR_0 … IR_n`:
+//! the IR entering the pipeline, then the IR after each executed slot.
+//! Each snapshot is stored once; pass `i`'s `(IR_{i-1}, IR_i)` pair is
+//! read back with [`PassTrace::passes`].
 
 use std::sync::Arc;
 
@@ -41,29 +46,42 @@ impl MirSnapshot {
     }
 }
 
-/// The record of one optimization pass's effect: the IR immediately before
-/// and immediately after the pass ran.
+/// One executed optimization pass and the IR it left behind. The IR it
+/// started from is the previous record's `after` (or the trace's
+/// `initial`); [`PassTrace::passes`] pairs them up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassRecord {
     /// Pipeline slot index (`i` in the paper's `Δ_i`), `0..n`.
     pub slot: usize,
     /// Human-readable pass name (`"GVN"`, `"LICM"`, …).
     pub name: &'static str,
-    /// IR before the pass (`IR_{i-1}`).
-    pub before: MirSnapshot,
     /// IR after the pass (`IR_i`).
     pub after: MirSnapshot,
 }
 
-/// The full per-compilation trace a JIT engine hands to JITBULL: one
-/// [`PassRecord`] per executed pipeline slot. This is the engine-agnostic
-/// interface of the paper's Δ extractor input.
+/// The full per-compilation trace a JIT engine hands to JITBULL: the IR
+/// entering the pipeline, then one [`PassRecord`] per executed pipeline
+/// slot. This is the engine-agnostic interface of the paper's Δ extractor
+/// input.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PassTrace {
     /// Name of the function being compiled (diagnostics).
     pub function: String,
+    /// IR entering the first executed slot (`IR_0`; empty when the
+    /// compilation was not traced).
+    pub initial: MirSnapshot,
     /// One record per pass, in pipeline order.
     pub records: Vec<PassRecord>,
+}
+
+impl PassTrace {
+    /// Each record with the IR it started from, `(IR_{i-1}, record)`:
+    /// `initial` for the first record, the previous record's `after`
+    /// for every other.
+    pub fn passes(&self) -> impl Iterator<Item = (&MirSnapshot, &PassRecord)> {
+        let befores = std::iter::once(&self.initial).chain(self.records.iter().map(|r| &r.after));
+        befores.zip(&self.records)
+    }
 }
 
 /// Takes a snapshot of the current IR.

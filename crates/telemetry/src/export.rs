@@ -1,6 +1,4 @@
-//! Text and JSON renderings of a [`Recorder`]'s state. The JSON writer is
-//! hand-rolled (the crate has no dependencies); it emits only objects,
-//! arrays, strings, integers, and bools, all of which serialize exactly.
+//! The text rendering of a [`Recorder`]'s state.
 
 use std::fmt::Write as _;
 
@@ -209,310 +207,6 @@ fn event_line(ev: &Event) -> String {
     }
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_event_json(out: &mut String, ev: &Event) {
-    out.push_str("{\"kind\":");
-    push_json_str(out, ev.kind());
-    match ev {
-        Event::CompileStarted { function, tier } | Event::TierPromoted { function, tier } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            out.push_str(",\"tier\":");
-            push_json_str(out, tier.name());
-        }
-        Event::PassApplied {
-            slot,
-            name,
-            instrs_removed,
-            instrs_added,
-            cycles,
-        } => {
-            let _ = write!(out, ",\"slot\":{slot},\"name\":");
-            push_json_str(out, name);
-            let _ = write!(
-                out,
-                ",\"instrs_removed\":{instrs_removed},\"instrs_added\":{instrs_added},\"cycles\":{cycles}"
-            );
-        }
-        Event::ComparatorQuery {
-            function,
-            cache_hit,
-            prefilter_rejects,
-            set_merges,
-        } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            let _ = write!(
-                out,
-                ",\"cache_hit\":{cache_hit},\"prefilter_rejects\":{prefilter_rejects},\"set_merges\":{set_merges}"
-            );
-        }
-        Event::ExtractorQuery {
-            function,
-            memo_hit,
-            passes_enumerated,
-            passes_skipped,
-            chains_enumerated,
-            chains_skipped,
-        } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            let _ = write!(
-                out,
-                ",\"memo_hit\":{memo_hit},\"passes_enumerated\":{passes_enumerated},\"passes_skipped\":{passes_skipped},\"chains_enumerated\":{chains_enumerated},\"chains_skipped\":{chains_skipped}"
-            );
-        }
-        Event::GuardAnalyzed {
-            function,
-            matches,
-            dangerous,
-            cost_cycles,
-        } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            let _ = write!(
-                out,
-                ",\"matches\":{matches},\"dangerous\":{dangerous},\"cost_cycles\":{cost_cycles}"
-            );
-        }
-        Event::PolicyDecision {
-            function,
-            verdict,
-            slots,
-        } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            out.push_str(",\"verdict\":");
-            push_json_str(out, verdict.name());
-            out.push_str(",\"slots\":[");
-            for (i, s) in slots.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{s}");
-            }
-            out.push(']');
-        }
-        Event::ExploitOutcome { clean, status } => {
-            let _ = write!(out, ",\"clean\":{clean},\"status\":");
-            push_json_str(out, status);
-        }
-        Event::FuzzSeed {
-            seed,
-            find,
-            script_error,
-        } => {
-            let _ = write!(
-                out,
-                ",\"seed\":{seed},\"find\":{find},\"script_error\":{script_error}"
-            );
-        }
-        Event::FuzzCampaignFinished {
-            executed,
-            finds,
-            script_errors,
-        } => {
-            let _ = write!(
-                out,
-                ",\"executed\":{executed},\"finds\":{finds},\"script_errors\":{script_errors}"
-            );
-        }
-        Event::PoolSubmitted { depth } | Event::PoolRejected { depth } => {
-            let _ = write!(out, ",\"depth\":{depth}");
-        }
-        Event::PoolServed {
-            worker,
-            degraded,
-            wait_micros,
-            run_micros,
-        } => {
-            let _ = write!(
-                out,
-                ",\"worker\":{worker},\"degraded\":{degraded},\"wait_micros\":{wait_micros},\"run_micros\":{run_micros}"
-            );
-        }
-        Event::PoolHotSwap {
-            epoch,
-            entries,
-            generation,
-        } => {
-            let _ = write!(
-                out,
-                ",\"epoch\":{epoch},\"entries\":{entries},\"generation\":{generation}"
-            );
-        }
-        Event::PoolWorkerRestarted { worker } => {
-            let _ = write!(out, ",\"worker\":{worker}");
-        }
-        Event::PoolReloadFailed { kind } => {
-            out.push_str(",\"kind\":");
-            push_json_str(out, kind);
-        }
-        Event::ChaosInjected { site, fault } => {
-            out.push_str(",\"site\":");
-            push_json_str(out, site);
-            out.push_str(",\"fault\":");
-            push_json_str(out, fault);
-        }
-        Event::WatchdogExpired {
-            function,
-            budget,
-            spent,
-        } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            let _ = write!(out, ",\"budget\":{budget},\"spent\":{spent}");
-        }
-        Event::CompileFailed { function, cause } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            out.push_str(",\"cause\":");
-            push_json_str(out, cause);
-        }
-        Event::FunctionQuarantined { function, strikes } => {
-            out.push_str(",\"function\":");
-            push_json_str(out, function);
-            let _ = write!(out, ",\"strikes\":{strikes}");
-        }
-        Event::BreakerTransition { from, to } => {
-            out.push_str(",\"from\":");
-            push_json_str(out, from);
-            out.push_str(",\"to\":");
-            push_json_str(out, to);
-        }
-        Event::ReloadRetry {
-            attempt,
-            backoff_micros,
-            kind,
-        } => {
-            let _ = write!(
-                out,
-                ",\"attempt\":{attempt},\"backoff_micros\":{backoff_micros},\"kind\":"
-            );
-            push_json_str(out, kind);
-        }
-        Event::ReloadRecovered { attempts } => {
-            let _ = write!(out, ",\"attempts\":{attempts}");
-        }
-        Event::CachePoisonPurged { rebuilds } => {
-            let _ = write!(out, ",\"rebuilds\":{rebuilds}");
-        }
-        Event::ExtractMemoPurged { purges } => {
-            let _ = write!(out, ",\"purges\":{purges}");
-        }
-        Event::TriageRound {
-            seed,
-            round,
-            db_entries,
-            neutralized,
-        } => {
-            let _ = write!(
-                out,
-                ",\"seed\":{seed},\"round\":{round},\"db_entries\":{db_entries},\"neutralized\":{neutralized}"
-            );
-        }
-    }
-    out.push('}');
-}
-
-/// Renders the recorder as a single JSON object:
-/// `{"counters":{...},"gauges":{...},"histograms":{...},"slots":[...],"events":{...}}`.
-#[must_use]
-pub fn export_json(rec: &Recorder) -> String {
-    let mut out = String::new();
-    let m = rec.metrics();
-
-    out.push_str("{\"counters\":{");
-    for (i, (name, v)) in m.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        let _ = write!(out, ":{v}");
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in m.gauges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        let _ = write!(out, ":{v}");
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in m.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        let _ = write!(
-            out,
-            ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max()
-        );
-        for (j, (lo, hi, c)) in h.buckets().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"lo\":{lo},\"hi\":{hi},\"count\":{c}}}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("},\"slots\":[");
-    let mut first = true;
-    for (i, s) in rec.slot_stats().iter().enumerate() {
-        if s.applications == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{{\"slot\":{i},\"name\":");
-        push_json_str(&mut out, s.name);
-        let _ = write!(
-            out,
-            ",\"applications\":{},\"cycles\":{},\"instrs_removed\":{},\"instrs_added\":{}}}",
-            s.applications, s.cycles, s.instrs_removed, s.instrs_added
-        );
-    }
-    out.push_str("],\"events\":{");
-    let _ = write!(
-        out,
-        "\"retained\":{},\"dropped\":{},\"items\":[",
-        rec.events().len(),
-        rec.events().dropped()
-    );
-    for (i, ev) in rec.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_event_json(&mut out, ev);
-    }
-    out.push_str("]}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,39 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn json_export_escapes_and_balances() {
-        let json = export_json(&sample_recorder());
-        // Quote in the function name is escaped.
-        assert!(json.contains("hot\\\"fn"));
-        assert!(json.contains("\"verdict\":\"recompile\""));
-        assert!(json.contains("\"slots\":[2,5]"));
-        // Structurally sound: balanced braces/brackets outside strings.
-        let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-        for c in json.chars() {
-            if esc {
-                esc = false;
-                continue;
-            }
-            match c {
-                '\\' if in_str => esc = true,
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
-    }
-
-    #[test]
     fn empty_recorder_exports_cleanly() {
         let rec = Recorder::new();
         assert_eq!(export_text(&rec), "counters:\n");
-        assert_eq!(
-            export_json(&rec),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"slots\":[],\"events\":{\"retained\":0,\"dropped\":0,\"items\":[]}}"
-        );
     }
 }

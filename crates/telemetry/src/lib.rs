@@ -13,7 +13,7 @@
 //!   bounded [`RingBuffer`] so telemetry can never exhaust memory;
 //! * [`Registry`] — named counters / gauges / log₂ histograms
 //!   ([`metrics`]), updated automatically as events arrive;
-//! * [`export`] — text and JSON renderings of a [`Recorder`]'s state.
+//! * [`export`] — the text rendering of a [`Recorder`]'s state.
 //!
 //! The engine-facing surface is the [`Collector`] trait. Producers hold
 //! an `Option<Rc<RefCell<dyn Collector>>>` and skip event construction
@@ -40,7 +40,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use event::{Event, Tier, Verdict};
-pub use export::{export_json, export_text};
+pub use export::export_text;
 pub use metrics::{Histogram, Registry};
 pub use ring::RingBuffer;
 

@@ -18,9 +18,9 @@
 use std::collections::{HashMap, HashSet};
 
 use jitbull_frontend::ast::{Expr, FunctionDecl, Program, Stmt, Target};
+use jitbull_frontend::parse_program;
 use jitbull_frontend::printer::{print_program_with, Style};
 use jitbull_frontend::visit::{collect_var_reads, collect_var_writes, stmt_has_heap_effects};
-use jitbull_frontend::{parse_program, print_program};
 
 use crate::catalog::Vdc;
 
@@ -393,11 +393,6 @@ fn split_functions(mut program: Program) -> (Program, HashMap<String, String>) {
     }
     program.functions = new_functions;
     (program, trigger_map)
-}
-
-/// Renders a program back to pretty source (exposed for tests/examples).
-pub fn to_source(program: &Program) -> String {
-    print_program(program)
 }
 
 #[cfg(test)]

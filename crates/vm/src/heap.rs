@@ -53,11 +53,6 @@ impl Heap {
         self.cells.len()
     }
 
-    /// Number of arrays allocated.
-    pub fn array_count(&self) -> usize {
-        self.arrays.len()
-    }
-
     /// Allocates an array with `len` elements (all `fill`) and capacity
     /// `cap >= len`. Returns its id. The region is appended to the heap, so
     /// arrays allocated back-to-back are adjacent in cell space.
@@ -238,14 +233,6 @@ impl Heap {
             }
             None => Err(VmError::Crash(format!("wild write at cell {addr}"))),
         }
-    }
-
-    /// Collects the elements of an array into a vector (checked reads).
-    pub fn snapshot_elems(&self, arr: ArrId) -> Vec<Value> {
-        let len = self.length(arr).min(self.capacity(arr));
-        (0..len)
-            .map(|i| self.cells[self.elem_addr(arr, i)].clone())
-            .collect()
     }
 }
 

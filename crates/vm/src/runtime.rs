@@ -238,15 +238,6 @@ impl Runtime {
             status: self.status,
         }
     }
-
-    /// Reads a global by source name (test/bench convenience).
-    pub fn global_by_name(&self, module: &Module, name: &str) -> Option<Value> {
-        module
-            .global_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.globals[i].clone())
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! Algorithm 1 implementation; `jitbull::IncrementalExtractor` (edge-diff
 //! fast path, cached enumeration, interned run windows) must return
 //! chain-for-chain identical DNA on every trace. These tests sweep seeded
-//! random MIR snapshot pairs — including renumberings, no-op passes,
-//! pathological high-fanout graphs that bind the chain caps, and
-//! chained records sharing snapshots — the full VDC catalog, the workload
+//! random MIR snapshot traces — including renumberings, no-op passes,
+//! pathological high-fanout graphs that bind the chain caps, and passes
+//! whose output is unrelated to their input — the full VDC catalog, the workload
 //! suite at engine level, and fail on the first divergence.
 
 use std::sync::Arc;
@@ -156,41 +156,39 @@ fn mutate(rng: &mut Rng, before: &MirSnapshot) -> MirSnapshot {
     after
 }
 
-/// Builds a trace of `n_records` passes. With probability ~0.7 each
-/// record's `before` is the previous record's `after` (the shape a real
-/// pipeline produces, exercising the enumeration-reuse path); otherwise
-/// it is a fresh snapshot.
+/// Builds a trace of `n_records` passes. With probability ~0.7 a pass
+/// derives its `after` from the IR it starts from (the way a real pass
+/// rewrites it, exercising the enumeration-reuse path); otherwise its
+/// `after` is a fresh snapshot unrelated to its `before`.
 fn random_trace(rng: &mut Rng, n_records: usize, pathological: bool) -> PassTrace {
-    let mut records = Vec::new();
-    let mut current = if pathological {
-        pathological_snapshot(rng)
-    } else {
-        random_snapshot(rng, 14)
-    };
-    for _ in 0..n_records {
-        let before = if !records.is_empty() && rng.gen_bool(0.3) {
-            if pathological {
-                pathological_snapshot(rng)
-            } else {
-                random_snapshot(rng, 14)
-            }
+    let fresh = |rng: &mut Rng| {
+        if pathological {
+            pathological_snapshot(rng)
         } else {
-            current.clone()
+            random_snapshot(rng, 14)
+        }
+    };
+    let initial = fresh(rng);
+    let mut records: Vec<PassRecord> = Vec::new();
+    for _ in 0..n_records {
+        let before = records.last().map_or(&initial, |r| &r.after);
+        let after = if rng.gen_bool(0.3) {
+            fresh(rng)
+        } else {
+            mutate(rng, before)
         };
-        let after = mutate(rng, &before);
         records.push(PassRecord {
             slot: rng.gen_range(0..SLOTS),
             // Not auto-deref: the explicit `*` pins `pick`'s element
             // type to `&str` (clippy's suggestion fails inference).
             #[allow(clippy::explicit_auto_deref)]
             name: *rng.pick(PASS_NAMES),
-            before: before.clone(),
-            after: after.clone(),
+            after,
         });
-        current = after;
     }
     PassTrace {
         function: "f".into(),
+        initial,
         records,
     }
 }
@@ -215,9 +213,9 @@ fn sweep(seed: u64, traces: usize) -> usize {
             got, expected,
             "whole-trace divergence: seed={seed} case={case} pathological={pathological} receipt={receipt:?}"
         );
-        for (i, r) in trace.records.iter().enumerate() {
-            let expected = extract_delta(&r.before, &r.after);
-            let got = incremental.extract_delta(&r.before, &r.after);
+        for (i, (before, r)) in trace.passes().enumerate() {
+            let expected = extract_delta(before, &r.after);
+            let got = incremental.extract_delta(before, &r.after);
             assert_eq!(
                 got, expected,
                 "per-pass divergence: seed={seed} case={case} record={i}"
