@@ -6,8 +6,8 @@
 //! chain-for-chain identical DNA on every trace. These tests sweep seeded
 //! random MIR snapshot traces — including renumberings, no-op passes,
 //! pathological high-fanout graphs that bind the chain caps, and passes
-//! whose output is unrelated to their input — the full VDC catalog, the workload
-//! suite at engine level, and fail on the first divergence.
+//! whose output is unrelated to their input — the full VDC catalog, the
+//! workload suite at engine level, and fail on the first divergence.
 
 use std::sync::Arc;
 
