@@ -2,11 +2,11 @@
 //! run once per comparator mode (naive reference vs indexed pipeline),
 //! plus a kernel microbench of the comparator itself.
 
-use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig};
+use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig, Guard};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
-use jitbull_jit::engine::EngineConfig;
-use jitbull_workloads::{run_workload, workload};
+use jitbull_jit::engine::{Engine, EngineConfig};
+use jitbull_workloads::workload;
 
 fn main() {
     let w = workload("Splay").expect("workload exists");
@@ -19,16 +19,15 @@ fn main() {
         for n in [1usize, 2, 4, 8] {
             let (db, vulns) = db_with(n);
             bench(&format!("db_size_{n}_{tag}"), 2, 10, || {
-                run_workload(
-                    &w,
-                    EngineConfig {
-                        vulns: vulns.clone(),
-                        comparator: mode,
-                        ..Default::default()
-                    },
-                    Some(db.clone()),
-                )
-                .unwrap()
+                let mut guard = Guard::new(db.clone(), CompareConfig::default());
+                guard.set_comparator_mode(mode);
+                let config = EngineConfig {
+                    vulns: vulns.clone(),
+                    ..Default::default()
+                };
+                Engine::with_guard(config, guard)
+                    .run_source_with(&w.source)
+                    .unwrap()
             });
         }
     }

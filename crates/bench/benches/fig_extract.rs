@@ -5,20 +5,24 @@
 //! simulated-cycle count, printed alongside; wall-clock measures the host
 //! cost of running the simulator.
 
-use jitbull::{DnaMemo, ExtractorMode, IncrementalExtractor, MemoEntry};
+use jitbull::{CompareConfig, DnaMemo, ExtractorMode, Guard, IncrementalExtractor, MemoEntry};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
-use jitbull_jit::engine::EngineConfig;
+use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
 use jitbull_mir::{build_mir, CompileKey};
 use jitbull_vm::compile_program;
-use jitbull_workloads::{run_workload, workload};
+use jitbull_workloads::workload;
 
 fn main() {
     let w = workload("Splay").expect("workload exists");
     let (db, vulns) = db_with(4);
+    let config = EngineConfig {
+        vulns,
+        ..Default::default()
+    };
 
     // First-compile path: fresh memo per iteration, so the incremental
     // win is pure structural diffing (unchanged passes skipped), not
@@ -34,17 +38,11 @@ fn main() {
             ExtractorMode::Incremental => "inc",
         };
         let run = || {
-            run_workload(
-                &w,
-                EngineConfig {
-                    vulns: vulns.clone(),
-                    extractor: mode,
-                    memo: DnaMemo::default(),
-                    ..Default::default()
-                },
-                Some(db.clone()),
-            )
-            .unwrap()
+            let mut guard = Guard::new(db.clone(), CompareConfig::default());
+            guard.set_extractor_mode(mode);
+            Engine::with_guard(config.clone(), guard)
+                .run_source_with(&w.source)
+                .unwrap()
         };
         first_cycles[i] = run().analysis_cycles;
         bench(&format!("first_compile_{tag}"), 2, 10, run);
@@ -64,16 +62,11 @@ fn main() {
     println!("fig_extract_splay_repeat_compile");
     let memo = DnaMemo::default();
     let repeat = || {
-        run_workload(
-            &w,
-            EngineConfig {
-                vulns: vulns.clone(),
-                memo: memo.clone(),
-                ..Default::default()
-            },
-            Some(db.clone()),
-        )
-        .unwrap()
+        let mut guard = Guard::new(db.clone(), CompareConfig::default());
+        guard.set_dna_memo(memo.clone());
+        Engine::with_guard(config.clone(), guard)
+            .run_source_with(&w.source)
+            .unwrap()
     };
     let cold = repeat().analysis_cycles;
     let warm = repeat().analysis_cycles;

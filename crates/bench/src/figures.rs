@@ -1,8 +1,8 @@
 //! Figures 4, 5, and 6: false-positive rates, execution times, and
 //! database-size scalability on the workload suite.
 
-use jitbull::{ComparatorMode, DnaDatabase};
-use jitbull_jit::engine::EngineConfig;
+use jitbull::{ComparatorMode, CompareConfig, DnaDatabase, Guard};
+use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_vdc::{build_database, vdc};
 use jitbull_workloads::{all_workloads, octane_analogues, run_workload, Measurement, Workload};
@@ -293,17 +293,16 @@ pub fn fig6_comparator(workloads: &[Workload], sizes: &[usize]) -> Vec<Fig6Compa
                 .iter()
                 .map(|(db, vulns)| {
                     let run = |mode: ComparatorMode| {
-                        run_workload(
-                            w,
-                            EngineConfig {
-                                vulns: vulns.clone(),
-                                comparator: mode,
-                                ..Default::default()
-                            },
-                            Some(db.clone()),
-                        )
-                        .expect("workload runs")
-                        .analysis_cycles
+                        let mut guard = Guard::new(db.clone(), CompareConfig::default());
+                        guard.set_comparator_mode(mode);
+                        let config = EngineConfig {
+                            vulns: vulns.clone(),
+                            ..Default::default()
+                        };
+                        Engine::with_guard(config, guard)
+                            .run_source_with(&w.source)
+                            .expect("workload runs")
+                            .analysis_cycles
                     };
                     (run(ComparatorMode::Reference), run(ComparatorMode::Indexed))
                 })

@@ -6,8 +6,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use jitbull::DnaDatabase;
-use jitbull_jit::engine::EngineConfig;
+use jitbull::{CompareConfig, DnaDatabase, Guard};
+use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_telemetry::{Recorder, SlotStat};
 use jitbull_workloads::{run_workload, run_workload_observed, Workload};
 
@@ -148,17 +148,16 @@ pub fn empty_db_overhead(w: &Workload) -> (u64, u64) {
 pub fn comparator_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
     let (db, vulns) = db_with(n_vdcs);
     let run = |mode: jitbull::ComparatorMode| {
-        run_workload(
-            w,
-            EngineConfig {
-                vulns: vulns.clone(),
-                comparator: mode,
-                ..Default::default()
-            },
-            Some(db.clone()),
-        )
-        .expect("workload runs")
-        .analysis_cycles
+        let mut guard = Guard::new(db.clone(), CompareConfig::default());
+        guard.set_comparator_mode(mode);
+        let config = EngineConfig {
+            vulns: vulns.clone(),
+            ..Default::default()
+        };
+        Engine::with_guard(config, guard)
+            .run_source_with(&w.source)
+            .expect("workload runs")
+            .analysis_cycles
     };
     (
         run(jitbull::ComparatorMode::Reference),
@@ -173,17 +172,16 @@ pub fn comparator_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
 pub fn extractor_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
     let (db, vulns) = db_with(n_vdcs);
     let run = |mode: jitbull::ExtractorMode| {
-        run_workload(
-            w,
-            EngineConfig {
-                vulns: vulns.clone(),
-                extractor: mode,
-                ..Default::default()
-            },
-            Some(db.clone()),
-        )
-        .expect("workload runs")
-        .analysis_cycles
+        let mut guard = Guard::new(db.clone(), CompareConfig::default());
+        guard.set_extractor_mode(mode);
+        let config = EngineConfig {
+            vulns: vulns.clone(),
+            ..Default::default()
+        };
+        Engine::with_guard(config, guard)
+            .run_source_with(&w.source)
+            .expect("workload runs")
+            .analysis_cycles
     };
     (
         run(jitbull::ExtractorMode::Reference),

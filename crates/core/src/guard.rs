@@ -145,19 +145,9 @@ impl Guard {
         self.faults = faults;
     }
 
-    /// The comparator implementation in use.
-    pub fn comparator_mode(&self) -> ComparatorMode {
-        self.mode
-    }
-
     /// Switches the comparator implementation.
     pub fn set_comparator_mode(&mut self, mode: ComparatorMode) {
         self.mode = mode;
-    }
-
-    /// The extractor implementation in use.
-    pub fn extractor_mode(&self) -> ExtractorMode {
-        self.extractor
     }
 
     /// Switches the extractor implementation.
@@ -256,9 +246,9 @@ impl Guard {
     /// Algorithm 2 inside). A DNA cached under `lookup`'s key is used as
     /// is, and `trace` is then the untraced compilation's empty one.
     /// Otherwise the DNA is extracted from `trace` by the implementation
-    /// selected by [`Guard::extractor_mode`] and, for a keyed lookup,
+    /// selected by [`Guard::set_extractor_mode`] and, for a keyed lookup,
     /// cached. Comparison runs in the implementation selected by
-    /// [`Guard::comparator_mode`]; the indexed one serves the cached
+    /// [`Guard::set_comparator_mode`]; the indexed one serves the cached
     /// verdict when its stamp matches and caches the verdict it computes
     /// otherwise. Every combination returns identical `dangerous` /
     /// `matches` / `dna` (only `cost_cycles` differs, reflecting the work

@@ -15,16 +15,21 @@
 //! and the paper's go / recompile-without-passes / no-Ion policy applied.
 //! With an empty database there is no key, no lookup and no snapshot — the
 //! zero-overhead property of §V.
+//!
+//! Tiers and verdicts belong to one run: every run starts each function of
+//! its module in the interpreter. Only the configuration, the guard (with
+//! its compile cache) and the collector carry from one script to the next.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use jitbull::{decide, decide_observed, ComparatorMode, Decision, DnaMemo, ExtractorMode, Guard};
+use jitbull::{decide, decide_observed, Decision, Guard, Lookup};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
-use jitbull_mir::{build_mir, CompileKey};
+use jitbull_lir::LFunction;
+use jitbull_mir::{build_mir, CompileKey, MirFunction};
 use jitbull_telemetry::{Collector, Event, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
 use jitbull_vm::interp;
@@ -39,7 +44,8 @@ const BASELINE_COMPILE_COST: u64 = 15;
 /// Cycle cost charged per unit of pipeline work for an Ion compilation.
 const ION_COMPILE_COST: u64 = 4;
 
-/// Engine configuration.
+/// Engine configuration. The guard's own settings (comparator,
+/// extractor, compile cache) are made on the [`Guard`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Invocations before baseline compilation (paper: 100).
@@ -59,17 +65,7 @@ pub struct EngineConfig {
     pub fuel: u64,
     /// Pipeline slots to skip unconditionally (debugging / ablations —
     /// e.g. "run everything without GVN"). Mandatory slots still run.
-    pub disabled_slots: std::collections::HashSet<usize>,
-    /// Which Δ-comparator implementation the guard uses (indexed by
-    /// default; `Reference` runs the naive normative Algorithm 2 loop).
-    pub comparator: ComparatorMode,
-    /// Which Δ-extractor implementation the guard uses (incremental by
-    /// default; `Reference` runs the naive normative Algorithm 1 walk).
-    pub extractor: ExtractorMode,
-    /// Compile cache handed to the guard. Cloning the config clones the
-    /// handle, not the store, so a pool can share one cache across every
-    /// worker's engine.
-    pub memo: DnaMemo,
+    pub disabled_slots: HashSet<usize>,
     /// Chaos fault injector, threaded into the pipeline and the guard.
     /// Disabled by default (zero overhead, zero cycle-model impact).
     pub faults: FaultInjector,
@@ -94,10 +90,7 @@ impl Default for EngineConfig {
             vulns: VulnConfig::none(),
             whole_jit_policy: false,
             fuel: 500_000_000,
-            disabled_slots: std::collections::HashSet::new(),
-            comparator: ComparatorMode::default(),
-            extractor: ExtractorMode::default(),
-            memo: DnaMemo::default(),
+            disabled_slots: HashSet::new(),
             faults: FaultInjector::disabled(),
             watchdog_budget: None,
             quarantine: Quarantine::default(),
@@ -150,36 +143,65 @@ pub struct FunctionStats {
     pub matched: Vec<(String, String)>,
 }
 
+/// Where a function stands on the tier ladder in the current run.
 #[derive(Debug, Default)]
-struct FuncState {
-    invocations: u64,
-    baseline: bool,
-    ion: Option<Rc<jitbull_lir::LFunction>>,
-    no_ion: bool,
-    /// Watchdog verdict: this function runs interpreter-only, no
-    /// baseline, no Ion, no further compile attempts.
-    pinned_interp: bool,
+enum FuncTier {
+    /// Interpreted, not yet hot enough for baseline.
+    #[default]
+    Interpreter,
+    /// Baseline-compiled; the first invocation past the Ion threshold
+    /// compiles it (again, after a panic short of quarantine).
+    Baseline,
+    /// Runs this optimized code.
+    Ion {
+        code: Rc<LFunction>,
+        /// Vulnerabilities whose incorrect transform fired in `code`.
+        vulns_fired: Vec<String>,
+    },
+    /// No optimized code for the rest of the run: vetoed by JITBULL,
+    /// failed or quarantined. Runs baseline.
+    NoIon,
+    /// Watchdog verdict: interpreter-only, no further compile attempts.
+    Pinned,
+}
+
+/// What JITBULL decided for a function's optimizing compilation.
+#[derive(Debug, Default)]
+struct Verdict {
+    /// Slots JITBULL disabled (those the configuration disabled on its own
+    /// excluded), sorted.
     disabled_slots: Vec<usize>,
-    vulns_fired: Vec<String>,
+    /// VDC entries matched: (cve, vdc function name).
     matched: Vec<(String, String)>,
 }
 
-/// The tiered engine. Implements [`Dispatcher`], so it can be handed to
-/// `interp::run_module` directly.
+#[derive(Debug, Default)]
+struct FuncState {
+    invocations: u64,
+    tier: FuncTier,
+    verdict: Verdict,
+}
+
+/// One run's state: each function of the module it runs, indexed by
+/// [`FuncId`], and the run's counters.
+#[derive(Debug, Default)]
+struct Run {
+    funcs: Vec<FuncState>,
+    analysis_cycles: u64,
+    compile_failures: u64,
+    watchdog_expiries: u64,
+}
+
+/// The tiered engine: configuration, an optional JITBULL guard and an
+/// optional collector, reused across the scripts it runs. Implements
+/// [`Dispatcher`] for the run [`Engine::run_source_with`] sets up.
 pub struct Engine {
     config: EngineConfig,
     guard: Option<Guard>,
-    state: HashMap<FuncId, FuncState>,
-    /// Cycles spent in JITBULL analysis (reported separately for the
-    /// overhead breakdowns).
-    pub analysis_cycles: u64,
-    /// Ion compilations that failed without producing code (pass panic,
-    /// broken graph, watchdog expiry). The pool's circuit breaker feeds
-    /// on this count.
-    pub compile_failures: u64,
-    /// Watchdog expiries among those failures.
-    pub watchdog_expiries: u64,
     collector: Option<Rc<RefCell<dyn Collector>>>,
+    /// The current (or last finished) run, replaced by every
+    /// [`Engine::run_source_with`] so no script inherits another's code.
+    run: Run,
 }
 
 impl Engine {
@@ -188,32 +210,19 @@ impl Engine {
         Engine {
             config,
             guard: None,
-            state: HashMap::new(),
-            analysis_cycles: 0,
-            compile_failures: 0,
-            watchdog_expiries: 0,
             collector: None,
+            run: Run::default(),
         }
     }
 
-    /// Creates an engine protected by a JITBULL guard. The guard is
-    /// switched to the comparator selected by
-    /// [`EngineConfig::comparator`], the extractor selected by
-    /// [`EngineConfig::extractor`] and the compile cache
-    /// [`EngineConfig::memo`], so the config knobs are authoritative.
+    /// Creates an engine protected by a JITBULL guard. The guard keeps
+    /// its comparator, extractor and compile cache; the engine hands it
+    /// only [`EngineConfig::faults`].
     pub fn with_guard(config: EngineConfig, mut guard: Guard) -> Self {
-        guard.set_comparator_mode(config.comparator);
-        guard.set_extractor_mode(config.extractor);
-        guard.set_dna_memo(config.memo.clone());
         guard.set_fault_injector(config.faults.clone());
         Engine {
-            config,
             guard: Some(guard),
-            state: HashMap::new(),
-            analysis_cycles: 0,
-            compile_failures: 0,
-            watchdog_expiries: 0,
-            collector: None,
+            ..Engine::new(config)
         }
     }
 
@@ -232,11 +241,6 @@ impl Engine {
         }
     }
 
-    /// The installed guard, if any.
-    pub fn guard(&self) -> Option<&Guard> {
-        self.guard.as_ref()
-    }
-
     /// Consumes the engine, returning its guard (with the comparator
     /// index and extractor state it warmed up). The serving pool uses this
     /// to carry a worker's warm guard into the replacement engine after a
@@ -250,59 +254,74 @@ impl Engine {
         &self.config
     }
 
-    /// Per-function statistics keyed by function id, for the Figure-4
-    /// metrics (`Nr_JIT`, `Nr_DisJIT`, `Nr_NoJIT`).
+    /// Ion compilations of the last run that failed without producing
+    /// code (pass panic, broken graph, watchdog expiry) — also after a
+    /// run that ended in an error. The pool's circuit breaker feeds on
+    /// this count.
+    pub fn compile_failures(&self) -> u64 {
+        self.run.compile_failures
+    }
+
+    /// Statistics of the last run's invoked functions, sorted by name,
+    /// for the Figure-4 metrics (`Nr_JIT`, `Nr_DisJIT`, `Nr_NoJIT`).
+    /// `module` is the module that run compiled.
     pub fn function_stats(&self, module: &Module) -> Vec<FunctionStats> {
         let mut stats: Vec<FunctionStats> = self
-            .state
+            .run
+            .funcs
             .iter()
-            .map(|(fid, st)| FunctionStats {
-                name: module.function(*fid).name.clone(),
+            .zip(&module.functions)
+            .filter(|(st, _)| st.invocations > 0)
+            .map(|(st, f)| FunctionStats {
+                name: f.name.clone(),
                 invocations: st.invocations,
-                tier: if st.pinned_interp {
-                    TierStats::Interpreter
-                } else if st.no_ion {
-                    TierStats::NoIon
-                } else if st.ion.is_some() {
-                    if st.disabled_slots.is_empty() {
-                        TierStats::Ion
-                    } else {
-                        TierStats::IonPassesDisabled
-                    }
-                } else if st.baseline {
-                    TierStats::Baseline
-                } else {
-                    TierStats::Interpreter
+                tier: match st.tier {
+                    FuncTier::Interpreter | FuncTier::Pinned => TierStats::Interpreter,
+                    FuncTier::Baseline => TierStats::Baseline,
+                    FuncTier::Ion { .. } if st.verdict.disabled_slots.is_empty() => TierStats::Ion,
+                    FuncTier::Ion { .. } => TierStats::IonPassesDisabled,
+                    FuncTier::NoIon => TierStats::NoIon,
                 },
-                disabled_slots: st.disabled_slots.clone(),
-                vulns_fired: st.vulns_fired.clone(),
-                matched: st.matched.clone(),
+                disabled_slots: st.verdict.disabled_slots.clone(),
+                vulns_fired: match &st.tier {
+                    FuncTier::Ion { vulns_fired, .. } => vulns_fired.clone(),
+                    _ => Vec::new(),
+                },
+                matched: st.verdict.matched.clone(),
             })
             .collect();
         stats.sort_by(|a, b| a.name.cmp(&b.name));
         stats
     }
 
-    /// Count of functions that reached (attempted) the optimizing tier —
-    /// the paper's `Nr_JIT`.
+    fn count(&self, pred: impl Fn(&FuncState) -> bool) -> usize {
+        self.run.funcs.iter().filter(|st| pred(st)).count()
+    }
+
+    /// Count of functions that reached (attempted) the optimizing tier in
+    /// the last run — the paper's `Nr_JIT`.
     pub fn nr_jit(&self) -> usize {
-        self.state
-            .values()
-            .filter(|s| s.ion.is_some() || s.no_ion)
-            .count()
+        self.count(|st| !matches!(st.tier, FuncTier::Interpreter | FuncTier::Baseline))
     }
 
     /// Functions whose compilation had ≥1 pass disabled (`Nr_DisJIT`).
     pub fn nr_disjit(&self) -> usize {
-        self.state
-            .values()
-            .filter(|s| s.ion.is_some() && !s.disabled_slots.is_empty())
-            .count()
+        self.count(|st| {
+            matches!(st.tier, FuncTier::Ion { .. }) && !st.verdict.disabled_slots.is_empty()
+        })
     }
 
     /// Functions whose optimizing JIT was vetoed entirely (`Nr_NoJIT`).
     pub fn nr_nojit(&self) -> usize {
-        self.state.values().filter(|s| s.no_ion).count()
+        self.count(|st| matches!(st.tier, FuncTier::NoIon | FuncTier::Pinned))
+    }
+
+    /// The watchdog budget, when charging `cost` on top of `spent` would
+    /// overrun it.
+    fn overrun(&self, spent: u64, cost: u64) -> Option<u64> {
+        self.config
+            .watchdog_budget
+            .filter(|&budget| spent.saturating_add(cost) > budget)
     }
 
     /// Watchdog expiry: charge the budget remainder (the watchdog bounds
@@ -311,15 +330,14 @@ impl Engine {
     fn watchdog_expire(
         &mut self,
         rt: &mut Runtime,
-        func: FuncId,
         name: &str,
         matched: Vec<(String, String)>,
         budget: u64,
         spent: u64,
-    ) {
+    ) -> (FuncTier, Verdict) {
         rt.add_cycles(budget.saturating_sub(spent));
-        self.compile_failures += 1;
-        self.watchdog_expiries += 1;
+        self.run.compile_failures += 1;
+        self.run.watchdog_expiries += 1;
         self.emit(|| Event::WatchdogExpired {
             function: name.to_owned(),
             budget,
@@ -329,18 +347,23 @@ impl Engine {
             function: name.to_owned(),
             cause: "watchdog",
         });
-        let st = self.state.entry(func).or_default();
-        st.no_ion = true;
-        st.pinned_interp = true;
-        st.matched = matched;
+        let verdict = Verdict {
+            disabled_slots: Vec::new(),
+            matched,
+        };
+        (FuncTier::Pinned, verdict)
     }
 
     /// A compilation panicked (chaos-injected or natural). The panic is
     /// contained here: the function earns a quarantine strike and the
-    /// engine keeps serving. Below the strike threshold the next hot
-    /// invocation may retry; at the threshold the function is pinned
-    /// no-go.
-    fn compile_panicked(&mut self, func: FuncId, name: &str, payload: &(dyn std::any::Any + Send)) {
+    /// engine keeps serving. Below the strike threshold the function stays
+    /// at baseline and the next hot invocation retries; at the threshold
+    /// it is pinned no-go.
+    fn compile_panicked(
+        &mut self,
+        name: &str,
+        payload: &(dyn std::any::Any + Send),
+    ) -> (FuncTier, Verdict) {
         let msg = payload
             .downcast_ref::<String>()
             .map(String::as_str)
@@ -352,75 +375,83 @@ impl Engine {
                 fault: "pass_panic",
             });
         }
-        self.compile_failures += 1;
+        self.run.compile_failures += 1;
         self.emit(|| Event::CompileFailed {
             function: name.to_owned(),
             cause: "panic",
         });
         let strikes = self.config.quarantine.strike(name);
-        if self.config.quarantine.is_quarantined(name) {
-            self.emit(|| Event::FunctionQuarantined {
-                function: name.to_owned(),
-                strikes,
-            });
-            self.state.entry(func).or_default().no_ion = true;
+        if !self.config.quarantine.is_quarantined(name) {
+            return (FuncTier::Baseline, Verdict::default());
         }
+        self.emit(|| Event::FunctionQuarantined {
+            function: name.to_owned(),
+            strikes,
+        });
+        (FuncTier::NoIon, Verdict::default())
     }
 
-    fn compile_ion(&mut self, rt: &mut Runtime, module: &Module, func: FuncId) {
-        let name = module.function(func).name.clone();
+    /// Lowers the pipeline's output and promotes the function to it.
+    fn promote(&self, name: &str, mir: &MirFunction, vulns_fired: Vec<String>) -> FuncTier {
+        self.emit(|| Event::TierPromoted {
+            function: name.to_owned(),
+            tier: Tier::Ion,
+        });
+        let code = Rc::new(jitbull_lir::compile(mir));
+        FuncTier::Ion { code, vulns_fired }
+    }
+
+    /// One optimizing compilation of `func`, recompile rounds included:
+    /// the tier it leaves the function in and the verdict behind it.
+    fn compile_ion(
+        &mut self,
+        rt: &mut Runtime,
+        module: &Module,
+        func: FuncId,
+    ) -> (FuncTier, Verdict) {
+        let name = &module.function(func).name;
         // Quarantined functions are pinned no-go: their compilations keep
         // blowing up, so we stop feeding them to the pipeline.
-        if self.config.quarantine.is_quarantined(&name) {
-            self.state.entry(func).or_default().no_ion = true;
-            return;
+        if self.config.quarantine.is_quarantined(name) {
+            return (FuncTier::NoIon, Verdict::default());
         }
-        let jitbull_active = self.guard.as_ref().map(Guard::enabled).unwrap_or(false);
+        let jitbull_active = self.guard.as_ref().is_some_and(Guard::enabled);
         // JITBULL sits inside OptimizeMIR (paper §V), so every retry is
         // analyzed again: disabling one dangerous pass can unshadow a
         // different buggy transform further down the pipeline, which the
         // next round then catches. The loop reaches a fixpoint because
         // the disabled set only grows.
-        let mut disabled: std::collections::HashSet<usize> = self.config.disabled_slots.clone();
+        let mut disabled: HashSet<usize> = self.config.disabled_slots.clone();
         let mut matched: Vec<(String, String)> = Vec::new();
         // Watchdog accounting: cycles charged for this function's whole
         // compilation (every round, analysis included).
         let mut spent = 0u64;
         for _round in 0..=N_SLOTS {
             self.emit(|| Event::CompileStarted {
-                function: module.function(func).name.clone(),
+                function: name.clone(),
                 tier: Tier::Ion,
             });
             let Ok(mir) = build_mir(module, func) else {
-                self.state.entry(func).or_default().no_ion = true;
-                return;
+                return (FuncTier::NoIon, Verdict::default());
             };
-            // The key holds only the disabled slots the pipeline honours.
-            let lookup = jitbull_active.then(|| {
-                let honoured = disabled
-                    .iter()
-                    .copied()
-                    .filter(|&s| s < N_SLOTS && slot_disableable(s));
-                let key = CompileKey::new(
-                    module.function(func),
-                    honoured.collect(),
-                    N_SLOTS,
-                    self.config.vulns.mask(),
-                );
-                self.guard.as_ref().expect("guard present").lookup(key)
-            });
-            let options = OptimizeOptions {
-                trace: lookup.as_ref().is_some_and(jitbull::Lookup::needs_trace),
+            let mut options = OptimizeOptions {
                 disabled_slots: disabled.clone(),
+                trace: false,
                 faults: self.config.faults.clone(),
             };
+            let lookup = self.guard.as_ref().filter(|_| jitbull_active).map(|guard| {
+                guard.lookup(CompileKey::new(
+                    module.function(func),
+                    options.skipped_slots(),
+                    N_SLOTS,
+                    self.config.vulns.mask(),
+                ))
+            });
+            options.trace = lookup.as_ref().is_some_and(Lookup::needs_trace);
             let vulns = &self.config.vulns;
             let result = match catch_unwind(AssertUnwindSafe(|| optimize(mir, vulns, &options))) {
                 Ok(result) => result,
-                Err(payload) => {
-                    self.compile_panicked(func, &name, payload.as_ref());
-                    return;
-                }
+                Err(payload) => return self.compile_panicked(name, payload.as_ref()),
             };
             for &(fault, _slot) in &result.injected {
                 self.emit(|| Event::ChaosInjected {
@@ -429,11 +460,8 @@ impl Engine {
                 });
             }
             let round_cost = result.work * ION_COMPILE_COST;
-            if let Some(budget) = self.config.watchdog_budget {
-                if spent.saturating_add(round_cost) > budget {
-                    self.watchdog_expire(rt, func, &name, matched, budget, spent);
-                    return;
-                }
+            if let Some(budget) = self.overrun(spent, round_cost) {
+                return self.watchdog_expire(rt, name, matched, budget, spent);
             }
             rt.add_cycles(round_cost);
             spent += round_cost;
@@ -450,32 +478,24 @@ impl Engine {
                 }
             }
             if result.broken.is_some() {
-                self.compile_failures += 1;
+                self.run.compile_failures += 1;
                 self.emit(|| Event::CompileFailed {
                     function: name.clone(),
                     cause: "broken",
                 });
-                self.state.entry(func).or_default().no_ion = true;
-                return;
+                return (FuncTier::NoIon, Verdict::default());
             }
-            let mut fired: Vec<String> = result
+            let mut vulns_fired: Vec<String> = result
                 .triggered
                 .iter()
                 .map(|(c, _)| c.name().to_owned())
                 .collect();
-            fired.dedup();
+            vulns_fired.dedup();
             let Some(lookup) = lookup else {
-                self.emit(|| Event::TierPromoted {
-                    function: module.function(func).name.clone(),
-                    tier: Tier::Ion,
-                });
-                let tier = Rc::new(jitbull_lir::compile(&result.mir));
-                let st = self.state.entry(func).or_default();
-                st.ion = Some(tier);
-                st.vulns_fired = fired;
-                return;
+                let tier = self.promote(name, &result.mir, vulns_fired);
+                return (tier, Verdict::default());
             };
-            let guard = self.guard.as_ref().expect("guard present");
+            let guard = self.guard.as_ref().expect("a lookup comes from the guard");
             let analysis = match &self.collector {
                 Some(c) => guard.analyze_compile(
                     lookup,
@@ -485,15 +505,12 @@ impl Engine {
                 ),
                 None => guard.analyze_compile(lookup, &result.trace, N_SLOTS, None),
             };
-            if let Some(budget) = self.config.watchdog_budget {
-                if spent.saturating_add(analysis.cost_cycles) > budget {
-                    self.watchdog_expire(rt, func, &name, matched, budget, spent);
-                    return;
-                }
+            if let Some(budget) = self.overrun(spent, analysis.cost_cycles) {
+                return self.watchdog_expire(rt, name, matched, budget, spent);
             }
             rt.add_cycles(analysis.cost_cycles);
             spent += analysis.cost_cycles;
-            self.analysis_cycles += analysis.cost_cycles;
+            self.run.analysis_cycles += analysis.cost_cycles;
             for (cve, function, _) in &analysis.matches {
                 let entry = (cve.clone(), function.clone());
                 if !matched.contains(&entry) {
@@ -506,72 +523,43 @@ impl Engine {
                 .copied()
                 .filter(|s| !disabled.contains(s))
                 .collect();
-            let user_disabled: Vec<usize> = self.config.disabled_slots.iter().copied().collect();
             let decision = match &self.collector {
-                Some(c) => decide_observed(
-                    fresh,
-                    slot_disableable,
-                    &module.function(func).name,
-                    &mut *c.borrow_mut(),
-                ),
+                Some(c) => decide_observed(fresh, slot_disableable, name, &mut *c.borrow_mut()),
                 None => decide(fresh, slot_disableable),
             };
-            match decision {
-                Decision::Go => {
-                    let jitbull_slots: Vec<usize> = {
-                        let mut v: Vec<usize> = disabled
-                            .iter()
-                            .copied()
-                            .filter(|s| !user_disabled.contains(s))
-                            .collect();
-                        v.sort_unstable();
-                        v
-                    };
-                    if !jitbull_slots.is_empty() && self.config.whole_jit_policy {
-                        let st = self.state.entry(func).or_default();
-                        st.disabled_slots = jitbull_slots;
-                        st.matched = matched;
-                        st.no_ion = true;
-                        return;
-                    }
-                    self.emit(|| Event::TierPromoted {
-                        function: module.function(func).name.clone(),
-                        tier: Tier::Ion,
-                    });
-                    let tier = Rc::new(jitbull_lir::compile(&result.mir));
-                    let st = self.state.entry(func).or_default();
-                    st.disabled_slots = jitbull_slots;
-                    st.matched = matched;
-                    st.ion = Some(tier);
-                    st.vulns_fired = fired;
-                    return;
-                }
+            let (no_go, vetoed) = match decision {
+                Decision::Go => (false, Vec::new()),
                 Decision::Recompile(slots) => {
                     disabled.extend(slots);
-                    // loop: recompile and re-analyze
+                    continue;
                 }
-                Decision::NoJit(slots) => {
-                    let st = self.state.entry(func).or_default();
-                    let mut all: Vec<usize> = disabled
-                        .iter()
-                        .copied()
-                        .filter(|s| !user_disabled.contains(s))
-                        .chain(slots)
-                        .collect();
-                    all.sort_unstable();
-                    all.dedup();
-                    st.disabled_slots = all;
-                    st.matched = matched;
-                    st.no_ion = true;
-                    return;
-                }
+                Decision::NoJit(slots) => (true, slots),
+            };
+            let mut disabled_slots: Vec<usize> = disabled
+                .iter()
+                .copied()
+                .chain(vetoed)
+                .filter(|s| !self.config.disabled_slots.contains(s))
+                .collect();
+            disabled_slots.sort_unstable();
+            disabled_slots.dedup();
+            let verdict = Verdict {
+                disabled_slots,
+                matched,
+            };
+            // The whole-JIT ablation vetoes every function JITBULL touched.
+            if no_go || (self.config.whole_jit_policy && !verdict.disabled_slots.is_empty()) {
+                return (FuncTier::NoIon, verdict);
             }
+            return (self.promote(name, &result.mir, vulns_fired), verdict);
         }
         // Could not reach a clean compilation within the round budget:
         // conservative no-Ion fallback.
-        let st = self.state.entry(func).or_default();
-        st.no_ion = true;
-        st.matched = matched;
+        let verdict = Verdict {
+            disabled_slots: Vec::new(),
+            matched,
+        };
+        (FuncTier::NoIon, verdict)
     }
 
     /// Parses, compiles and runs a source program under this engine
@@ -588,8 +576,10 @@ impl Engine {
     }
 
     /// Runs a source program on this engine instance (reusing its guard
-    /// and configuration). Crash-class errors terminate the script but
-    /// produce an outcome (like a tab crashing), other errors propagate.
+    /// and configuration) from fresh per-function state. Crash-class
+    /// errors terminate the script but produce an outcome (like a tab
+    /// crashing), other errors propagate; the engine's statistics then
+    /// still describe the run.
     ///
     /// # Errors
     ///
@@ -597,6 +587,14 @@ impl Engine {
     pub fn run_source_with(&mut self, source: &str) -> Result<EngineOutcome, VmError> {
         let program = parse_program(source).map_err(|e| VmError::Parse(e.to_string()))?;
         let module = compile_program(&program)?;
+        self.run = Run {
+            funcs: module
+                .functions
+                .iter()
+                .map(|_| FuncState::default())
+                .collect(),
+            ..Run::default()
+        };
         let mut rt = Runtime::with_fuel(self.config.fuel);
         let result = interp::run_module(&mut rt, &module, self);
         match result {
@@ -618,9 +616,9 @@ impl Engine {
             nr_jit: self.nr_jit(),
             nr_disjit: self.nr_disjit(),
             nr_nojit: self.nr_nojit(),
-            analysis_cycles: self.analysis_cycles,
-            compile_failures: self.compile_failures,
-            watchdog_expiries: self.watchdog_expiries,
+            analysis_cycles: self.run.analysis_cycles,
+            compile_failures: self.run.compile_failures,
+            watchdog_expiries: self.run.watchdog_expiries,
         })
     }
 }
@@ -656,19 +654,14 @@ impl Dispatcher for Engine {
         this: Value,
         args: Vec<Value>,
     ) -> Result<Value, VmError> {
-        let st = self.state.entry(func).or_default();
+        let ix = func.0 as usize;
+        let st = &mut self.run.funcs[ix];
         st.invocations += 1;
         let inv = st.invocations;
-        if self.config.jit_enabled && !st.pinned_interp {
-            let mut promoted_baseline = false;
-            if !st.baseline && inv >= self.config.baseline_threshold {
-                st.baseline = true;
+        if self.config.jit_enabled {
+            if matches!(st.tier, FuncTier::Interpreter) && inv >= self.config.baseline_threshold {
+                st.tier = FuncTier::Baseline;
                 rt.add_cycles(module.function(func).len() as u64 * BASELINE_COMPILE_COST);
-                promoted_baseline = true;
-            }
-            let needs_ion =
-                st.baseline && st.ion.is_none() && !st.no_ion && inv >= self.config.ion_threshold;
-            if promoted_baseline {
                 self.emit(|| Event::CompileStarted {
                     function: module.function(func).name.clone(),
                     tier: Tier::Baseline,
@@ -678,21 +671,22 @@ impl Dispatcher for Engine {
                     tier: Tier::Baseline,
                 });
             }
-            if needs_ion {
-                self.compile_ion(rt, module, func);
+            if matches!(self.run.funcs[ix].tier, FuncTier::Baseline)
+                && inv >= self.config.ion_threshold
+            {
+                let (tier, verdict) = self.compile_ion(rt, module, func);
+                let st = &mut self.run.funcs[ix];
+                st.tier = tier;
+                st.verdict = verdict;
             }
         }
-        let st = self.state.entry(func).or_default();
-        let cost = match (&st.ion, st.baseline) {
-            // Watchdog verdict: interpreter-only, whatever tiers the
-            // function had reached before.
-            _ if st.pinned_interp => INTERP_COST,
-            (Some(code), _) => {
+        let cost = match &self.run.funcs[ix].tier {
+            FuncTier::Ion { code, .. } => {
                 let code = Rc::clone(code);
                 return jitbull_lir::run(&code, rt, module, this, &args, self);
             }
-            (None, true) => BASELINE_COST,
-            (None, false) => INTERP_COST,
+            FuncTier::Baseline | FuncTier::NoIon => BASELINE_COST,
+            FuncTier::Interpreter | FuncTier::Pinned => INTERP_COST,
         };
         interp::run_function(rt, module, func, this, args, self, cost)
     }
@@ -702,6 +696,7 @@ impl Dispatcher for Engine {
 mod tests {
     use super::*;
     use jitbull::{CompareConfig, DnaDatabase};
+    use jitbull_telemetry::Recorder;
 
     fn printed(src: &str, config: EngineConfig) -> Vec<String> {
         Engine::run_source(src, config)
@@ -778,9 +773,61 @@ mod tests {
         assert_eq!(out.outcome.printed, vec!["15"]);
     }
 
+    /// Two probe scripts of the same module shape: their hot functions
+    /// share a `FuncId` but compute different things.
+    const PROBES: [&str; 2] = [
+        "function f(x) { return x + 1; } var t = 0; for (var i = 0; i < 40; i++) { t = f(i); } print(t);",
+        "function g(s) { return s * 100; } var t = 0; for (var i = 0; i < 40; i++) { t = g(i); } print(t);",
+    ];
+
+    /// Runs `src` on `engine`; returns the outcome and the Ion compile
+    /// rounds the run started.
+    fn observed(engine: &mut Engine, src: &str) -> (EngineOutcome, u64) {
+        let rec = Rc::new(RefCell::new(Recorder::new()));
+        engine.set_collector(rec.clone());
+        let out = engine.run_source_with(src).unwrap();
+        let rounds = rec.borrow().metrics().counter("engine.compile.ion");
+        (out, rounds)
+    }
+
+    /// What a run decided per function: name, invocations and tier.
+    fn tiers(out: &EngineOutcome) -> Vec<(String, u64, TierStats)> {
+        out.stats
+            .iter()
+            .map(|s| (s.name.clone(), s.invocations, s.tier))
+            .collect()
+    }
+
+    #[test]
+    fn each_script_on_one_engine_runs_like_on_a_fresh_engine() {
+        let db = jitbull_vdc::build_database(&jitbull_vdc::all_vdcs()).expect("catalog builds");
+        let unguarded = || Engine::new(EngineConfig::fast_test());
+        let guarded = || {
+            let guard = Guard::new(db.clone(), CompareConfig::default());
+            Engine::with_guard(EngineConfig::fast_test(), guard)
+        };
+        for make in [&unguarded as &dyn Fn() -> Engine, &guarded] {
+            let mut engine = make();
+            let is_guarded = engine.guard.is_some();
+            for probe in PROBES {
+                let (got, got_rounds) = observed(&mut engine, probe);
+                let (want, want_rounds) = observed(&mut make(), probe);
+                assert_eq!(got.outcome.printed, want.outcome.printed, "{probe}");
+                assert_eq!(tiers(&got), tiers(&want), "{probe}");
+                // The hot function gets its own compile rounds, each
+                // analysed when the guard is on.
+                assert!(got_rounds >= 1, "{probe}");
+                assert_eq!(got_rounds, want_rounds, "{probe}");
+                assert_eq!(got.analysis_cycles > 0, is_guarded, "{probe}");
+                if !is_guarded {
+                    assert_eq!(got.outcome.cycles, want.outcome.cycles, "{probe}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn collector_sees_the_run_without_changing_cycles() {
-        use jitbull_telemetry::Recorder;
         let plain = Engine::run_source(SUM_LOOP, EngineConfig::fast_test()).unwrap();
         let mut engine = Engine::new(EngineConfig::fast_test());
         let rec = Rc::new(RefCell::new(Recorder::new()));

@@ -254,6 +254,20 @@ pub struct OptimizeOptions {
     pub faults: FaultInjector,
 }
 
+impl OptimizeOptions {
+    /// Whether [`optimize`] skips `slot`: it is disabled and disableable.
+    fn skips(&self, slot: usize) -> bool {
+        PIPELINE[slot].disableable && self.disabled_slots.contains(&slot)
+    }
+
+    /// The slots [`optimize`] skips under these options, sorted. Any other
+    /// entry of `disabled_slots` leaves the output unchanged, so a compile
+    /// cache keys on exactly these.
+    pub fn skipped_slots(&self) -> Vec<usize> {
+        (0..N_SLOTS).filter(|&s| self.skips(s)).collect()
+    }
+}
+
 /// Measurements for one executed slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRun {
@@ -311,7 +325,7 @@ pub fn optimize(
     let mut slot_runs = Vec::new();
     let mut injected = Vec::new();
     for (index, slot) in PIPELINE.iter().enumerate() {
-        if options.disabled_slots.contains(&index) && slot.disableable {
+        if options.skips(index) {
             continue;
         }
         let mut stall_work = 0u64;

@@ -65,7 +65,9 @@ pub struct Request {
     /// The script source to execute.
     pub source: String,
     /// Per-request engine configuration (tier thresholds, vulnerability
-    /// set, comparator mode, …).
+    /// set, …). The serving worker replaces its `faults` and `quarantine`
+    /// with the pool's, and clears `jit_enabled` when it degrades the
+    /// request.
     pub config: EngineConfig,
     /// Maximum time the request may wait in the queue before the worker
     /// degrades it to interpreter-only execution (`None` = never).

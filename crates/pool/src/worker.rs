@@ -141,12 +141,6 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     // quarantine strikes accumulate across requests and worker respawns.
     config.faults = ctx.faults.clone();
     config.quarantine = ctx.quarantine.clone();
-    // The pool's shared compile cache is authoritative: every worker
-    // caches into (and hits from) the same store. DNAs outlive snapshot
-    // swaps because extraction never reads the VDC database; verdicts are
-    // shared by workers on the same snapshot generation. The request
-    // keeps its own extractor and comparator modes.
-    config.memo = ctx.memo.clone();
 
     // Circuit breaker: an open breaker degrades the run engine-wide; a
     // half-open one lets exactly one probe compile.
@@ -162,10 +156,15 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     let jit_ran = config.jit_enabled;
 
     let db = Arc::clone(state.db.as_ref().expect("snapshot loaded"));
-    let guard = state
-        .guard
-        .take()
-        .unwrap_or_else(|| Guard::new((*db).clone(), ctx.compare));
+    // A new guard gets the pool's shared compile cache: every worker
+    // caches into (and hits from) the same store. DNAs outlive snapshot
+    // swaps because extraction never reads the VDC database; verdicts are
+    // shared by workers on the same snapshot generation.
+    let guard = state.guard.take().unwrap_or_else(|| {
+        let mut guard = Guard::new((*db).clone(), ctx.compare);
+        guard.set_dna_memo(ctx.memo.clone());
+        guard
+    });
     let mut engine = Engine::with_guard(config, guard);
     if let Some(shared) = &ctx.collector {
         engine.set_collector(Rc::new(RefCell::new(Forward(Arc::clone(shared)))));
@@ -173,7 +172,7 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     let started = Instant::now();
     let result = engine.run_source_with(&request.source);
     let run_micros = started.elapsed().as_micros() as u64;
-    let compile_failures = engine.compile_failures;
+    let compile_failures = engine.compile_failures();
     // Keep the warm guard for the next request on this snapshot.
     state.guard = engine.into_guard();
 

@@ -97,12 +97,9 @@ fn guarded_cost_model_is_pinned() {
             modes.push(("reference", ExtractorMode::Reference));
         }
         for (mode, extractor) in modes {
-            let config = EngineConfig {
-                extractor,
-                ..Default::default()
-            };
-            let guard = Guard::new(db.clone(), CompareConfig::default());
-            let out = Engine::with_guard(config, guard)
+            let mut guard = Guard::new(db.clone(), CompareConfig::default());
+            guard.set_extractor_mode(extractor);
+            let out = Engine::with_guard(EngineConfig::default(), guard)
                 .run_source_with(&w.source)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             table.push_str(&cost_line(&format!("{}/{mode}", w.name), &out));

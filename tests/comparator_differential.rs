@@ -331,10 +331,10 @@ fn engine_outcomes_identical_across_comparator_modes() {
         let run = |mode: ComparatorMode| {
             let config = EngineConfig {
                 vulns: VulnConfig::all(),
-                comparator: mode,
                 ..Default::default()
             };
-            let guard = Guard::new(db.clone(), CompareConfig::default());
+            let mut guard = Guard::new(db.clone(), CompareConfig::default());
+            guard.set_comparator_mode(mode);
             let mut engine = Engine::with_guard(config, guard);
             let outcome = run_script(&poc.source, &mut engine)
                 .unwrap_or_else(|e| panic!("{}: {e}", poc.name));

@@ -156,13 +156,12 @@ fn compile_checked(guard: &Guard, module: &Module, func: FuncId, label: &str) ->
         let Ok(mir) = build_mir(module, func) else {
             return round - 1;
         };
-        let disabled: Vec<usize> = options
-            .disabled_slots
-            .iter()
-            .copied()
-            .filter(|&s| slot_disableable(s))
-            .collect();
-        let key = CompileKey::new(module.function(func), disabled, N_SLOTS, vulns.mask());
+        let key = CompileKey::new(
+            module.function(func),
+            options.skipped_slots(),
+            N_SLOTS,
+            vulns.mask(),
+        );
         let lookup = guard.lookup(key);
         options.trace = lookup.needs_trace();
         let result = optimize(mir, &vulns, &options);
@@ -250,18 +249,16 @@ fn engines_sharing_one_cache_decide_like_an_uncached_oracle_engine() {
     let full = build_database(&all_vdcs()).unwrap();
     let other = build_database(&[jitbull_vdc::vdc(CveId::Cve2019_9810)]).unwrap();
     let memo = DnaMemo::default();
-    let cached = EngineConfig {
+    let config = EngineConfig {
         vulns: VulnConfig::all(),
-        memo: memo.clone(),
         ..EngineConfig::fast_test()
     };
-    let uncached = EngineConfig {
-        extractor: ExtractorMode::Reference,
-        comparator: ComparatorMode::Reference,
-        ..cached.clone()
-    };
     let mut guards: Vec<Guard> = (0..2)
-        .map(|_| Guard::new(full.clone(), PERMISSIVE))
+        .map(|_| {
+            let mut g = Guard::new(full.clone(), PERMISSIVE);
+            g.set_dna_memo(memo.clone());
+            g
+        })
         .collect();
     let traffic = traffic();
     for (at, source) in traffic.iter().enumerate() {
@@ -270,11 +267,13 @@ fn engines_sharing_one_cache_decide_like_an_uncached_oracle_engine() {
         // worker carries its warm guard from request to request.
         let slot = at % 2;
         let guard = std::mem::take(&mut guards[slot]);
-        let oracle_guard = Guard::new(guard.db().clone(), PERMISSIVE);
-        let mut engine = Engine::with_guard(cached.clone(), guard);
+        let mut oracle_guard = Guard::new(guard.db().clone(), PERMISSIVE);
+        oracle_guard.set_extractor_mode(ExtractorMode::Reference);
+        oracle_guard.set_comparator_mode(ComparatorMode::Reference);
+        let mut engine = Engine::with_guard(config.clone(), guard);
         let got = engine.run_source_with(source).unwrap();
         guards[slot] = engine.into_guard().unwrap();
-        let want = Engine::with_guard(uncached.clone(), oracle_guard)
+        let want = Engine::with_guard(config.clone(), oracle_guard)
             .run_source_with(source)
             .unwrap();
         assert_eq!(got.outcome.printed, want.outcome.printed, "traffic {at}");

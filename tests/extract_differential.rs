@@ -295,11 +295,11 @@ fn engine_runs_agree_across_extractor_modes() {
         for mode in [ExtractorMode::Reference, ExtractorMode::Incremental] {
             let config = EngineConfig {
                 vulns: VulnConfig::with([CveId::Cve2019_17026]),
-                extractor: mode,
                 ..EngineConfig::fast_test()
             };
-            let guard =
+            let mut guard =
                 jitbull::Guard::new(db.clone(), jitbull::CompareConfig { thr: 1, ratio: 0.5 });
+            guard.set_extractor_mode(mode);
             let mut engine = Engine::with_guard(config, guard);
             runs.push(engine.run_source_with(&w.source).unwrap());
         }

@@ -30,17 +30,18 @@ fn serve_array_source() -> String {
         .source
 }
 
-fn vulnerable_config(memo: &DnaMemo) -> EngineConfig {
+fn vulnerable_config() -> EngineConfig {
     EngineConfig {
         vulns: VulnConfig::with([CveId::Cve2019_17026]),
-        memo: memo.clone(),
         ..EngineConfig::fast_test()
     }
 }
 
-fn guarded_engine(config: EngineConfig) -> Engine {
+fn guarded_engine(config: EngineConfig, memo: &DnaMemo) -> Engine {
     let db = build_database(&[vdc(CveId::Cve2019_17026)]).unwrap();
-    Engine::with_guard(config, Guard::new(db, PERMISSIVE))
+    let mut guard = Guard::new(db, PERMISSIVE);
+    guard.set_dna_memo(memo.clone());
+    Engine::with_guard(config, guard)
 }
 
 #[test]
@@ -52,7 +53,7 @@ fn recompile_after_schedule_change_misses_then_repeat_run_hits() {
     // and the retry runs a *different* pass schedule (dangerous slots
     // disabled). Both analyses must miss the memo — same function, same
     // pre-MIR, different schedule ⇒ different key.
-    let mut engine = guarded_engine(vulnerable_config(&memo));
+    let mut engine = guarded_engine(vulnerable_config(), &memo);
     let first = engine.run_source_with(&src).unwrap();
     assert!(first.nr_disjit > 0, "the recompile path must be exercised");
     let cold = memo.stats();
@@ -67,7 +68,7 @@ fn recompile_after_schedule_change_misses_then_repeat_run_hits() {
     // Second run, fresh engine, same memo: both rounds replay the same
     // schedules, so both hit — and the verdicts are identical, proving
     // the memoized DNA is the one the oracle would re-extract.
-    let mut engine = guarded_engine(vulnerable_config(&memo));
+    let mut engine = guarded_engine(vulnerable_config(), &memo);
     let second = engine.run_source_with(&src).unwrap();
     let warm = memo.stats();
     assert_eq!(warm.hits, cold.lookups, "repeat run hits on every round");
@@ -86,7 +87,7 @@ fn recompile_after_schedule_change_misses_then_repeat_run_hits() {
 fn vuln_context_change_cannot_serve_a_stale_extraction() {
     let memo = DnaMemo::default();
     let src = serve_array_source();
-    let mut engine = guarded_engine(vulnerable_config(&memo));
+    let mut engine = guarded_engine(vulnerable_config(), &memo);
     engine.run_source_with(&src).unwrap();
     let before = memo.stats();
     assert!(before.insertions > 0);
@@ -94,11 +95,7 @@ fn vuln_context_change_cannot_serve_a_stale_extraction() {
     // Same program on a *patched* engine: the vulnerability fingerprint
     // keys the memo, so nothing extracted on the vulnerable engine may be
     // served — the patched pipeline produces different deltas.
-    let mut patched = guarded_engine(EngineConfig {
-        vulns: VulnConfig::none(),
-        memo: memo.clone(),
-        ..EngineConfig::fast_test()
-    });
+    let mut patched = guarded_engine(EngineConfig::fast_test(), &memo);
     let out = patched.run_source_with(&src).unwrap();
     assert!(!out.outcome.printed.is_empty());
     let after = memo.stats();
@@ -121,24 +118,24 @@ fn ir_corrupt_compilation_never_reaches_the_memo() {
     // compilation before analysis, so the extractor never runs and the
     // memo must stay empty — no corrupt trace is ever memoized. (Each
     // round still looks its key up: the lookup precedes the pipeline.)
-    let mut config = vulnerable_config(&memo);
+    let mut config = vulnerable_config();
     config.faults = FaultInjector::from_plan(FaultPlan::new(7).script(
         FaultSite::PassRun,
         FaultKind::IrCorrupt,
         0,
         u64::MAX,
     ));
-    let mut engine = guarded_engine(config);
+    let mut engine = guarded_engine(config, &memo);
     let broken = engine.run_source_with(&src).unwrap();
     assert!(!broken.outcome.printed.is_empty(), "the run still answers");
-    assert!(engine.compile_failures > 0, "the corruption must fire");
+    assert!(broken.compile_failures > 0, "the corruption must fire");
     let stats = memo.stats();
     assert_eq!(stats.insertions, 0, "a broken compile must not memoize");
     assert!(memo.is_empty());
 
     // A clean engine sharing the memo starts from scratch — misses, then
     // extracts fresh and reaches the normal verdicts.
-    let mut clean = guarded_engine(vulnerable_config(&memo));
+    let mut clean = guarded_engine(vulnerable_config(), &memo);
     let out = clean.run_source_with(&src).unwrap();
     assert_eq!(memo.stats().hits, 0, "nothing stale to serve");
     assert!(memo.stats().insertions > 0);
@@ -153,7 +150,7 @@ fn quarantined_functions_never_compile_hence_never_touch_the_memo() {
 
     // Every compilation panics: the function earns its strikes and lands
     // in quarantine without a single successful extraction.
-    let mut config = vulnerable_config(&memo);
+    let mut config = vulnerable_config();
     config.quarantine = quarantine.clone();
     config.faults = FaultInjector::from_plan(FaultPlan::new(11).script(
         FaultSite::PassRun,
@@ -161,7 +158,7 @@ fn quarantined_functions_never_compile_hence_never_touch_the_memo() {
         0,
         u64::MAX,
     ));
-    let mut engine = guarded_engine(config);
+    let mut engine = guarded_engine(config, &memo);
     engine.run_source_with(&src).unwrap();
     engine.run_source_with(&src).unwrap();
     assert!(
@@ -176,9 +173,9 @@ fn quarantined_functions_never_compile_hence_never_touch_the_memo() {
     // A healthy engine sharing the quarantine list refuses to compile the
     // pinned function at all — so the memo still sees zero traffic for
     // it, and no stale DNA can possibly be served.
-    let mut config = vulnerable_config(&memo);
+    let mut config = vulnerable_config();
     config.quarantine = quarantine.clone();
-    let mut healthy = guarded_engine(config);
+    let mut healthy = guarded_engine(config, &memo);
     let out = healthy.run_source_with(&src).unwrap();
     assert!(!out.outcome.printed.is_empty());
     assert_eq!(
@@ -214,7 +211,7 @@ fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
     let src = serve_array_source();
 
     // Warm the memo with a clean run.
-    let mut engine = guarded_engine(vulnerable_config(&memo));
+    let mut engine = guarded_engine(vulnerable_config(), &memo);
     let clean = engine.run_source_with(&src).unwrap();
     let warm = memo.stats();
     assert!(warm.insertions >= 2);
@@ -222,14 +219,14 @@ fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
     // Poison the store on the first extractor query of the next run: the
     // purge-before-serve path must discard every entry, re-extract, and
     // reach the same verdicts — reported through telemetry.
-    let mut config = vulnerable_config(&memo);
+    let mut config = vulnerable_config();
     config.faults = FaultInjector::from_plan(FaultPlan::new(13).script(
         FaultSite::ExtractQuery,
         FaultKind::CachePoison,
         0,
         1,
     ));
-    let mut poisoned = guarded_engine(config);
+    let mut poisoned = guarded_engine(config, &memo);
     let rec = Rc::new(RefCell::new(Recorder::new()));
     poisoned.set_collector(rec.clone());
     let out = poisoned.run_source_with(&src).unwrap();

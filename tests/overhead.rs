@@ -1,9 +1,9 @@
 //! Figure-5/6 reproduction bounds: JITBULL's overhead properties.
 
-use jitbull::ComparatorMode;
+use jitbull::{ComparatorMode, CompareConfig, Guard};
 use jitbull_bench::figures::{db_with, fig5, fig6, fig6_comparator};
-use jitbull_jit::engine::EngineConfig;
-use jitbull_workloads::{octane_analogues, run_workload};
+use jitbull_jit::engine::{Engine, EngineConfig};
+use jitbull_workloads::octane_analogues;
 
 #[test]
 fn fig5_overhead_shapes_match_paper() {
@@ -86,16 +86,15 @@ fn indexed_comparator_beats_reference_at_db8() {
     let (db, vulns) = db_with(8);
     for w in &octane_analogues() {
         let run = |mode: ComparatorMode| {
-            run_workload(
-                w,
-                EngineConfig {
-                    vulns: vulns.clone(),
-                    comparator: mode,
-                    ..Default::default()
-                },
-                Some(db.clone()),
-            )
-            .expect("workload runs")
+            let mut guard = Guard::new(db.clone(), CompareConfig::default());
+            guard.set_comparator_mode(mode);
+            let config = EngineConfig {
+                vulns: vulns.clone(),
+                ..Default::default()
+            };
+            Engine::with_guard(config, guard)
+                .run_source_with(&w.source)
+                .expect("workload runs")
         };
         let reference = run(ComparatorMode::Reference);
         let indexed = run(ComparatorMode::Indexed);
@@ -103,7 +102,7 @@ fn indexed_comparator_beats_reference_at_db8() {
         assert_eq!(reference.nr_jit, indexed.nr_jit, "{}", w.name);
         assert_eq!(reference.nr_disjit, indexed.nr_disjit, "{}", w.name);
         assert_eq!(reference.nr_nojit, indexed.nr_nojit, "{}", w.name);
-        assert_eq!(reference.ops, indexed.ops, "{}", w.name);
+        assert_eq!(reference.outcome.ops, indexed.outcome.ops, "{}", w.name);
         assert!(
             indexed.analysis_cycles < reference.analysis_cycles,
             "{}: indexed {} >= reference {} analysis cycles",

@@ -127,10 +127,10 @@ fn patch_lifecycle_removes_protection_overhead_and_detection() {
     assert!(guard.db_mut().remove_cve(cve.name()) > 0);
     assert!(!guard.enabled());
     let mut engine = Engine::with_guard(EngineConfig::default(), guard);
-    let outcome = run_script(&base.source, &mut engine).expect("runs");
-    assert!(!outcome.is_compromised());
-    assert_eq!(engine.nr_disjit() + engine.nr_nojit(), 0);
-    assert_eq!(engine.analysis_cycles, 0, "empty DB must cost nothing");
+    let out = engine.run_source_with(&base.source).expect("runs");
+    assert!(!out.outcome.status.is_compromised());
+    assert_eq!(out.nr_disjit + out.nr_nojit, 0);
+    assert_eq!(out.analysis_cycles, 0, "empty DB must cost nothing");
 }
 
 #[test]
