@@ -2,10 +2,9 @@
 //! run once per comparator mode (naive reference vs indexed pipeline),
 //! plus a kernel microbench of the comparator itself.
 
-use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig, Guard};
-use jitbull_bench::figures::db_with;
+use jitbull::{ComparatorIndex, ComparatorMode, CompareConfig};
+use jitbull_bench::figures::{db_with, run_tuned};
 use jitbull_bench::timing::bench;
-use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_workloads::workload;
 
 fn main() {
@@ -19,15 +18,7 @@ fn main() {
         for n in [1usize, 2, 4, 8] {
             let (db, vulns) = db_with(n);
             bench(&format!("db_size_{n}_{tag}"), 2, 10, || {
-                let mut guard = Guard::new(db.clone(), CompareConfig::default());
-                guard.set_comparator_mode(mode);
-                let config = EngineConfig {
-                    vulns: vulns.clone(),
-                    ..Default::default()
-                };
-                Engine::with_guard(config, guard)
-                    .run_source_with(&w.source)
-                    .unwrap()
+                run_tuned(&w, &db, &vulns, |g| g.set_comparator_mode(mode))
             });
         }
     }

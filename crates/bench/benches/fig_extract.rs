@@ -5,11 +5,10 @@
 //! simulated-cycle count, printed alongside; wall-clock measures the host
 //! cost of running the simulator.
 
-use jitbull::{CompareConfig, DnaMemo, ExtractorMode, Guard, IncrementalExtractor, MemoEntry};
-use jitbull_bench::figures::db_with;
+use jitbull::{DnaMemo, ExtractorMode, IncrementalExtractor, MemoEntry};
+use jitbull_bench::figures::{db_with, run_tuned};
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
-use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
 use jitbull_mir::{build_mir, CompileKey};
@@ -19,10 +18,6 @@ use jitbull_workloads::workload;
 fn main() {
     let w = workload("Splay").expect("workload exists");
     let (db, vulns) = db_with(4);
-    let config = EngineConfig {
-        vulns,
-        ..Default::default()
-    };
 
     // First-compile path: fresh memo per iteration, so the incremental
     // win is pure structural diffing (unchanged passes skipped), not
@@ -37,13 +32,7 @@ fn main() {
             ExtractorMode::Reference => "ref",
             ExtractorMode::Incremental => "inc",
         };
-        let run = || {
-            let mut guard = Guard::new(db.clone(), CompareConfig::default());
-            guard.set_extractor_mode(mode);
-            Engine::with_guard(config.clone(), guard)
-                .run_source_with(&w.source)
-                .unwrap()
-        };
+        let run = || run_tuned(&w, &db, &vulns, |g| g.set_extractor_mode(mode));
         first_cycles[i] = run().analysis_cycles;
         bench(&format!("first_compile_{tag}"), 2, 10, run);
     }
@@ -61,13 +50,7 @@ fn main() {
     // extractions, every later run of the same program hits the memo.
     println!("fig_extract_splay_repeat_compile");
     let memo = DnaMemo::default();
-    let repeat = || {
-        let mut guard = Guard::new(db.clone(), CompareConfig::default());
-        guard.set_dna_memo(memo.clone());
-        Engine::with_guard(config.clone(), guard)
-            .run_source_with(&w.source)
-            .unwrap()
-    };
+    let repeat = || run_tuned(&w, &db, &vulns, |g| g.set_dna_memo(memo.clone()));
     let cold = repeat().analysis_cycles;
     let warm = repeat().analysis_cycles;
     bench("repeat_compile_memo_warm", 2, 10, repeat);

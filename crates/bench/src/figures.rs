@@ -2,10 +2,12 @@
 //! database-size scalability on the workload suite.
 
 use jitbull::{ComparatorMode, CompareConfig, DnaDatabase, Guard};
-use jitbull_jit::engine::{Engine, EngineConfig};
+use jitbull_jit::engine::EngineConfig;
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_vdc::{build_database, vdc};
-use jitbull_workloads::{all_workloads, octane_analogues, run_workload, Measurement, Workload};
+use jitbull_workloads::{
+    all_workloads, octane_analogues, run_workload, run_workload_guarded, Measurement, Workload,
+};
 
 /// The database-growth order used by Figures 4–6: the paper's #1 database
 /// holds CVE-2019-17026; #4 holds the §VI-B security set; #5–#8 add the
@@ -31,6 +33,29 @@ pub fn db_with(n: usize) -> (DnaDatabase, VulnConfig) {
     let vdcs: Vec<_> = cves.iter().map(|c| vdc(*c)).collect();
     let db = build_database(&vdcs).expect("db builds");
     (db, VulnConfig::with(cves))
+}
+
+/// Runs `w` on an engine shipping `vulns`, under a default-threshold
+/// guard over `db` that `tune` sets up (comparator or extractor mode,
+/// shared DNA memo).
+///
+/// # Panics
+///
+/// Panics if the run fails, e.g. when a harmless workload reports a
+/// compromise.
+pub fn run_tuned(
+    w: &Workload,
+    db: &DnaDatabase,
+    vulns: &VulnConfig,
+    tune: impl FnOnce(&mut Guard),
+) -> Measurement {
+    let mut guard = Guard::new(db.clone(), CompareConfig::default());
+    tune(&mut guard);
+    let config = EngineConfig {
+        vulns: vulns.clone(),
+        ..Default::default()
+    };
+    run_workload_guarded(w, config, guard).expect("workload runs")
 }
 
 /// One Figure-4 row.
@@ -293,16 +318,7 @@ pub fn fig6_comparator(workloads: &[Workload], sizes: &[usize]) -> Vec<Fig6Compa
                 .iter()
                 .map(|(db, vulns)| {
                     let run = |mode: ComparatorMode| {
-                        let mut guard = Guard::new(db.clone(), CompareConfig::default());
-                        guard.set_comparator_mode(mode);
-                        let config = EngineConfig {
-                            vulns: vulns.clone(),
-                            ..Default::default()
-                        };
-                        Engine::with_guard(config, guard)
-                            .run_source_with(&w.source)
-                            .expect("workload runs")
-                            .analysis_cycles
+                        run_tuned(w, db, vulns, |g| g.set_comparator_mode(mode)).analysis_cycles
                     };
                     (run(ComparatorMode::Reference), run(ComparatorMode::Indexed))
                 })

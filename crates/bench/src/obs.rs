@@ -6,12 +6,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use jitbull::{CompareConfig, DnaDatabase, Guard};
-use jitbull_jit::engine::{Engine, EngineConfig};
+use jitbull::DnaDatabase;
+use jitbull_jit::engine::EngineConfig;
 use jitbull_telemetry::{Recorder, SlotStat};
 use jitbull_workloads::{run_workload, run_workload_observed, Workload};
 
-use crate::figures::db_with;
+use crate::figures::{db_with, run_tuned};
 
 /// Per-workload telemetry summary: one row of the `obs` report.
 #[derive(Debug)]
@@ -148,16 +148,7 @@ pub fn empty_db_overhead(w: &Workload) -> (u64, u64) {
 pub fn comparator_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
     let (db, vulns) = db_with(n_vdcs);
     let run = |mode: jitbull::ComparatorMode| {
-        let mut guard = Guard::new(db.clone(), CompareConfig::default());
-        guard.set_comparator_mode(mode);
-        let config = EngineConfig {
-            vulns: vulns.clone(),
-            ..Default::default()
-        };
-        Engine::with_guard(config, guard)
-            .run_source_with(&w.source)
-            .expect("workload runs")
-            .analysis_cycles
+        run_tuned(w, &db, &vulns, |g| g.set_comparator_mode(mode)).analysis_cycles
     };
     (
         run(jitbull::ComparatorMode::Reference),
@@ -172,16 +163,7 @@ pub fn comparator_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
 pub fn extractor_cycles(w: &Workload, n_vdcs: usize) -> (u64, u64) {
     let (db, vulns) = db_with(n_vdcs);
     let run = |mode: jitbull::ExtractorMode| {
-        let mut guard = Guard::new(db.clone(), CompareConfig::default());
-        guard.set_extractor_mode(mode);
-        let config = EngineConfig {
-            vulns: vulns.clone(),
-            ..Default::default()
-        };
-        Engine::with_guard(config, guard)
-            .run_source_with(&w.source)
-            .expect("workload runs")
-            .analysis_cycles
+        run_tuned(w, &db, &vulns, |g| g.set_extractor_mode(mode)).analysis_cycles
     };
     (
         run(jitbull::ExtractorMode::Reference),

@@ -585,16 +585,14 @@ impl Engine {
     ///
     /// Returns [`VmError`] for parse/compile/type/fuel errors.
     pub fn run_source_with(&mut self, source: &str) -> Result<EngineOutcome, VmError> {
+        self.run = Run::default();
         let program = parse_program(source).map_err(|e| VmError::Parse(e.to_string()))?;
         let module = compile_program(&program)?;
-        self.run = Run {
-            funcs: module
-                .functions
-                .iter()
-                .map(|_| FuncState::default())
-                .collect(),
-            ..Run::default()
-        };
+        self.run.funcs = module
+            .functions
+            .iter()
+            .map(|_| FuncState::default())
+            .collect();
         let mut rt = Runtime::with_fuel(self.config.fuel);
         let result = interp::run_module(&mut rt, &module, self);
         match result {
@@ -824,6 +822,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_script_that_fails_to_parse_leaves_no_statistics_behind() {
+        let mut engine = Engine::new(EngineConfig::fast_test());
+        engine.run_source_with(SUM_LOOP).unwrap();
+        assert_eq!(engine.nr_jit(), 1);
+        assert!(engine.run_source_with("function (").is_err());
+        assert_eq!(engine.nr_jit(), 0);
+        let module = compile_program(&parse_program(SUM_LOOP).unwrap()).unwrap();
+        assert!(engine.function_stats(&module).is_empty());
     }
 
     #[test]

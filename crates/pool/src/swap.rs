@@ -94,8 +94,9 @@ mod tests {
 
     #[test]
     fn loads_never_see_torn_pairs_under_concurrent_publishes() {
-        let cell = Arc::new(EpochCell::new(db_with("CVE-0").snapshot()));
-        // Publisher installs CVE-<epoch> so content encodes the epoch.
+        let cell = Arc::new(EpochCell::new(db_with("CVE-1").snapshot()));
+        // The cell starts at epoch 1 and the publisher installs
+        // CVE-<epoch>, so content encodes the epoch.
         let publisher = {
             let cell = Arc::clone(&cell);
             std::thread::spawn(move || {

@@ -83,7 +83,21 @@ pub fn run_workload(
     config: EngineConfig,
     db: Option<DnaDatabase>,
 ) -> Result<Measurement, VmError> {
-    run_inner(w, config, db, None)
+    run_inner(w, config, db.map(default_guard), None)
+}
+
+/// Like [`run_workload`], under a guard the caller built — to pick its
+/// comparator or extractor mode, or to share its DNA memo.
+///
+/// # Errors
+///
+/// Same as [`run_workload`].
+pub fn run_workload_guarded(
+    w: &Workload,
+    config: EngineConfig,
+    guard: Guard,
+) -> Result<Measurement, VmError> {
+    run_inner(w, config, Some(guard), None)
 }
 
 /// Like [`run_workload`], with a telemetry collector attached to the
@@ -98,17 +112,21 @@ pub fn run_workload_observed(
     db: Option<DnaDatabase>,
     collector: Rc<RefCell<dyn Collector>>,
 ) -> Result<Measurement, VmError> {
-    run_inner(w, config, db, Some(collector))
+    run_inner(w, config, db.map(default_guard), Some(collector))
+}
+
+fn default_guard(db: DnaDatabase) -> Guard {
+    Guard::new(db, CompareConfig::default())
 }
 
 fn run_inner(
     w: &Workload,
     config: EngineConfig,
-    db: Option<DnaDatabase>,
+    guard: Option<Guard>,
     collector: Option<Rc<RefCell<dyn Collector>>>,
 ) -> Result<Measurement, VmError> {
-    let mut engine = match db {
-        Some(db) => Engine::with_guard(config, Guard::new(db, CompareConfig::default())),
+    let mut engine = match guard {
+        Some(guard) => Engine::with_guard(config, guard),
         None => Engine::new(config),
     };
     if let Some(c) = collector {

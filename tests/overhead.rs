@@ -1,8 +1,7 @@
 //! Figure-5/6 reproduction bounds: JITBULL's overhead properties.
 
-use jitbull::{ComparatorMode, CompareConfig, Guard};
-use jitbull_bench::figures::{db_with, fig5, fig6, fig6_comparator};
-use jitbull_jit::engine::{Engine, EngineConfig};
+use jitbull::ComparatorMode;
+use jitbull_bench::figures::{db_with, fig5, fig6, fig6_comparator, run_tuned};
 use jitbull_workloads::octane_analogues;
 
 #[test]
@@ -85,24 +84,14 @@ fn db_construction_is_deterministic() {
 fn indexed_comparator_beats_reference_at_db8() {
     let (db, vulns) = db_with(8);
     for w in &octane_analogues() {
-        let run = |mode: ComparatorMode| {
-            let mut guard = Guard::new(db.clone(), CompareConfig::default());
-            guard.set_comparator_mode(mode);
-            let config = EngineConfig {
-                vulns: vulns.clone(),
-                ..Default::default()
-            };
-            Engine::with_guard(config, guard)
-                .run_source_with(&w.source)
-                .expect("workload runs")
-        };
+        let run = |mode: ComparatorMode| run_tuned(w, &db, &vulns, |g| g.set_comparator_mode(mode));
         let reference = run(ComparatorMode::Reference);
         let indexed = run(ComparatorMode::Indexed);
         // Same verdict mix and same execution, cheaper analysis.
         assert_eq!(reference.nr_jit, indexed.nr_jit, "{}", w.name);
         assert_eq!(reference.nr_disjit, indexed.nr_disjit, "{}", w.name);
         assert_eq!(reference.nr_nojit, indexed.nr_nojit, "{}", w.name);
-        assert_eq!(reference.outcome.ops, indexed.outcome.ops, "{}", w.name);
+        assert_eq!(reference.ops, indexed.ops, "{}", w.name);
         assert!(
             indexed.analysis_cycles < reference.analysis_cycles,
             "{}: indexed {} >= reference {} analysis cycles",
