@@ -2,7 +2,7 @@
 //! trace and comparison against databases of increasing size — the raw
 //! costs behind the paper's overhead figures.
 
-use jitbull::{CompareConfig, Guard};
+use jitbull::{CompareConfig, Guard, Lookup};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
@@ -38,7 +38,7 @@ fn main() {
         let (db, _) = db_with(n);
         let guard = Guard::new(db, CompareConfig::default());
         bench(&format!("db_size_{n}"), 5, 20, || {
-            guard.analyze(&trace, N_SLOTS)
+            guard.analyze_compile(Lookup::default(), &trace, N_SLOTS, None)
         });
     }
 }

@@ -50,7 +50,8 @@ pub struct ObsRow {
     pub extract_memo_hits: u64,
     /// Passes whose changed subgraphs were actually enumerated.
     pub extract_passes_enumerated: u64,
-    /// Passes skipped by the edge-multiset fast path.
+    /// Passes proven empty without enumeration (unchanged snapshot or
+    /// unchanged edge multiset).
     pub extract_passes_skipped: u64,
     /// Chains walked through changed subgraphs.
     pub extract_chains_enumerated: u64,

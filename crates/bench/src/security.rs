@@ -2,12 +2,14 @@
 //! plus the cross-implementation check for CVE-2019-17026.
 
 use jitbull::{CompareConfig, Guard};
+use jitbull_frontend::parse_program;
 use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_vdc::validate::run_script;
 use jitbull_vdc::{
     alternate_implementation, build_database, generate, vdc, VariantKind, Vdc, VdcOutcome,
 };
+use jitbull_vm::compile_program;
 
 /// One row of the detection table.
 #[derive(Debug, Clone)]
@@ -25,7 +27,8 @@ pub struct SecurityRow {
     /// Whether JITBULL flagged ≥1 function (disabled passes or vetoed the
     /// JIT).
     pub detected: bool,
-    /// Pipeline slots JITBULL disabled across functions.
+    /// Pipeline slots JITBULL disabled across functions, sorted and
+    /// deduplicated.
     pub disabled_slots: Vec<usize>,
 }
 
@@ -58,10 +61,17 @@ fn run_case(cve: CveId, case: &str, script: &Vdc, base: &Vdc) -> SecurityRow {
     );
     let protected = run_script(&script.source, &mut shielded).expect("protected run");
     let detected = shielded.nr_disjit() + shielded.nr_nojit() > 0;
-    // Collect disabled slots from the engine stats indirectly: re-derive
-    // from counters is enough for the report; detailed slots come from a
-    // follow-up run in the detailed report when needed.
-    let disabled_slots = Vec::new();
+    // The engine keeps the run's per-function verdicts even when a script
+    // error ended it; its statistics take the module only for names.
+    let program = parse_program(&script.source).expect("script parses");
+    let module = compile_program(&program).expect("script compiles");
+    let mut disabled_slots: Vec<usize> = shielded
+        .function_stats(&module)
+        .iter()
+        .flat_map(|f| f.disabled_slots.iter().copied())
+        .collect();
+    disabled_slots.sort_unstable();
+    disabled_slots.dedup();
     SecurityRow {
         cve,
         case: case.to_string(),

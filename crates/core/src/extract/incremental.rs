@@ -5,58 +5,59 @@
 //! root-to-leaf chain of *both* snapshots of *every* pass and then
 //! materialises, windows, and deduplicates label sub-chains through a
 //! `BTreeSet<Chain>` — even for the many passes that changed nothing.
-//! This module computes the same deltas, chain for chain, by diffing
-//! structurally first and touching strings only where the IR actually
-//! changed:
+//! This module computes the same deltas, chain for chain, on integers:
+//! snapshot labels are [`Label`]s, and label names are read only when a
+//! delta's chains are handed out.
 //!
-//! 1. **Edge-multiset fast path**: a pass's label-pair edge multisets
-//!    are compared before anything else. Each snapshot of a trace is
-//!    counted once: a record's `after` counts are the next record's
-//!    `before` counts, because that is the same snapshot. Equal
-//!    multisets mean both directed changed-edge sets are empty, which
-//!    means the reference's `diff_subchains` emits nothing regardless of
-//!    what the chains look like — so the delta is empty and chain
-//!    enumeration is skipped entirely. Most pipeline slots take this
-//!    path on real workloads.
-//! 2. **One-sided skip**: removed and added sub-chains depend on
+//! 1. **Unchanged-snapshot skip**: a pass whose `after` snapshot equals
+//!    its `before` has an empty delta, so nothing is counted. Most
+//!    pipeline slots leave the IR exactly as they found it.
+//! 2. **Edge-multiset fast path**: otherwise a pass's label-pair edge
+//!    multisets — sorted `(Label, Label)` vectors — are compared before
+//!    anything else. Each snapshot of a trace is counted at most once: a
+//!    record's `after` edges are the next record's `before` edges,
+//!    because that is the same snapshot. Equal multisets mean both
+//!    directed changed-edge sets are empty, which means the reference's
+//!    `diff_subchains` emits nothing regardless of what the chains look
+//!    like — so the delta is empty and chain enumeration is skipped.
+//! 3. **One-sided skip**: removed and added sub-chains depend on
 //!    *directed* multiplicity drops. A side whose changed-edge set is
 //!    empty contributes nothing, so its snapshot is never enumerated.
-//! 3. **Id-path enumeration with cached reuse**: when a side must be
-//!    enumerated, the DFS visits nodes in exactly the reference order
-//!    with the same [`super::MAX_CHAINS`] / [`super::MAX_CHAIN_LEN`]
-//!    caps, but records instruction-id paths instead of label vectors.
-//!    A record's `after` snapshot is the next record's `before`, so the
-//!    last enumeration is kept and reused when the snapshots compare
-//!    equal (full structural equality — reuse can never be wrong, and it
-//!    also serves an equal snapshot of a later trace).
-//! 4. **Interned runs and memoised windows**: changed-edge runs along a
-//!    path are materialised once, interned into the shared
-//!    [`ChainInterner`], and expanded into their contiguous windows via
-//!    a per-run-id cache. Duplicate sub-chains — the overwhelmingly
-//!    common case, since every window of every chain through a changed
-//!    region repeats — are deduplicated as `u32` ids and resolved back
-//!    to label chains exactly once at the end.
+//! 4. **Dense-graph enumeration with cached reuse**: when a side must be
+//!    enumerated, the snapshot becomes a graph over dense node positions
+//!    (ids sorted, operands resolved by binary search), and the DFS
+//!    visits nodes in exactly the reference order with the same
+//!    [`super::MAX_CHAINS`] / [`super::MAX_CHAIN_LEN`] caps, recording
+//!    position paths. A record's `after` snapshot is the next record's
+//!    `before`, so the last enumeration is kept and reused when the
+//!    snapshots compare equal (full structural equality — reuse can
+//!    never be wrong, and it also serves an equal snapshot of a later
+//!    trace).
+//! 5. **Interned runs and memoised windows**: changed-edge runs along a
+//!    path are interned as `Vec<Label>` and expanded into their
+//!    contiguous windows via a per-run-id cache. Duplicate sub-chains —
+//!    the overwhelmingly common case, since every window of every chain
+//!    through a changed region repeats — are deduplicated as a sorted id
+//!    vector, and each distinct id is resolved to its label-name
+//!    [`Chain`] once.
 //!
-//! Exactness argument, step by step: (1) and (2) only ever *conclude
-//! empty* when the reference provably emits empty; (3) walks the same
-//! paths in the same order under the same caps, so the emitted chain
-//! *set* is identical even when the caps bind; (4) is a pure
-//! representation change — run → windows is deterministic, and the final
-//! `BTreeSet` dedup is order-independent. The differential harness
+//! Exactness argument, step by step: (1), (2) and (3) only ever
+//! *conclude empty* when the reference provably emits empty; (4) walks
+//! the same paths in the same order under the same caps, so the emitted
+//! chain *set* is identical even when the caps bind; (5) is a pure
+//! representation change — labels and names are in bijection, run →
+//! windows is deterministic, and the final `BTreeSet` dedup is
+//! order-independent. The differential harness
 //! (`tests/extract_differential.rs`) locks this in against tens of
-//! thousands of random snapshot pairs.
+//! thousands of random snapshot pairs and real pipeline traces.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 
-use jitbull_mir::{MirSnapshot, PassTrace};
+use jitbull_mir::{Label, MirSnapshot, PassTrace};
 
 use crate::dna::{Chain, Dna, PassDelta};
-use crate::index::ChainInterner;
 
-use super::{
-    build_graph, changed_edges, edge_counts, DepGraph, EdgeCounts, MAX_CHAINS, MAX_CHAIN_LEN,
-};
+use super::{MAX_CHAINS, MAX_CHAIN_LEN};
 
 /// Cycles charged per instruction for building and comparing a pass's
 /// edge multisets (paid by every traced pass — the fast path's price).
@@ -81,7 +82,8 @@ pub struct ExtractReceipt {
     pub memo_hit: bool,
     /// Traced passes whose chains were enumerated (≥1 side changed).
     pub passes_enumerated: u64,
-    /// Traced passes proven empty by the edge-multiset fast path.
+    /// Traced passes proven empty without enumeration: an unchanged
+    /// snapshot or an unchanged edge multiset.
     pub passes_skipped: u64,
     /// Enumerated paths that crossed ≥1 changed edge (materialised).
     pub chains_enumerated: u64,
@@ -110,13 +112,202 @@ pub struct IncrementalStats {
     pub enum_reuses: u64,
 }
 
-/// One enumerated snapshot: its graph labels plus the id paths the
+/// A snapshot's label-pair edge multiset, sorted. Counting
+/// multiplicities (rather than set membership) keeps a removal visible
+/// even when an identically-labeled edge survives elsewhere in the
+/// function.
+type Edges = Vec<(Label, Label)>;
+
+/// `ir`'s instruction ids, ascending, with each id's label (the last
+/// instruction carrying an id wins, as in the reference's maps).
+fn labels_by_id(ir: &MirSnapshot) -> Vec<(u32, Label)> {
+    let mut by_id: Vec<(u32, Label)> = ir.instrs.iter().map(|i| (i.id, i.label)).collect();
+    // Stable, so equal ids keep snapshot order and the last one is kept.
+    by_id.sort_by_key(|&(id, _)| id);
+    by_id.dedup_by(|later, earlier| {
+        let same = later.0 == earlier.0;
+        if same {
+            earlier.1 = later.1;
+        }
+        same
+    });
+    by_id
+}
+
+/// The label of operand `id`: its instruction's, or [`Label::UNKNOWN`]
+/// when no instruction defines it.
+fn label_of(by_id: &[(u32, Label)], id: u32) -> Label {
+    by_id
+        .binary_search_by_key(&id, |&(i, _)| i)
+        .map_or(Label::UNKNOWN, |k| by_id[k].1)
+}
+
+/// `ir`'s [`Edges`]: one `(user, operand)` label pair per operand.
+fn edges(ir: &MirSnapshot) -> Edges {
+    let by_id = labels_by_id(ir);
+    let mut edges: Edges = ir
+        .instrs
+        .iter()
+        .flat_map(|i| i.operands.iter().map(|&o| (i.label, label_of(&by_id, o))))
+        .collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// The distinct edges whose multiplicity strictly dropped, each way:
+/// `(from → to drops, to → from drops)`, both sorted.
+fn changed_edges(from: &[(Label, Label)], to: &[(Label, Label)]) -> (Edges, Edges) {
+    let (mut dropped, mut grew) = (Vec::new(), Vec::new());
+    let (mut a, mut b) = (0, 0);
+    while a < from.len() || b < to.len() {
+        let edge = match (from.get(a), to.get(b)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => unreachable!("loop condition"),
+        };
+        let n_from = from[a..].iter().take_while(|&&e| e == edge).count();
+        let n_to = to[b..].iter().take_while(|&&e| e == edge).count();
+        if n_from > n_to {
+            dropped.push(edge);
+        } else if n_to > n_from {
+            grew.push(edge);
+        }
+        a += n_from;
+        b += n_to;
+    }
+    (dropped, grew)
+}
+
+/// A snapshot's dependency graph over dense node positions: every
+/// instruction id and every operand id, ascending, so position order is
+/// id order.
+struct Graph {
+    labels: Vec<Label>,
+    /// Each node's operands.
+    deps: Vec<Vec<u32>>,
+    /// Graph nodes no one depends on, ascending.
+    roots: Vec<u32>,
+}
+
+impl Graph {
+    /// The reference's `build_graph`, densely: an instruction with
+    /// operands and each of its operands enter the graph, operands of
+    /// instructions sharing an id concatenate in snapshot order.
+    fn build(ir: &MirSnapshot) -> Graph {
+        let mut ids = Vec::with_capacity(2 * ir.len());
+        for i in &ir.instrs {
+            ids.push(i.id);
+            ids.extend_from_slice(&i.operands);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let pos = |id: u32| ids.binary_search(&id).expect("every id is a node");
+        let n = ids.len();
+        let mut labels = vec![Label::UNKNOWN; n];
+        let mut deps = vec![Vec::new(); n];
+        let mut in_graph = vec![false; n];
+        let mut is_dep = vec![false; n];
+        for i in &ir.instrs {
+            let at = pos(i.id);
+            labels[at] = i.label;
+            in_graph[at] |= !i.operands.is_empty();
+            for &o in &i.operands {
+                let d = pos(o);
+                deps[at].push(d as u32);
+                in_graph[d] = true;
+                is_dep[d] = true;
+            }
+        }
+        let roots = (0..n)
+            .filter(|&k| in_graph[k] && !is_dep[k])
+            .map(|k| k as u32)
+            .collect();
+        Graph {
+            labels,
+            deps,
+            roots,
+        }
+    }
+}
+
+/// The reference DFS (`make_chains`) emitting position paths instead of
+/// label chains: same root order, same cycle guard, same emission
+/// points, same caps — so the path *set* is identical to the
+/// reference's chain set even when [`MAX_CHAINS`] binds.
+fn enumerate_paths(g: &Graph) -> Vec<Vec<u32>> {
+    let mut paths = Vec::new();
+    let mut on_path = vec![false; g.labels.len()];
+    for &root in &g.roots {
+        let mut path = vec![root];
+        on_path[root as usize] = true;
+        dfs(g, &mut path, &mut on_path, &mut paths);
+        on_path[root as usize] = false;
+        if paths.len() >= MAX_CHAINS {
+            break;
+        }
+    }
+    paths
+}
+
+fn dfs(g: &Graph, path: &mut Vec<u32>, on_path: &mut [bool], paths: &mut Vec<Vec<u32>>) {
+    if paths.len() >= MAX_CHAINS {
+        return;
+    }
+    let deps = &g.deps[*path.last().expect("path starts at a root") as usize];
+    // Leaf, cycle guard, or depth cap: emit the current path.
+    if path.len() >= MAX_CHAIN_LEN || deps.iter().all(|&d| on_path[d as usize]) {
+        paths.push(path.clone());
+        return;
+    }
+    for &d in deps {
+        // The path is the same at every iteration, so this is the
+        // reference's up-front "extendable" filter.
+        if on_path[d as usize] {
+            continue;
+        }
+        path.push(d);
+        on_path[d as usize] = true;
+        dfs(g, path, on_path, paths);
+        on_path[d as usize] = false;
+        path.pop();
+        if paths.len() >= MAX_CHAINS {
+            return;
+        }
+    }
+}
+
+/// One enumerated snapshot: its node labels plus the position paths the
 /// reference DFS would have emitted, in emission order.
 #[derive(Debug, Clone)]
 struct EnumCache {
     snapshot: MirSnapshot,
-    labels: HashMap<u32, Arc<str>>,
+    labels: Vec<Label>,
     paths: Vec<Vec<u32>>,
+}
+
+/// Label sub-chains by id, each with its label-name [`Chain`] and, once
+/// expanded as a run, the ids of its contiguous windows.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    ids: HashMap<Vec<Label>, u32>,
+    chains: Vec<Chain>,
+    /// chain id → ids of all its contiguous windows (≥2), once expanded.
+    windows: Vec<Option<Box<[u32]>>>,
+}
+
+impl Interner {
+    fn intern(&mut self, labels: &[Label]) -> u32 {
+        if let Some(&id) = self.ids.get(labels) {
+            return id;
+        }
+        let id = u32::try_from(self.chains.len()).expect("interner overflow");
+        self.chains
+            .push(labels.iter().map(|l| l.shared_name()).collect());
+        self.windows.push(None);
+        self.ids.insert(labels.to_vec(), id);
+        id
+    }
 }
 
 /// The incremental Δ-extractor. Interner and window caches persist
@@ -125,9 +316,7 @@ struct EnumCache {
 /// materialised once per process, not once per compilation.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalExtractor {
-    interner: ChainInterner,
-    /// run chain id → interned ids of all its contiguous windows (≥2).
-    run_windows: HashMap<u32, Arc<Vec<u32>>>,
+    interner: Interner,
     /// Last enumerated snapshot, reused when the next record's
     /// counterpart compares structurally equal.
     enum_cache: Option<EnumCache>,
@@ -153,19 +342,29 @@ impl IncrementalExtractor {
         self.stats.traces += 1;
         let mut dna = Dna::with_slots(n_slots);
         let mut receipt = ExtractReceipt::default();
-        // Each snapshot is counted once and serves as `after` of one pass
-        // and `before` of the next.
-        let mut counts_before = edge_counts(&trace.initial);
+        // The current `before`'s edges, counted on first need: each
+        // record's `after` is the next record's `before`.
+        let mut before_edges: Option<Edges> = None;
         for (before, record) in trace.passes() {
-            let counts_after = edge_counts(&record.after);
-            if record.slot < n_slots {
-                dna.deltas[record.slot] = self.delta_with_receipt(
-                    [before, &record.after],
-                    [&counts_before, &counts_after],
-                    &mut receipt,
-                );
+            let after = &record.after;
+            let in_range = record.slot < n_slots;
+            if after == before {
+                // Equal snapshots have equal edges: the delta is empty,
+                // and `before_edges` still describes the next `before`.
+                if in_range {
+                    self.skip(before, after, &mut receipt);
+                    dna.deltas[record.slot] = PassDelta::default();
+                }
+                continue;
             }
-            counts_before = counts_after;
+            if !in_range {
+                before_edges = None;
+                continue;
+            }
+            let from = before_edges.take().unwrap_or_else(|| edges(before));
+            let to = edges(after);
+            dna.deltas[record.slot] = self.delta([before, after], [&from, &to], &mut receipt);
+            before_edges = Some(to);
         }
         (dna, receipt)
     }
@@ -173,44 +372,48 @@ impl IncrementalExtractor {
     /// Incremental Algorithm 1 for one pass. Chain-for-chain equal to
     /// [`super::extract_delta`].
     pub fn extract_delta(&mut self, before: &MirSnapshot, after: &MirSnapshot) -> PassDelta {
-        let counts = [&edge_counts(before), &edge_counts(after)];
-        self.delta_with_receipt([before, after], counts, &mut ExtractReceipt::default())
+        let edges = [&edges(before), &edges(after)];
+        self.delta([before, after], edges, &mut ExtractReceipt::default())
+    }
+
+    /// Accounts a pass proven empty without enumeration.
+    fn skip(&mut self, before: &MirSnapshot, after: &MirSnapshot, receipt: &mut ExtractReceipt) {
+        receipt.cost_cycles += (before.len() + after.len()) as u64 * EDGE_DIFF_COST_PER_INSTR;
+        receipt.passes_skipped += 1;
+        self.stats.passes_skipped += 1;
     }
 
     /// One pass's delta from its `(before, after)` snapshots and their
     /// edge multisets.
-    fn delta_with_receipt(
+    fn delta(
         &mut self,
         [before, after]: [&MirSnapshot; 2],
-        [counts_before, counts_after]: [&EdgeCounts; 2],
+        [from, to]: [&Edges; 2],
         receipt: &mut ExtractReceipt,
     ) -> PassDelta {
-        let work = (before.len() + after.len()) as u64;
-        receipt.cost_cycles += work * EDGE_DIFF_COST_PER_INSTR;
-        if counts_before == counts_after {
+        if from == to {
             // No label-pair multiplicity moved in either direction, so
             // the reference's changed-edge sets are both empty and its
             // diff emits nothing — whatever the chains are.
-            receipt.passes_skipped += 1;
-            self.stats.passes_skipped += 1;
+            self.skip(before, after, receipt);
             return PassDelta::default();
         }
+        receipt.cost_cycles += (before.len() + after.len()) as u64 * EDGE_DIFF_COST_PER_INSTR;
         receipt.passes_enumerated += 1;
         self.stats.passes_enumerated += 1;
-        let removed_changed = changed_edges(counts_before, counts_after);
-        let added_changed = changed_edges(counts_after, counts_before);
+        let (removed, added) = changed_edges(from, to);
         PassDelta {
-            removed: self.side(before, &removed_changed, receipt),
-            added: self.side(after, &added_changed, receipt),
+            removed: self.side(before, &removed, receipt),
+            added: self.side(after, &added, receipt),
         }
     }
 
-    /// One delta side: enumerate (or reuse) the snapshot's id paths, then
+    /// One delta side: enumerate (or reuse) the snapshot's paths, then
     /// collect interned windows of every maximal changed-edge run.
     fn side(
         &mut self,
         ir: &MirSnapshot,
-        changed: &HashSet<(Arc<str>, Arc<str>)>,
+        changed: &[(Label, Label)],
         receipt: &mut ExtractReceipt,
     ) -> BTreeSet<Chain> {
         if changed.is_empty() {
@@ -219,85 +422,74 @@ impl IncrementalExtractor {
         }
         self.ensure_enumerated(ir, receipt);
         let cache = self.enum_cache.as_ref().expect("just enumerated");
-        let unknown: Arc<str> = Arc::from("?");
-        let label = |id: u32| {
-            cache
-                .labels
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| unknown.clone())
+        let labels = &cache.labels;
+        // Whether a changed edge leaves each node: most path edges fail
+        // this flag test and never reach the pair search.
+        let starts: Vec<bool> = labels
+            .iter()
+            .map(|&l| changed.binary_search_by(|e| e.0.cmp(&l)).is_ok())
+            .collect();
+        let is_changed = |a: u32, b: u32| {
+            starts[a as usize]
+                && changed
+                    .binary_search(&(labels[a as usize], labels[b as usize]))
+                    .is_ok()
         };
-        // Per-id-pair changed verdicts, memoised so each distinct edge
-        // pays the label-pair hash once and every revisit is an integer
-        // lookup.
-        let mut pair_changed: HashMap<(u32, u32), bool> = HashMap::new();
-        let mut out_ids: HashSet<u32> = HashSet::new();
-        let mut run_lookups: Vec<(usize, usize)> = Vec::new();
+        let mut out_ids: Vec<u32> = Vec::new();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut run: Vec<Label> = Vec::new();
         for path in &cache.paths {
             receipt.cost_cycles += SCAN_COST_PER_CHAIN;
-            run_lookups.clear();
+            runs.clear();
             let mut start: Option<usize> = None;
             for k in 0..path.len().saturating_sub(1) {
-                let edge_changed = *pair_changed
-                    .entry((path[k], path[k + 1]))
-                    .or_insert_with(|| changed.contains(&(label(path[k]), label(path[k + 1]))));
-                if edge_changed {
-                    if start.is_none() {
-                        start = Some(k);
-                    }
+                if is_changed(path[k], path[k + 1]) {
+                    start.get_or_insert(k);
                 } else if let Some(s) = start.take() {
-                    if k + 1 - s >= 2 {
-                        run_lookups.push((s, k + 1));
-                    }
+                    runs.push((s, k + 1));
                 }
             }
             if let Some(s) = start {
-                if path.len() - s >= 2 {
-                    run_lookups.push((s, path.len()));
-                }
+                runs.push((s, path.len()));
             }
-            if run_lookups.is_empty() {
+            if runs.is_empty() {
                 receipt.chains_skipped += 1;
                 self.stats.chains_skipped += 1;
                 continue;
             }
             receipt.chains_enumerated += 1;
             self.stats.chains_enumerated += 1;
-            for &(s, e) in &run_lookups {
-                let run: Chain = path[s..e].iter().map(|&id| label(id)).collect();
+            for &(s, e) in &runs {
+                run.clear();
+                run.extend(path[s..e].iter().map(|&n| labels[n as usize]));
                 receipt.cost_cycles += run.len() as u64 * RUN_INTERN_COST_PER_LABEL;
-                let run_id = self.interner.intern(&run);
-                let windows = match self.run_windows.get(&run_id) {
-                    Some(w) => {
-                        receipt.cost_cycles += RUN_CACHE_HIT_COST;
-                        self.stats.run_cache_hits += 1;
-                        Arc::clone(w)
+                let run_id = self.interner.intern(&run) as usize;
+                if let Some(windows) = &self.interner.windows[run_id] {
+                    receipt.cost_cycles += RUN_CACHE_HIT_COST;
+                    self.stats.run_cache_hits += 1;
+                    out_ids.extend_from_slice(windows);
+                    continue;
+                }
+                let mut windows = Vec::new();
+                for len in 2..=run.len() {
+                    for window in run.windows(len) {
+                        receipt.cost_cycles += len as u64 * RUN_INTERN_COST_PER_LABEL;
+                        windows.push(self.interner.intern(window));
                     }
-                    None => {
-                        let mut ids = Vec::new();
-                        for len in 2..=run.len() {
-                            for start in 0..=(run.len() - len) {
-                                let window: Chain = run[start..start + len].to_vec();
-                                receipt.cost_cycles +=
-                                    window.len() as u64 * RUN_INTERN_COST_PER_LABEL;
-                                ids.push(self.interner.intern(&window));
-                            }
-                        }
-                        let ids = Arc::new(ids);
-                        self.run_windows.insert(run_id, Arc::clone(&ids));
-                        ids
-                    }
-                };
-                out_ids.extend(windows.iter().copied());
+                }
+                out_ids.extend_from_slice(&windows);
+                self.interner.windows[run_id] = Some(windows.into_boxed_slice());
             }
         }
+        out_ids.sort_unstable();
+        out_ids.dedup();
         out_ids
             .into_iter()
-            .map(|id| self.interner.resolve(id).expect("id just interned").clone())
+            .map(|id| self.interner.chains[id as usize].clone())
             .collect()
     }
 
-    /// Makes `enum_cache` hold `ir`'s id paths, reusing the previous
+    /// Makes `enum_cache` hold `ir`'s paths, reusing the previous
     /// enumeration when the snapshots compare equal (one pass's `after`
     /// is the next pass's `before`).
     fn ensure_enumerated(&mut self, ir: &MirSnapshot, receipt: &mut ExtractReceipt) {
@@ -308,49 +500,13 @@ impl IncrementalExtractor {
             }
         }
         receipt.cost_cycles += ir.len() as u64 * ENUM_COST_PER_INSTR;
-        let graph = build_graph(ir);
-        let paths = enumerate_id_paths(&graph);
+        let graph = Graph::build(ir);
+        let paths = enumerate_paths(&graph);
         self.enum_cache = Some(EnumCache {
             snapshot: ir.clone(),
             labels: graph.labels,
             paths,
         });
-    }
-}
-
-/// The reference DFS ([`super::make_chains`]) emitting instruction-id
-/// paths instead of label chains: same root order, same cycle guard,
-/// same emission points, same caps — so the path *set* is identical to
-/// the reference's chain set even when [`MAX_CHAINS`] binds.
-fn enumerate_id_paths(g: &DepGraph) -> Vec<Vec<u32>> {
-    let mut paths = Vec::new();
-    for &root in &g.roots {
-        let mut path: Vec<u32> = vec![root];
-        dfs_ids(g, root, &mut path, &mut paths);
-        if paths.len() >= MAX_CHAINS {
-            break;
-        }
-    }
-    paths
-}
-
-fn dfs_ids(g: &DepGraph, node: u32, path: &mut Vec<u32>, paths: &mut Vec<Vec<u32>>) {
-    if paths.len() >= MAX_CHAINS {
-        return;
-    }
-    let deps = g.deps.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-    let extendable: Vec<u32> = deps.iter().copied().filter(|d| !path.contains(d)).collect();
-    if extendable.is_empty() || path.len() >= MAX_CHAIN_LEN {
-        paths.push(path.clone());
-        return;
-    }
-    for d in extendable {
-        path.push(d);
-        dfs_ids(g, d, path, paths);
-        path.pop();
-        if paths.len() >= MAX_CHAINS {
-            return;
-        }
     }
 }
 
@@ -362,7 +518,7 @@ mod tests {
     fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
         SnapInstr {
             id,
-            label: Arc::from(label),
+            label: Label::from_name(label).expect("a mnemonic"),
             operands: operands.to_vec(),
         }
     }
@@ -394,15 +550,15 @@ mod tests {
     #[test]
     fn agrees_with_reference_on_the_worked_example() {
         let before = snap(vec![
-            instr(3, "d", &[]),
-            instr(2, "c", &[3]),
-            instr(1, "b", &[2]),
-            instr(0, "a", &[1]),
+            instr(3, "div", &[]),
+            instr(2, "call", &[3]),
+            instr(1, "bitor", &[2]),
+            instr(0, "add", &[1]),
         ]);
         let after = snap(vec![
-            instr(4, "e", &[]),
-            instr(2, "c", &[4]),
-            instr(1, "b", &[2]),
+            instr(4, "mul", &[]),
+            instr(2, "call", &[4]),
+            instr(1, "bitor", &[2]),
         ]);
         let mut inc = IncrementalExtractor::new();
         assert_eq!(
@@ -527,24 +683,24 @@ mod tests {
         // binds, and the emitted set must still match exactly.
         let mut instrs = Vec::new();
         for i in 0..6u32 {
-            instrs.push(instr(i, "leaf", &[]));
+            instrs.push(instr(i, "constant:number", &[]));
         }
         let mut prev: Vec<u32> = (0..6).collect();
         let mut next_id = 6u32;
         for _ in 0..5 {
             let mut cur = Vec::new();
             for _ in 0..6 {
-                instrs.push(instr(next_id, "mid", &prev.clone()));
+                instrs.push(instr(next_id, "add", &prev.clone()));
                 cur.push(next_id);
                 next_id += 1;
             }
             prev = cur;
         }
-        instrs.push(instr(next_id, "root", &prev));
+        instrs.push(instr(next_id, "return", &prev));
         let before = snap(instrs.clone());
         // After: drop one leaf's edge by re-pointing a first-layer node.
         let mut after_instrs = instrs;
-        after_instrs[6] = instr(6, "mid", &[1, 2, 3, 4, 5]);
+        after_instrs[6] = instr(6, "add", &[1, 2, 3, 4, 5]);
         let after = snap(after_instrs);
         let mut inc = IncrementalExtractor::new();
         assert_eq!(

@@ -38,23 +38,23 @@ pub const MAX_CHAINS: usize = 4096;
 pub const MAX_CHAIN_LEN: usize = 48;
 
 /// A dependency graph over one snapshot.
-pub(crate) struct DepGraph {
+struct DepGraph {
     /// node id -> label
-    pub(crate) labels: HashMap<u32, Arc<str>>,
+    labels: HashMap<u32, Arc<str>>,
     /// node id -> dependencies (operands)
-    pub(crate) deps: HashMap<u32, Vec<u32>>,
+    deps: HashMap<u32, Vec<u32>>,
     /// ids that are not a dependency of anyone
-    pub(crate) roots: Vec<u32>,
+    roots: Vec<u32>,
 }
 
-pub(crate) fn build_graph(ir: &MirSnapshot) -> DepGraph {
+fn build_graph(ir: &MirSnapshot) -> DepGraph {
     let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
     let mut deps: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut is_dep: HashSet<u32> = HashSet::new();
     let mut in_graph: HashSet<u32> = HashSet::new();
     // Label every instruction up front so operand nodes resolve.
     for i in &ir.instrs {
-        labels.insert(i.id, i.label.clone());
+        labels.insert(i.id, i.label.shared_name());
     }
     for v in &ir.instrs {
         if v.operands.is_empty() {
@@ -121,22 +121,22 @@ fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>, un
 }
 
 /// Instruction-level label-pair edge multiset of a snapshot.
-pub(crate) type EdgeCounts = HashMap<(Arc<str>, Arc<str>), usize>;
+type EdgeCounts = HashMap<(Arc<str>, Arc<str>), usize>;
 
 /// A snapshot's [`EdgeCounts`]. Counting multiplicities (rather than set
 /// membership) keeps a removal visible even when an identically-labeled
 /// edge survives elsewhere in the function — e.g. one of two
 /// `loadelement→boundscheck` accesses losing its check.
-pub(crate) fn edge_counts(ir: &MirSnapshot) -> EdgeCounts {
+fn edge_counts(ir: &MirSnapshot) -> EdgeCounts {
     let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
     for i in &ir.instrs {
-        labels.insert(i.id, i.label.clone());
+        labels.insert(i.id, i.label.shared_name());
     }
     let unknown: Arc<str> = Arc::from("?");
     let mut counts = HashMap::new();
     for i in &ir.instrs {
         for o in &i.operands {
-            let from = i.label.clone();
+            let from = i.label.shared_name();
             let to = labels.get(o).cloned().unwrap_or_else(|| unknown.clone());
             *counts.entry((from, to)).or_insert(0) += 1;
         }
@@ -145,7 +145,7 @@ pub(crate) fn edge_counts(ir: &MirSnapshot) -> EdgeCounts {
 }
 
 /// Edges whose multiplicity strictly dropped from `from` to `to`.
-pub(crate) fn changed_edges(from: &EdgeCounts, to: &EdgeCounts) -> HashSet<(Arc<str>, Arc<str>)> {
+fn changed_edges(from: &EdgeCounts, to: &EdgeCounts) -> HashSet<(Arc<str>, Arc<str>)> {
     from.iter()
         .filter(|(k, n)| to.get(*k).copied().unwrap_or(0) < **n)
         .map(|(k, _)| k.clone())
@@ -241,12 +241,12 @@ pub fn trace_work(trace: &PassTrace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jitbull_mir::SnapInstr;
+    use jitbull_mir::{Label, SnapInstr};
 
     fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
         SnapInstr {
             id,
-            label: Arc::from(label),
+            label: Label::from_name(label).expect("a mnemonic"),
             operands: operands.to_vec(),
         }
     }
@@ -258,23 +258,24 @@ mod tests {
     #[test]
     fn paper_worked_example() {
         // Chain A→B→C→D becomes B→C→E.
-        // Encode as: ids 0..3 labeled a,b,c,d with a depending on b, etc.
+        // Encode as: ids 0..3 labeled add, bitor, call, div (standing for
+        // A..D) with add depending on bitor, etc.; mul stands for E.
         let before = snap(vec![
-            instr(3, "d", &[]),
-            instr(2, "c", &[3]),
-            instr(1, "b", &[2]),
-            instr(0, "a", &[1]),
+            instr(3, "div", &[]),
+            instr(2, "call", &[3]),
+            instr(1, "bitor", &[2]),
+            instr(0, "add", &[1]),
         ]);
         let after = snap(vec![
-            instr(4, "e", &[]),
-            instr(2, "c", &[4]),
-            instr(1, "b", &[2]),
+            instr(4, "mul", &[]),
+            instr(2, "call", &[4]),
+            instr(1, "bitor", &[2]),
         ]);
         let delta = extract_delta(&before, &after);
         let removed: Vec<String> = delta.removed.iter().map(|c| c.join(">")).collect();
         let added: Vec<String> = delta.added.iter().map(|c| c.join(">")).collect();
-        assert_eq!(removed, vec!["a>b", "c>d"]);
-        assert_eq!(added, vec!["c>e"]);
+        assert_eq!(removed, vec!["add>bitor", "call>div"]);
+        assert_eq!(added, vec!["call>mul"]);
     }
 
     #[test]
@@ -363,7 +364,7 @@ mod tests {
         let mut instrs = Vec::new();
         // Layer 0: 8 leaves.
         for i in 0..8u32 {
-            instrs.push(instr(i, "leaf", &[]));
+            instrs.push(instr(i, "constant:number", &[]));
         }
         // 6 layers, each node depends on all nodes of the previous layer.
         let mut prev: Vec<u32> = (0..8).collect();
@@ -371,13 +372,13 @@ mod tests {
         for _ in 0..6 {
             let mut cur = Vec::new();
             for _ in 0..8 {
-                instrs.push(instr(next_id, "mid", &prev.clone()));
+                instrs.push(instr(next_id, "add", &prev.clone()));
                 cur.push(next_id);
                 next_id += 1;
             }
             prev = cur;
         }
-        instrs.push(instr(next_id, "root", &prev));
+        instrs.push(instr(next_id, "return", &prev));
         let g = build_graph(&snap(instrs));
         let chains = make_chains(&g);
         assert!(chains.len() <= MAX_CHAINS);

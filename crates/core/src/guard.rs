@@ -107,9 +107,9 @@ pub struct Guard {
     mode: ComparatorMode,
     extractor: ExtractorMode,
     /// Lazily (re)built comparator index over `db`; interior-mutable so
-    /// `analyze(&self)` can rebuild it. Cloning a guard clones the index
-    /// too — valid, because the clone starts from identical database
-    /// content at the same generation.
+    /// `analyze_compile(&self, ..)` can rebuild it. Cloning a guard
+    /// clones the index too — valid, because the clone starts from
+    /// identical database content at the same generation.
     index: RefCell<ComparatorIndex>,
     /// Incremental extractor state (interner, run-window cache);
     /// interior-mutable for the same reason as `index`. Cloning forks
@@ -234,12 +234,6 @@ impl Guard {
             generation: self.db.generation(),
             config: self.config,
         })
-    }
-
-    /// Analyses one compilation trace against every VDC entry, without
-    /// the compile cache. See [`Guard::analyze_compile`].
-    pub fn analyze(&self, trace: &PassTrace, n_slots: usize) -> Analysis {
-        self.analyze_compile(Lookup::default(), trace, n_slots, None)
     }
 
     /// Analyses one compilation (step 2 of the paper's workflow;
@@ -474,9 +468,8 @@ impl Drop for DbMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jitbull_mir::{MirSnapshot, PassRecord, SnapInstr};
+    use jitbull_mir::{Label, MirSnapshot, PassRecord, SnapInstr};
     use jitbull_vm::bytecode::{Function, Op};
-    use std::sync::Arc;
 
     /// A compile key standing for the compilation of `trace_removing_check(slot)`.
     fn key(slot: usize) -> CompileKey {
@@ -504,7 +497,7 @@ mod tests {
     fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
         SnapInstr {
             id,
-            label: Arc::from(label),
+            label: Label::from_name(label).expect("a mnemonic"),
             operands: operands.to_vec(),
         }
     }
@@ -556,7 +549,7 @@ mod tests {
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
         assert!(guard.enabled());
-        let analysis = guard.analyze(&trace_removing_check(6), 32);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(6), 32, None);
         assert_eq!(analysis.dangerous, vec![6]);
         assert_eq!(analysis.matches.len(), 1);
         assert!(analysis.cost_cycles > 0);
@@ -569,7 +562,7 @@ mod tests {
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
-        let analysis = guard.analyze(&trace_removing_check(9), 32);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(9), 32, None);
         assert!(analysis.dangerous.is_empty());
     }
 
@@ -607,7 +600,7 @@ mod tests {
                 after,
             }],
         };
-        let analysis = guard.analyze(&trace, 32);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace, 32, None);
         assert!(analysis.dangerous.is_empty(), "{:?}", analysis.matches);
     }
 
@@ -625,8 +618,8 @@ mod tests {
             trace_removing_check(11),
             trace_removing_check(3),
         ] {
-            let a = indexed.analyze(&trace, 32);
-            let b = reference.analyze(&trace, 32);
+            let a = indexed.analyze_compile(Lookup::default(), &trace, 32, None);
+            let b = reference.analyze_compile(Lookup::default(), &trace, 32, None);
             assert_eq!(a.dangerous, b.dangerous);
             assert_eq!(a.matches, b.matches);
             assert_eq!(a.dna, b.dna);
@@ -797,7 +790,7 @@ mod tests {
             after: guarded_load(),
         });
         trace.records.extend(trace_removing_check(11).records);
-        let analysis = guard.analyze(&trace, 32);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace, 32, None);
         assert_eq!(analysis.dangerous, vec![6, 11]);
         assert_eq!(analysis.matches.len(), 2);
     }

@@ -9,7 +9,7 @@ use jitbull::compare::{compare_chains, CompareConfig};
 use jitbull::extract::extract_delta;
 use jitbull::index::{compare_ids, fingerprint, prefilter_may_match};
 use jitbull::{Chain, ChainInterner};
-use jitbull_mir::{MirSnapshot, SnapInstr};
+use jitbull_mir::{Label, MirSnapshot, SnapInstr};
 use jitbull_prng::Rng;
 
 const LABELS: &[&str] = &[
@@ -28,6 +28,11 @@ const LABELS: &[&str] = &[
 
 const CASES: u64 = 128;
 
+fn label(rng: &mut Rng) -> Label {
+    let name: &&str = rng.pick(LABELS);
+    Label::from_name(name).expect("a mnemonic")
+}
+
 /// A random DAG snapshot: instruction `k` may only reference lower ids,
 /// so the graph is acyclic by construction (like freshly built MIR).
 fn snapshot(rng: &mut Rng) -> MirSnapshot {
@@ -35,7 +40,7 @@ fn snapshot(rng: &mut Rng) -> MirSnapshot {
     let instrs = (0..n)
         .map(|id| SnapInstr {
             id: id as u32,
-            label: Arc::from(*rng.pick(LABELS)),
+            label: label(rng),
             operands: if id == 0 {
                 vec![]
             } else {
@@ -83,7 +88,7 @@ fn id_permutation_gives_empty_delta() {
                 .iter()
                 .map(|i| SnapInstr {
                     id: i.id + offset,
-                    label: i.label.clone(),
+                    label: i.label,
                     operands: i.operands.iter().map(|o| o + offset).collect(),
                 })
                 .collect(),

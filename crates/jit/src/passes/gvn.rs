@@ -25,8 +25,8 @@ use super::PassContext;
 /// operand ids.
 fn key(op: &MOpcode, operands: &[InstrId]) -> Option<String> {
     use std::fmt::Write as _;
-    // NOTE: keys must use the full Debug form, not `mnemonic()` — the
-    // mnemonic deliberately drops payloads (global slot, property name)
+    // NOTE: keys must use the full Debug form, not `label()` — the
+    // label deliberately drops payloads (global slot, property name)
     // for DNA labeling, and two loads of *different* globals must never
     // be congruent.
     let tag = match op {
@@ -220,11 +220,15 @@ mod tests {
             "{f}"
         );
         // And it must appear *after* the store in block order.
-        let instrs: Vec<_> = f.blocks[0].instrs.iter().map(|i| i.op.mnemonic()).collect();
-        let store_pos = instrs.iter().position(|m| m == "storeelement").unwrap();
+        let instrs: Vec<_> = f.blocks[0]
+            .instrs
+            .iter()
+            .map(|i| i.op.label().name())
+            .collect();
+        let store_pos = instrs.iter().position(|&m| m == "storeelement").unwrap();
         let last_len = instrs
             .iter()
-            .rposition(|m| m == "initializedlength")
+            .rposition(|&m| m == "initializedlength")
             .unwrap();
         assert!(last_len > store_pos, "{f}");
     }

@@ -529,13 +529,13 @@ mod tests {
         let before_checks = before
             .instrs
             .iter()
-            .filter(|i| &*i.label == "boundscheck")
+            .filter(|i| i.label.name() == "boundscheck")
             .count();
         let after_checks = gvn
             .after
             .instrs
             .iter()
-            .filter(|i| &*i.label == "boundscheck")
+            .filter(|i| i.label.name() == "boundscheck")
             .count();
         assert!(before_checks > after_checks);
     }

@@ -122,7 +122,7 @@ impl fmt::Display for LInstr {
         match &self.op {
             LOp::Move => write!(f, "mov {}", self.args[0]),
             LOp::Op(m) => {
-                write!(f, "{}", m.mnemonic())?;
+                write!(f, "{m}")?;
                 for a in &self.args {
                     write!(f, " {a}")?;
                 }

@@ -36,7 +36,7 @@ impl Instruction {
 
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.id, self.op.mnemonic())?;
+        write!(f, "{} {}", self.id, self.op)?;
         for operand in &self.operands {
             write!(f, " {operand}")?;
         }

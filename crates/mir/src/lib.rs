@@ -13,6 +13,8 @@
 //!   abstract interpretation (the paper's step ③, bytecode → MIR);
 //! * [`analysis`] — CFG utilities (reverse postorder, dominators, natural
 //!   loops) used by the optimization passes in `jitbull-jit`;
+//! * [`label`] — [`Label`], the fixed integer table of opcode mnemonics
+//!   that snapshots and the Δ extractor compare instead of strings;
 //! * [`snapshot`] — cheap, engine-agnostic IR snapshots
 //!   ([`snapshot::MirSnapshot`]): the *only* IR type the `jitbull` core
 //!   crate consumes, keeping JITBULL decoupled from this particular engine
@@ -40,6 +42,7 @@ pub mod build;
 pub mod graph;
 pub mod instr;
 pub mod key;
+pub mod label;
 pub mod opcode;
 pub mod snapshot;
 
@@ -47,5 +50,6 @@ pub use build::build_mir;
 pub use graph::{Block, BlockId, MirFunction};
 pub use instr::{InstrId, Instruction};
 pub use key::CompileKey;
+pub use label::Label;
 pub use opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
 pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SnapInstr};

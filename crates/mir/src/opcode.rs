@@ -25,6 +25,18 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [CmpOp; 8] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::StrictEq,
+        CmpOp::StrictNe,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
     /// Short mnemonic used in printed IR and DNA labels.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -52,22 +64,6 @@ pub enum ConstVal {
     Func(FuncId),
 }
 
-impl ConstVal {
-    /// The kind tag used in DNA labels (`constant:number` etc. — the value
-    /// itself is deliberately excluded so variants with different literals
-    /// still match).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ConstVal::Number(_) => "number",
-            ConstVal::Str(_) => "string",
-            ConstVal::Bool(_) => "bool",
-            ConstVal::Undefined => "undefined",
-            ConstVal::Null => "null",
-            ConstVal::Func(_) => "function",
-        }
-    }
-}
-
 /// Runtime type hints used by [`MOpcode::TypeGuard`] / [`MOpcode::Unbox`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TypeHint {
@@ -80,6 +76,16 @@ pub enum TypeHint {
 }
 
 impl TypeHint {
+    /// Every hint, in declaration order.
+    pub const ALL: [TypeHint; 6] = [
+        TypeHint::Number,
+        TypeHint::Int32,
+        TypeHint::Bool,
+        TypeHint::Str,
+        TypeHint::Array,
+        TypeHint::Object,
+    ];
+
     /// Lowercase mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -280,64 +286,11 @@ impl MOpcode {
                 | MOpcode::FromCharCode
         )
     }
-
-    /// The lowercase mnemonic, matching printed IR (and, where one exists,
-    /// IonMonkey's own spelling).
-    pub fn mnemonic(&self) -> String {
-        match self {
-            MOpcode::Parameter(i) => format!("parameter{i}"),
-            MOpcode::This => "this".into(),
-            MOpcode::Constant(c) => format!("constant:{}", c.kind()),
-            MOpcode::Phi => "phi".into(),
-            MOpcode::Goto(_) => "goto".into(),
-            MOpcode::Test { .. } => "test".into(),
-            MOpcode::Return => "return".into(),
-            MOpcode::Add => "add".into(),
-            MOpcode::Sub => "sub".into(),
-            MOpcode::Mul => "mul".into(),
-            MOpcode::Div => "div".into(),
-            MOpcode::Mod => "mod".into(),
-            MOpcode::Compare(op) => format!("compare:{}", op.mnemonic()),
-            MOpcode::BitAnd => "bitand".into(),
-            MOpcode::BitOr => "bitor".into(),
-            MOpcode::BitXor => "bitxor".into(),
-            MOpcode::Lsh => "lsh".into(),
-            MOpcode::Rsh => "rsh".into(),
-            MOpcode::Ursh => "ursh".into(),
-            MOpcode::BitNot => "bitnot".into(),
-            MOpcode::Neg => "neg".into(),
-            MOpcode::Not => "not".into(),
-            MOpcode::ToNumber => "tonumber".into(),
-            MOpcode::TypeOf => "typeof".into(),
-            MOpcode::Call(_) => "call".into(),
-            MOpcode::CallMethod(_) => "callmethod".into(),
-            MOpcode::New(_) => "newcall".into(),
-            MOpcode::NewArray(_) => "newarray".into(),
-            MOpcode::NewArrayN => "newarrayn".into(),
-            MOpcode::NewObject => "newobject".into(),
-            MOpcode::BoundsCheck => "boundscheck".into(),
-            MOpcode::TypeGuard(h) => format!("typeguard:{}", h.mnemonic()),
-            MOpcode::Unbox(h) => format!("unbox:{}", h.mnemonic()),
-            MOpcode::InitializedLength => "initializedlength".into(),
-            MOpcode::ArrayLength => "arraylength".into(),
-            MOpcode::SetArrayLength => "setarraylength".into(),
-            MOpcode::LoadElement => "loadelement".into(),
-            MOpcode::StoreElement => "storeelement".into(),
-            MOpcode::LoadProperty(_) => "loadproperty".into(),
-            MOpcode::StoreProperty(_) => "storeproperty".into(),
-            MOpcode::LoadGlobal(_) => "loadglobal".into(),
-            MOpcode::StoreGlobal(_) => "storeglobal".into(),
-            MOpcode::Print => "print".into(),
-            MOpcode::MathFunction(mf) => format!("math:{mf:?}").to_lowercase(),
-            MOpcode::Intrinsic(m, _) => format!("intrinsic:{m:?}").to_lowercase(),
-            MOpcode::FromCharCode => "fromcharcode".into(),
-        }
-    }
 }
 
 impl fmt::Display for MOpcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.mnemonic())
+        f.write_str(self.label().name())
     }
 }
 
@@ -359,17 +312,5 @@ mod tests {
         // Math.random is effectful (consumes RNG state), other math is not.
         assert!(MOpcode::MathFunction(MathFn::Random).is_effectful());
         assert!(!MOpcode::MathFunction(MathFn::Sqrt).is_effectful());
-    }
-
-    #[test]
-    fn mnemonics() {
-        assert_eq!(MOpcode::BoundsCheck.mnemonic(), "boundscheck");
-        assert_eq!(
-            MOpcode::Constant(ConstVal::Number(1.0)).mnemonic(),
-            "constant:number"
-        );
-        assert_eq!(MOpcode::Compare(CmpOp::Lt).mnemonic(), "compare:lt");
-        assert_eq!(MOpcode::Unbox(TypeHint::Array).mnemonic(), "unbox:array");
-        assert_eq!(MOpcode::MathFunction(MathFn::Sqrt).mnemonic(), "math:sqrt");
     }
 }

@@ -2,33 +2,52 @@
 //!
 //! A [`MirSnapshot`] is what the JITBULL core consumes: a flat list of
 //! `(id, label, operands)` triples taken from the IR between optimization
-//! passes. Labels are opcode mnemonics *without* literal values or
-//! variable/property names, so DNA comparisons key on the structural shape
-//! of the optimization — exactly what lets the paper's system recognise a
-//! renamed/minified exploit variant.
+//! passes. Labels are integer [`Label`]s over the fixed mnemonic table:
+//! opcode names *without* literal values or variable/property names, so
+//! DNA comparisons key on the structural shape of the optimization —
+//! exactly what lets the paper's system recognise a renamed/minified
+//! exploit variant. Taking a snapshot allocates only operand lists, and
+//! comparing two snapshots compares integers.
 //!
 //! A compilation's [`PassTrace`] is the snapshot sequence `IR_0 … IR_n`:
 //! the IR entering the pipeline, then the IR after each executed slot.
 //! Each snapshot is stored once; pass `i`'s `(IR_{i-1}, IR_i)` pair is
 //! read back with [`PassTrace::passes`].
 
-use std::sync::Arc;
-
 use crate::graph::MirFunction;
+use crate::label::Label;
 
 /// One instruction in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Eq)]
 pub struct SnapInstr {
     /// The instruction's SSA id at snapshot time.
     pub id: u32,
     /// Opcode label (e.g. `boundscheck`, `compare:lt`, `constant:number`).
-    pub label: Arc<str>,
+    pub label: Label,
     /// Operand ids.
     pub operands: Vec<u32>,
 }
 
+/// Field-by-field, like the derived comparison, but with the operand
+/// lists compared element by element: they hold a few ids each, and the
+/// derived slice comparison's `memcmp` call per instruction made
+/// snapshot equality — which the Δ extractor tests once per pass — cost
+/// more than counting the snapshot's edges.
+impl PartialEq for SnapInstr {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.label == other.label
+            && self.operands.len() == other.operands.len()
+            && self
+                .operands
+                .iter()
+                .zip(&other.operands)
+                .all(|(a, b)| a == b)
+    }
+}
+
 /// A flat snapshot of a function's IR between two optimization passes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MirSnapshot {
     /// All instructions, in block order (phis first within each block).
     pub instrs: Vec<SnapInstr>,
@@ -91,7 +110,7 @@ pub fn snapshot(f: &MirFunction) -> MirSnapshot {
         for i in b.iter_all() {
             instrs.push(SnapInstr {
                 id: i.id.0,
-                label: Arc::from(i.op.mnemonic().as_str()),
+                label: i.op.label(),
                 operands: i.operands.iter().map(|o| o.0).collect(),
             });
         }
@@ -126,10 +145,10 @@ mod tests {
             .unwrap()
             .snapshot();
         // Renaming variables and changing literals leaves identical labels.
-        let l1: Vec<_> = s1.instrs.iter().map(|i| i.label.clone()).collect();
-        let l2: Vec<_> = s2.instrs.iter().map(|i| i.label.clone()).collect();
+        let l1: Vec<_> = s1.instrs.iter().map(|i| i.label).collect();
+        let l2: Vec<_> = s2.instrs.iter().map(|i| i.label).collect();
         assert_eq!(l1, l2);
-        assert!(l1.iter().any(|l| &**l == "boundscheck"));
+        assert!(l1.iter().any(|l| l.name() == "boundscheck"));
     }
 
     #[test]
@@ -139,7 +158,7 @@ mod tests {
         let s = build_mir(&m, m.function_id("f").unwrap())
             .unwrap()
             .snapshot();
-        let add = s.instrs.iter().find(|i| &*i.label == "add").unwrap();
+        let add = s.instrs.iter().find(|i| i.label.name() == "add").unwrap();
         assert_eq!(add.operands.len(), 2);
         assert_eq!(add.operands[0], add.operands[1]); // both operands are `a`
     }

@@ -101,7 +101,8 @@ pub enum Event {
         memo_hit: bool,
         /// Passes whose changed subgraphs were actually enumerated.
         passes_enumerated: u64,
-        /// Passes skipped by the edge-multiset fast path.
+        /// Passes proven empty without enumeration (unchanged snapshot
+        /// or unchanged edge multiset).
         passes_skipped: u64,
         /// Chains walked through changed subgraphs.
         chains_enumerated: u64,

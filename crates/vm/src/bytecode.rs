@@ -38,6 +38,26 @@ pub enum MathFn {
 }
 
 impl MathFn {
+    /// Every intrinsic, in declaration order.
+    pub const ALL: [MathFn; 16] = [
+        MathFn::Floor,
+        MathFn::Ceil,
+        MathFn::Round,
+        MathFn::Sqrt,
+        MathFn::Abs,
+        MathFn::Sin,
+        MathFn::Cos,
+        MathFn::Tan,
+        MathFn::Atan,
+        MathFn::Atan2,
+        MathFn::Exp,
+        MathFn::Log,
+        MathFn::Min,
+        MathFn::Max,
+        MathFn::Pow,
+        MathFn::Random,
+    ];
+
     /// Resolves a `Math.<name>` property to an intrinsic.
     pub fn from_name(name: &str) -> Option<MathFn> {
         Some(match name {
@@ -91,6 +111,16 @@ pub enum IntrinsicMethod {
 }
 
 impl IntrinsicMethod {
+    /// Every method, in declaration order.
+    pub const ALL: [IntrinsicMethod; 6] = [
+        IntrinsicMethod::Push,
+        IntrinsicMethod::Pop,
+        IntrinsicMethod::CharCodeAt,
+        IntrinsicMethod::CharAt,
+        IntrinsicMethod::Substring,
+        IntrinsicMethod::IndexOf,
+    ];
+
     /// Resolves a reserved method name.
     pub fn from_name(name: &str) -> Option<IntrinsicMethod> {
         Some(match name {

@@ -6,13 +6,13 @@
 //! chain-for-chain identical DNA on every trace. These tests sweep seeded
 //! random MIR snapshot traces — including renumberings, no-op passes,
 //! pathological high-fanout graphs that bind the chain caps, and passes
-//! whose output is unrelated to their input — the full VDC catalog, the
-//! workload suite at engine level, and fail on the first divergence.
-
-use std::sync::Arc;
+//! whose output is unrelated to their input — the full VDC catalog, real
+//! pipeline traces of seeded fuzzer programs under random disabled-slot
+//! sets, the workload suite at engine level, and fail on the first
+//! divergence.
 
 use jitbull::{extract_delta, extract_dna, IncrementalExtractor};
-use jitbull_mir::{MirSnapshot, PassRecord, PassTrace, SnapInstr};
+use jitbull_mir::{Label, MirSnapshot, PassRecord, PassTrace, SnapInstr};
 use jitbull_prng::Rng;
 
 const LABELS: &[&str] = &[
@@ -29,8 +29,13 @@ const LABELS: &[&str] = &[
     "unbox:array",
     "return",
     "phi",
-    "guardshape",
+    "typeguard:object",
 ];
+
+fn label(rng: &mut Rng) -> Label {
+    let name: &&str = rng.pick(LABELS);
+    Label::from_name(name).expect("a mnemonic")
+}
 
 const PASS_NAMES: &[&str] = &[
     "TypeSpecialization",
@@ -58,7 +63,7 @@ fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> SnapInstr {
         .collect();
     SnapInstr {
         id,
-        label: Arc::from(*rng.pick(LABELS)),
+        label: label(rng),
         operands,
     }
 }
@@ -96,7 +101,7 @@ fn pathological_snapshot(rng: &mut Rng) -> MirSnapshot {
             };
             instrs.push(SnapInstr {
                 id,
-                label: Arc::from(*rng.pick(LABELS)),
+                label: label(rng),
                 operands,
             });
         }
@@ -140,7 +145,7 @@ fn mutate(rng: &mut Rng, before: &MirSnapshot) -> MirSnapshot {
                     }
                     2 => {
                         let at = rng.gen_range(0..after.instrs.len());
-                        after.instrs[at].label = Arc::from(*rng.pick(LABELS));
+                        after.instrs[at].label = label(rng);
                     }
                     _ => {
                         let at = rng.gen_range(0..after.instrs.len());
@@ -278,6 +283,65 @@ fn full_vdc_catalog_extracts_identically() {
             assert_eq!(got, expected, "divergence: vdc={} fn={name}", v.name);
         }
     }
+}
+
+/// Real pipeline traces: seeded fuzzer programs, every function
+/// optimized with tracing under a seeded random set of disabled slots and,
+/// for half of them, one enabled vulnerability. These are the snapshots
+/// the guard actually sees, where most slots leave the IR untouched and
+/// the rest rewrite it in place. One extractor serves the whole sweep, so
+/// its interner, window and enumeration caches carry state across
+/// programs.
+#[test]
+fn real_pipeline_traces_extract_identically() {
+    use jitbull_frontend::parse_program;
+    use jitbull_fuzzer::{generate, GenConfig};
+    use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+    use jitbull_jit::{CveId, VulnConfig};
+    use jitbull_mir::build_mir;
+    use jitbull_vm::bytecode::FuncId;
+    use jitbull_vm::compile_program;
+
+    let mut rng = Rng::seed_from_u64(0x9E_11AE);
+    let mut incremental = IncrementalExtractor::new();
+    let mut traces = 0;
+    for seed in 0..80 {
+        let config = GenConfig {
+            seed,
+            body_len: rng.gen_range(3..9usize),
+            ..GenConfig::default()
+        };
+        let module = compile_program(&parse_program(&generate(&config)).unwrap()).unwrap();
+        for fid in 0..module.functions.len() {
+            let Ok(mir) = build_mir(&module, FuncId(fid as u32)) else {
+                continue;
+            };
+            let vulns = if rng.gen_bool(0.5) {
+                VulnConfig::with([*rng.pick(&CveId::all())])
+            } else {
+                VulnConfig::none()
+            };
+            let options = OptimizeOptions {
+                trace: true,
+                disabled_slots: (0..N_SLOTS).filter(|_| rng.gen_bool(0.2)).collect(),
+                ..Default::default()
+            };
+            let trace = optimize(mir, &vulns, &options).trace;
+            let expected = extract_dna(&trace, N_SLOTS);
+            let (got, receipt) = incremental.extract_dna(&trace, N_SLOTS);
+            assert_eq!(
+                got, expected,
+                "divergence: seed={seed} function={fid} options={options:?} receipt={receipt:?}"
+            );
+            traces += 1;
+        }
+    }
+    let stats = incremental.stats();
+    assert!(traces >= 150, "only {traces} traces checked");
+    assert!(
+        stats.passes_skipped > 0 && stats.passes_enumerated > 0,
+        "sweep never exercised both the fast path and the slow path: {stats:?}"
+    );
 }
 
 /// Engine level: the whole workload serving mix, run end-to-end under

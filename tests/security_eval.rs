@@ -147,3 +147,29 @@ fn no_jit_engine_is_immune_but_thats_the_expensive_mitigation() {
     let outcome = run_script(&base.source, &mut engine).expect("runs");
     assert!(!outcome.is_compromised());
 }
+
+/// Every row of the §VI-B table names the slots its detection disabled:
+/// a detected row at least one, an undetected row none.
+#[test]
+fn security_rows_name_the_disabled_slots() {
+    for row in jitbull_bench::security::security_eval() {
+        let label = format!("{} {}", row.cve.name(), row.case);
+        assert!(
+            row.disabled_slots.windows(2).all(|w| w[0] < w[1]),
+            "{label}: slots not a sorted union: {:?}",
+            row.disabled_slots
+        );
+        if row.detected {
+            assert!(
+                !row.disabled_slots.is_empty(),
+                "{label}: detected without a slot"
+            );
+        } else {
+            assert!(
+                row.disabled_slots.is_empty(),
+                "{label}: {:?}",
+                row.disabled_slots
+            );
+        }
+    }
+}
