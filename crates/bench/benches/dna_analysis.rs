@@ -6,9 +6,8 @@ use jitbull::{CompareConfig, Guard, Lookup};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
-use jitbull_mir::build_mir;
 use jitbull_vm::compile_program;
 
 fn representative_trace() -> jitbull_mir::PassTrace {
@@ -16,16 +15,14 @@ fn representative_trace() -> jitbull_mir::PassTrace {
     let p = parse_program(&w.source).unwrap();
     let m = compile_program(&p).unwrap();
     let fid = m.function_id("stream").unwrap();
-    let mir = build_mir(&m, fid).unwrap();
-    optimize(
-        mir,
-        &VulnConfig::none(),
-        &OptimizeOptions {
-            trace: true,
-            ..Default::default()
-        },
-    )
-    .trace
+    let vulns = VulnConfig::none();
+    let traced = OptimizeOptions {
+        trace: true,
+        ..Default::default()
+    };
+    compile(&CompileInput::new(m.function(fid), [], &vulns), &traced)
+        .unwrap()
+        .trace
 }
 
 fn main() {

@@ -5,13 +5,14 @@
 //! simulated-cycle count, printed alongside; wall-clock measures the host
 //! cost of running the simulator.
 
+use std::sync::Arc;
+
 use jitbull::{DnaMemo, ExtractorMode, IncrementalExtractor, MemoEntry};
 use jitbull_bench::figures::{db_with, run_tuned};
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
-use jitbull_mir::{build_mir, CompileKey};
 use jitbull_vm::compile_program;
 use jitbull_workloads::workload;
 
@@ -69,15 +70,13 @@ fn main() {
     let program = parse_program(src).expect("parses");
     let module = compile_program(&program).expect("compiles");
     let fid = module.function_id("f").expect("function exists");
-    let mir = build_mir(&module, fid).expect("mir builds");
-    let result = optimize(
-        mir,
-        &VulnConfig::none(),
-        &OptimizeOptions {
-            trace: true,
-            ..Default::default()
-        },
-    );
+    let vulns = VulnConfig::none();
+    let input = CompileInput::new(module.function(fid), [], &vulns);
+    let traced = OptimizeOptions {
+        trace: true,
+        ..Default::default()
+    };
+    let result = compile(&input, &traced).expect("mir builds");
     let trace = result.trace;
     bench("reference_walk", 20, 100, || {
         jitbull::extract_dna(&trace, N_SLOTS)
@@ -91,16 +90,17 @@ fn main() {
         warm_extractor.extract_dna(&trace, N_SLOTS)
     });
     let memo = DnaMemo::default();
-    let key = || CompileKey::new(module.function(fid), Vec::new(), N_SLOTS, 0);
+    let key = || input.key();
     let (dna, _) = IncrementalExtractor::new().extract_dna(&trace, N_SLOTS);
     let pre_mir_len = trace.initial.len();
     let entry = MemoEntry {
-        dna,
+        dna: Arc::new(dna),
         pre_mir_len,
         verdict: None,
+        output: None,
     };
     memo.insert(key(), entry);
     bench("memo_hit", 20, 100, || {
-        memo.lookup(&key(), None).expect("memoized")
+        memo.lookup(&key(), None).entry.expect("memoized")
     });
 }

@@ -3,30 +3,25 @@
 
 use jitbull::Guard;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
-use jitbull_mir::build_mir;
 use jitbull_vm::compile_program;
 
 fn dump(src: &str, which: &str, vulns: &VulnConfig) {
     let p = parse_program(src).unwrap();
     let m = compile_program(&p).unwrap();
-    for (i, f) in m.functions.iter().enumerate() {
+    for f in &m.functions {
         if f.name == "<main>" {
             continue;
         }
         if !which.is_empty() && f.name != which {
             continue;
         }
-        let mir = build_mir(&m, jitbull_vm::bytecode::FuncId(i as u32)).unwrap();
-        let r = optimize(
-            mir,
-            vulns,
-            &OptimizeOptions {
-                trace: true,
-                ..Default::default()
-            },
-        );
+        let traced = OptimizeOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let r = compile(&CompileInput::new(f, [], vulns), &traced).unwrap();
         let dna = Guard::extract(&r.trace, N_SLOTS);
         println!("--- fn {}", f.name);
         for (s, d) in dna.deltas.iter().enumerate() {

@@ -1,18 +1,24 @@
 //! The compile cache: one entry per optimizing compilation, holding its
-//! DNA and the last verdict given on it, so recompiling a hot function
-//! skips tracing, Algorithm 1 and — while the database is unchanged —
-//! Algorithm 2.
+//! DNA, the last verdict given on it and the pipeline's output, so
+//! recompiling a hot function skips the compilation itself — MIR
+//! building, the 32 slots, lowering and register allocation — as well as
+//! tracing, Algorithm 1 and, while the database is unchanged, Algorithm 2.
 //!
 //! Entries are keyed on a [`CompileKey`]: the function's bytecode, the
 //! disabled pipeline slots, the pipeline length and the engine's enabled
-//! vulnerabilities. The key is built *before* the pipeline runs and holds
-//! every input the pipeline's trace depends on, so equal keys mean equal
-//! DNA, and the engine traces a compilation only when the cache has no
-//! DNA for it. A verdict additionally depends on the database and the
-//! comparator thresholds; it is stored with the [`VerdictStamp`] it was
-//! given under and served only to a lookup with an equal stamp. Database
-//! generations are unique process-wide per content change, so an equal
-//! stamp means equal database content, whichever guard asks.
+//! vulnerabilities. The key is built *before* the pipeline runs from the
+//! pipeline's whole input, so equal keys mean equal DNA and equal output,
+//! and the engine runs the pipeline only when the cache holds no output
+//! for the key, and traces it only when the cache holds no DNA. A
+//! verdict additionally depends on the database and the comparator
+//! thresholds; it is stored with the [`VerdictStamp`] it was given under
+//! and served only to a lookup with an equal stamp. Database generations
+//! are unique process-wide per content change, so an equal stamp means
+//! equal database content, whichever guard asks.
+//!
+//! The output ([`PipelineOutput`]) is stored by rounds whose pipeline ran
+//! clean: not broken, and with no fault injector armed. Its code is
+//! lowered only when a round under the key promotes, and set once.
 //!
 //! Safety properties:
 //!
@@ -24,21 +30,23 @@
 //!   (and are bounded by the wholesale clear).
 //! * **Poison recovery**: [`DnaMemo::poison`] models a torn write over
 //!   the shared state (the chaos layer fires it at
-//!   `FaultSite::ExtractQuery`). Every DNA and verdict is garbled *and*
-//!   the memo is flagged; the next access purges everything before
-//!   serving, so a poisoned memo costs one full re-analysis per function,
-//!   never a wrong verdict.
+//!   `FaultSite::ExtractQuery`). Every DNA, verdict and output is
+//!   garbled *and* the memo is flagged; the next access purges everything — stored
+//!   code included — before serving, so a poisoned memo costs one full
+//!   compilation and re-analysis per function, never a wrong verdict.
 //!
 //! The handle is `Arc`-shared ([`DnaMemo::clone`] aliases the same
 //! store), which is how the serving pool gives every worker the same
 //! cache: a function compiled on worker 0 is a hit on worker 3, and the
-//! DNAs survive database hot-swaps because extraction never reads the
-//! database.
+//! DNAs and code survive database hot-swaps because neither extraction
+//! nor compilation reads the database. Entries are plain shared data, so
+//! a hit clones a few reference counts, never a DNA.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use jitbull_mir::CompileKey;
+use jitbull_lir::LFunction;
+use jitbull_mir::{CompileKey, SlotRun};
 
 use crate::compare::CompareConfig;
 use crate::dna::{chain, Dna};
@@ -63,17 +71,43 @@ pub struct VerdictStamp {
     pub config: CompareConfig,
 }
 
-/// One compilation's cached analysis.
+/// What a clean pipeline run produced besides its trace: everything a
+/// later compilation under the same key needs in place of running it.
+#[derive(Debug, Default, PartialEq)]
+pub struct PipelineOutput {
+    /// Pipeline work units (the compile-cost model charges per unit).
+    pub work: u64,
+    /// The executed slots, in pipeline order.
+    pub slot_runs: Vec<SlotRun>,
+    /// Vulnerabilities, by CVE name, whose incorrect transform fired.
+    pub vulns_fired: Vec<&'static str>,
+    /// The lowered, register-allocated code. Set once, by the first
+    /// round under the key that promotes.
+    pub code: OnceLock<Arc<LFunction>>,
+}
+
+/// One compilation's cached analysis and output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoEntry {
     /// The compilation's DNA.
-    pub dna: Dna,
+    pub dna: Arc<Dna>,
     /// Instructions in the MIR entering the pipeline (the key-hashing
     /// charge of later hits).
     pub pre_mir_len: usize,
     /// The last indexed verdict: per-entry dangerous slots, in the
     /// stamped database's entry order.
     pub verdict: Option<(VerdictStamp, EntryMatches)>,
+    /// The pipeline's output, once a clean round stored it.
+    pub output: Option<Arc<PipelineOutput>>,
+}
+
+/// What one [`DnaMemo::lookup`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemoLookup {
+    /// The cached entry; its verdict is kept only under an equal stamp.
+    pub entry: Option<MemoEntry>,
+    /// The memo's purge count, when this lookup purged a poisoned store.
+    pub purged: Option<u64>,
 }
 
 /// Cumulative counters across a memo's lifetime.
@@ -85,6 +119,8 @@ pub struct MemoStats {
     pub hits: u64,
     /// Lookups also served a verdict (stamp matched).
     pub verdict_hits: u64,
+    /// Lookups also served compiled code.
+    pub code_hits: u64,
     /// Entries stored under a new key.
     pub insertions: u64,
     /// Wholesale clears forced by the entry bound.
@@ -102,12 +138,15 @@ struct MemoInner {
 }
 
 impl MemoInner {
-    fn purge_if_poisoned(&mut self) {
-        if self.poisoned {
-            self.entries.clear();
-            self.poisoned = false;
-            self.stats.poison_purges += 1;
+    /// Discards a poisoned store; the purge count when it did.
+    fn purge_if_poisoned(&mut self) -> Option<u64> {
+        if !self.poisoned {
+            return None;
         }
+        self.entries.clear();
+        self.poisoned = false;
+        self.stats.poison_purges += 1;
+        Some(self.stats.poison_purges)
     }
 }
 
@@ -153,21 +192,29 @@ impl DnaMemo {
         }
     }
 
-    /// The cached analysis for `key`, if present and the memo is healthy.
+    /// The cached analysis for `key`, if present once a poisoned store
+    /// is purged, and whether that purge happened — all under one lock.
     /// The returned entry keeps its verdict only when `stamp` is given
     /// and equals the verdict's stamp.
     #[must_use]
-    pub fn lookup(&self, key: &CompileKey, stamp: Option<&VerdictStamp>) -> Option<MemoEntry> {
+    pub fn lookup(&self, key: &CompileKey, stamp: Option<&VerdictStamp>) -> MemoLookup {
         let mut inner = self.inner.lock().expect("memo lock");
-        inner.purge_if_poisoned();
+        let purged = inner.purge_if_poisoned();
         inner.stats.lookups += 1;
-        let mut found = inner.entries.get(key).cloned()?;
-        inner.stats.hits += 1;
-        found.verdict = found.verdict.filter(|(s, _)| Some(s) == stamp);
-        if found.verdict.is_some() {
-            inner.stats.verdict_hits += 1;
+        let entry = inner.entries.get(key).cloned().map(|mut found| {
+            found.verdict = found.verdict.filter(|(s, _)| Some(s) == stamp);
+            found
+        });
+        if let Some(found) = &entry {
+            let has_code = found
+                .output
+                .as_ref()
+                .is_some_and(|o| o.code.get().is_some());
+            inner.stats.hits += 1;
+            inner.stats.verdict_hits += u64::from(found.verdict.is_some());
+            inner.stats.code_hits += u64::from(has_code);
         }
-        Some(found)
+        MemoLookup { entry, purged }
     }
 
     /// Stores one compilation's analysis, replacing any entry under
@@ -190,19 +237,26 @@ impl DnaMemo {
     }
 
     /// Corrupts the memo in place (a torn write over the shared state):
-    /// every stored DNA and verdict is overwritten with garbage and the
-    /// memo is flagged poisoned. The next access — lookup or insert —
-    /// discards everything before touching it, so the garbage can never
-    /// be served.
+    /// every stored DNA, verdict and pipeline output is overwritten with
+    /// garbage and the memo is flagged poisoned. The next access — lookup
+    /// or insert — discards everything before touching it, so the garbage
+    /// can never be served.
     pub fn poison(&self) {
         let mut inner = self.inner.lock().expect("memo lock");
         let mut garbage = Dna::with_slots(1);
         garbage.deltas[0].removed.insert(chain(&["<poisoned>"]));
+        let garbage = Arc::new(garbage);
+        let output = Arc::new(PipelineOutput {
+            work: u64::MAX,
+            vulns_fired: vec!["<poisoned>"],
+            ..PipelineOutput::default()
+        });
         for entry in inner.entries.values_mut() {
-            entry.dna = garbage.clone();
+            entry.dna = Arc::clone(&garbage);
             if let Some((_, matches)) = &mut entry.verdict {
                 *matches = vec![(usize::MAX, vec![usize::MAX])];
             }
+            entry.output = Some(Arc::clone(&output));
         }
         inner.poisoned = true;
     }
@@ -262,10 +316,16 @@ mod tests {
         let mut dna = Dna::with_slots(4);
         dna.deltas[1].removed.insert(chain(&["a", "b"]));
         MemoEntry {
-            dna,
+            dna: Arc::new(dna),
             pre_mir_len: 5,
             verdict,
+            output: None,
         }
+    }
+
+    /// What `memo` serves for `key` under `stamp`.
+    fn served(memo: &DnaMemo, key: &CompileKey, stamp: Option<&VerdictStamp>) -> Option<MemoEntry> {
+        memo.lookup(key, stamp).entry
     }
 
     fn stamp(generation: u64) -> VerdictStamp {
@@ -278,12 +338,12 @@ mod tests {
     #[test]
     fn hit_requires_equal_key() {
         let memo = DnaMemo::new();
-        assert!(memo.lookup(&add(), None).is_none());
+        assert!(served(&memo, &add(), None).is_none());
         memo.insert(add(), entry(None));
-        assert_eq!(memo.lookup(&add(), None), Some(entry(None)));
+        assert_eq!(served(&memo, &add(), None), Some(entry(None)));
         assert_eq!(memo.len(), 1);
         // Same labels, different literal → different key → miss.
-        assert!(memo.lookup(&key(2.0), None).is_none());
+        assert!(served(&memo, &key(2.0), None).is_none());
         let stats = memo.stats();
         assert_eq!(stats.lookups, 3);
         assert_eq!(stats.hits, 1);
@@ -294,23 +354,22 @@ mod tests {
         let memo = DnaMemo::new();
         let matches: EntryMatches = vec![(0, vec![6])];
         memo.insert(add(), entry(Some((stamp(7), matches.clone()))));
-        let served = memo.lookup(&add(), Some(&stamp(7))).unwrap();
-        assert_eq!(served.verdict, Some((stamp(7), matches)));
+        let hit = served(&memo, &add(), Some(&stamp(7))).unwrap();
+        assert_eq!(hit.verdict, Some((stamp(7), matches)));
         // A new generation, new thresholds, or a reference comparator
         // (no stamp) get the DNA without the verdict.
-        assert_eq!(memo.lookup(&add(), Some(&stamp(8))), Some(entry(None)));
+        assert_eq!(served(&memo, &add(), Some(&stamp(8))), Some(entry(None)));
         let strict = VerdictStamp {
             config: CompareConfig { thr: 1, ratio: 0.5 },
             ..stamp(7)
         };
-        assert_eq!(memo.lookup(&add(), Some(&strict)), Some(entry(None)));
-        assert_eq!(memo.lookup(&add(), None), Some(entry(None)));
+        assert_eq!(served(&memo, &add(), Some(&strict)), Some(entry(None)));
+        assert_eq!(served(&memo, &add(), None), Some(entry(None)));
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.verdict_hits), (4, 1));
         // A refreshed verdict overwrites without a new insertion.
         memo.insert(add(), entry(Some((stamp(8), Vec::new()))));
-        assert!(memo
-            .lookup(&add(), Some(&stamp(8)))
+        assert!(served(&memo, &add(), Some(&stamp(8)))
             .unwrap()
             .verdict
             .is_some());
@@ -322,14 +381,14 @@ mod tests {
         let memo = DnaMemo::new();
         let alias = memo.clone();
         memo.insert(add(), entry(None));
-        assert_eq!(alias.lookup(&add(), None), Some(entry(None)));
+        assert_eq!(served(&alias, &add(), None), Some(entry(None)));
     }
 
     #[test]
     fn zero_capacity_disables_memoisation() {
         let memo = DnaMemo::with_capacity(0);
         memo.insert(add(), entry(None));
-        assert!(memo.lookup(&add(), None).is_none());
+        assert!(served(&memo, &add(), None).is_none());
         assert!(memo.is_empty());
     }
 
@@ -344,16 +403,62 @@ mod tests {
     }
 
     #[test]
+    fn hits_share_the_stored_dna_and_output() {
+        let memo = DnaMemo::new();
+        let output = Arc::new(PipelineOutput {
+            work: 9,
+            ..PipelineOutput::default()
+        });
+        memo.insert(
+            add(),
+            MemoEntry {
+                output: Some(Arc::clone(&output)),
+                ..entry(None)
+            },
+        );
+        let first = served(&memo, &add(), None).unwrap();
+        let second = served(&memo, &add(), None).unwrap();
+        assert!(Arc::ptr_eq(&first.dna, &second.dna), "a hit clones the DNA");
+        // Code set through one hit is seen by every later one.
+        let code = Arc::new(jitbull_lir::LFunction {
+            blocks: Vec::new(),
+            n_vregs: 0,
+            locs: Vec::new(),
+            spill_slots: 0,
+        });
+        first.output.unwrap().code.set(code).unwrap();
+        assert!(second.output.unwrap().code.get().is_some());
+        assert!(output.code.get().is_some());
+    }
+
+    #[test]
+    fn entries_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<MemoEntry>();
+        assert_send_sync::<DnaMemo>();
+    }
+
+    #[test]
     fn poisoned_memo_is_purged_not_served() {
         let memo = DnaMemo::new();
-        memo.insert(add(), entry(Some((stamp(7), Vec::new()))));
+        memo.insert(
+            add(),
+            MemoEntry {
+                output: Some(Arc::new(PipelineOutput::default())),
+                ..entry(Some((stamp(7), Vec::new())))
+            },
+        );
         memo.poison();
-        // The garbled entry must never come back.
-        assert!(memo.lookup(&add(), Some(&stamp(7))).is_none());
+        // The garbled entry, output included, must never come back, and
+        // the lookup that purged it says so.
+        let found = memo.lookup(&add(), Some(&stamp(7)));
+        assert_eq!(found.entry, None);
+        assert_eq!(found.purged, Some(1));
+        assert_eq!(memo.lookup(&add(), None).purged, None);
         assert_eq!(memo.stats().poison_purges, 1);
         // The memo is healthy again and usable.
         memo.insert(add(), entry(None));
-        assert_eq!(memo.lookup(&add(), None), Some(entry(None)));
+        assert_eq!(served(&memo, &add(), None), Some(entry(None)));
         assert_eq!(memo.stats().poison_purges, 1);
     }
 

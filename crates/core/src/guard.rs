@@ -3,6 +3,7 @@
 //! and account the analysis cost.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
 use jitbull_mir::{CompileKey, PassTrace};
@@ -13,7 +14,8 @@ use crate::db::DnaDatabase;
 use crate::dna::Dna;
 use crate::extract::incremental::{ExtractReceipt, IncrementalExtractor};
 use crate::extract::memo::{
-    DnaMemo, MemoEntry, MemoStats, VerdictStamp, MEMO_HIT_COST, MEMO_KEY_COST_PER_INSTR,
+    DnaMemo, MemoEntry, MemoStats, PipelineOutput, VerdictStamp, MEMO_HIT_COST,
+    MEMO_KEY_COST_PER_INSTR,
 };
 use crate::extract::{extract_dna, trace_work};
 use crate::index::{
@@ -67,8 +69,9 @@ pub struct Analysis {
     /// Simulated cycles the analysis consumed (extraction + comparison).
     pub cost_cycles: u64,
     /// The extracted DNA (kept so callers can install it into a DB —
-    /// that's exactly how VDC DNA is produced in step 1).
-    pub dna: Dna,
+    /// that's exactly how VDC DNA is produced in step 1). Shared with
+    /// the compile cache.
+    pub dna: Arc<Dna>,
 }
 
 /// The compile cache's answer for one optimizing compilation, taken
@@ -80,6 +83,8 @@ pub struct Lookup {
     cached: Option<MemoEntry>,
     /// The memo's purge count, when this lookup purged a poisoned store.
     purged: Option<u64>,
+    /// This round's clean pipeline output, to store with the entry.
+    ran: Option<Arc<PipelineOutput>>,
 }
 
 impl Lookup {
@@ -88,6 +93,21 @@ impl Lookup {
     #[must_use]
     pub fn needs_trace(&self) -> bool {
         self.cached.is_none()
+    }
+
+    /// The stored pipeline output, which stands in for running the
+    /// pipeline: the cache holds it once a clean round under the key ran.
+    #[must_use]
+    pub fn output(&self) -> Option<&Arc<PipelineOutput>> {
+        self.cached.as_ref()?.output.as_ref()
+    }
+
+    /// Hands over the output of a pipeline run that went clean this round
+    /// (not broken, no fault injector armed). The analysis stores it with
+    /// the entry unless the entry holds one already; a keyless lookup
+    /// drops it.
+    pub fn store_output(&mut self, output: Arc<PipelineOutput>) {
+        self.ran = Some(output);
     }
 }
 
@@ -217,13 +237,12 @@ impl Guard {
             // test.
             self.memo.poison();
         }
-        let purges = self.memo.stats().poison_purges;
-        let cached = self.memo.lookup(&key, self.stamp().as_ref());
-        let after = self.memo.stats().poison_purges;
+        let found = self.memo.lookup(&key, self.stamp().as_ref());
         Lookup {
             key: Some(key),
-            cached,
-            purged: (after > purges).then_some(after),
+            cached: found.entry,
+            purged: found.purged,
+            ran: None,
         }
     }
 
@@ -238,10 +257,12 @@ impl Guard {
 
     /// Analyses one compilation (step 2 of the paper's workflow;
     /// Algorithm 2 inside). A DNA cached under `lookup`'s key is used as
-    /// is, and `trace` is then the untraced compilation's empty one.
-    /// Otherwise the DNA is extracted from `trace` by the implementation
-    /// selected by [`Guard::set_extractor_mode`] and, for a keyed lookup,
-    /// cached. Comparison runs in the implementation selected by
+    /// is, and `trace` is then the untraced (or skipped) compilation's
+    /// empty one, naming only the function. Otherwise the DNA is
+    /// extracted from `trace` by the implementation selected by
+    /// [`Guard::set_extractor_mode`] and, for a keyed lookup, cached
+    /// together with any output handed over by [`Lookup::store_output`].
+    /// Comparison runs in the implementation selected by
     /// [`Guard::set_comparator_mode`]; the indexed one serves the cached
     /// verdict when its stamp matches and caches the verdict it computes
     /// otherwise. Every combination returns identical `dangerous` /
@@ -264,6 +285,7 @@ impl Guard {
             key,
             cached,
             purged,
+            ran,
         } = lookup;
         let dna_hit = cached.is_some();
         let (mut entry, mut cost, extract_receipt) = match cached {
@@ -287,13 +309,17 @@ impl Guard {
                 (hits, Some(receipt))
             }
         };
-        // Cache what this analysis computed: a new DNA, or a verdict the
-        // cached one's stamp no longer covered.
-        if let Some(key) = key {
-            if !dna_hit || receipt.is_some_and(|r| !r.cache_hit) {
-                entry.verdict = self.stamp().map(|stamp| (stamp, hits.clone()));
-                self.memo.insert(key, entry.clone());
-            }
+        // Cache what this round computed: a new DNA, a verdict the cached
+        // one's stamp no longer covered, or the entry's first output.
+        let mut changed = !dna_hit || receipt.is_some_and(|r| !r.cache_hit);
+        if entry.output.is_none() && ran.is_some() {
+            entry.output = ran;
+            changed = true;
+        }
+        let dna = Arc::clone(&entry.dna);
+        if let Some(key) = key.filter(|_| changed) {
+            entry.verdict = self.stamp().map(|stamp| (stamp, hits.clone()));
+            self.memo.insert(key, entry);
         }
         let entries = self.db.entries();
         let mut dangerous: Vec<usize> = Vec::new();
@@ -309,7 +335,7 @@ impl Guard {
             dangerous,
             matches,
             cost_cycles: cost,
-            dna: entry.dna,
+            dna,
         };
         let Some(collector) = collector else {
             return analysis;
@@ -375,9 +401,10 @@ impl Guard {
             }
         };
         let entry = MemoEntry {
-            dna,
+            dna: Arc::new(dna),
             pre_mir_len,
             verdict: None,
+            output: None,
         };
         (entry, cost, receipt)
     }

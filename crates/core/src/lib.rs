@@ -17,9 +17,9 @@
 //! * [`extract`] — the **Δ extractor** (§IV-D, Algorithm 1): dependency
 //!   graph → root-to-leaf chains → removed/added sub-chains per pass.
 //!   [`extract::incremental`] is the fast structural-diff implementation
-//!   and [`extract::memo`] the shared compile cache in front of it (DNA
-//!   and last verdict per compilation, keyed before the pipeline runs);
-//!   the top-level functions remain the normative oracle.
+//!   and [`extract::memo`] the shared compile cache in front of it (DNA,
+//!   last verdict and pipeline output per compilation, keyed before the
+//!   pipeline runs); the top-level functions remain the normative oracle.
 //! * [`dna`] — `Δ_i` / DNA vector types and their textual serialisation
 //!   (the update format a maintainer would ship to users).
 //! * [`compare`] — the **Δ comparator** (§IV-E, Algorithm 2) with the
@@ -58,7 +58,7 @@ pub use db::{DnaDatabase, LoadMode, LoadReport, VdcEntry};
 pub use dna::{Chain, Dna, PassDelta};
 pub use error::DbError;
 pub use extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
-pub use extract::memo::{DnaMemo, MemoEntry, MemoStats, VerdictStamp};
+pub use extract::memo::{DnaMemo, MemoEntry, MemoLookup, MemoStats, PipelineOutput, VerdictStamp};
 pub use extract::{extract_delta, extract_dna};
 pub use guard::{Analysis, ComparatorMode, DbMut, ExtractorMode, Guard, Lookup};
 pub use index::{ChainInterner, ComparatorIndex, IndexStats, QueryReceipt};

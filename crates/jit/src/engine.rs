@@ -10,11 +10,18 @@
 //!   register-allocated by `jitbull-lir`.
 //!
 //! When a JITBULL guard is installed *and its database is non-empty*, each
-//! optimizing compilation is looked up in the guard's compile cache by its
-//! [`CompileKey`], traced only when the cache holds no DNA for it, compared,
-//! and the paper's go / recompile-without-passes / no-Ion policy applied.
-//! With an empty database there is no key, no lookup and no snapshot — the
-//! zero-overhead property of §V.
+//! optimizing compilation round is looked up in the guard's compile cache
+//! by the key of its [`CompileInput`], compared, and the paper's go /
+//! recompile-without-passes / no-Ion policy applied. A round whose key
+//! the cache has compiled before is served the stored output in place of
+//! running the pipeline — MIR building, the 32 slots, lowering and
+//! register allocation are skipped — yet charged the same simulated
+//! cycles, so the cycle model cannot tell a hit from a compile. A round
+//! that runs the pipeline is traced only when the cache holds no DNA for
+//! it, and only code that promotes is lowered. With a fault injector
+//! armed no output is stored or served, so chaos plans see every pass
+//! run. With an empty database there is no key, no lookup and no
+//! snapshot — the zero-overhead property of §V.
 //!
 //! Tiers and verdicts belong to one run: every run starts each function of
 //! its module in the interpreter. Only the configuration, the guard (with
@@ -24,19 +31,20 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 
-use jitbull::{decide, decide_observed, Decision, Guard, Lookup};
+use jitbull::{decide, decide_observed, Decision, Guard, Lookup, PipelineOutput};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
 use jitbull_lir::LFunction;
-use jitbull_mir::{build_mir, CompileKey, MirFunction};
+use jitbull_mir::{MirFunction, PassTrace};
 use jitbull_telemetry::{Collector, Event, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
 use jitbull_vm::interp;
 use jitbull_vm::runtime::{ExploitStatus, Outcome, Runtime, BASELINE_COST, INTERP_COST};
 use jitbull_vm::{compile_program, Dispatcher, Value, VmError};
 
-use crate::pipeline::{optimize, slot_disableable, OptimizeOptions, N_SLOTS};
+use crate::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions, N_SLOTS};
 use crate::vuln::VulnConfig;
 
 /// Cycle cost charged per bytecode op for a baseline compilation.
@@ -154,9 +162,9 @@ enum FuncTier {
     Baseline,
     /// Runs this optimized code.
     Ion {
-        code: Rc<LFunction>,
+        code: Arc<LFunction>,
         /// Vulnerabilities whose incorrect transform fired in `code`.
-        vulns_fired: Vec<String>,
+        vulns_fired: Vec<&'static str>,
     },
     /// No optimized code for the rest of the run: vetoed by JITBULL,
     /// failed or quarantined. Runs baseline.
@@ -284,7 +292,9 @@ impl Engine {
                 },
                 disabled_slots: st.verdict.disabled_slots.clone(),
                 vulns_fired: match &st.tier {
-                    FuncTier::Ion { vulns_fired, .. } => vulns_fired.clone(),
+                    FuncTier::Ion { vulns_fired, .. } => {
+                        vulns_fired.iter().map(|&cve| cve.to_owned()).collect()
+                    }
                     _ => Vec::new(),
                 },
                 matched: st.verdict.matched.clone(),
@@ -391,14 +401,33 @@ impl Engine {
         (FuncTier::NoIon, Verdict::default())
     }
 
-    /// Lowers the pipeline's output and promotes the function to it.
-    fn promote(&self, name: &str, mir: &MirFunction, vulns_fired: Vec<String>) -> FuncTier {
+    /// Promotes the function to a round's code: the code stored with its
+    /// output, else `mir` lowered, else — for a served round whose key
+    /// never promoted before — a fresh untraced pipeline run lowered. The
+    /// lowered code is stored with the output, so a compile-cache entry
+    /// gains code the first time a round under its key promotes.
+    fn promote(
+        &self,
+        input: &CompileInput<'_>,
+        output: &PipelineOutput,
+        mir: Option<MirFunction>,
+    ) -> FuncTier {
         self.emit(|| Event::TierPromoted {
-            function: name.to_owned(),
+            function: input.function().name.clone(),
             tier: Tier::Ion,
         });
-        let code = Rc::new(jitbull_lir::compile(mir));
-        FuncTier::Ion { code, vulns_fired }
+        let code = output.code.get_or_init(|| {
+            let mir = mir.unwrap_or_else(|| {
+                compile(input, &OptimizeOptions::default())
+                    .expect("a served key compiled clean before")
+                    .mir
+            });
+            Arc::new(jitbull_lir::compile(&mir))
+        });
+        FuncTier::Ion {
+            code: Arc::clone(code),
+            vulns_fired: output.vulns_fired.clone(),
+        }
     }
 
     /// One optimizing compilation of `func`, recompile rounds included:
@@ -409,13 +438,17 @@ impl Engine {
         module: &Module,
         func: FuncId,
     ) -> (FuncTier, Verdict) {
-        let name = &module.function(func).name;
+        let function = module.function(func);
+        let name = &function.name;
         // Quarantined functions are pinned no-go: their compilations keep
         // blowing up, so we stop feeding them to the pipeline.
         if self.config.quarantine.is_quarantined(name) {
             return (FuncTier::NoIon, Verdict::default());
         }
         let jitbull_active = self.guard.as_ref().is_some_and(Guard::enabled);
+        // Stored outputs are neither served nor stored while a fault
+        // injector is armed: chaos plans see every pass run.
+        let cacheable = !self.config.faults.is_enabled();
         // JITBULL sits inside OptimizeMIR (paper §V), so every retry is
         // analyzed again: disabling one dangerous pass can unshadow a
         // different buggy transform further down the pipeline, which the
@@ -431,35 +464,41 @@ impl Engine {
                 function: name.clone(),
                 tier: Tier::Ion,
             });
-            let Ok(mir) = build_mir(module, func) else {
-                return (FuncTier::NoIon, Verdict::default());
+            let input = CompileInput::new(function, disabled.iter().copied(), &self.config.vulns);
+            let lookup = self
+                .guard
+                .as_ref()
+                .filter(|_| jitbull_active)
+                .map(|guard| guard.lookup(input.key()));
+            let served = lookup
+                .as_ref()
+                .and_then(Lookup::output)
+                .filter(|_| cacheable)
+                .cloned();
+            // The round's output and, when the pipeline ran, its result.
+            let (output, ran) = match served {
+                Some(output) => (output, None),
+                None => {
+                    let options = OptimizeOptions {
+                        trace: lookup.as_ref().is_some_and(Lookup::needs_trace),
+                        faults: self.config.faults.clone(),
+                    };
+                    let result = match catch_unwind(AssertUnwindSafe(|| compile(&input, &options)))
+                    {
+                        Ok(Ok(result)) => result,
+                        Ok(Err(_)) => return (FuncTier::NoIon, Verdict::default()),
+                        Err(payload) => return self.compile_panicked(name, payload.as_ref()),
+                    };
+                    for &(fault, _slot) in &result.injected {
+                        self.emit(|| Event::ChaosInjected {
+                            site: "pass_run",
+                            fault,
+                        });
+                    }
+                    (Arc::new(result.output()), Some(result))
+                }
             };
-            let mut options = OptimizeOptions {
-                disabled_slots: disabled.clone(),
-                trace: false,
-                faults: self.config.faults.clone(),
-            };
-            let lookup = self.guard.as_ref().filter(|_| jitbull_active).map(|guard| {
-                guard.lookup(CompileKey::new(
-                    module.function(func),
-                    options.skipped_slots(),
-                    N_SLOTS,
-                    self.config.vulns.mask(),
-                ))
-            });
-            options.trace = lookup.as_ref().is_some_and(Lookup::needs_trace);
-            let vulns = &self.config.vulns;
-            let result = match catch_unwind(AssertUnwindSafe(|| optimize(mir, vulns, &options))) {
-                Ok(result) => result,
-                Err(payload) => return self.compile_panicked(name, payload.as_ref()),
-            };
-            for &(fault, _slot) in &result.injected {
-                self.emit(|| Event::ChaosInjected {
-                    site: "pass_run",
-                    fault,
-                });
-            }
-            let round_cost = result.work * ION_COMPILE_COST;
+            let round_cost = output.work * ION_COMPILE_COST;
             if let Some(budget) = self.overrun(spent, round_cost) {
                 return self.watchdog_expire(rt, name, matched, budget, spent);
             }
@@ -467,7 +506,7 @@ impl Engine {
             spent += round_cost;
             if let Some(c) = &self.collector {
                 let mut col = c.borrow_mut();
-                for run in &result.slot_runs {
+                for run in &output.slot_runs {
                     col.record(Event::PassApplied {
                         slot: run.slot,
                         name: run.name,
@@ -477,7 +516,7 @@ impl Engine {
                     });
                 }
             }
-            if result.broken.is_some() {
+            if ran.as_ref().is_some_and(|result| result.broken.is_some()) {
                 self.run.compile_failures += 1;
                 self.emit(|| Event::CompileFailed {
                     function: name.clone(),
@@ -485,25 +524,28 @@ impl Engine {
                 });
                 return (FuncTier::NoIon, Verdict::default());
             }
-            let mut vulns_fired: Vec<String> = result
-                .triggered
-                .iter()
-                .map(|(c, _)| c.name().to_owned())
-                .collect();
-            vulns_fired.dedup();
-            let Some(lookup) = lookup else {
-                let tier = self.promote(name, &result.mir, vulns_fired);
-                return (tier, Verdict::default());
+            let (mir, trace) = match ran {
+                Some(result) => (Some(result.mir), result.trace),
+                None => {
+                    let trace = PassTrace {
+                        function: name.clone(),
+                        ..PassTrace::default()
+                    };
+                    (None, trace)
+                }
             };
+            let Some(mut lookup) = lookup else {
+                return (self.promote(&input, &output, mir), Verdict::default());
+            };
+            if cacheable && mir.is_some() {
+                lookup.store_output(Arc::clone(&output));
+            }
             let guard = self.guard.as_ref().expect("a lookup comes from the guard");
             let analysis = match &self.collector {
-                Some(c) => guard.analyze_compile(
-                    lookup,
-                    &result.trace,
-                    N_SLOTS,
-                    Some(&mut *c.borrow_mut()),
-                ),
-                None => guard.analyze_compile(lookup, &result.trace, N_SLOTS, None),
+                Some(c) => {
+                    guard.analyze_compile(lookup, &trace, N_SLOTS, Some(&mut *c.borrow_mut()))
+                }
+                None => guard.analyze_compile(lookup, &trace, N_SLOTS, None),
             };
             if let Some(budget) = self.overrun(spent, analysis.cost_cycles) {
                 return self.watchdog_expire(rt, name, matched, budget, spent);
@@ -551,7 +593,7 @@ impl Engine {
             if no_go || (self.config.whole_jit_policy && !verdict.disabled_slots.is_empty()) {
                 return (FuncTier::NoIon, verdict);
             }
-            return (self.promote(name, &result.mir, vulns_fired), verdict);
+            return (self.promote(&input, &output, mir), verdict);
         }
         // Could not reach a clean compilation within the round budget:
         // conservative no-Ion fallback.
@@ -680,7 +722,7 @@ impl Dispatcher for Engine {
         }
         let cost = match &self.run.funcs[ix].tier {
             FuncTier::Ion { code, .. } => {
-                let code = Rc::clone(code);
+                let code = Arc::clone(code);
                 return jitbull_lir::run(&code, rt, module, this, &args, self);
             }
             FuncTier::Baseline | FuncTier::NoIon => BASELINE_COST,

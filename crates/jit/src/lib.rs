@@ -45,5 +45,5 @@ pub mod pipeline;
 pub mod vuln;
 
 pub use engine::{Engine, EngineConfig, EngineOutcome, FunctionStats, TierStats};
-pub use pipeline::{optimize, OptimizeOptions, OptimizeResult, PIPELINE};
+pub use pipeline::{compile, CompileInput, OptimizeOptions, OptimizeResult, PIPELINE};
 pub use vuln::{CveId, VulnConfig};

@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn removes_orphan_block_and_remaps() {
-        let mut f = MirFunction::new("t", jitbull_vm::bytecode::FuncId(0));
+        let mut f = MirFunction::new("t");
         // block0 -> block2; block1 is unreachable.
         let goto_id = f.fresh_id();
         f.blocks.push(Block {

@@ -45,7 +45,7 @@ mod tests {
         )
         .unwrap();
         let m = compile_program(&p).unwrap();
-        let mut f = build_mir(&m, m.function_id("f").unwrap()).unwrap();
+        let mut f = build_mir(m.function(m.function_id("f").unwrap())).unwrap();
         let vulns = VulnConfig::default();
         let mut cx = PassContext::new(&vulns);
         renumber(&mut f, &mut cx);

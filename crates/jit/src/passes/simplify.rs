@@ -2,6 +2,7 @@
 //! test folding (IonMonkey `FoldConstants` / `FoldTests`).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use jitbull_frontend::ast::{BinOp, UnOp};
 use jitbull_mir::{CmpOp, ConstVal, InstrId, Instruction, MOpcode, MirFunction};
@@ -14,7 +15,7 @@ use super::PassContext;
 fn const_value(c: &ConstVal) -> Option<Value> {
     Some(match c {
         ConstVal::Number(n) => Value::Number(*n),
-        ConstVal::Str(s) => Value::Str(s.clone()),
+        ConstVal::Str(s) => Value::str(&**s),
         ConstVal::Bool(b) => Value::Bool(*b),
         ConstVal::Undefined => Value::Undefined,
         ConstVal::Null => Value::Null,
@@ -25,7 +26,7 @@ fn const_value(c: &ConstVal) -> Option<Value> {
 fn value_const(v: &Value) -> Option<ConstVal> {
     Some(match v {
         Value::Number(n) => ConstVal::Number(*n),
-        Value::Str(s) => ConstVal::Str(s.clone()),
+        Value::Str(s) => ConstVal::Str(Arc::from(&**s)),
         Value::Bool(b) => ConstVal::Bool(*b),
         Value::Undefined => ConstVal::Undefined,
         Value::Null => ConstVal::Null,
@@ -254,7 +255,7 @@ mod tests {
     fn mir(src: &str, name: &str) -> MirFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        build_mir(&m, m.function_id(name).unwrap()).unwrap()
+        build_mir(m.function(m.function_id(name).unwrap())).unwrap()
     }
 
     fn count(f: &MirFunction, pred: impl Fn(&MOpcode) -> bool) -> usize {

@@ -72,7 +72,7 @@ mod tests {
         // join has two predecessors — the fall-through edge is critical.
         let p = parse_program("function f(c) { var x = 0; if (c) { x = 1; } return x; }").unwrap();
         let m = compile_program(&p).unwrap();
-        let mut f = build_mir(&m, m.function_id("f").unwrap()).unwrap();
+        let mut f = build_mir(m.function(m.function_id("f").unwrap())).unwrap();
         let vulns = VulnConfig::default();
         let mut cx = PassContext::new(&vulns);
         let before = f.block_count();
@@ -98,7 +98,7 @@ mod tests {
     fn straight_line_untouched() {
         let p = parse_program("function f(a) { return a + 1; }").unwrap();
         let m = compile_program(&p).unwrap();
-        let mut f = build_mir(&m, m.function_id("f").unwrap()).unwrap();
+        let mut f = build_mir(m.function(m.function_id("f").unwrap())).unwrap();
         let vulns = VulnConfig::default();
         let mut cx = PassContext::new(&vulns);
         let before = f.block_count();

@@ -83,7 +83,7 @@ mod tests {
     fn inserts_number_guards_for_parameters() {
         let p = parse_program("function f(a, b) { return a * b - 1; }").unwrap();
         let m = compile_program(&p).unwrap();
-        let mut f = build_mir(&m, m.function_id("f").unwrap()).unwrap();
+        let mut f = build_mir(m.function(m.function_id("f").unwrap())).unwrap();
         let vulns = VulnConfig::default();
         let mut cx = PassContext::new(&vulns);
         type_specialization(&mut f, &mut cx);
@@ -102,7 +102,7 @@ mod tests {
         // Add may be string concatenation; it must not get number guards.
         let p = parse_program("function f(a, b) { return a + b; }").unwrap();
         let m = compile_program(&p).unwrap();
-        let mut f = build_mir(&m, m.function_id("f").unwrap()).unwrap();
+        let mut f = build_mir(m.function(m.function_id("f").unwrap())).unwrap();
         let vulns = VulnConfig::default();
         let mut cx = PassContext::new(&vulns);
         type_specialization(&mut f, &mut cx);

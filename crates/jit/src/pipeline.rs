@@ -1,11 +1,18 @@
 //! The optimization pipeline (`OptimizeMIR`): 32 slots over the MIR, in an
 //! order modeled on IonMonkey's, with per-slot disabling, vulnerability
 //! hooks, and snapshot tracing (`IR_0 … IR_n`) for JITBULL's Δ extractor.
+//!
+//! [`compile`] is the only way in: it takes a [`CompileInput`], the
+//! struct the compile cache's key is built from, so the pipeline cannot
+//! read an input the key lacks.
 
-use std::collections::HashSet;
-
+use jitbull::PipelineOutput;
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
-use jitbull_mir::{MirFunction, MirSnapshot, PassRecord, PassTrace};
+use jitbull_mir::build::MirBuildError;
+use jitbull_mir::{
+    build_mir, CompileKey, MirFunction, MirSnapshot, PassRecord, PassTrace, SlotRun,
+};
+use jitbull_vm::bytecode::Function;
 
 use crate::passes::{self, PassContext};
 use crate::vuln::{self, VulnConfig};
@@ -240,11 +247,66 @@ pub fn slot_disableable(slot_index: usize) -> bool {
     PIPELINE[slot_index].disableable
 }
 
-/// Options for one pipeline run.
+/// Everything one optimizing compilation's output depends on: the
+/// function's bytecode, the disableable slots the pipeline skips and the
+/// engine's vulnerabilities. [`compile`] reads nothing else, and
+/// [`CompileInput::key`] is built from this struct alone, so two inputs
+/// with equal keys compile to equal output.
+#[derive(Debug, Clone)]
+pub struct CompileInput<'a> {
+    function: &'a Function,
+    /// Disableable slots to skip, sorted.
+    skipped: Vec<usize>,
+    vulns: &'a VulnConfig,
+}
+
+impl<'a> CompileInput<'a> {
+    /// The input for compiling `function` with the slots in `disabled`
+    /// off, in an engine with `vulns` present. Mandatory slots run
+    /// whatever `disabled` says, so they are dropped from it here.
+    pub fn new(
+        function: &'a Function,
+        disabled: impl IntoIterator<Item = usize>,
+        vulns: &'a VulnConfig,
+    ) -> Self {
+        let mut skipped: Vec<usize> = disabled
+            .into_iter()
+            .filter(|&s| s < N_SLOTS && slot_disableable(s))
+            .collect();
+        skipped.sort_unstable();
+        skipped.dedup();
+        CompileInput {
+            function,
+            skipped,
+            vulns,
+        }
+    }
+
+    /// The function being compiled.
+    pub fn function(&self) -> &'a Function {
+        self.function
+    }
+
+    /// The compile-cache key of this input.
+    pub fn key(&self) -> CompileKey {
+        CompileKey::new(
+            self.function,
+            self.skipped.clone(),
+            N_SLOTS,
+            self.vulns.mask(),
+        )
+    }
+
+    fn skips(&self, slot: usize) -> bool {
+        self.skipped.binary_search(&slot).is_ok()
+    }
+}
+
+/// How one pipeline run goes, beside what it compiles. Neither option
+/// changes a clean run's output: tracing only records the IR, and the
+/// fault injector changes only the runs it fires in.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizeOptions {
-    /// Slots to skip (JITBULL recompile decision).
-    pub disabled_slots: HashSet<usize>,
     /// Capture the IR entering the pipeline and after every executed
     /// slot (JITBULL enabled).
     pub trace: bool,
@@ -252,36 +314,6 @@ pub struct OptimizeOptions {
     /// ([`FaultSite::PassRun`]). Disabled by default: a single pointer
     /// test per slot, no cycle-model impact.
     pub faults: FaultInjector,
-}
-
-impl OptimizeOptions {
-    /// Whether [`optimize`] skips `slot`: it is disabled and disableable.
-    fn skips(&self, slot: usize) -> bool {
-        PIPELINE[slot].disableable && self.disabled_slots.contains(&slot)
-    }
-
-    /// The slots [`optimize`] skips under these options, sorted. Any other
-    /// entry of `disabled_slots` leaves the output unchanged, so a compile
-    /// cache keys on exactly these.
-    pub fn skipped_slots(&self) -> Vec<usize> {
-        (0..N_SLOTS).filter(|&s| self.skips(s)).collect()
-    }
-}
-
-/// Measurements for one executed slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotRun {
-    /// Pipeline slot index.
-    pub slot: usize,
-    /// Pass name.
-    pub name: &'static str,
-    /// IR size entering the slot.
-    pub instrs_before: u64,
-    /// IR size leaving the slot.
-    pub instrs_after: u64,
-    /// Work units charged to the slot (its share of
-    /// [`OptimizeResult::work`]).
-    pub work: u64,
 }
 
 /// Result of one pipeline run.
@@ -305,13 +337,44 @@ pub struct OptimizeResult {
     pub injected: Vec<(&'static str, usize)>,
 }
 
-/// Runs the optimization pipeline over `mir`.
-pub fn optimize(
+impl OptimizeResult {
+    /// What the compile cache keeps of this run in place of running it
+    /// again: its work, executed slots and fired vulnerabilities. The
+    /// code is lowered later, and only if the compilation promotes.
+    pub fn output(&self) -> PipelineOutput {
+        let mut vulns_fired: Vec<&'static str> =
+            self.triggered.iter().map(|(cve, _)| cve.name()).collect();
+        vulns_fired.dedup();
+        PipelineOutput {
+            work: self.work,
+            slot_runs: self.slot_runs.clone(),
+            vulns_fired,
+            ..PipelineOutput::default()
+        }
+    }
+}
+
+/// Compiles `input`: builds its MIR and runs the optimization pipeline
+/// over it. Lowering the result is left to the caller, which lowers only
+/// the compilations it promotes.
+///
+/// # Errors
+///
+/// Returns [`MirBuildError`] when the bytecode does not build.
+pub fn compile(
+    input: &CompileInput<'_>,
+    options: &OptimizeOptions,
+) -> Result<OptimizeResult, MirBuildError> {
+    Ok(optimize(build_mir(input.function)?, input, options))
+}
+
+/// Runs the optimization pipeline over `mir`, built from `input`.
+fn optimize(
     mut mir: MirFunction,
-    vulns: &VulnConfig,
+    input: &CompileInput<'_>,
     options: &OptimizeOptions,
 ) -> OptimizeResult {
-    let mut cx = PassContext::new(vulns);
+    let mut cx = PassContext::new(input.vulns);
     let mut trace = PassTrace {
         function: mir.name.clone(),
         initial: if options.trace {
@@ -325,7 +388,7 @@ pub fn optimize(
     let mut slot_runs = Vec::new();
     let mut injected = Vec::new();
     for (index, slot) in PIPELINE.iter().enumerate() {
-        if options.skips(index) {
+        if input.skips(index) {
             continue;
         }
         let mut stall_work = 0u64;
@@ -385,13 +448,36 @@ mod tests {
     use super::*;
     use crate::vuln::CveId;
     use jitbull_frontend::parse_program;
-    use jitbull_mir::build_mir;
     use jitbull_vm::compile_program;
 
     fn mir_of(src: &str, name: &str) -> MirFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        build_mir(&m, m.function_id(name).unwrap()).unwrap()
+        build_mir(m.function(m.function_id(name).unwrap())).unwrap()
+    }
+
+    /// Compiles function `name` of `src` with the slots in `disabled` off.
+    fn run(
+        src: &str,
+        name: &str,
+        disabled: &[usize],
+        vulns: &VulnConfig,
+        options: &OptimizeOptions,
+    ) -> OptimizeResult {
+        let m = compile_program(&parse_program(src).unwrap()).unwrap();
+        let f = m.function(m.function_id(name).unwrap());
+        compile(
+            &CompileInput::new(f, disabled.iter().copied(), vulns),
+            options,
+        )
+        .unwrap()
+    }
+
+    fn traced() -> OptimizeOptions {
+        OptimizeOptions {
+            trace: true,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -401,12 +487,15 @@ mod tests {
 
     #[test]
     fn optimizes_and_stays_valid() {
-        let mir = mir_of(
-            "function f(a, n) { var t = 0; for (var i = 0; i < n; i++) { t = t + a[i] * 2 + (3 * 4); } return t; }",
+        let src = "function f(a, n) { var t = 0; for (var i = 0; i < n; i++) { t = t + a[i] * 2 + (3 * 4); } return t; }";
+        let before = mir_of(src, "f").instr_count();
+        let result = run(
+            src,
             "f",
+            &[],
+            &VulnConfig::none(),
+            &OptimizeOptions::default(),
         );
-        let before = mir.instr_count();
-        let result = optimize(mir, &VulnConfig::none(), &OptimizeOptions::default());
         assert!(result.broken.is_none());
         assert_eq!(result.mir.validate(), Ok(()));
         assert!(
@@ -424,15 +513,8 @@ mod tests {
 
     #[test]
     fn tracing_captures_every_executed_slot() {
-        let mir = mir_of("function f(a, i) { return a[i] + a[i]; }", "f");
-        let result = optimize(
-            mir,
-            &VulnConfig::none(),
-            &OptimizeOptions {
-                trace: true,
-                ..Default::default()
-            },
-        );
+        let src = "function f(a, i) { return a[i] + a[i]; }";
+        let result = run(src, "f", &[], &VulnConfig::none(), &traced());
         assert_eq!(result.trace.records.len(), N_SLOTS);
         // GVN's pass must show a shrinking IR (the duplicate chains merge).
         let (before, gvn) = result.trace.passes().nth(slot::GVN_1).unwrap();
@@ -443,15 +525,9 @@ mod tests {
     #[test]
     fn trace_is_the_snapshot_sequence_of_executed_slots() {
         let src = "function f(a, i) { return a[i] + a[i]; }";
-        let mut options = OptimizeOptions {
-            trace: true,
-            ..Default::default()
-        };
-        options.disabled_slots.insert(slot::GVN_1);
-        options.disabled_slots.insert(slot::LICM);
-        // Mandatory: still runs, so still traced.
-        options.disabled_slots.insert(slot::RENUMBER_FINAL);
-        let result = optimize(mir_of(src, "f"), &VulnConfig::none(), &options);
+        // RENUMBER_FINAL is mandatory: it still runs, so it is still traced.
+        let disabled = [slot::GVN_1, slot::LICM, slot::RENUMBER_FINAL];
+        let result = run(src, "f", &disabled, &VulnConfig::none(), &traced());
         let trace = &result.trace;
         assert_eq!(trace.initial, mir_of(src, "f").snapshot());
         let executed: Vec<usize> = result.slot_runs.iter().map(|r| r.slot).collect();
@@ -467,14 +543,9 @@ mod tests {
 
     #[test]
     fn disabled_slots_are_skipped() {
-        let mir = mir_of("function f(a, i) { return a[i] + a[i]; }", "f");
-        let mut options = OptimizeOptions {
-            trace: true,
-            ..Default::default()
-        };
-        options.disabled_slots.insert(slot::GVN_1);
-        options.disabled_slots.insert(slot::GVN_2);
-        let result = optimize(mir, &VulnConfig::none(), &options);
+        let src = "function f(a, i) { return a[i] + a[i]; }";
+        let disabled = [slot::GVN_1, slot::GVN_2];
+        let result = run(src, "f", &disabled, &VulnConfig::none(), &traced());
         assert_eq!(result.trace.records.len(), N_SLOTS - 2);
         assert!(result
             .trace
@@ -485,10 +556,13 @@ mod tests {
 
     #[test]
     fn mandatory_slots_cannot_be_skipped() {
-        let mir = mir_of("function f(a) { return a + 1; }", "f");
-        let mut options = OptimizeOptions::default();
-        options.disabled_slots.insert(slot::RENUMBER_FINAL);
-        let result = optimize(mir, &VulnConfig::none(), &options);
+        let m =
+            compile_program(&parse_program("function f(a) { return a + 1; }").unwrap()).unwrap();
+        let f = m.function(m.function_id("f").unwrap());
+        let vulns = VulnConfig::none();
+        let input = CompileInput::new(f, [slot::RENUMBER_FINAL], &vulns);
+        assert_eq!(input.key(), CompileInput::new(f, [], &vulns).key());
+        let result = compile(&input, &OptimizeOptions::default()).unwrap();
         assert!(result.broken.is_none());
         // Final renumber still ran: ids are dense.
         let mut expected = 0;
@@ -502,17 +576,12 @@ mod tests {
 
     #[test]
     fn vulnerability_fires_in_its_slot_and_is_visible_in_trace() {
-        let mir = mir_of(
+        let result = run(
             "function pwn(a, v) { a.length = 4; a[20] = v; return 0; }",
             "pwn",
-        );
-        let result = optimize(
-            mir,
+            &[],
             &VulnConfig::with([CveId::Cve2019_17026]),
-            &OptimizeOptions {
-                trace: true,
-                ..Default::default()
-            },
+            &traced(),
         );
         assert!(result
             .triggered
@@ -542,13 +611,13 @@ mod tests {
 
     #[test]
     fn disabling_the_buggy_slot_neutralizes_the_vulnerability() {
-        let mir = mir_of(
+        let result = run(
             "function pwn(a, v) { a.length = 4; a[20] = v; return 0; }",
             "pwn",
+            &[slot::GVN_1],
+            &VulnConfig::with([CveId::Cve2019_17026]),
+            &OptimizeOptions::default(),
         );
-        let mut options = OptimizeOptions::default();
-        options.disabled_slots.insert(slot::GVN_1);
-        let result = optimize(mir, &VulnConfig::with([CveId::Cve2019_17026]), &options);
         assert!(result.triggered.is_empty());
         assert!(result
             .mir
@@ -560,8 +629,14 @@ mod tests {
 
     #[test]
     fn slot_runs_partition_the_work() {
-        let mir = mir_of("function f(a, i) { return a[i] + a[i]; }", "f");
-        let result = optimize(mir, &VulnConfig::none(), &OptimizeOptions::default());
+        let src = "function f(a, i) { return a[i] + a[i]; }";
+        let result = run(
+            src,
+            "f",
+            &[],
+            &VulnConfig::none(),
+            &OptimizeOptions::default(),
+        );
         assert_eq!(result.slot_runs.len(), N_SLOTS);
         let total: u64 = result.slot_runs.iter().map(|r| r.work).sum();
         assert_eq!(total, result.work, "slot work must partition total work");
@@ -574,8 +649,10 @@ mod tests {
     #[test]
     fn chaos_stall_inflates_work_deterministically() {
         use jitbull_chaos::FaultPlan;
-        let base = optimize(
-            mir_of("function f(a, i) { return a[i] + a[i]; }", "f"),
+        let base = run(
+            "function f(a, i) { return a[i] + a[i]; }",
+            "f",
+            &[],
             &VulnConfig::none(),
             &OptimizeOptions::default(),
         );
@@ -585,8 +662,10 @@ mod tests {
             3,
             1,
         ));
-        let stalled = optimize(
-            mir_of("function f(a, i) { return a[i] + a[i]; }", "f"),
+        let stalled = run(
+            "function f(a, i) { return a[i] + a[i]; }",
+            "f",
+            &[],
             &VulnConfig::none(),
             &OptimizeOptions {
                 faults,
@@ -606,8 +685,10 @@ mod tests {
             5,
             1,
         ));
-        let result = optimize(
-            mir_of("function f(a, i) { return a[i] + a[i]; }", "f"),
+        let result = run(
+            "function f(a, i) { return a[i] + a[i]; }",
+            "f",
+            &[],
             &VulnConfig::none(),
             &OptimizeOptions {
                 faults,
@@ -627,10 +708,11 @@ mod tests {
             0,
             1,
         ));
-        let mir = mir_of("function f(a) { return a + 1; }", "f");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            optimize(
-                mir,
+            run(
+                "function f(a) { return a + 1; }",
+                "f",
+                &[],
                 &VulnConfig::none(),
                 &OptimizeOptions {
                     faults,
@@ -645,8 +727,10 @@ mod tests {
 
     #[test]
     fn disabled_injector_changes_nothing() {
-        let base = optimize(
-            mir_of("function f(a, b) { return (a + b) * (a + b); }", "f"),
+        let base = run(
+            "function f(a, b) { return (a + b) * (a + b); }",
+            "f",
+            &[],
             &VulnConfig::none(),
             &OptimizeOptions::default(),
         );
@@ -658,8 +742,10 @@ mod tests {
             u64::MAX,
             0,
         ));
-        let idle = optimize(
-            mir_of("function f(a, b) { return (a + b) * (a + b); }", "f"),
+        let idle = run(
+            "function f(a, b) { return (a + b) * (a + b); }",
+            "f",
+            &[],
             &VulnConfig::none(),
             &OptimizeOptions {
                 faults: armed_idle,
@@ -673,10 +759,13 @@ mod tests {
 
     #[test]
     fn idempotent_second_run_changes_little() {
-        let mir = mir_of("function f(a, b) { return (a + b) * (a + b); }", "f");
-        let r1 = optimize(mir, &VulnConfig::none(), &OptimizeOptions::default());
+        let src = "function f(a, b) { return (a + b) * (a + b); }";
+        let m = compile_program(&parse_program(src).unwrap()).unwrap();
+        let vulns = VulnConfig::none();
+        let input = CompileInput::new(m.function(m.function_id("f").unwrap()), [], &vulns);
+        let r1 = compile(&input, &OptimizeOptions::default()).unwrap();
         let count1 = r1.mir.instr_count();
-        let r2 = optimize(r1.mir, &VulnConfig::none(), &OptimizeOptions::default());
+        let r2 = optimize(r1.mir, &input, &OptimizeOptions::default());
         assert_eq!(r2.mir.instr_count(), count1);
     }
 }

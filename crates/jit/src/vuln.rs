@@ -483,7 +483,7 @@ mod tests {
     fn mir(src: &str, name: &str) -> MirFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        build_mir(&m, m.function_id(name).unwrap()).unwrap()
+        build_mir(m.function(m.function_id(name).unwrap())).unwrap()
     }
 
     fn checks(f: &MirFunction) -> usize {

@@ -17,8 +17,6 @@
 //! * if the base's `unbox:array` guard was removed and a number flows in,
 //!   the number is dereferenced as a heap address (type confusion).
 
-use std::rc::Rc;
-
 use jitbull_frontend::ast::{BinOp, UnOp};
 use jitbull_mir::{CmpOp, ConstVal, MOpcode, TypeHint};
 use jitbull_vm::bytecode::Module;
@@ -107,7 +105,8 @@ fn cmp_binop(c: CmpOp) -> BinOp {
 fn const_value(c: &ConstVal) -> Value {
     match c {
         ConstVal::Number(n) => Value::Number(*n),
-        ConstVal::Str(s) => Value::Str(s.clone()),
+        // Compiled code is shared across threads; runtime strings are not.
+        ConstVal::Str(s) => Value::str(&**s),
         ConstVal::Bool(b) => Value::Bool(*b),
         ConstVal::Undefined => Value::Undefined,
         ConstVal::Null => Value::Null,
@@ -300,7 +299,7 @@ fn eval_op(
         MOpcode::StoreProperty(name) => {
             let base = a(m, 0);
             let v = a(m, 1);
-            jitbull_vm::interp::set_prop(rt, &base, Rc::clone(name), v.clone())?;
+            jitbull_vm::interp::set_prop(rt, &base, name, v.clone())?;
             v
         }
         MOpcode::LoadGlobal(slot) => rt.globals[*slot as usize].clone(),

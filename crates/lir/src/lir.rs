@@ -159,11 +159,11 @@ impl LBlock {
     }
 }
 
-/// A lowered function.
+/// A lowered function: plain data, free of names, so it is shared
+/// across threads and equal for every function with the same compile
+/// input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LFunction {
-    /// Source-level name, for diagnostics.
-    pub name: String,
     /// Blocks; entry is block 0. Block ids correspond to the MIR blocks
     /// they were lowered from (jump threading may leave orphans).
     pub blocks: Vec<LBlock>,
@@ -232,7 +232,7 @@ impl LFunction {
 
 impl fmt::Display for LFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "lir function `{}` ({} vregs)", self.name, self.n_vregs)?;
+        writeln!(f, "lir function ({} vregs)", self.n_vregs)?;
         for (i, b) in self.blocks.iter().enumerate() {
             writeln!(f, "L{i}:")?;
             for instr in &b.instrs {
@@ -262,9 +262,14 @@ mod tests {
     }
 
     #[test]
+    fn code_crosses_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<LFunction>();
+    }
+
+    #[test]
     fn validate_catches_missing_terminator() {
         let f = LFunction {
-            name: "t".into(),
             blocks: vec![LBlock {
                 instrs: vec![LInstr::mov(VReg(0), VReg(0))],
             }],
@@ -278,7 +283,6 @@ mod tests {
     #[test]
     fn validate_accepts_return() {
         let f = LFunction {
-            name: "t".into(),
             blocks: vec![LBlock {
                 instrs: vec![
                     LInstr::new(

@@ -15,7 +15,6 @@ use crate::lir::{GuardRefs, LBlock, LBlockId, LFunction, LInstr, LOp, VReg};
 /// Lowers optimized MIR to (unallocated) LIR.
 pub fn lower(mir: &MirFunction) -> LFunction {
     let mut f = LFunction {
-        name: mir.name.clone(),
         blocks: vec![LBlock::default(); mir.block_count()],
         n_vregs: mir.id_bound(),
         locs: Vec::new(),
@@ -163,7 +162,7 @@ mod tests {
     fn mir_of(src: &str, name: &str) -> MirFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        build_mir(&m, m.function_id(name).unwrap()).unwrap()
+        build_mir(m.function(m.function_id(name).unwrap())).unwrap()
     }
 
     #[test]
@@ -219,7 +218,6 @@ mod tests {
     fn parallel_move_cycle_breaks_with_scratch() {
         // swap: a <- b, b <- a
         let mut f = LFunction {
-            name: "t".into(),
             blocks: vec![],
             n_vregs: 2,
             locs: vec![],
@@ -243,7 +241,6 @@ mod tests {
     fn parallel_move_chain_orders_correctly() {
         // a <- b, b <- c: must move a<-b first.
         let mut f = LFunction {
-            name: "t".into(),
             blocks: vec![],
             n_vregs: 3,
             locs: vec![],
@@ -263,7 +260,6 @@ mod tests {
     #[test]
     fn self_moves_are_dropped() {
         let mut f = LFunction {
-            name: "t".into(),
             blocks: vec![],
             n_vregs: 1,
             locs: vec![],

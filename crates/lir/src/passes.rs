@@ -110,7 +110,6 @@ mod tests {
     fn threads_through_trampolines() {
         // L0 -> L1 (jump-only) -> L2 (return).
         let mut f = LFunction {
-            name: "t".into(),
             blocks: vec![
                 LBlock {
                     instrs: vec![LInstr::new(LOp::Jump(LBlockId(1)), None, vec![])],
@@ -135,7 +134,6 @@ mod tests {
     #[test]
     fn removes_same_location_moves_after_allocation() {
         let mut f = LFunction {
-            name: "t".into(),
             blocks: vec![LBlock {
                 instrs: vec![
                     LInstr::new(
@@ -158,7 +156,6 @@ mod tests {
     #[test]
     fn keeps_moves_between_distinct_locations() {
         let mut f = LFunction {
-            name: "t".into(),
             blocks: vec![LBlock {
                 instrs: vec![
                     LInstr::mov(VReg(1), VReg(0)),

@@ -213,7 +213,7 @@ mod tests {
     fn lir_of(src: &str, name: &str) -> LFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        let mir = build_mir(&m, m.function_id(name).unwrap()).unwrap();
+        let mir = build_mir(m.function(m.function_id(name).unwrap())).unwrap();
         lower(&mir)
     }
 

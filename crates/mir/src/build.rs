@@ -21,9 +21,10 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use jitbull_frontend::ast::{BinOp, UnOp};
-use jitbull_vm::bytecode::{FuncId, Module, Op};
+use jitbull_vm::bytecode::{Function, Op};
 
 use crate::graph::{Block, BlockId, MirFunction};
 use crate::instr::{InstrId, Instruction};
@@ -43,14 +44,16 @@ impl fmt::Display for MirBuildError {
 
 impl Error for MirBuildError {}
 
-/// Builds the MIR for one function of a module.
+/// Builds the MIR for one function from its bytecode alone: nothing else
+/// of the module it came from (other functions, global names) is in
+/// reach.
 ///
 /// # Errors
 ///
 /// Returns [`MirBuildError`] on malformed bytecode (unbalanced stacks at
 /// joins, jumps out of range).
-pub fn build_mir(module: &Module, func: FuncId) -> Result<MirFunction, MirBuildError> {
-    Builder::new(module, func)?.run()
+pub fn build_mir(function: &Function) -> Result<MirFunction, MirBuildError> {
+    Builder::new(function)?.run()
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -59,9 +62,8 @@ struct AbstractState {
     stack: Vec<InstrId>,
 }
 
-struct Builder<'m> {
-    module: &'m Module,
-    func: FuncId,
+struct Builder<'f> {
+    function: &'f Function,
     /// Sorted bytecode offsets at which blocks begin (reachable only).
     starts: Vec<usize>,
     /// Bytecode offset → MIR block id.
@@ -73,10 +75,9 @@ struct Builder<'m> {
     entry_state: Vec<Option<AbstractState>>,
 }
 
-impl<'m> Builder<'m> {
-    fn new(module: &'m Module, func: FuncId) -> Result<Self, MirBuildError> {
-        let f = module.function(func);
-        let code = &f.code;
+impl<'f> Builder<'f> {
+    fn new(function: &'f Function) -> Result<Self, MirBuildError> {
+        let code = &function.code;
         // 1. Block boundaries.
         let mut starts: BTreeSet<usize> = BTreeSet::new();
         starts.insert(0);
@@ -169,12 +170,11 @@ impl<'m> Builder<'m> {
         let needs_phis: Vec<bool> = (0..kept.len())
             .map(|i| i != 0 && (pred_count[i] > 1 || has_back_edge[i]))
             .collect();
-        let mut mir = MirFunction::new(f.name.clone(), func);
+        let mut mir = MirFunction::new(function.name.clone());
         mir.blocks = vec![Block::default(); kept.len()];
         let entry_state = vec![None; kept.len()];
         Ok(Builder {
-            module,
-            func,
+            function,
             starts: kept,
             block_of,
             needs_phis,
@@ -184,7 +184,7 @@ impl<'m> Builder<'m> {
     }
 
     fn run(mut self) -> Result<MirFunction, MirBuildError> {
-        let f = self.module.function(self.func);
+        let f = self.function;
         // Seed the entry block: parameters then an undefined constant for
         // the remaining locals.
         let mut locals = Vec::with_capacity(f.n_locals as usize);
@@ -224,7 +224,7 @@ impl<'m> Builder<'m> {
             .starts
             .get(bi + 1)
             .copied()
-            .unwrap_or(self.module.function(self.func).code.len());
+            .unwrap_or(self.function.code.len());
         let mut state = match &self.entry_state[bi] {
             Some(s) => s.clone(),
             None => {
@@ -236,7 +236,8 @@ impl<'m> Builder<'m> {
         // Instructions emitted into this block (appended after any seeded
         // parameter instructions in the entry block).
         let mut out: Vec<Instruction> = std::mem::take(&mut self.mir.blocks[bi].instrs);
-        let code = self.module.function(self.func).code.clone();
+        let function = self.function;
+        let code = &function.code;
         let mut pc = start;
         let mut terminated = false;
         macro_rules! emit {
@@ -262,7 +263,7 @@ impl<'m> Builder<'m> {
                     state.stack.push(id);
                 }
                 Op::ConstStr(s) => {
-                    let id = emit!(MOpcode::Constant(ConstVal::Str(s.clone())), vec![]);
+                    let id = emit!(MOpcode::Constant(ConstVal::Str(Arc::from(&**s))), vec![]);
                     state.stack.push(id);
                 }
                 Op::ConstBool(b) => {
@@ -379,13 +380,13 @@ impl<'m> Builder<'m> {
                 }
                 Op::GetProp(name) => {
                     let base = pop!();
-                    let id = emit!(MOpcode::LoadProperty(name.clone()), vec![base]);
+                    let id = emit!(MOpcode::LoadProperty(Arc::from(&**name)), vec![base]);
                     state.stack.push(id);
                 }
                 Op::SetProp(name) => {
                     let val = pop!();
                     let base = pop!();
-                    emit!(MOpcode::StoreProperty(name.clone()), vec![base, val]);
+                    emit!(MOpcode::StoreProperty(Arc::from(&**name)), vec![base, val]);
                     state.stack.push(val);
                 }
                 Op::GetMethod(name) => {
@@ -393,7 +394,7 @@ impl<'m> Builder<'m> {
                         .stack
                         .last()
                         .ok_or_else(|| MirBuildError(format!("method underflow at pc {pc}")))?;
-                    let id = emit!(MOpcode::LoadProperty(name.clone()), vec![base]);
+                    let id = emit!(MOpcode::LoadProperty(Arc::from(&**name)), vec![base]);
                     state.stack.push(id);
                 }
                 Op::GetLength => {
@@ -594,8 +595,7 @@ mod tests {
     fn mir_of(src: &str, name: &str) -> MirFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        let fid = m.function_id(name).unwrap();
-        build_mir(&m, fid).unwrap()
+        build_mir(m.function(m.function_id(name).unwrap())).unwrap()
     }
 
     #[test]
@@ -715,7 +715,7 @@ mod tests {
         let p =
             parse_program("var x = 1; for (var i = 0; i < 3; i++) { x *= 2; } print(x);").unwrap();
         let m = compile_program(&p).unwrap();
-        let mir = build_mir(&m, m.entry).unwrap();
+        let mir = build_mir(m.function(m.entry)).unwrap();
         assert_eq!(mir.validate(), Ok(()));
         assert!(mir.to_string().contains("storeglobal"));
     }
@@ -731,8 +731,8 @@ mod tests {
         ";
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
-        for i in 0..m.functions.len() {
-            let mir = build_mir(&m, jitbull_vm::bytecode::FuncId(i as u32)).unwrap();
+        for (i, f) in m.functions.iter().enumerate() {
+            let mir = build_mir(f).unwrap();
             assert_eq!(mir.validate(), Ok(()), "function {i} invalid:\n{mir}");
         }
     }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use jitbull_vm::bytecode::FuncId;
-
 use crate::instr::{InstrId, Instruction};
 use crate::opcode::MOpcode;
 
@@ -60,8 +58,6 @@ impl Block {
 pub struct MirFunction {
     /// Source-level function name (diagnostics only).
     pub name: String,
-    /// The VM function this MIR was built from.
-    pub func: FuncId,
     /// Basic blocks; entry is block 0.
     pub blocks: Vec<Block>,
     next_id: u32,
@@ -69,10 +65,9 @@ pub struct MirFunction {
 
 impl MirFunction {
     /// Creates an empty function shell.
-    pub fn new(name: impl Into<String>, func: FuncId) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         MirFunction {
             name: name.into(),
-            func,
             blocks: Vec::new(),
             next_id: 0,
         }
@@ -194,7 +189,7 @@ impl fmt::Display for MirFunction {
     /// Prints in the paper's Listing-1 style: numbered instructions grouped
     /// by block.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "mir function `{}` ({})", self.name, self.func)?;
+        writeln!(f, "mir function `{}`", self.name)?;
         for (i, b) in self.blocks.iter().enumerate() {
             writeln!(f, "block{i}:")?;
             for phi in &b.phis {
@@ -214,7 +209,7 @@ mod tests {
     use crate::opcode::{ConstVal, MOpcode};
 
     fn simple_fn() -> MirFunction {
-        let mut f = MirFunction::new("t", FuncId(0));
+        let mut f = MirFunction::new("t");
         let c = f.fresh_id();
         let r = f.fresh_id();
         f.blocks.push(Block {
@@ -259,7 +254,7 @@ mod tests {
     fn successors_from_terminators() {
         let f = simple_fn();
         assert!(f.blocks[0].successors().is_empty());
-        let mut g = MirFunction::new("g", FuncId(0));
+        let mut g = MirFunction::new("g");
         let id = g.fresh_id();
         g.blocks.push(Block {
             phis: vec![],

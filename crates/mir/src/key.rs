@@ -1,13 +1,16 @@
 //! The compile key: everything an optimizing compilation's output depends
 //! on, known before the pipeline runs.
 //!
-//! [`crate::build_mir`] reads nothing but one function's bytecode, arity
-//! and local count, and the optimization pipeline reads nothing but that
-//! MIR, the slots it skips, its length and the engine's injected
-//! vulnerabilities. A [`CompileKey`] holds exactly those inputs, so two
-//! compilations with equal keys run the same passes over the same graphs
-//! and leave the same trace. That is what lets the DNA memo answer a
-//! compilation before it is traced.
+//! The types keep the compilation from reading anything else.
+//! [`crate::build_mir`] takes one function's bytecode (`&Function`) and
+//! has no module in reach, and the engine's pipeline is entered only
+//! through `jitbull_jit::compile`, whose `CompileInput` holds that
+//! bytecode, the slots the pipeline skips and the engine's injected
+//! vulnerabilities, and builds this key from those fields alone. Two
+//! compilations with equal keys therefore run the same passes over the
+//! same graphs, leave the same trace and lower to the same code. That is
+//! what lets the compile cache answer a compilation — DNA, verdict and
+//! code — before running it.
 
 use std::mem::Discriminant;
 use std::sync::Arc;

@@ -19,8 +19,9 @@
 //!   ([`snapshot::MirSnapshot`]): the *only* IR type the `jitbull` core
 //!   crate consumes, keeping JITBULL decoupled from this particular engine
 //!   just as the paper argues the approach ports to TurboFan;
-//! * [`key`] — the [`CompileKey`] the core's DNA memo is keyed on: every
-//!   input of one optimizing compilation, taken before the pipeline runs.
+//! * [`key`] — the [`CompileKey`] the core's compile cache is keyed on:
+//!   every input of one optimizing compilation, taken before the pipeline
+//!   runs.
 //!
 //! # Examples
 //!
@@ -32,7 +33,7 @@
 //! let program = parse_program("function f(a) { return a + 1; }")?;
 //! let module = compile_program(&program)?;
 //! let fid = module.function_id("f").unwrap();
-//! let mir = build_mir(&module, fid)?;
+//! let mir = build_mir(module.function(fid))?;
 //! assert!(mir.block_count() >= 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -52,4 +53,4 @@ pub use instr::{InstrId, Instruction};
 pub use key::CompileKey;
 pub use label::Label;
 pub use opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
-pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SnapInstr};
+pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SlotRun, SnapInstr};

@@ -5,7 +5,7 @@
 //! paper's Listing 1.
 
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use jitbull_vm::bytecode::{FuncId, IntrinsicMethod, MathFn};
 
@@ -56,7 +56,7 @@ impl CmpOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConstVal {
     Number(f64),
-    Str(Rc<str>),
+    Str(Arc<str>),
     Bool(bool),
     Undefined,
     Null,
@@ -188,9 +188,9 @@ pub enum MOpcode {
     /// Operands: (base, index, value).
     StoreElement,
     /// Operand 0: base.
-    LoadProperty(Rc<str>),
+    LoadProperty(Arc<str>),
     /// Operands: (base, value).
-    StoreProperty(Rc<str>),
+    StoreProperty(Arc<str>),
     /// No operands.
     LoadGlobal(u16),
     /// Operand 0: value.

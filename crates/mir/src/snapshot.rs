@@ -78,6 +78,24 @@ pub struct PassRecord {
     pub after: MirSnapshot,
 }
 
+/// Measurements for one executed optimization pass. Unlike a
+/// [`PassRecord`] it is taken on every compilation, traced or not: the
+/// compile-cost model and per-slot telemetry read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRun {
+    /// Pipeline slot index.
+    pub slot: usize,
+    /// Pass name.
+    pub name: &'static str,
+    /// IR size entering the slot.
+    pub instrs_before: u64,
+    /// IR size leaving the slot.
+    pub instrs_after: u64,
+    /// Work units charged to the slot (its share of the compilation's
+    /// total).
+    pub work: u64,
+}
+
 /// The full per-compilation trace a JIT engine hands to JITBULL: the IR
 /// entering the pipeline, then one [`PassRecord`] per executed pipeline
 /// slot. This is the engine-agnostic interface of the paper's Δ extractor
@@ -138,10 +156,10 @@ mod tests {
         let p2 = parse_program("function f(zz, qq) { return zz[qq] + 99; }").unwrap();
         let m1 = compile_program(&p1).unwrap();
         let m2 = compile_program(&p2).unwrap();
-        let s1 = build_mir(&m1, m1.function_id("f").unwrap())
+        let s1 = build_mir(m1.function(m1.function_id("f").unwrap()))
             .unwrap()
             .snapshot();
-        let s2 = build_mir(&m2, m2.function_id("f").unwrap())
+        let s2 = build_mir(m2.function(m2.function_id("f").unwrap()))
             .unwrap()
             .snapshot();
         // Renaming variables and changing literals leaves identical labels.
@@ -155,7 +173,7 @@ mod tests {
     fn snapshot_preserves_operand_edges() {
         let p = parse_program("function f(a) { return a + a; }").unwrap();
         let m = compile_program(&p).unwrap();
-        let s = build_mir(&m, m.function_id("f").unwrap())
+        let s = build_mir(m.function(m.function_id("f").unwrap()))
             .unwrap()
             .snapshot();
         let add = s.instrs.iter().find(|i| i.label.name() == "add").unwrap();

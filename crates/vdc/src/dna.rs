@@ -10,9 +10,8 @@
 
 use jitbull::{Dna, DnaDatabase, Guard};
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
-use jitbull_mir::build_mir;
 use jitbull_vm::{compile_program, VmError};
 
 use crate::catalog::Vdc;
@@ -32,15 +31,8 @@ pub fn extract_dna(v: &Vdc, vulns: &VulnConfig) -> Result<Vec<(String, Dna)>, Vm
         let fid = module
             .function_id(name)
             .ok_or_else(|| VmError::Compile(format!("trigger `{name}` missing in {}", v.name)))?;
-        let mir = build_mir(&module, fid).map_err(|e| VmError::Compile(e.to_string()))?;
-        let result = optimize(
-            mir,
-            vulns,
-            &OptimizeOptions {
-                trace: true,
-                ..Default::default()
-            },
-        );
+        let input = CompileInput::new(module.function(fid), [], vulns);
+        let result = compile(&input, &traced()).map_err(|e| VmError::Compile(e.to_string()))?;
         let dna = Guard::extract(&result.trace, N_SLOTS);
         out.push((name.clone(), dna));
     }
@@ -77,26 +69,25 @@ pub fn extract_program_dna_with(
     let program = parse_program(source).map_err(|e| VmError::Parse(e.to_string()))?;
     let module = compile_program(&program)?;
     let mut out = Vec::new();
-    for (i, f) in module.functions.iter().enumerate() {
+    for f in &module.functions {
         if f.name == "<main>" {
             continue;
         }
-        let fid = jitbull_vm::bytecode::FuncId(i as u32);
-        let Ok(mir) = build_mir(&module, fid) else {
+        let input = CompileInput::new(f, disabled_slots.iter().copied(), vulns);
+        let Ok(result) = compile(&input, &traced()) else {
             continue;
         };
-        let result = optimize(
-            mir,
-            vulns,
-            &OptimizeOptions {
-                trace: true,
-                disabled_slots: disabled_slots.clone(),
-                ..Default::default()
-            },
-        );
         out.push((f.name.clone(), Guard::extract(&result.trace, N_SLOTS)));
     }
     Ok(out)
+}
+
+/// Pipeline options that trace every executed slot.
+fn traced() -> OptimizeOptions {
+    OptimizeOptions {
+        trace: true,
+        ..OptimizeOptions::default()
+    }
 }
 
 /// Builds a JITBULL database from a set of demonstrator codes (one entry

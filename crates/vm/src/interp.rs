@@ -1,8 +1,6 @@
 //! The bytecode interpreter (also reused, at a cheaper cycle cost, as the
 //! baseline tier by the JIT engine).
 
-use std::rc::Rc;
-
 use jitbull_frontend::ast::{BinOp, UnOp};
 
 use crate::bytecode::{FuncId, IntrinsicMethod, Module, Op};
@@ -175,7 +173,7 @@ fn run_frame(
             Op::SetProp(name) => {
                 let value = pop!();
                 let base = pop!();
-                set_prop(rt, &base, name.clone(), value.clone())?;
+                set_prop(rt, &base, name, value.clone())?;
                 stack.push(value);
             }
             Op::GetMethod(name) => {
@@ -452,8 +450,7 @@ pub fn set_elem(rt: &mut Runtime, base: &Value, idx: &Value, value: Value) -> Re
     match base {
         Value::Array(arr) => rt.heap.set_elem(*arr, idx.to_number(), value),
         Value::Object(obj) => {
-            let key: Rc<str> = idx.to_string().into();
-            rt.object_mut(*obj).set(key, value);
+            rt.object_mut(*obj).set(&idx.to_string(), value);
             Ok(())
         }
         other => Err(VmError::Type(format!(
@@ -477,18 +474,13 @@ pub fn get_prop(rt: &mut Runtime, base: &Value, name: &str) -> Result<Value, VmE
 }
 
 /// Property write.
-pub fn set_prop(
-    rt: &mut Runtime,
-    base: &Value,
-    name: Rc<str>,
-    value: Value,
-) -> Result<(), VmError> {
+pub fn set_prop(rt: &mut Runtime, base: &Value, name: &str, value: Value) -> Result<(), VmError> {
     match base {
         Value::Object(obj) => {
             rt.object_mut(*obj).set(name, value);
             Ok(())
         }
-        Value::Array(arr) if &*name == "length" => {
+        Value::Array(arr) if name == "length" => {
             let n = value.to_number();
             if n.is_finite() && n >= 0.0 {
                 rt.heap.set_length(*arr, n as usize);
@@ -527,7 +519,7 @@ pub fn set_length(rt: &mut Runtime, base: &Value, value: &Value) -> Result<(), V
             Ok(())
         }
         Value::Object(obj) => {
-            rt.object_mut(*obj).set("length".into(), value.clone());
+            rt.object_mut(*obj).set("length", value.clone());
             Ok(())
         }
         other => Err(VmError::Type(format!(

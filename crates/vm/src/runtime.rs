@@ -54,9 +54,14 @@ impl ObjectData {
         self.props.get(name).cloned().unwrap_or(Value::Undefined)
     }
 
-    /// Writes a property.
-    pub fn set(&mut self, name: Rc<str>, value: Value) {
-        self.props.insert(name, value);
+    /// Writes a property. Only a store that adds a new key allocates.
+    pub fn set(&mut self, name: &str, value: Value) {
+        match self.props.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.props.insert(Rc::from(name), value);
+            }
+        }
     }
 }
 
@@ -281,7 +286,7 @@ mod tests {
         let mut rt = Runtime::new();
         let id = rt.alloc_object();
         assert!(matches!(rt.object(id).get("missing"), Value::Undefined));
-        rt.object_mut(id).set("x".into(), Value::Number(4.0));
+        rt.object_mut(id).set("x", Value::Number(4.0));
         assert!(matches!(rt.object(id).get("x"), Value::Number(n) if n == 4.0));
     }
 

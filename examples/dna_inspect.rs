@@ -8,7 +8,7 @@
 
 use jitbull::Guard;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS, PIPELINE};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS, PIPELINE};
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_mir::build_mir;
 use jitbull_vm::compile_program;
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fid = module.function_id("hot").expect("declared above");
 
     // Print the freshly built MIR — the paper's Listing-1 view.
-    let mir = build_mir(&module, fid)?;
+    let mir = build_mir(module.function(fid))?;
     println!("== MIR before optimization ==\n{mir}");
 
     for (label, vulns) in [
@@ -36,15 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             VulnConfig::with([CveId::Cve2019_17026]),
         ),
     ] {
-        let mir = build_mir(&module, fid)?;
-        let result = optimize(
-            mir,
-            &vulns,
-            &OptimizeOptions {
-                trace: true,
-                ..Default::default()
-            },
-        );
+        let input = CompileInput::new(module.function(fid), [], &vulns);
+        let traced = OptimizeOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let result = compile(&input, &traced)?;
         let dna = Guard::extract(&result.trace, N_SLOTS);
         println!("== JIT DNA on {label} ==");
         for (slot, delta) in dna.deltas.iter().enumerate() {

@@ -3,37 +3,43 @@
 //! The compile cache (`jitbull::DnaMemo`) is shared the way the serving
 //! pool shares it: several guards, each over its own database snapshot,
 //! one store. It is keyed on the compile key (bytecode, disabled slots,
-//! slot count, vulnerabilities) and serves a verdict only under the
+//! slot count, vulnerabilities), serves the stored pipeline output and
+//! code in place of compiling, and serves a verdict only under the
 //! database generation and thresholds it was given under. This harness
 //! feeds it the traffic where a key that misses an input would alias:
 //! seeded generated functions each followed by a twin that differs in one
-//! constant, and the two constant-only pairs whose snapshots are
-//! identical — while the databases are hot-swapped mid-sequence through
-//! `db_mut` installs, removals and wholesale replacement.
+//! constant and a twin that differs only in function names, and the two
+//! constant-only pairs whose snapshots are identical — while the
+//! databases are hot-swapped mid-sequence through `db_mut` installs,
+//! removals and wholesale replacement.
 //!
 //! Every Ion round (recompile rounds included) is checked against the
 //! oracles: its DNA against `extract_dna` of a fresh traced compile, its
 //! verdict against `compare::reference` over the guard's current
-//! database. The same traffic also runs through two guarded engines that
-//! share one cache, checked against an oracle engine that never touches
-//! a cache.
+//! database, and — when the cache serves the round's output — that
+//! output against a fresh untraced `compile` of the same input: work,
+//! executed slots, fired CVEs and, once stored, the lowered code. The
+//! same traffic also runs through two guarded engines that share one
+//! cache, checked against an oracle engine that never touches a cache.
+
+use std::sync::Arc;
 
 use jitbull::compare::reference;
 use jitbull::{
     decide, extract_dna, Analysis, ComparatorMode, CompareConfig, Decision, DnaDatabase, DnaMemo,
-    ExtractorMode, Guard,
+    ExtractorMode, Guard, PipelineOutput,
 };
 use jitbull_frontend::ast::Expr;
 use jitbull_frontend::visit::mutate_exprs_in_stmts;
 use jitbull_frontend::{parse_program, print_program};
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig, FunctionStats};
-use jitbull_jit::pipeline::{optimize, slot_disableable, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::{CveId, VulnConfig};
-use jitbull_mir::{build_mir, CompileKey};
+use jitbull_mir::PassTrace;
 use jitbull_prng::Rng;
 use jitbull_vdc::{all_vdcs, build_database};
-use jitbull_vm::bytecode::{FuncId, Module};
+use jitbull_vm::bytecode::Function;
 use jitbull_vm::compile_program;
 
 /// Low thresholds so near-matches recompile and keys gain disabled slots.
@@ -71,8 +77,16 @@ fn constant_twin(source: &str, rng: &mut Rng) -> String {
     print_program(&program)
 }
 
-/// The traffic: each generated program then its constant twin, then both
-/// constant-only pairs.
+/// `source` with every function renamed: same bytecode, other names.
+fn name_twin(source: &str) -> String {
+    source
+        .replace("hot(", "warm(")
+        .replace("helper(", "aide(")
+        .replace("f(", "g(")
+}
+
+/// The traffic: each generated program then its constant twin and its
+/// name twin, then both constant-only pairs and their name twins.
 fn traffic() -> Vec<String> {
     let mut rng = Rng::seed_from_u64(0xCAC4E);
     let mut out = Vec::new();
@@ -83,8 +97,10 @@ fn traffic() -> Vec<String> {
             body_len: 6,
         });
         let twin = constant_twin(&source, &mut rng);
+        let renamed = name_twin(&source);
         out.push(source);
         out.push(twin);
+        out.push(renamed);
     }
     let branch = "function f(a) { if (COND) { a[0] = 1; } else { a[1] = 2; a[2] = a[0] + 3; } return a[0]; }";
     let product = "function f(a) { var x = 2 * K; if (x > 5) { a[0] = 1; } else { a[1] = 2; a[2] = a[0] + 3; } return a[0]; }";
@@ -94,7 +110,9 @@ fn traffic() -> Vec<String> {
         product.replace('K', "3"),
         product.replace('K', "1"),
     ] {
-        out.push(format!("{f}\n{PAIR_DRIVER}"));
+        let source = format!("{f}\n{PAIR_DRIVER}");
+        out.push(name_twin(&source));
+        out.push(source);
     }
     out
 }
@@ -118,14 +136,12 @@ fn hot_swap(at: usize, len: usize, guards: &mut [Guard], full: &DnaDatabase, oth
 
 /// The oracle: a fresh traced compile's DNA and the reference verdict
 /// over `guard`'s current database.
-fn oracle(guard: &Guard, module: &Module, func: FuncId, options: &OptimizeOptions) -> Analysis {
-    let vulns = VulnConfig::all();
+fn oracle(guard: &Guard, input: &CompileInput<'_>) -> Analysis {
     let traced = OptimizeOptions {
         trace: true,
-        ..options.clone()
+        ..OptimizeOptions::default()
     };
-    let mir = build_mir(module, func).unwrap();
-    let dna = extract_dna(&optimize(mir, &vulns, &traced).trace, N_SLOTS);
+    let dna = extract_dna(&compile(input, &traced).unwrap().trace, N_SLOTS);
     let mut dangerous = Vec::new();
     let mut matches = Vec::new();
     for e in guard.db().entries() {
@@ -141,51 +157,106 @@ fn oracle(guard: &Guard, module: &Module, func: FuncId, options: &OptimizeOption
         dangerous,
         matches,
         cost_cycles: 0,
-        dna,
+        dna: Arc::new(dna),
     }
 }
 
-/// Compiles `func` the way the engine's Ion tier does — key, lookup,
-/// pipeline traced only on a miss, analysis, recompile with the dangerous
-/// slots off until the policy settles — checking every round against the
-/// oracle. Returns the rounds run.
-fn compile_checked(guard: &Guard, module: &Module, func: FuncId, label: &str) -> usize {
-    let vulns = VulnConfig::all();
-    let mut options = OptimizeOptions::default();
-    for round in 1..=N_SLOTS + 1 {
-        let Ok(mir) = build_mir(module, func) else {
-            return round - 1;
-        };
-        let key = CompileKey::new(
-            module.function(func),
-            options.skipped_slots(),
-            N_SLOTS,
-            vulns.mask(),
+/// A served output must be what a fresh untraced compile of the same
+/// input produces: work, executed slots, fired CVEs and, when stored, the
+/// lowered code field for field.
+fn check_served(output: &PipelineOutput, input: &CompileInput<'_>, label: &str) {
+    let fresh = compile(input, &OptimizeOptions::default()).unwrap();
+    let expected = fresh.output();
+    assert_eq!(output.work, expected.work, "{label}: served work");
+    assert_eq!(
+        output.slot_runs, expected.slot_runs,
+        "{label}: served slots"
+    );
+    assert_eq!(
+        output.vulns_fired, expected.vulns_fired,
+        "{label}: served CVEs"
+    );
+    if let Some(code) = output.code.get() {
+        assert_eq!(
+            **code,
+            jitbull_lir::compile(&fresh.mir),
+            "{label}: served code"
         );
-        let lookup = guard.lookup(key);
-        options.trace = lookup.needs_trace();
-        let result = optimize(mir, &vulns, &options);
-        if result.broken.is_some() {
-            return round;
-        }
-        let got = guard.analyze_compile(lookup, &result.trace, N_SLOTS, None);
-        let expected = oracle(guard, module, func, &options);
-        assert_eq!(got.dna, expected.dna, "{label} round {round}: foreign DNA");
+    }
+}
+
+/// What [`compile_checked`] saw.
+#[derive(Default)]
+struct Checked {
+    rounds: usize,
+    recompiled: usize,
+    served: usize,
+    served_code: usize,
+}
+
+/// Compiles `function` the way the engine's Ion tier does — key, lookup,
+/// the stored output served on a hit or the pipeline run (traced only on
+/// a DNA miss), analysis, recompile with the dangerous slots off until
+/// the policy settles, code lowered and stored on promotion — checking
+/// every round against the oracles.
+fn compile_checked(guard: &Guard, function: &Function, label: &str, seen: &mut Checked) {
+    let vulns = VulnConfig::all();
+    let mut disabled: Vec<usize> = Vec::new();
+    for round in 1..=N_SLOTS + 1 {
+        let label = format!("{label} round {round}");
+        seen.rounds += 1;
+        seen.recompiled += usize::from(round == 2);
+        let input = CompileInput::new(function, disabled.iter().copied(), &vulns);
+        let mut lookup = guard.lookup(input.key());
+        let (output, mir, trace) = match lookup.output().cloned() {
+            Some(output) => {
+                check_served(&output, &input, &label);
+                seen.served += 1;
+                seen.served_code += usize::from(output.code.get().is_some());
+                (output, None, PassTrace::default())
+            }
+            None => {
+                let options = OptimizeOptions {
+                    trace: lookup.needs_trace(),
+                    ..OptimizeOptions::default()
+                };
+                let Ok(result) = compile(&input, &options) else {
+                    return;
+                };
+                if result.broken.is_some() {
+                    return;
+                }
+                let output = Arc::new(result.output());
+                lookup.store_output(Arc::clone(&output));
+                (output, Some(result.mir), result.trace)
+            }
+        };
+        let got = guard.analyze_compile(lookup, &trace, N_SLOTS, None);
+        let expected = oracle(guard, &input);
+        assert_eq!(got.dna, expected.dna, "{label}: foreign DNA");
         assert_eq!(
             got.matches, expected.matches,
-            "{label} round {round}: verdict differs from the reference comparator"
+            "{label}: verdict differs from the reference comparator"
         );
         let fresh: Vec<usize> = got
             .dangerous
             .into_iter()
-            .filter(|s| !options.disabled_slots.contains(s))
+            .filter(|s| !disabled.contains(s))
             .collect();
         match decide(fresh, slot_disableable) {
-            Decision::Recompile(slots) => options.disabled_slots.extend(slots),
-            Decision::Go | Decision::NoJit(_) => return round,
+            Decision::Recompile(slots) => disabled.extend(slots),
+            Decision::NoJit(_) => return,
+            Decision::Go => {
+                output.code.get_or_init(|| {
+                    let mir = mir.unwrap_or_else(|| {
+                        compile(&input, &OptimizeOptions::default()).unwrap().mir
+                    });
+                    Arc::new(jitbull_lir::compile(&mir))
+                });
+                return;
+            }
         }
     }
-    N_SLOTS + 1
 }
 
 #[test]
@@ -201,12 +272,11 @@ fn shared_compile_cache_agrees_with_the_oracles_across_functions_guards_and_hot_
         })
         .collect();
     let traffic = traffic();
-    let mut rounds = 0;
-    let mut recompiled = 0;
+    let mut seen = Checked::default();
     for (at, source) in traffic.iter().enumerate() {
         hot_swap(at, traffic.len(), &mut guards, &full, &other);
         let module = compile_program(&parse_program(source).unwrap()).unwrap();
-        for (i, f) in module.functions.iter().enumerate() {
+        for f in &module.functions {
             if f.name == "<main>" {
                 continue;
             }
@@ -214,21 +284,22 @@ fn shared_compile_cache_agrees_with_the_oracles_across_functions_guards_and_hot_
             // served what the first one cached, under its own database.
             for (g, guard) in guards.iter().enumerate() {
                 let label = format!("traffic {at} guard {g} fn {}", f.name);
-                let n = compile_checked(guard, &module, FuncId(i as u32), &label);
-                rounds += n;
-                recompiled += usize::from(n > 1);
+                compile_checked(guard, f, &label, &mut seen);
             }
         }
     }
     let stats = memo.stats();
-    assert!(recompiled > 0, "no recompile round ran");
+    assert!(seen.recompiled > 0, "no recompile round ran");
     assert!(stats.hits > 0, "the cache never served a DNA");
     assert!(stats.verdict_hits > 0, "the cache never served a verdict");
     assert!(
         stats.hits > stats.verdict_hits,
         "hot swaps never made a cached verdict stale"
     );
-    assert!(rounds > 100, "only {rounds} Ion rounds checked");
+    assert!(seen.served > 100, "only {} rounds served", seen.served);
+    assert!(seen.served_code > 0, "the cache never served code");
+    assert_eq!(stats.code_hits as usize, seen.served_code);
+    assert!(seen.rounds > 200, "only {} Ion rounds checked", seen.rounds);
 }
 
 /// What a run decided, per function, for the engine-level comparison.
@@ -289,4 +360,8 @@ fn engines_sharing_one_cache_decide_like_an_uncached_oracle_engine() {
     }
     let stats = memo.stats();
     assert!(stats.hits > 0 && stats.verdict_hits > 0, "{stats:?}");
+    assert!(
+        stats.code_hits > 0,
+        "the engines never ran served code: {stats:?}"
+    );
 }

@@ -67,19 +67,20 @@ fn database_file_workflow() {
 /// guard's compile cache the way the engine runs it: keyed before the
 /// pipeline, traced only on a DNA miss, then analysed.
 fn ion_round(guard: &Guard, source: &str, name: &str, vulns: &VulnConfig) -> jitbull::Analysis {
-    use jitbull_jit::pipeline::{optimize, OptimizeOptions};
+    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
     let program = jitbull_frontend::parse_program(source).unwrap();
     let module = jitbull_vm::compile_program(&program).unwrap();
-    let func = module.function_id(name).unwrap();
-    let key =
-        jitbull_mir::CompileKey::new(module.function(func), Vec::new(), N_SLOTS, vulns.mask());
-    let lookup = guard.lookup(key);
+    let input = CompileInput::new(
+        module.function(module.function_id(name).unwrap()),
+        [],
+        vulns,
+    );
+    let lookup = guard.lookup(input.key());
     let options = OptimizeOptions {
         trace: lookup.needs_trace(),
         ..Default::default()
     };
-    let mir = jitbull_mir::build_mir(&module, func).unwrap();
-    let trace = optimize(mir, vulns, &options).trace;
+    let trace = compile(&input, &options).unwrap().trace;
     guard.analyze_compile(lookup, &trace, N_SLOTS, None)
 }
 

@@ -258,9 +258,8 @@ fn large_random_sweep_finds_zero_divergences() {
 #[test]
 fn full_vdc_catalog_extracts_identically() {
     use jitbull_frontend::parse_program;
-    use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
     use jitbull_jit::VulnConfig;
-    use jitbull_mir::build_mir;
     use jitbull_vm::compile_program;
 
     let mut incremental = IncrementalExtractor::new();
@@ -268,16 +267,13 @@ fn full_vdc_catalog_extracts_identically() {
         let program = parse_program(&v.source).unwrap();
         let module = compile_program(&program).unwrap();
         for name in &v.trigger_functions {
-            let fid = module.function_id(name).unwrap();
-            let mir = build_mir(&module, fid).unwrap();
-            let result = optimize(
-                mir,
-                &VulnConfig::with([v.cve]),
-                &OptimizeOptions {
-                    trace: true,
-                    ..Default::default()
-                },
-            );
+            let function = module.function(module.function_id(name).unwrap());
+            let vulns = VulnConfig::with([v.cve]);
+            let traced = OptimizeOptions {
+                trace: true,
+                ..Default::default()
+            };
+            let result = compile(&CompileInput::new(function, [], &vulns), &traced).unwrap();
             let expected = extract_dna(&result.trace, N_SLOTS);
             let (got, _) = incremental.extract_dna(&result.trace, N_SLOTS);
             assert_eq!(got, expected, "divergence: vdc={} fn={name}", v.name);
@@ -296,10 +292,8 @@ fn full_vdc_catalog_extracts_identically() {
 fn real_pipeline_traces_extract_identically() {
     use jitbull_frontend::parse_program;
     use jitbull_fuzzer::{generate, GenConfig};
-    use jitbull_jit::pipeline::{optimize, OptimizeOptions, N_SLOTS};
+    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
     use jitbull_jit::{CveId, VulnConfig};
-    use jitbull_mir::build_mir;
-    use jitbull_vm::bytecode::FuncId;
     use jitbull_vm::compile_program;
 
     let mut rng = Rng::seed_from_u64(0x9E_11AE);
@@ -312,26 +306,27 @@ fn real_pipeline_traces_extract_identically() {
             ..GenConfig::default()
         };
         let module = compile_program(&parse_program(&generate(&config)).unwrap()).unwrap();
-        for fid in 0..module.functions.len() {
-            let Ok(mir) = build_mir(&module, FuncId(fid as u32)) else {
-                continue;
-            };
+        for (fid, function) in module.functions.iter().enumerate() {
             let vulns = if rng.gen_bool(0.5) {
                 VulnConfig::with([*rng.pick(&CveId::all())])
             } else {
                 VulnConfig::none()
             };
-            let options = OptimizeOptions {
+            let disabled: Vec<usize> = (0..N_SLOTS).filter(|_| rng.gen_bool(0.2)).collect();
+            let input = CompileInput::new(function, disabled, &vulns);
+            let traced = OptimizeOptions {
                 trace: true,
-                disabled_slots: (0..N_SLOTS).filter(|_| rng.gen_bool(0.2)).collect(),
                 ..Default::default()
             };
-            let trace = optimize(mir, &vulns, &options).trace;
+            let Ok(result) = compile(&input, &traced) else {
+                continue;
+            };
+            let trace = result.trace;
             let expected = extract_dna(&trace, N_SLOTS);
             let (got, receipt) = incremental.extract_dna(&trace, N_SLOTS);
             assert_eq!(
                 got, expected,
-                "divergence: seed={seed} function={fid} options={options:?} receipt={receipt:?}"
+                "divergence: seed={seed} function={fid} input={input:?} receipt={receipt:?}"
             );
             traces += 1;
         }

@@ -250,24 +250,29 @@ fn extract_query_poison_recovers_with_telemetry_and_correct_verdicts() {
 /// Traced pipeline run over function `f` of `source` on a patched
 /// engine: exactly the trace an Ion compilation hands the guard.
 fn traced_f(source: &str) -> jitbull_mir::PassTrace {
-    use jitbull_jit::pipeline::{optimize, OptimizeOptions};
+    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
     let program = jitbull_frontend::parse_program(source).unwrap();
     let module = jitbull_vm::compile_program(&program).unwrap();
-    let mir = jitbull_mir::build_mir(&module, module.function_id("f").unwrap()).unwrap();
+    let vulns = VulnConfig::none();
+    let input = CompileInput::new(
+        module.function(module.function_id("f").unwrap()),
+        [],
+        &vulns,
+    );
     let options = OptimizeOptions {
         trace: true,
         ..Default::default()
     };
-    optimize(mir, &VulnConfig::none(), &options).trace
+    compile(&input, &options).unwrap().trace
 }
 
 /// The compile key of function `f` of `source` on a patched engine.
 fn key_f(source: &str) -> jitbull_mir::CompileKey {
-    use jitbull_jit::pipeline::N_SLOTS;
+    use jitbull_jit::pipeline::CompileInput;
     let program = jitbull_frontend::parse_program(source).unwrap();
     let module = jitbull_vm::compile_program(&program).unwrap();
     let f = module.function(module.function_id("f").unwrap());
-    jitbull_mir::CompileKey::new(f, Vec::new(), N_SLOTS, VulnConfig::none().mask())
+    CompileInput::new(f, [], &VulnConfig::none()).key()
 }
 
 #[test]
@@ -303,7 +308,7 @@ fn functions_differing_only_in_literals_never_share_a_memo_entry() {
                 jitbull_mir::PassTrace::default()
             };
             assert_eq!(
-                guard.analyze_compile(lookup, &trace, N_SLOTS, None).dna,
+                *guard.analyze_compile(lookup, &trace, N_SLOTS, None).dna,
                 extract_dna(&traced_f(source), N_SLOTS),
                 "pair {pair}: the memo served a foreign DNA"
             );

@@ -9,11 +9,10 @@
 use jitbull_frontend::parse_program;
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig};
-use jitbull_jit::pipeline::{optimize, OptimizeOptions};
+use jitbull_jit::pipeline::{CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_lir::regalloc::{allocate, verify};
 use jitbull_lir::{compile, lower};
-use jitbull_mir::build_mir;
 use jitbull_vm::compile_program;
 
 fn source_for(seed: u64) -> String {
@@ -30,10 +29,11 @@ fn lowering_and_allocation_are_sound() {
         let source = source_for(seed * 1_543);
         let program = parse_program(&source).expect("generated source parses");
         let module = compile_program(&program).expect("compiles");
-        for i in 0..module.functions.len() {
-            let fid = jitbull_vm::bytecode::FuncId(i as u32);
-            let mir = build_mir(&module, fid).expect("mir builds");
-            let optimized = optimize(mir, &VulnConfig::none(), &OptimizeOptions::default());
+        let vulns = VulnConfig::none();
+        for (i, f) in module.functions.iter().enumerate() {
+            let input = CompileInput::new(f, [], &vulns);
+            let optimized =
+                jitbull_jit::compile(&input, &OptimizeOptions::default()).expect("mir builds");
             assert!(optimized.broken.is_none(), "seed {seed}");
             // Lower + allocate, then check the allocator invariant.
             let lowered = lower(&optimized.mir);

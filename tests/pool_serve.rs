@@ -133,6 +133,44 @@ fn workers_share_one_dna_memo_across_requests_and_hotswaps() {
 }
 
 #[test]
+fn serving_mix_on_a_shared_cache_answers_like_the_interpreter() {
+    use jitbull::DnaMemo;
+    let memo = DnaMemo::default();
+    let cfg = PoolConfig {
+        workers: 2,
+        capacity: 64,
+        memo: memo.clone(),
+        ..PoolConfig::default()
+    };
+    let db = build_database(&jitbull_vdc::all_vdcs()).expect("catalog builds");
+    let pool = Pool::new(cfg, db);
+    let mix = jitbull_workloads::serving_mix();
+    // Several passes over the mix: after the first, optimizing compiles
+    // are served their stored code, whichever worker runs them.
+    for pass in 0..4 {
+        let tickets: Vec<(&str, Ticket)> = mix
+            .iter()
+            .map(|w| {
+                let request = Request::new(w.source.clone()).with_config(EngineConfig::fast_test());
+                (w.name, pool.submit(request).expect("capacity 64"))
+            })
+            .collect();
+        for ((name, ticket), w) in tickets.into_iter().zip(&mix) {
+            let expected = jitbull_vm::run_source(&w.source)
+                .expect("interprets")
+                .printed;
+            let got = ticket.wait().expect("served");
+            assert!(!got.degraded, "pass {pass} {name}: degraded");
+            assert_eq!(got.printed, expected, "pass {pass} {name}");
+        }
+    }
+    let stats = memo.stats();
+    assert!(stats.hits > 0, "{stats:?}");
+    assert!(stats.code_hits > 0, "no hit served code: {stats:?}");
+    pool.shutdown();
+}
+
+#[test]
 fn overload_rejects_immediately_with_depth() {
     let pool = Pool::new(config(1, 2), DnaDatabase::new());
     let slow = pool.submit(heavy()).expect("first request fits");

@@ -4,11 +4,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use jitbull::DnaDatabase;
+use jitbull::{CompareConfig, DnaDatabase, DnaMemo, Guard};
 use jitbull_bench::figures::db_with;
-use jitbull_jit::engine::EngineConfig;
+use jitbull_jit::engine::{Engine, EngineConfig};
+use jitbull_jit::VulnConfig;
 use jitbull_telemetry::{Event, Recorder, Tier};
-use jitbull_workloads::{microbenches, run_workload, run_workload_observed};
+use jitbull_workloads::{microbenches, run_workload, run_workload_observed, serving_mix};
 
 fn recorder() -> Rc<RefCell<Recorder>> {
     // Generous capacity so no event is dropped and counters can be
@@ -115,4 +116,50 @@ fn empty_db_observation_is_cycle_neutral_and_guard_silent() {
         e,
         Event::GuardAnalyzed { .. } | Event::PolicyDecision { .. }
     )));
+}
+
+/// Per Ion compile round of one run on `engine`: the `PassApplied`
+/// events it emitted (slot, name, instruction counts and cycles).
+fn pass_rounds(engine: &mut Engine, source: &str) -> Vec<Vec<Event>> {
+    let rec = recorder();
+    engine.set_collector(rec.clone());
+    engine.run_source_with(source).unwrap();
+    let mut rounds: Vec<Vec<Event>> = Vec::new();
+    for e in rec.borrow().events().iter() {
+        match e {
+            Event::CompileStarted {
+                tier: Tier::Ion, ..
+            } => rounds.push(Vec::new()),
+            Event::PassApplied { .. } => rounds.last_mut().unwrap().push(e.clone()),
+            _ => {}
+        }
+    }
+    rounds
+}
+
+#[test]
+fn a_served_round_replays_the_passes_of_the_round_that_stored_it() {
+    let db = jitbull_vdc::build_database(&jitbull_vdc::all_vdcs()).unwrap();
+    let mut guard = Guard::new(db, CompareConfig { thr: 1, ratio: 0.5 });
+    let memo = DnaMemo::default();
+    guard.set_dna_memo(memo.clone());
+    let config = EngineConfig {
+        vulns: VulnConfig::all(),
+        ..EngineConfig::fast_test()
+    };
+    let mut engine = Engine::with_guard(config, guard);
+    let mix = serving_mix();
+    let source = &mix.iter().find(|w| w.name == "ServeArray").unwrap().source;
+    let stored = pass_rounds(&mut engine, source);
+    let cold = memo.stats();
+    assert_eq!(cold.hits, 0);
+    assert!(stored.len() > 1, "the script must recompile: {stored:?}");
+    // The same script again: every round is served from the cache, and
+    // replays exactly the passes the compiling round reported.
+    let served = pass_rounds(&mut engine, source);
+    let warm = memo.stats();
+    assert_eq!(warm.hits - cold.hits, warm.lookups - cold.lookups);
+    assert!(warm.code_hits > 0, "{warm:?}");
+    assert_eq!(served, stored);
+    assert!(served.iter().all(|round| !round.is_empty()));
 }
