@@ -2,7 +2,7 @@
 //! trace and comparison against databases of increasing size — the raw
 //! costs behind the paper's overhead figures.
 
-use jitbull::{CompareConfig, Guard, Lookup};
+use jitbull::{extract_dna, CompareConfig, Guard, Lookup};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
@@ -28,7 +28,7 @@ fn representative_trace() -> jitbull_mir::PassTrace {
 fn main() {
     let trace = representative_trace();
     bench("dna_extract_stream_fn", 5, 50, || {
-        Guard::extract(&trace, N_SLOTS)
+        extract_dna(&trace, N_SLOTS)
     });
     println!("dna_analyze_by_db_size");
     for n in [1usize, 4, 8] {

@@ -1,7 +1,8 @@
 //! Developer tool: dump the per-slot JIT DNA of named functions in a
 //! workload or VDC (helps when tuning triggers or diagnosing matches).
 
-use jitbull::Guard;
+use jitbull::dna::chain_text;
+use jitbull::extract_dna;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
@@ -22,28 +23,16 @@ fn dump(src: &str, which: &str, vulns: &VulnConfig) {
             ..Default::default()
         };
         let r = compile(&CompileInput::new(f, [], vulns), &traced).unwrap();
-        let dna = Guard::extract(&r.trace, N_SLOTS);
+        let dna = extract_dna(&r.trace, N_SLOTS);
         println!("--- fn {}", f.name);
         for (s, d) in dna.deltas.iter().enumerate() {
             if !d.is_empty() {
                 println!("  slot {s}: -{} +{}", d.removed.len(), d.added.len());
                 for c in d.removed.iter().take(6) {
-                    println!(
-                        "    - {}",
-                        c.iter()
-                            .map(|x| x.to_string())
-                            .collect::<Vec<_>>()
-                            .join(">")
-                    );
+                    println!("    - {}", chain_text(c));
                 }
                 for c in d.added.iter().take(6) {
-                    println!(
-                        "    + {}",
-                        c.iter()
-                            .map(|x| x.to_string())
-                            .collect::<Vec<_>>()
-                            .join(">")
-                    );
+                    println!("    + {}", chain_text(c));
                 }
             }
         }

@@ -53,22 +53,16 @@ pub fn deltas_similar(a: &PassDelta, b: &PassDelta, config: &CompareConfig) -> b
     compare_chains(&a.removed, &b.removed, config) || compare_chains(&a.added, &b.added, config)
 }
 
-/// Compares a function's DNA against one VDC DNA, returning the pipeline
-/// slots whose deltas are similar (the `DisPass` contribution of this VDC).
-pub fn dangerous_passes(f: &Dna, vdc: &Dna, config: &CompareConfig) -> Vec<usize> {
+/// The naive, normative Algorithm 2: compares a function's DNA against
+/// one VDC DNA, returning the pipeline slots whose deltas are similar
+/// (the `DisPass` contribution of this VDC). The indexed comparator
+/// ([`crate::index`]) must return byte-identical results to this
+/// function for every input; the differential harness enforces that.
+pub fn reference(f: &Dna, vdc: &Dna, config: &CompareConfig) -> Vec<usize> {
     let n = f.len().min(vdc.len());
     (0..n)
         .filter(|&i| deltas_similar(&f.deltas[i], &vdc.deltas[i], config))
         .collect()
-}
-
-/// The naive, normative Algorithm 2 implementation — an alias of
-/// [`dangerous_passes`] under the name the rest of the repo uses for the
-/// oracle path. The indexed comparator ([`crate::index`]) must return
-/// byte-identical results to this function for every input; the
-/// differential harness enforces that.
-pub fn reference(f: &Dna, vdc: &Dna, config: &CompareConfig) -> Vec<usize> {
-    dangerous_passes(f, vdc, config)
 }
 
 #[cfg(test)]
@@ -83,7 +77,7 @@ mod tests {
     #[test]
     fn requires_absolute_threshold() {
         let cfg = CompareConfig::default();
-        let a = set(&[&["a", "b"], &["c", "d"]]);
+        let a = set(&[&["add", "bitor"], &["call", "div"]]);
         let b = a.clone();
         // Only 2 common chains < Thr=3 even though ratio is 100 %.
         assert!(!compare_chains(&a, &b, &cfg));
@@ -93,20 +87,24 @@ mod tests {
     fn requires_ratio() {
         let cfg = CompareConfig::default();
         // 3 common chains but the smaller set has 8 chains → ratio 37.5 %.
-        let common: Vec<Vec<&str>> = vec![vec!["a", "b"], vec!["c", "d"], vec!["e", "f"]];
+        let common: Vec<Vec<&str>> = vec![
+            vec!["add", "bitor"],
+            vec!["call", "div"],
+            vec!["neg", "phi"],
+        ];
         let mut a: BTreeSet<Chain> = common.iter().map(|c| chain(c)).collect();
         let mut b = a.clone();
         for i in 0..5 {
-            a.insert(chain(&["x", Box::leak(format!("a{i}").into_boxed_str())]));
-            b.insert(chain(&["y", Box::leak(format!("b{i}").into_boxed_str())]));
+            a.insert(chain(&["mul", &format!("parameter{i}")]));
+            b.insert(chain(&["sub", &format!("parameter{i}")]));
         }
         assert_eq!(a.len(), 8);
         assert!(!compare_chains(&a, &b, &cfg));
         // With ratio satisfied (3 of min(3+2)=5 → 60 %), it matches.
         let a2: BTreeSet<Chain> = common.iter().map(|c| chain(c)).collect();
         let mut b2 = a2.clone();
-        b2.insert(chain(&["y", "z"]));
-        b2.insert(chain(&["y", "w"]));
+        b2.insert(chain(&["sub", "mod"]));
+        b2.insert(chain(&["sub", "not"]));
         assert!(compare_chains(&a2, &b2, &cfg));
     }
 
@@ -115,7 +113,7 @@ mod tests {
         let cfg = CompareConfig::default();
         let empty = BTreeSet::new();
         assert!(!compare_chains(&empty, &empty, &cfg));
-        let a = set(&[&["a", "b"]]);
+        let a = set(&[&["add", "bitor"]]);
         assert!(!compare_chains(&a, &empty, &cfg));
         assert!(!compare_chains(&empty, &a, &cfg));
     }
@@ -127,13 +125,13 @@ mod tests {
         // sets from matching everything.
         let cfg = CompareConfig { thr: 0, ratio: 0.0 };
         let empty = BTreeSet::new();
-        let a = set(&[&["a", "b"]]);
+        let a = set(&[&["add", "bitor"]]);
         assert!(!compare_chains(&empty, &empty, &cfg));
         assert!(!compare_chains(&a, &empty, &cfg));
         assert!(!compare_chains(&empty, &a, &cfg));
         // Non-empty disjoint sets DO match under the degenerate config —
         // the early return only guards emptiness.
-        let b = set(&[&["c", "d"]]);
+        let b = set(&[&["call", "div"]]);
         assert!(compare_chains(&a, &b, &cfg));
     }
 
@@ -148,8 +146,8 @@ mod tests {
         ));
         // One populated side against an empty counterpart: still no match.
         let populated = PassDelta {
-            removed: set(&[&["a", "b"]]),
-            added: set(&[&["c", "d"]]),
+            removed: set(&[&["add", "bitor"]]),
+            added: set(&[&["call", "div"]]),
         };
         assert!(!deltas_similar(&populated, &PassDelta::default(), &cfg));
         assert!(!deltas_similar(&PassDelta::default(), &populated, &cfg));
@@ -161,20 +159,9 @@ mod tests {
         let trivial = Dna::with_slots(4);
         let mut real = Dna::with_slots(4);
         real.deltas[1].removed = set(&[&["boundscheck", "initializedlength"]]);
-        assert!(dangerous_passes(&real, &trivial, &cfg).is_empty());
-        assert!(dangerous_passes(&trivial, &real, &cfg).is_empty());
-        assert!(dangerous_passes(&trivial, &trivial, &cfg).is_empty());
-    }
-
-    #[test]
-    fn reference_is_dangerous_passes() {
-        let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let mut f = Dna::with_slots(4);
-        let mut v = Dna::with_slots(4);
-        f.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
-        v.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
-        assert_eq!(reference(&f, &v, &cfg), dangerous_passes(&f, &v, &cfg));
-        assert_eq!(reference(&f, &v, &cfg), vec![2]);
+        assert!(reference(&real, &trivial, &cfg).is_empty());
+        assert!(reference(&trivial, &real, &cfg).is_empty());
+        assert!(reference(&trivial, &trivial, &cfg).is_empty());
     }
 
     #[test]
@@ -182,28 +169,28 @@ mod tests {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut a = PassDelta::default();
         let mut b = PassDelta::default();
-        a.added = set(&[&["p", "q"]]);
-        b.added = set(&[&["p", "q"]]);
+        a.added = set(&[&["print", "tonumber"]]);
+        b.added = set(&[&["print", "tonumber"]]);
         assert!(deltas_similar(&a, &b, &cfg));
         // Or on the removed side.
         let mut c = PassDelta::default();
         let mut d = PassDelta::default();
-        c.removed = set(&[&["r", "s"]]);
-        d.removed = set(&[&["r", "s"]]);
+        c.removed = set(&[&["return", "storeelement"]]);
+        d.removed = set(&[&["return", "storeelement"]]);
         assert!(deltas_similar(&c, &d, &cfg));
         assert!(!deltas_similar(&a, &c, &cfg));
     }
 
     #[test]
-    fn dangerous_passes_reports_slots() {
+    fn reference_reports_slots() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut f = Dna::with_slots(4);
         let mut v = Dna::with_slots(4);
         f.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
         v.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
-        f.deltas[3].added = set(&[&["m", "n"]]);
-        v.deltas[3].added = set(&[&["x", "y"]]);
-        assert_eq!(dangerous_passes(&f, &v, &cfg), vec![2]);
+        f.deltas[3].added = set(&[&["mul", "neg"]]);
+        v.deltas[3].added = set(&[&["bitxor", "typeof"]]);
+        assert_eq!(reference(&f, &v, &cfg), vec![2]);
     }
 
     #[test]

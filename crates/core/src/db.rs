@@ -188,10 +188,9 @@ impl DnaDatabase {
     ///
     /// The snapshot keeps this database's generation, so a comparator
     /// index built against either is valid for both — they hold the same
-    /// content. Chains inside entries are `Arc<str>`-backed, so the clone
-    /// shares label storage; the per-entry structure is copied. Snapshots
-    /// are `Send + Sync`: this is the hand-off type the serving pool
-    /// publishes to worker threads on a VDC hot-swap.
+    /// content. The entries are copied: chains are plain label vectors.
+    /// Snapshots are `Send + Sync`: this is the hand-off type the serving
+    /// pool publishes to worker threads on a VDC hot-swap.
     #[must_use]
     pub fn snapshot(&self) -> std::sync::Arc<DnaDatabase> {
         std::sync::Arc::new(self.clone())
@@ -492,8 +491,8 @@ mod tests {
 
     #[test]
     fn partial_mode_skips_malformed_entries_with_absolute_lines() {
-        let text =
-            "@entry CVE-GOOD f\n3 - a>b\n@entry CVE-BAD g\n9 - a>b\n@entry CVE-ALSO h\n2 - c>d\n";
+        let text = "@entry CVE-GOOD f\n3 - add>bitor\n@entry CVE-BAD g\n9 - add>bitor\n\
+                    @entry CVE-ALSO h\n2 - call>div\n";
         // Strict aborts, pinned to the absolute file line of the bad body.
         match DnaDatabase::from_text_checked(text, 8, LoadMode::Strict) {
             Err(DbError::Parse { line, .. }) => assert_eq!(line, 4),
@@ -513,7 +512,7 @@ mod tests {
 
     #[test]
     fn partial_mode_skips_malformed_headers_and_their_bodies() {
-        let text = "@entry torn\n3 - a>b\n@entry CVE-OK f\n2 - c>d\n";
+        let text = "@entry torn\n3 - add>bitor\n@entry CVE-OK f\n2 - call>div\n";
         assert!(DnaDatabase::from_text(text, 8).is_err());
         let (db, report) = DnaDatabase::from_text_checked(text, 8, LoadMode::Partial).unwrap();
         assert_eq!(db.len(), 1);
@@ -524,6 +523,31 @@ mod tests {
                 assert!(msg.contains("malformed @entry"));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_chain_element_that_is_not_a_label_is_a_parse_error() {
+        let text = "@entry CVE-GOOD f\n3 - add>bitor\n@entry CVE-BAD g\n\
+                    1 + add>bitor\n4 - loadelement>guardshape\n@entry CVE-ALSO h\n2 - call>div\n";
+        // Strict refuses the whole load, at the absolute line of the name.
+        match DnaDatabase::from_text_checked(text, 8, LoadMode::Strict) {
+            Err(DbError::Parse { line, msg }) => {
+                assert_eq!(line, 5);
+                assert_eq!(msg, "unknown label `guardshape`");
+            }
+            other => panic!("expected strict parse failure, got {other:?}"),
+        }
+        // Partial skips that entry only, with one warning at that line.
+        let (db, report) = DnaDatabase::from_text_checked(text, 8, LoadMode::Partial).unwrap();
+        assert_eq!(db.cves(), vec!["CVE-ALSO", "CVE-GOOD"]);
+        assert_eq!((report.loaded, report.skipped), (2, 1));
+        match &report.warnings[..] {
+            [DbError::Parse { line, msg }] => {
+                assert_eq!(*line, 5);
+                assert_eq!(msg, "unknown label `guardshape`");
+            }
+            other => panic!("expected one line-5 warning, got {other:?}"),
         }
     }
 

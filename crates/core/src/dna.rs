@@ -1,19 +1,32 @@
 //! JIT DNA types: per-pass deltas and whole-function DNA vectors.
 //!
-//! A [`Chain`] is a sequence of opcode labels along instruction-dependency
-//! edges. A [`PassDelta`] (`Δ_i` in the paper) is the pair
-//! `(δ_i^-, δ_i^+)` of removed and added sub-chains for pass `i`, and a
-//! [`Dna`] is the vector `(Δ_1 … Δ_n)` over all pipeline slots.
+//! A [`Chain`] is a sequence of opcode [`Label`]s along
+//! instruction-dependency edges. A [`PassDelta`] (`Δ_i` in the paper) is
+//! the pair `(δ_i^-, δ_i^+)` of removed and added sub-chains for pass
+//! `i`, and a [`Dna`] is the vector `(Δ_1 … Δ_n)` over all pipeline
+//! slots. Chains hold labels everywhere — oracle, incremental extractor,
+//! compile cache and comparator; label names appear only in the text
+//! format ([`Dna::to_text`], [`Dna::from_text`], [`chain_text`]).
+//! Labels order by name, so a `BTreeSet<Chain>` iterates in the order
+//! the same chains spelled as names would.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+
+use jitbull_mir::Label;
 
 use crate::error::DbError;
 
 /// A dependency chain: opcode labels from a user instruction down through
-/// its operands (e.g. `["boundscheck", "initializedlength", "unbox:array"]`).
-pub type Chain = Vec<Arc<str>>;
+/// its operands (e.g. `boundscheck>initializedlength>unbox:array`).
+pub type Chain = Vec<Label>;
+
+/// A chain in the text format: its label names joined by `>`.
+#[must_use]
+pub fn chain_text(chain: &[Label]) -> String {
+    let names: Vec<&str> = chain.iter().map(|l| l.name()).collect();
+    names.join(">")
+}
 
 /// The modifications one optimization pass made: removed (`δ^-`) and added
 /// (`δ^+`) sub-chains.
@@ -80,17 +93,19 @@ impl Dna {
                 continue;
             }
             for chain in &d.removed {
-                out.push_str(&format!("{i} - {}\n", chain.join(">")));
+                out.push_str(&format!("{i} - {}\n", chain_text(chain)));
             }
             for chain in &d.added {
-                out.push_str(&format!("{i} + {}\n", chain.join(">")));
+                out.push_str(&format!("{i} + {}\n", chain_text(chain)));
             }
         }
         out
     }
 
     /// Parses the [`Dna::to_text`] format. `n_slots` sizes the vector
-    /// (lines referencing larger slots are rejected).
+    /// (lines referencing larger slots are rejected), and every chain
+    /// element must be a label name. A line is checked slot first, then
+    /// sign, then labels.
     ///
     /// # Errors
     ///
@@ -117,16 +132,19 @@ impl Dna {
             let chain_text = parts
                 .next()
                 .ok_or_else(|| DbError::parse(ln + 1, "missing chain"))?;
-            let chain: Chain = chain_text.split('>').map(Arc::from).collect();
-            match sign {
-                "-" => {
-                    dna.deltas[slot].removed.insert(chain);
-                }
-                "+" => {
-                    dna.deltas[slot].added.insert(chain);
-                }
+            let side = match sign {
+                "-" => &mut dna.deltas[slot].removed,
+                "+" => &mut dna.deltas[slot].added,
                 other => return Err(DbError::parse(ln + 1, format!("bad sign `{other}`"))),
-            }
+            };
+            let chain = chain_text
+                .split('>')
+                .map(|name| {
+                    Label::from_name(name)
+                        .ok_or_else(|| DbError::parse(ln + 1, format!("unknown label `{name}`")))
+                })
+                .collect::<Result<Chain, DbError>>()?;
+            side.insert(chain);
         }
         Ok(dna)
     }
@@ -144,9 +162,16 @@ impl fmt::Display for Dna {
     }
 }
 
-/// Builds a chain from `&str` labels (test/bench convenience).
-pub fn chain(labels: &[&str]) -> Chain {
-    labels.iter().map(|l| Arc::from(*l)).collect()
+/// Builds a chain from label names (test/bench convenience).
+///
+/// # Panics
+///
+/// If a name is not a label's.
+pub fn chain(names: &[&str]) -> Chain {
+    names
+        .iter()
+        .map(|n| Label::from_name(n).unwrap_or_else(|| panic!("`{n}` is not a label")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -168,23 +193,49 @@ mod tests {
 
     #[test]
     fn from_text_rejects_bad_input() {
-        assert!(Dna::from_text("9 - a>b", 4).is_err());
-        assert!(Dna::from_text("x - a", 4).is_err());
-        assert!(Dna::from_text("1 ? a", 4).is_err());
+        assert!(Dna::from_text("9 - add>bitor", 4).is_err());
+        assert!(Dna::from_text("x - add", 4).is_err());
+        assert!(Dna::from_text("1 ? add", 4).is_err());
         assert!(Dna::from_text("1 -", 4).is_err());
+    }
+
+    fn parse_error(text: &str) -> (usize, String) {
+        match Dna::from_text(text, 4) {
+            Err(DbError::Parse { line, msg }) => (line, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_text_rejects_names_outside_the_label_table() {
+        let (line, msg) = parse_error("0 - add>bitor\n2 + add>guardshape>bitor\n");
+        assert_eq!(line, 2);
+        assert_eq!(msg, "unknown label `guardshape`");
+        // An empty element (a stray `>`) is not a label either.
+        assert_eq!(parse_error("1 - add>").1, "unknown label ``");
+        // Slot and sign are checked before labels.
+        assert_eq!(parse_error("9 - nope").1, "slot 9 out of range");
+        assert_eq!(parse_error("1 & nope").1, "bad sign `&`");
     }
 
     #[test]
     fn from_text_skips_comments_and_blanks() {
-        let dna = Dna::from_text("# comment\n\n0 - a>b\n", 2).unwrap();
+        let dna = Dna::from_text("# comment\n\n0 - add>bitor\n", 2).unwrap();
         assert_eq!(dna.deltas[0].removed.len(), 1);
+    }
+
+    #[test]
+    fn text_spells_chains_with_label_names() {
+        let c = chain(&["loadelement", "boundscheck", "parameter1"]);
+        assert_eq!(chain_text(&c), "loadelement>boundscheck>parameter1");
+        assert_eq!(chain_text(&[]), "");
     }
 
     #[test]
     fn triviality() {
         assert!(Dna::with_slots(3).is_trivial());
         let mut d = Dna::with_slots(3);
-        d.deltas[0].added.insert(chain(&["x"]));
+        d.deltas[0].added.insert(chain(&["mul"]));
         assert!(!d.is_trivial());
         assert!(!d.deltas[0].is_empty());
     }
@@ -192,7 +243,7 @@ mod tests {
     #[test]
     fn display_summarises() {
         let mut d = Dna::with_slots(2);
-        d.deltas[1].removed.insert(chain(&["a"]));
+        d.deltas[1].removed.insert(chain(&["add"]));
         assert_eq!(d.to_string(), "pass 1: -1 +0\n");
     }
 }

@@ -5,9 +5,9 @@
 //! root-to-leaf chain of *both* snapshots of *every* pass and then
 //! materialises, windows, and deduplicates label sub-chains through a
 //! `BTreeSet<Chain>` — even for the many passes that changed nothing.
-//! This module computes the same deltas, chain for chain, on integers:
-//! snapshot labels are [`Label`]s, and label names are read only when a
-//! delta's chains are handed out.
+//! This module computes the same deltas, chain for chain, and never
+//! reads a label name: snapshots, edges, paths and chains are all
+//! [`Label`]s.
 //!
 //! 1. **Unchanged-snapshot skip**: a pass whose `after` snapshot equals
 //!    its `before` has an empty delta, so nothing is counted. Most
@@ -34,28 +34,29 @@
 //!    never be wrong, and it also serves an equal snapshot of a later
 //!    trace).
 //! 5. **Interned runs and memoised windows**: changed-edge runs along a
-//!    path are interned as `Vec<Label>` and expanded into their
-//!    contiguous windows via a per-run-id cache. Duplicate sub-chains —
+//!    path are interned in a [`ChainInterner`] and expanded into their
+//!    contiguous windows via a per-run-id table. Duplicate sub-chains —
 //!    the overwhelmingly common case, since every window of every chain
 //!    through a changed region repeats — are deduplicated as a sorted id
-//!    vector, and each distinct id is resolved to its label-name
-//!    [`Chain`] once.
+//!    vector, and each distinct id's interned [`Chain`] is handed out
+//!    once.
 //!
 //! Exactness argument, step by step: (1), (2) and (3) only ever
 //! *conclude empty* when the reference provably emits empty; (4) walks
 //! the same paths in the same order under the same caps, so the emitted
 //! chain *set* is identical even when the caps bind; (5) is a pure
-//! representation change — labels and names are in bijection, run →
-//! windows is deterministic, and the final `BTreeSet` dedup is
-//! order-independent. The differential harness
-//! (`tests/extract_differential.rs`) locks this in against tens of
-//! thousands of random snapshot pairs and real pipeline traces.
+//! representation change — interning is injective, run → windows is
+//! deterministic, and the final `BTreeSet` dedup is order-independent.
+//! The differential harness (`tests/extract_differential.rs`) locks this
+//! in against tens of thousands of random snapshot pairs and real
+//! pipeline traces.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use jitbull_mir::{Label, MirSnapshot, PassTrace};
 
 use crate::dna::{Chain, Dna, PassDelta};
+use crate::index::ChainInterner;
 
 use super::{MAX_CHAINS, MAX_CHAIN_LEN};
 
@@ -286,37 +287,16 @@ struct EnumCache {
     paths: Vec<Vec<u32>>,
 }
 
-/// Label sub-chains by id, each with its label-name [`Chain`] and, once
-/// expanded as a run, the ids of its contiguous windows.
-#[derive(Debug, Clone, Default)]
-struct Interner {
-    ids: HashMap<Vec<Label>, u32>,
-    chains: Vec<Chain>,
-    /// chain id → ids of all its contiguous windows (≥2), once expanded.
-    windows: Vec<Option<Box<[u32]>>>,
-}
-
-impl Interner {
-    fn intern(&mut self, labels: &[Label]) -> u32 {
-        if let Some(&id) = self.ids.get(labels) {
-            return id;
-        }
-        let id = u32::try_from(self.chains.len()).expect("interner overflow");
-        self.chains
-            .push(labels.iter().map(|l| l.shared_name()).collect());
-        self.windows.push(None);
-        self.ids.insert(labels.to_vec(), id);
-        id
-    }
-}
-
-/// The incremental Δ-extractor. Interner and window caches persist
+/// The incremental Δ-extractor. Interner and window table persist
 /// across passes, functions, and recompiles, so repeated changed regions
 /// (the same GVN rewrite firing on every hot function, say) are
 /// materialised once per process, not once per compilation.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalExtractor {
-    interner: Interner,
+    /// Every run and window seen, by id.
+    interner: ChainInterner,
+    /// Run id → ids of all its contiguous windows (≥2), once expanded.
+    windows: Vec<Option<Box<[u32]>>>,
     /// Last enumerated snapshot, reused when the next record's
     /// counterpart compares structurally equal.
     enum_cache: Option<EnumCache>,
@@ -464,7 +444,8 @@ impl IncrementalExtractor {
                 run.extend(path[s..e].iter().map(|&n| labels[n as usize]));
                 receipt.cost_cycles += run.len() as u64 * RUN_INTERN_COST_PER_LABEL;
                 let run_id = self.interner.intern(&run) as usize;
-                if let Some(windows) = &self.interner.windows[run_id] {
+                self.windows.resize(self.interner.len(), None);
+                if let Some(windows) = &self.windows[run_id] {
                     receipt.cost_cycles += RUN_CACHE_HIT_COST;
                     self.stats.run_cache_hits += 1;
                     out_ids.extend_from_slice(windows);
@@ -478,14 +459,14 @@ impl IncrementalExtractor {
                     }
                 }
                 out_ids.extend_from_slice(&windows);
-                self.interner.windows[run_id] = Some(windows.into_boxed_slice());
+                self.windows[run_id] = Some(windows.into_boxed_slice());
             }
         }
         out_ids.sort_unstable();
         out_ids.dedup();
         out_ids
             .into_iter()
-            .map(|id| self.interner.chains[id as usize].clone())
+            .map(|id| self.interner.resolve(id).expect("interned").clone())
             .collect()
     }
 

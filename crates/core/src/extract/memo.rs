@@ -46,10 +46,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use jitbull_lir::LFunction;
-use jitbull_mir::{CompileKey, SlotRun};
+use jitbull_mir::{CompileKey, Label, SlotRun};
 
 use crate::compare::CompareConfig;
-use crate::dna::{chain, Dna};
+use crate::dna::Dna;
 use crate::index::EntryMatches;
 
 /// Cycles charged per pre-pipeline MIR instruction for hashing a memo
@@ -244,7 +244,7 @@ impl DnaMemo {
     pub fn poison(&self) {
         let mut inner = self.inner.lock().expect("memo lock");
         let mut garbage = Dna::with_slots(1);
-        garbage.deltas[0].removed.insert(chain(&["<poisoned>"]));
+        garbage.deltas[0].removed.insert(vec![Label::UNKNOWN]);
         let garbage = Arc::new(garbage);
         let output = Arc::new(PipelineOutput {
             work: u64::MAX,
@@ -290,6 +290,7 @@ impl DnaMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dna::chain;
     use jitbull_vm::bytecode::{BinOp, Function, Op};
 
     /// The key of `function f(a) { return a + k; }`, no slot disabled.
@@ -314,7 +315,7 @@ mod tests {
 
     fn entry(verdict: Option<(VerdictStamp, EntryMatches)>) -> MemoEntry {
         let mut dna = Dna::with_slots(4);
-        dna.deltas[1].removed.insert(chain(&["a", "b"]));
+        dna.deltas[1].removed.insert(chain(&["add", "bitor"]));
         MemoEntry {
             dna: Arc::new(dna),
             pre_mir_len: 5,

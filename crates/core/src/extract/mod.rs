@@ -25,10 +25,9 @@
 pub mod incremental;
 pub mod memo;
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use jitbull_mir::{MirSnapshot, PassTrace};
+use jitbull_mir::{Label, MirSnapshot, PassTrace};
 
 use crate::dna::{Chain, Dna, PassDelta};
 
@@ -40,7 +39,7 @@ pub const MAX_CHAIN_LEN: usize = 48;
 /// A dependency graph over one snapshot.
 struct DepGraph {
     /// node id -> label
-    labels: HashMap<u32, Arc<str>>,
+    labels: HashMap<u32, Label>,
     /// node id -> dependencies (operands)
     deps: HashMap<u32, Vec<u32>>,
     /// ids that are not a dependency of anyone
@@ -48,13 +47,13 @@ struct DepGraph {
 }
 
 fn build_graph(ir: &MirSnapshot) -> DepGraph {
-    let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
+    let mut labels: HashMap<u32, Label> = HashMap::new();
     let mut deps: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut is_dep: HashSet<u32> = HashSet::new();
     let mut in_graph: HashSet<u32> = HashSet::new();
     // Label every instruction up front so operand nodes resolve.
     for i in &ir.instrs {
-        labels.insert(i.id, i.label.shared_name());
+        labels.insert(i.id, i.label);
     }
     for v in &ir.instrs {
         if v.operands.is_empty() {
@@ -84,10 +83,9 @@ fn build_graph(ir: &MirSnapshot) -> DepGraph {
 /// Enumerates root-to-leaf chains as (label sequence) paths, capped.
 fn make_chains(g: &DepGraph) -> Vec<Chain> {
     let mut chains = Vec::new();
-    let unknown: Arc<str> = Arc::from("?");
     for &root in &g.roots {
         let mut path: Vec<u32> = vec![root];
-        dfs(g, root, &mut path, &mut chains, &unknown);
+        dfs(g, root, &mut path, &mut chains);
         if chains.len() >= MAX_CHAINS {
             break;
         }
@@ -95,7 +93,7 @@ fn make_chains(g: &DepGraph) -> Vec<Chain> {
     chains
 }
 
-fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>, unknown: &Arc<str>) {
+fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>) {
     if chains.len() >= MAX_CHAINS {
         return;
     }
@@ -105,14 +103,14 @@ fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>, un
     if extendable.is_empty() || path.len() >= MAX_CHAIN_LEN {
         chains.push(
             path.iter()
-                .map(|id| g.labels.get(id).cloned().unwrap_or_else(|| unknown.clone()))
+                .map(|id| g.labels.get(id).copied().unwrap_or(Label::UNKNOWN))
                 .collect(),
         );
         return;
     }
     for d in extendable {
         path.push(d);
-        dfs(g, d, path, chains, unknown);
+        dfs(g, d, path, chains);
         path.pop();
         if chains.len() >= MAX_CHAINS {
             return;
@@ -121,45 +119,40 @@ fn dfs(g: &DepGraph, node: u32, path: &mut Vec<u32>, chains: &mut Vec<Chain>, un
 }
 
 /// Instruction-level label-pair edge multiset of a snapshot.
-type EdgeCounts = HashMap<(Arc<str>, Arc<str>), usize>;
+type EdgeCounts = HashMap<(Label, Label), usize>;
 
 /// A snapshot's [`EdgeCounts`]. Counting multiplicities (rather than set
 /// membership) keeps a removal visible even when an identically-labeled
 /// edge survives elsewhere in the function — e.g. one of two
 /// `loadelement→boundscheck` accesses losing its check.
 fn edge_counts(ir: &MirSnapshot) -> EdgeCounts {
-    let mut labels: HashMap<u32, Arc<str>> = HashMap::new();
+    let mut labels: HashMap<u32, Label> = HashMap::new();
     for i in &ir.instrs {
-        labels.insert(i.id, i.label.shared_name());
+        labels.insert(i.id, i.label);
     }
-    let unknown: Arc<str> = Arc::from("?");
     let mut counts = HashMap::new();
     for i in &ir.instrs {
         for o in &i.operands {
-            let from = i.label.shared_name();
-            let to = labels.get(o).cloned().unwrap_or_else(|| unknown.clone());
-            *counts.entry((from, to)).or_insert(0) += 1;
+            let to = labels.get(o).copied().unwrap_or(Label::UNKNOWN);
+            *counts.entry((i.label, to)).or_insert(0) += 1;
         }
     }
     counts
 }
 
 /// Edges whose multiplicity strictly dropped from `from` to `to`.
-fn changed_edges(from: &EdgeCounts, to: &EdgeCounts) -> HashSet<(Arc<str>, Arc<str>)> {
+fn changed_edges(from: &EdgeCounts, to: &EdgeCounts) -> HashSet<(Label, Label)> {
     from.iter()
         .filter(|(k, n)| to.get(*k).copied().unwrap_or(0) < **n)
-        .map(|(k, _)| k.clone())
+        .map(|(k, _)| *k)
         .collect()
 }
 
 /// Collects maximal runs of edges from `chains` that are *not* in
 /// `other_edges`, as label sub-chains.
-fn diff_subchains(
-    chains: &[Chain],
-    changed: &HashSet<(Arc<str>, Arc<str>)>,
-) -> std::collections::BTreeSet<Chain> {
-    let mut out = std::collections::BTreeSet::new();
-    let mut emit = |run: &[Arc<str>]| {
+fn diff_subchains(chains: &[Chain], changed: &HashSet<(Label, Label)>) -> BTreeSet<Chain> {
+    let mut out = BTreeSet::new();
+    let mut emit = |run: &[Label]| {
         // Every contiguous window of the changed run is a sub-chain; the
         // maximal run itself is the longest of them. Counting all windows
         // gives the comparator the granularity the paper's Thr=3 assumes
@@ -171,19 +164,18 @@ fn diff_subchains(
         }
     };
     for c in chains {
-        let mut run: Vec<Arc<str>> = Vec::new();
+        let mut run: Vec<Label> = Vec::new();
         for w in c.windows(2) {
-            let edge = (w[0].clone(), w[1].clone());
-            if !changed.contains(&edge) {
+            if !changed.contains(&(w[0], w[1])) {
                 if run.len() >= 2 {
                     emit(&run);
                 }
                 run.clear();
             } else {
                 if run.is_empty() {
-                    run.push(w[0].clone());
+                    run.push(w[0]);
                 }
-                run.push(w[1].clone());
+                run.push(w[1]);
             }
         }
         if run.len() >= 2 {
@@ -241,7 +233,8 @@ pub fn trace_work(trace: &PassTrace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jitbull_mir::{Label, SnapInstr};
+    use crate::dna::chain_text;
+    use jitbull_mir::SnapInstr;
 
     fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
         SnapInstr {
@@ -272,8 +265,8 @@ mod tests {
             instr(1, "bitor", &[2]),
         ]);
         let delta = extract_delta(&before, &after);
-        let removed: Vec<String> = delta.removed.iter().map(|c| c.join(">")).collect();
-        let added: Vec<String> = delta.added.iter().map(|c| c.join(">")).collect();
+        let removed: Vec<String> = delta.removed.iter().map(|c| chain_text(c)).collect();
+        let added: Vec<String> = delta.added.iter().map(|c| chain_text(c)).collect();
         assert_eq!(removed, vec!["add>bitor", "call>div"]);
         assert_eq!(added, vec!["call>mul"]);
     }
@@ -320,14 +313,14 @@ mod tests {
             delta
                 .removed
                 .iter()
-                .any(|c| c.iter().any(|l| &**l == "boundscheck")),
+                .any(|c| c.iter().any(|l| l.name() == "boundscheck")),
             "expected a removed sub-chain through boundscheck: {delta:?}"
         );
         assert!(
             delta
                 .added
                 .iter()
-                .any(|c| c.iter().any(|l| &**l == "loadelement")),
+                .any(|c| c.iter().any(|l| l.name() == "loadelement")),
             "loadelement gained a new direct edge: {delta:?}"
         );
     }

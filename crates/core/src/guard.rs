@@ -456,12 +456,6 @@ impl Guard {
         *cost += receipt.cost_cycles;
         (hits, receipt)
     }
-
-    /// Extracts DNA only (step 1: building database entries from a VDC
-    /// compilation).
-    pub fn extract(trace: &PassTrace, n_slots: usize) -> Dna {
-        extract_dna(trace, n_slots)
-    }
 }
 
 /// Mutable borrow of a [`Guard`]'s database that invalidates verdict
@@ -571,7 +565,7 @@ mod tests {
     fn matching_trace_flags_the_pass() {
         // Build a DB from the "VDC" trace, then analyse an identical trace.
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let vdc_dna = Guard::extract(&trace_removing_check(6), 32);
+        let vdc_dna = extract_dna(&trace_removing_check(6), 32);
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
@@ -585,7 +579,7 @@ mod tests {
     #[test]
     fn different_slot_does_not_match() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let vdc_dna = Guard::extract(&trace_removing_check(6), 32);
+        let vdc_dna = extract_dna(&trace_removing_check(6), 32);
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
@@ -596,7 +590,7 @@ mod tests {
     #[test]
     fn unrelated_delta_does_not_match() {
         let cfg = CompareConfig::default();
-        let vdc_dna = Guard::extract(&trace_removing_check(6), 32);
+        let vdc_dna = extract_dna(&trace_removing_check(6), 32);
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
@@ -635,8 +629,8 @@ mod tests {
     fn comparator_modes_agree_on_everything_but_cost() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
-        db.install("CVE-B", "g", Guard::extract(&trace_removing_check(11), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-B", "g", extract_dna(&trace_removing_check(11), 32));
         let indexed = Guard::new(db.clone(), cfg);
         let mut reference = Guard::new(db, cfg);
         reference.set_comparator_mode(ComparatorMode::Reference);
@@ -660,7 +654,7 @@ mod tests {
     fn cached_verdict_hits_on_repeat_and_is_refreshed_on_change() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -680,7 +674,7 @@ mod tests {
     fn reference_comparator_never_touches_verdicts() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
         guard.set_comparator_mode(ComparatorMode::Reference);
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -698,7 +692,7 @@ mod tests {
         use jitbull_chaos::{FaultPlan, FaultSite as Site};
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
         // Warm the verdict cache.
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -727,8 +721,8 @@ mod tests {
     fn extractor_modes_agree_on_everything_but_cost() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
-        db.install("CVE-B", "g", Guard::extract(&trace_removing_check(11), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-B", "g", extract_dna(&trace_removing_check(11), 32));
         let mut incremental = Guard::new(db.clone(), cfg);
         incremental.set_extractor_mode(ExtractorMode::Incremental);
         let mut reference = Guard::new(db, cfg);
@@ -752,7 +746,7 @@ mod tests {
     fn memo_hit_skips_the_trace_and_costs_less() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
         let guard = Guard::new(db, cfg);
         assert!(guard.lookup(key(6)).needs_trace());
         let cold = round(&guard, 6, None);
@@ -776,7 +770,7 @@ mod tests {
         use jitbull_chaos::{FaultPlan, FaultSite as Site};
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
         let mut guard = Guard::new(db, cfg);
         // Warm the memo.
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -805,8 +799,8 @@ mod tests {
     fn multiple_vdcs_union_their_slots() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", Guard::extract(&trace_removing_check(6), 32));
-        db.install("CVE-B", "f", Guard::extract(&trace_removing_check(11), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-B", "f", extract_dna(&trace_removing_check(11), 32));
         let guard = Guard::new(db, cfg);
         // Slot 6 removes the check, slot 8 (in neither entry) restores
         // it, slot 11 removes it again.

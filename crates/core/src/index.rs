@@ -10,7 +10,12 @@
 //! 1. **Chain interner** ([`ChainInterner`]): every distinct [`Chain`] is
 //!    mapped to a dense `u32` id, so each `BTreeSet<Chain>` becomes a
 //!    sorted `Vec<u32>` and set intersection becomes a linear merge over
-//!    machine words instead of lexicographic string-vector comparisons.
+//!    machine words instead of lexicographic label-vector comparisons.
+//!    Ids are assigned in first-seen order, walking each set in its
+//!    (name) order, so they — and the fingerprints below — are a
+//!    function of the database and query order alone. The incremental
+//!    extractor ([`crate::extract::incremental`]) interns its runs and
+//!    windows in a `ChainInterner` of its own.
 //! 2. **Fingerprint prefilter** ([`fingerprint`]): each delta side also
 //!    carries a 64-bit Bloom-style hash of its chain ids. If the two
 //!    fingerprints share no bit the sets share no chain, so the (slot,
@@ -28,6 +33,8 @@
 //! [`QueryReceipt::cost_cycles`] show the same shape a wall clock does.
 
 use std::collections::HashMap;
+
+use jitbull_mir::Label;
 
 use crate::compare::CompareConfig;
 use crate::db::DnaDatabase;
@@ -62,13 +69,13 @@ impl ChainInterner {
     }
 
     /// The id for `chain`, allocating one on first sight.
-    pub fn intern(&mut self, chain: &Chain) -> u32 {
+    pub fn intern(&mut self, chain: &[Label]) -> u32 {
         if let Some(&id) = self.ids.get(chain) {
             return id;
         }
         let id = u32::try_from(self.chains.len()).expect("interner overflow");
-        self.chains.push(chain.clone());
-        self.ids.insert(chain.clone(), id);
+        self.chains.push(chain.to_vec());
+        self.ids.insert(chain.to_vec(), id);
         id
     }
 
@@ -186,16 +193,6 @@ impl IndexedDelta {
     }
 }
 
-/// One database entry in interned form.
-#[derive(Debug, Clone)]
-pub struct IndexedEntry {
-    /// Per-slot interned deltas (same slot indexing as the source
-    /// [`Dna`]).
-    pub slots: Vec<IndexedDelta>,
-    /// Total chains across all slots (cost accounting).
-    pub chains: u64,
-}
-
 /// What one [`ComparatorIndex::query`] did, for telemetry and the
 /// simulated cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -299,7 +296,9 @@ fn dangerous_slots_indexed(
 #[derive(Debug, Clone, Default)]
 pub struct ComparatorIndex {
     interner: ChainInterner,
-    entries: Vec<IndexedEntry>,
+    /// Each database entry's per-slot interned deltas (same slot
+    /// indexing as its [`Dna`]).
+    entries: Vec<Vec<IndexedDelta>>,
     /// Database generation this index reflects (`0` = never built;
     /// real generations start at 1).
     generation: u64,
@@ -357,7 +356,7 @@ impl ComparatorIndex {
                     .map(|s| (s.removed.len() + s.added.len()) as u64)
                     .sum();
                 cost += chains * INTERN_COST_PER_CHAIN;
-                IndexedEntry { slots, chains }
+                slots
             })
             .collect();
         self.generation = db.generation();
@@ -382,7 +381,7 @@ impl ComparatorIndex {
         let mut counters = ScanCounters::default();
         let mut matches = EntryMatches::new();
         for (idx, entry) in self.entries.iter().enumerate() {
-            let slots = dangerous_slots_indexed(&query, &entry.slots, config, &mut counters);
+            let slots = dangerous_slots_indexed(&query, entry, config, &mut counters);
             if !slots.is_empty() {
                 matches.push((idx, slots));
             }

@@ -3,7 +3,6 @@
 //! cases, failures reproduce by seed).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use jitbull::compare::{compare_chains, CompareConfig};
 use jitbull::extract::extract_delta;
@@ -58,7 +57,7 @@ fn chain_set(rng: &mut Rng) -> BTreeSet<Chain> {
     (0..n)
         .map(|_| {
             (0..rng.gen_range(2..5usize))
-                .map(|_| Arc::from(*rng.pick(LABELS)))
+                .map(|_| label(rng))
                 .collect::<Chain>()
         })
         .collect()
@@ -137,7 +136,8 @@ fn disjoint_sets_never_match() {
             .iter()
             .map(|c| {
                 let mut c = c.clone();
-                c.push(Arc::from("sentinel-tail"));
+                // A label outside `LABELS`, so no chain of `set` has it.
+                c.push(Label::from_name("print").expect("a mnemonic"));
                 c
             })
             .collect();

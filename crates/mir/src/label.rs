@@ -7,19 +7,19 @@
 //! type hint, constant kind, math function or intrinsic, plus
 //! `parameter0`–`parameter255` — so a label is a `u16` index into one
 //! fixed table, and `?` (the [`Label::UNKNOWN`] of a dangling operand)
-//! completes it. Snapshots, edge multisets and the incremental
-//! extractor's chains compare and hash labels as integers; names appear
-//! only where DNA meets text ([`Label::name`], [`Label::from_name`]).
+//! completes it. The table is sorted by name, so labels order as their
+//! names do. A DNA chain is a `Vec<Label>` from snapshot to comparator;
+//! names appear only where DNA meets text ([`Label::name`],
+//! [`Label::from_name`]).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 
 use jitbull_vm::bytecode::{IntrinsicMethod, MathFn};
 
 use crate::opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
 
-/// An opcode label: an index into the fixed mnemonic table.
+/// An opcode label: an index into the fixed, name-sorted mnemonic table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(u16);
 
@@ -70,7 +70,8 @@ const PLAIN: [&str; 39] = [
 /// out so variants with different literals still match.
 const CONST_KINDS: [&str; 6] = ["number", "string", "bool", "undefined", "null", "function"];
 
-// Table layout: `?`, the parameters, then one section per label family.
+// Slots of the table before sorting: `?`, the parameters, then one
+// section per label family.
 const PARAMETER: u16 = 1;
 const PLAIN_BASE: u16 = PARAMETER + 256;
 const CONSTANT: u16 = PLAIN_BASE + PLAIN.len() as u16;
@@ -81,10 +82,11 @@ const MATH: u16 = UNBOX + TypeHint::ALL.len() as u16;
 const INTRINSIC: u16 = MATH + MathFn::ALL.len() as u16;
 const COUNT: u16 = INTRINSIC + IntrinsicMethod::ALL.len() as u16;
 
-/// Every label's name, and the reverse map.
+/// Every label's name, in label (that is, name) order, and the label of
+/// each slot.
 struct Table {
-    names: Vec<Arc<str>>,
-    ids: HashMap<Arc<str>, Label>,
+    names: Vec<String>,
+    labels: Vec<Label>,
 }
 
 static TABLE: LazyLock<Table> = LazyLock::new(|| {
@@ -94,7 +96,7 @@ static TABLE: LazyLock<Table> = LazyLock::new(|| {
         assert!(slot.is_empty(), "label {at} named twice");
         *slot = name;
     };
-    put(Label::UNKNOWN.0, "?".into());
+    put(0, "?".into());
     for i in 0..=u8::MAX {
         put(PARAMETER + u16::from(i), format!("parameter{i}"));
     }
@@ -121,17 +123,20 @@ static TABLE: LazyLock<Table> = LazyLock::new(|| {
         );
     }
     assert!(names.iter().all(|n| !n.is_empty()), "unnamed label");
-    let names: Vec<Arc<str>> = names.into_iter().map(Arc::from).collect();
-    let ids: HashMap<Arc<str>, Label> = (0..)
-        .zip(&names)
-        .map(|(i, n)| (n.clone(), Label(i)))
-        .collect();
-    assert_eq!(ids.len(), names.len(), "label names collide");
-    Table { names, ids }
+    let mut slots: Vec<usize> = (0..names.len()).collect();
+    slots.sort_by(|&a, &b| names[a].cmp(&names[b]));
+    let mut labels = vec![Label::UNKNOWN; slots.len()];
+    for (label, &slot) in (0..).zip(&slots) {
+        labels[slot] = Label(label);
+    }
+    let names: Vec<String> = slots.iter().map(|&slot| names[slot].clone()).collect();
+    assert!(names.windows(2).all(|w| w[0] < w[1]), "label names collide");
+    assert_eq!(names[0], "?", "`?` sorts first, as `Label::UNKNOWN`");
+    Table { names, labels }
 });
 
-/// The label of a plain mnemonic, resolved at compile time.
-const fn plain(name: &str) -> Label {
+/// The slot of a plain mnemonic, resolved at compile time.
+const fn plain(name: &str) -> u16 {
     let mut i = 0;
     while i < PLAIN.len() {
         if PLAIN[i].len() == name.len() {
@@ -141,7 +146,7 @@ const fn plain(name: &str) -> Label {
                 k += 1;
             }
             if k == a.len() {
-                return Label(PLAIN_BASE + i as u16);
+                return PLAIN_BASE + i as u16;
             }
         }
         i += 1;
@@ -171,18 +176,11 @@ impl Label {
         &TABLE.names[usize::from(self.0)]
     }
 
-    /// The name as a shared string: a clone of the one allocation every
-    /// call for this label returns, so DNA chains built from labels
-    /// share their strings.
-    #[must_use]
-    pub fn shared_name(self) -> Arc<str> {
-        TABLE.names[usize::from(self.0)].clone()
-    }
-
     /// The label named `name`, if the table has one.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Label> {
-        TABLE.ids.get(name).copied()
+        let at = TABLE.names.binary_search_by(|n| n.as_str().cmp(name));
+        at.ok().map(|i| Label(i as u16))
     }
 }
 
@@ -194,17 +192,18 @@ impl fmt::Debug for Label {
 
 impl MOpcode {
     /// The opcode's label, matching printed IR (and, where one exists,
-    /// IonMonkey's own spelling). Never allocates.
+    /// IonMonkey's own spelling). Never allocates: the opcode picks a
+    /// slot, and the slot's label is one table read.
     #[must_use]
     pub fn label(&self) -> Label {
-        match self {
-            MOpcode::Parameter(i) => Label(PARAMETER + u16::from(*i)),
-            MOpcode::Constant(c) => Label(CONSTANT + constant_kind(c)),
-            MOpcode::Compare(op) => Label(COMPARE + *op as u16),
-            MOpcode::TypeGuard(h) => Label(TYPEGUARD + *h as u16),
-            MOpcode::Unbox(h) => Label(UNBOX + *h as u16),
-            MOpcode::MathFunction(f) => Label(MATH + *f as u16),
-            MOpcode::Intrinsic(m, _) => Label(INTRINSIC + *m as u16),
+        let slot = match self {
+            MOpcode::Parameter(i) => PARAMETER + u16::from(*i),
+            MOpcode::Constant(c) => CONSTANT + constant_kind(c),
+            MOpcode::Compare(op) => COMPARE + *op as u16,
+            MOpcode::TypeGuard(h) => TYPEGUARD + *h as u16,
+            MOpcode::Unbox(h) => UNBOX + *h as u16,
+            MOpcode::MathFunction(f) => MATH + *f as u16,
+            MOpcode::Intrinsic(m, _) => INTRINSIC + *m as u16,
             MOpcode::This => const { plain("this") },
             MOpcode::Phi => const { plain("phi") },
             MOpcode::Goto(_) => const { plain("goto") },
@@ -244,7 +243,8 @@ impl MOpcode {
             MOpcode::StoreGlobal(_) => const { plain("storeglobal") },
             MOpcode::Print => const { plain("print") },
             MOpcode::FromCharCode => const { plain("fromcharcode") },
-        }
+        };
+        TABLE.labels[usize::from(slot)]
     }
 }
 
@@ -397,6 +397,18 @@ mod tests {
         assert_eq!(Label::UNKNOWN.name(), "?");
         assert_eq!(Label::from_name("?"), Some(Label::UNKNOWN));
         assert!(!seen.contains(&Label::UNKNOWN));
+    }
+
+    #[test]
+    fn label_order_is_name_order() {
+        // Every label, in slot order rather than label order.
+        let mut labels: Vec<Label> = every_opcode().iter().map(|(op, _)| op.label()).collect();
+        labels.push(Label::UNKNOWN);
+        labels.sort();
+        let names: Vec<&str> = labels.iter().map(|l| l.name()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
     }
 
     #[test]

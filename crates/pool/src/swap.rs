@@ -72,7 +72,7 @@ mod tests {
 
     fn db_with(cve: &str) -> DnaDatabase {
         let mut dna = Dna::with_slots(4);
-        dna.deltas[1].removed.insert(chain(&["a", "b"]));
+        dna.deltas[1].removed.insert(chain(&["add", "bitor"]));
         let mut db = DnaDatabase::new();
         db.install(cve, "f", dna);
         db

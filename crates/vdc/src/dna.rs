@@ -8,7 +8,7 @@
 //! *maintainer* extracts and ships DNA vectors rather than handing users
 //! a live weapon.
 
-use jitbull::{Dna, DnaDatabase, Guard};
+use jitbull::{Dna, DnaDatabase};
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
 use jitbull_jit::VulnConfig;
@@ -33,7 +33,7 @@ pub fn extract_dna(v: &Vdc, vulns: &VulnConfig) -> Result<Vec<(String, Dna)>, Vm
             .ok_or_else(|| VmError::Compile(format!("trigger `{name}` missing in {}", v.name)))?;
         let input = CompileInput::new(module.function(fid), [], vulns);
         let result = compile(&input, &traced()).map_err(|e| VmError::Compile(e.to_string()))?;
-        let dna = Guard::extract(&result.trace, N_SLOTS);
+        let dna = jitbull::extract_dna(&result.trace, N_SLOTS);
         out.push((name.clone(), dna));
     }
     Ok(out)
@@ -77,7 +77,7 @@ pub fn extract_program_dna_with(
         let Ok(result) = compile(&input, &traced()) else {
             continue;
         };
-        out.push((f.name.clone(), Guard::extract(&result.trace, N_SLOTS)));
+        out.push((f.name.clone(), jitbull::extract_dna(&result.trace, N_SLOTS)));
     }
     Ok(out)
 }

@@ -6,7 +6,8 @@
 //! cargo run --release --example dna_inspect
 //! ```
 
-use jitbull::Guard;
+use jitbull::dna::chain_text;
+use jitbull::extract_dna;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS, PIPELINE};
 use jitbull_jit::{CveId, VulnConfig};
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         };
         let result = compile(&input, &traced)?;
-        let dna = Guard::extract(&result.trace, N_SLOTS);
+        let dna = extract_dna(&result.trace, N_SLOTS);
         println!("== JIT DNA on {label} ==");
         for (slot, delta) in dna.deltas.iter().enumerate() {
             if delta.is_empty() {
@@ -50,10 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             println!("  pass {slot:2} ({}):", PIPELINE[slot].name);
             for chain in &delta.removed {
-                println!("    - {}", chain.join(" -> "));
+                println!("    - {}", chain_text(chain));
             }
             for chain in &delta.added {
-                println!("    + {}", chain.join(" -> "));
+                println!("    + {}", chain_text(chain));
             }
         }
         if !result.triggered.is_empty() {

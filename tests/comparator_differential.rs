@@ -9,9 +9,9 @@
 //! first divergence.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use jitbull::compare::{reference, CompareConfig};
+use jitbull::dna::chain;
 use jitbull::index::EntryMatches;
 use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase};
 use jitbull_prng::Rng;
@@ -31,15 +31,16 @@ const LABELS: &[&str] = &[
     "unbox:array",
     "return",
     "phi",
-    "guardshape",
+    "typeguard:object",
 ];
 
 const SLOTS: usize = 8;
 
 fn random_chain(rng: &mut Rng) -> Chain {
-    (0..rng.gen_range(1..5usize))
-        .map(|_| Arc::from(*rng.pick(LABELS)))
-        .collect()
+    let names: Vec<&str> = (0..rng.gen_range(1..5usize))
+        .map(|_| *rng.pick(LABELS))
+        .collect();
+    chain(&names)
 }
 
 fn random_set(rng: &mut Rng, max: usize) -> BTreeSet<Chain> {
@@ -187,23 +188,22 @@ fn full_vdc_catalog_agrees() {
     }
 }
 
-/// Chains `c0..cn` shared between both sides plus per-side unique
-/// filler, letting tests place `eq` exactly on a threshold boundary.
+/// Chains `parameter{i}>call` shared between both sides plus per-side
+/// unique filler (`>add` on one side, `>bitor` on the other), letting
+/// tests place `eq` exactly on a threshold boundary.
 fn boundary_sets(
     shared: usize,
     a_extra: usize,
     b_extra: usize,
 ) -> (BTreeSet<Chain>, BTreeSet<Chain>) {
-    let mk = |tag: &str, i: usize| -> Chain {
-        vec![Arc::from(format!("{tag}{i}").as_str()), Arc::from("x")]
-    };
-    let mut a: BTreeSet<Chain> = (0..shared).map(|i| mk("c", i)).collect();
+    let mk = |tag: &str, i: usize| -> Chain { chain(&[&format!("parameter{i}"), tag]) };
+    let mut a: BTreeSet<Chain> = (0..shared).map(|i| mk("call", i)).collect();
     let mut b = a.clone();
     for i in 0..a_extra {
-        a.insert(mk("a", i));
+        a.insert(mk("add", i));
     }
     for i in 0..b_extra {
-        b.insert(mk("b", i));
+        b.insert(mk("bitor", i));
     }
     (a, b)
 }

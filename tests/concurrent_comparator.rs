@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jitbull::compare::{reference, CompareConfig};
+use jitbull::dna::chain;
 use jitbull::index::EntryMatches;
 use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase};
 use jitbull_pool::EpochCell;
@@ -37,7 +38,7 @@ const LABELS: &[&str] = &[
     "boundscheck",
     "unbox:array",
     "phi",
-    "guardshape",
+    "typeguard:object",
 ];
 
 const SLOTS: usize = 8;
@@ -49,9 +50,10 @@ const MIN_CHECKS: usize = 250;
 const BATCH: usize = 12;
 
 fn random_chain(rng: &mut Rng) -> Chain {
-    (0..rng.gen_range(1..5usize))
-        .map(|_| Arc::from(*rng.pick(LABELS)))
-        .collect()
+    let names: Vec<&str> = (0..rng.gen_range(1..5usize))
+        .map(|_| *rng.pick(LABELS))
+        .collect();
+    chain(&names)
 }
 
 fn random_set(rng: &mut Rng, max: usize) -> BTreeSet<Chain> {

@@ -4,10 +4,11 @@
 //! pass pipeline, or the Δ extractor that perturbs even one sub-chain
 //! fails these tests with a readable line diff.
 //!
-//! Extraction runs through `Guard::extract` — the normative Algorithm 1
-//! reference path — so the corpus *is* the reference oracle's output and
-//! passes unchanged under `ExtractorMode::Reference`; the incremental
-//! extractor is held to the same output by `tests/extract_differential.rs`.
+//! Extraction runs through `jitbull::extract_dna` — the normative
+//! Algorithm 1 reference path — so the corpus *is* the reference oracle's
+//! output and passes unchanged under `ExtractorMode::Reference`; the
+//! incremental extractor is held to the same output by
+//! `tests/extract_differential.rs`.
 //!
 //! Regenerate after an intentional change with:
 //!
