@@ -302,13 +302,17 @@ fn serve() {
     let update = build_database(&[vdc(CveId::Cve2019_17026)])
         .expect("vdc database builds")
         .to_text();
-    let swap_epoch = pool
+    let empty_generation = pool.published().generation();
+    let swap_generation = pool
         .reload_from_text(&update, N_SLOTS)
         .expect("well-formed update");
-    println!("hot-swap published at epoch {swap_epoch} (database was empty at epoch 1)");
+    println!(
+        "hot-swap published generation {swap_generation} (database was empty at generation {empty_generation})"
+    );
 
     // Phase 2 — every post-swap ServeArray response must reflect the new
-    // database: epoch >= swap epoch and the honest false positive flagged.
+    // database: generation >= swap generation and the honest false
+    // positive flagged.
     let after: Vec<_> = (0..8)
         .filter_map(|_| pool.submit(request("ServeArray")).ok())
         .collect();
@@ -319,7 +323,7 @@ fn serve() {
             if r.matched_cves.iter().any(|c| c == "CVE-2019-17026") {
                 flagged += 1;
             }
-            if r.db_epoch < swap_epoch {
+            if r.db_generation < swap_generation {
                 stale += 1;
             }
         }

@@ -380,14 +380,13 @@ fn reload_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosTally
     };
     // Two injected I/O faults, then the third attempt lands.
     let first = pool.reload_with_retry(&update, N_SLOTS, LoadMode::Strict, &policy);
-    let recovered_swap = first
-        .as_ref()
-        .is_ok_and(|(epoch, report)| *epoch == 2 && report.is_clean());
-    let good_generation = pool.published().1.generation();
+    let good_generation = first.as_ref().map_or(0, |(generation, _)| *generation);
+    let recovered_swap = first.as_ref().is_ok_and(|(_, report)| report.is_clean())
+        && pool.published().generation() == good_generation;
     // A persistent parse fault: every attempt fails, nothing publishes.
     let second = pool.reload_with_retry(&update, N_SLOTS, LoadMode::Strict, &policy);
     let refused = second.as_ref().is_err_and(|e| e.kind() == "parse");
-    let intact = pool.epoch() == 2 && pool.published().1.generation() == good_generation;
+    let intact = pool.published().generation() == good_generation;
     // The pool still serves verdicts from the last good snapshot.
     let mix = jitbull_workloads::serving_mix();
     let serve_array = &mix
@@ -398,7 +397,10 @@ fn reload_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosTally
     let flagged = pool
         .submit(Request::new(serve_array.clone()).with_config(EngineConfig::fast_test()))
         .and_then(Ticket::wait)
-        .is_ok_and(|r| r.db_epoch == 2 && r.matched_cves.iter().any(|c| c == "CVE-2019-17026"));
+        .is_ok_and(|r| {
+            r.db_generation == good_generation
+                && r.matched_cves.iter().any(|c| c == "CVE-2019-17026")
+        });
     pool.shutdown();
     let injected = inj.tally().total();
     let recovered = u64::from(recovered_swap) * inj.tally().get("db_io")

@@ -84,8 +84,8 @@ fn torn_text(text: &str) -> String {
 /// Process-wide generation source. Every observable content change of
 /// any [`DnaDatabase`] draws a fresh value, so two *different* database
 /// states can never share a generation — which is what lets the
-/// comparator index treat generation equality as cache validity even
-/// across wholesale database replacement (`*guard.db_mut() = other`).
+/// comparator index and the compile cache treat generation equality as
+/// cache validity, whichever database they were filled from.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 fn next_generation() -> u64 {
@@ -104,13 +104,17 @@ pub struct VdcEntry {
 }
 
 /// The in-memory DNA database, preloaded at runtime startup (§V).
+///
+/// Equal [`DnaDatabase::generation`]s mean equal entries, by
+/// construction: the entries are private, every method that changes them
+/// draws a fresh generation, and a clone or a wholesale assignment moves
+/// a generation together with the entries it was drawn for.
 #[derive(Debug, Clone)]
 pub struct DnaDatabase {
     entries: Vec<VdcEntry>,
-    /// Bumped (from [`next_generation`]) on every content change; the
-    /// comparator index compares this against the generation it was
-    /// built from to decide whether its interned entries and cached
-    /// verdicts are still valid.
+    /// Drawn from [`next_generation`] on every content change; the
+    /// comparator index and the compile cache compare it against the
+    /// generation they were filled under.
     generation: u64,
 }
 
@@ -171,29 +175,12 @@ impl DnaDatabase {
         removed
     }
 
-    /// Unconditionally draws a fresh generation, marking the content as
-    /// potentially changed.
-    ///
-    /// [`crate::Guard::db_mut`] calls this when its borrow ends: any code
-    /// path that *could* have mutated the database through a mutable
-    /// borrow invalidates downstream verdict caches, whether or not it
-    /// went through [`DnaDatabase::install`] / [`DnaDatabase::remove_cve`].
-    /// Conservative (a read-only mutable borrow also invalidates), but it
-    /// makes a stale cached verdict impossible by construction.
+    /// Draws a fresh generation without changing the content. The
+    /// serving pool calls this on every publication, so the generations
+    /// it publishes increase even when a database parsed outside its lock
+    /// drew an older one.
     pub fn touch(&mut self) {
         self.generation = next_generation();
-    }
-
-    /// An immutable, shareable snapshot of the current database state.
-    ///
-    /// The snapshot keeps this database's generation, so a comparator
-    /// index built against either is valid for both — they hold the same
-    /// content. The entries are copied: chains are plain label vectors.
-    /// Snapshots are `Send + Sync`: this is the hand-off type the serving
-    /// pool publishes to worker threads on a VDC hot-swap.
-    #[must_use]
-    pub fn snapshot(&self) -> std::sync::Arc<DnaDatabase> {
-        std::sync::Arc::new(self.clone())
     }
 
     /// All entries.
@@ -460,6 +447,52 @@ mod tests {
         assert_eq!(DnaDatabase::new(), DnaDatabase::new());
     }
 
+    /// Equal generation ⇒ equal entries, for any two live databases, over
+    /// seeded random sequences of every way a database changes or is
+    /// copied. The comparator index and the compile cache's verdict
+    /// stamps rest on this.
+    #[test]
+    fn equal_generations_hold_equal_entries() {
+        use jitbull_prng::Rng;
+        const CVES: [&str; 3] = ["CVE-1", "CVE-2", "CVE-3"];
+        for seed in 0..32 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut live = vec![DnaDatabase::new()];
+            for step in 0..48 {
+                let i = rng.gen_range(0..live.len());
+                let cve = *rng.pick(&CVES);
+                match rng.gen_range(0..8u32) {
+                    0 => live[i].install(cve, "f", Dna::with_slots(8)),
+                    1 | 2 => {
+                        let mut dna = Dna::with_slots(8);
+                        dna.deltas[rng.gen_range(0..8)]
+                            .added
+                            .insert(chain(&["add", "bitor"]));
+                        live[i].install(cve, format!("f{step}"), dna);
+                    }
+                    3 => {
+                        live[i].remove_cve(cve);
+                    }
+                    4 => live.push(live[i].clone()),
+                    5 => live[i] = live[rng.gen_range(0..live.len())].clone(),
+                    6 => {
+                        let taken = std::mem::take(&mut live[i]);
+                        live.push(taken);
+                    }
+                    _ => live.push(DnaDatabase::from_text(&live[i].to_text(), 8).unwrap()),
+                }
+                if live.len() > 8 {
+                    live.swap_remove(rng.gen_range(0..live.len()));
+                }
+                for a in &live {
+                    for b in live.iter().filter(|b| b.generation() == a.generation()) {
+                        assert_eq!(a.entries(), b.entries(), "seed {seed} step {step}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn text_round_trip() {
         let mut db = DnaDatabase::new();
@@ -613,22 +646,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn snapshot_shares_generation_and_content() {
-        let mut db = DnaDatabase::new();
-        db.install("CVE-1", "f", sample_dna());
-        let snap = db.snapshot();
-        assert_eq!(*snap, db);
-        assert_eq!(snap.generation(), db.generation());
-        // Mutating the original does not disturb the snapshot.
-        db.remove_cve("CVE-1");
-        assert_eq!(snap.len(), 1);
-        assert!(db.generation() > snap.generation());
-    }
-
     /// The database (and everything inside it) must be shareable across
-    /// threads: the serving pool publishes `Arc<DnaDatabase>` snapshots
-    /// to worker threads, and a guard must be movable into a worker.
+    /// threads: the serving pool shares one `Arc<DnaDatabase>` with its
+    /// workers' guards, and a guard must be movable into a worker.
     #[test]
     fn dna_types_are_thread_safe() {
         fn send_sync<T: Send + Sync>() {}

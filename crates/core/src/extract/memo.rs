@@ -178,8 +178,7 @@ impl DnaMemo {
         DnaMemo::default()
     }
 
-    /// A memo bounded to `max_entries` functions (`0` disables
-    /// memoisation entirely — every lookup misses, nothing is stored).
+    /// A memo bounded to `max_entries` functions.
     #[must_use]
     pub fn with_capacity(max_entries: usize) -> Self {
         DnaMemo {
@@ -222,9 +221,6 @@ impl DnaMemo {
     pub fn insert(&self, key: CompileKey, entry: MemoEntry) {
         let mut inner = self.inner.lock().expect("memo lock");
         inner.purge_if_poisoned();
-        if inner.max_entries == 0 {
-            return;
-        }
         let fresh = !inner.entries.contains_key(&key);
         if fresh && inner.entries.len() >= inner.max_entries {
             inner.entries.clear();
@@ -259,13 +255,6 @@ impl DnaMemo {
             entry.output = Some(Arc::clone(&output));
         }
         inner.poisoned = true;
-    }
-
-    /// Discards every entry (e.g. on an explicit operator flush).
-    pub fn purge(&self) {
-        let mut inner = self.inner.lock().expect("memo lock");
-        inner.entries.clear();
-        inner.poisoned = false;
     }
 
     /// Memoised compilations currently stored.
@@ -386,14 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_memoisation() {
-        let memo = DnaMemo::with_capacity(0);
-        memo.insert(add(), entry(None));
-        assert!(served(&memo, &add(), None).is_none());
-        assert!(memo.is_empty());
-    }
-
-    #[test]
     fn bound_forces_wholesale_clear() {
         let memo = DnaMemo::with_capacity(2);
         for k in [1.0, 2.0, 3.0] {
@@ -461,14 +442,5 @@ mod tests {
         memo.insert(add(), entry(None));
         assert_eq!(served(&memo, &add(), None), Some(entry(None)));
         assert_eq!(memo.stats().poison_purges, 1);
-    }
-
-    #[test]
-    fn purge_empties_without_counting_poison() {
-        let memo = DnaMemo::new();
-        memo.insert(add(), entry(None));
-        memo.purge();
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats().poison_purges, 0);
     }
 }

@@ -122,7 +122,9 @@ impl Lookup {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Guard {
-    db: DnaDatabase,
+    /// Shared with the guard's clones and, in the serving pool, with the
+    /// published snapshot; [`Guard::db_mut`] copies it on write.
+    db: Arc<DnaDatabase>,
     config: CompareConfig,
     mode: ComparatorMode,
     extractor: ExtractorMode,
@@ -146,11 +148,11 @@ pub struct Guard {
 }
 
 impl Guard {
-    /// Creates a guard over a database (indexed comparator, incremental
-    /// extractor, a private compile cache).
-    pub fn new(db: DnaDatabase, config: CompareConfig) -> Self {
+    /// Creates a guard over a database, owned or shared (indexed
+    /// comparator, incremental extractor, a private compile cache).
+    pub fn new(db: impl Into<Arc<DnaDatabase>>, config: CompareConfig) -> Self {
         Guard {
-            db,
+            db: db.into(),
             config,
             ..Guard::default()
         }
@@ -204,19 +206,12 @@ impl Guard {
         &self.db
     }
 
-    /// Mutable database access (install on disclosure, remove on patch).
-    ///
-    /// The returned guard unconditionally bumps the database generation
-    /// when it drops ([`DnaDatabase::touch`]). `install` / `remove_cve`
-    /// already bump on content change, but a raw `&mut DnaDatabase` also
-    /// allows mutations that bypass them (`*guard.db_mut() = other`,
-    /// `std::mem::take`, …) — without the drop bump those would leave
-    /// cached verdicts stamped with a generation whose content no longer
-    /// exists, silently serving stale verdicts. The bump-on-drop makes
-    /// that unrepresentable at the cost of over-invalidating when the
-    /// borrow turns out not to mutate.
-    pub fn db_mut(&mut self) -> DbMut<'_> {
-        DbMut { db: &mut self.db }
+    /// Mutable database access (install on disclosure, remove on patch),
+    /// copying a shared database first. Any change, wholesale replacement
+    /// included, leaves the database under a generation no cached
+    /// verdict of other content carries ([`DnaDatabase`]).
+    pub fn db_mut(&mut self) -> &mut DnaDatabase {
+        Arc::make_mut(&mut self.db)
     }
 
     /// The comparator configuration.
@@ -455,34 +450,6 @@ impl Guard {
         };
         *cost += receipt.cost_cycles;
         (hits, receipt)
-    }
-}
-
-/// Mutable borrow of a [`Guard`]'s database that invalidates verdict
-/// caches on drop. Returned by [`Guard::db_mut`]; dereferences to
-/// [`DnaDatabase`], so existing `guard.db_mut().install(..)` call sites
-/// compile unchanged.
-#[derive(Debug)]
-pub struct DbMut<'a> {
-    db: &'a mut DnaDatabase,
-}
-
-impl std::ops::Deref for DbMut<'_> {
-    type Target = DnaDatabase;
-    fn deref(&self) -> &DnaDatabase {
-        self.db
-    }
-}
-
-impl std::ops::DerefMut for DbMut<'_> {
-    fn deref_mut(&mut self) -> &mut DnaDatabase {
-        self.db
-    }
-}
-
-impl Drop for DbMut<'_> {
-    fn drop(&mut self) {
-        self.db.touch();
     }
 }
 

@@ -7,10 +7,12 @@
 //! comparing it against the DNA of known vulnerability demonstrator codes
 //! (VDCs).
 //!
-//! The crate is engine-agnostic: it consumes only
-//! [`jitbull_mir::PassTrace`] — the IR snapshots `IR_0 … IR_n` entering
-//! the pipeline and after each pass — mirroring the paper's claim that
-//! the approach ports to any pass-based JIT (IonMonkey, TurboFan, Chakra).
+//! The analysis reads only [`jitbull_mir::PassTrace`] — the IR snapshots
+//! `IR_0 … IR_n` entering the pipeline and after each pass — mirroring
+//! the paper's claim that the approach ports to any pass-based JIT
+//! (IonMonkey, TurboFan, Chakra). The compile cache in front of it also
+//! stores this repository's pipeline output ([`PipelineOutput`], holding
+//! `jitbull_lir` code), so the crate as a whole is tied to that pipeline.
 //!
 //! Modules map one-to-one onto the paper's architecture:
 //!
@@ -60,6 +62,6 @@ pub use error::DbError;
 pub use extract::incremental::{ExtractReceipt, IncrementalExtractor, IncrementalStats};
 pub use extract::memo::{DnaMemo, MemoEntry, MemoLookup, MemoStats, PipelineOutput, VerdictStamp};
 pub use extract::{extract_delta, extract_dna};
-pub use guard::{Analysis, ComparatorMode, DbMut, ExtractorMode, Guard, Lookup};
+pub use guard::{Analysis, ComparatorMode, ExtractorMode, Guard, Lookup};
 pub use index::{ChainInterner, ComparatorIndex, IndexStats, QueryReceipt};
 pub use policy::{decide, decide_observed, Decision};

@@ -17,10 +17,12 @@
 //!    [`PoolError`] on overload, script failure, worker panic, or
 //!    shutdown. The worker-side responder reports on drop, so even an
 //!    unwinding panic answers.
-//! 2. **No stale verdicts.** Database changes publish immutable
-//!    snapshots through an atomic-epoch cell ([`swap::EpochCell`]);
-//!    every response carries the epoch it was served under, provably
-//!    `>=` the epoch current at submit time.
+//! 2. **No stale verdicts.** Database changes publish copy-on-write
+//!    snapshots through [`swap::SnapshotCell`], each under a fresh
+//!    [`DnaDatabase::generation`] — the one version number the guard's
+//!    index, the compile cache's verdicts and the pool all read. Every
+//!    response carries the generation it was served under, provably
+//!    `>=` the generation published at submit time.
 //! 3. **Graceful degradation.** Requests that outwait their deadline
 //!    fall back to interpreter-only execution (the paper's no-JIT
 //!    scenario generalized to load shedding), over-capacity submissions
@@ -42,6 +44,7 @@
 //! ```
 //!
 //! [`Engine`]: jitbull_jit::engine::Engine
+//! [`DnaDatabase::generation`]: jitbull::DnaDatabase::generation
 
 pub mod error;
 pub mod pool;
@@ -51,4 +54,4 @@ mod worker;
 
 pub use error::PoolError;
 pub use pool::{Pool, PoolConfig, PoolResponse, PoolStats, Request, SharedCollector, Ticket};
-pub use swap::EpochCell;
+pub use swap::SnapshotCell;

@@ -13,7 +13,7 @@ use jitbull_telemetry::{Collector, Event};
 
 use crate::error::PoolError;
 use crate::queue::{BoundedQueue, PushError};
-use crate::swap::EpochCell;
+use crate::swap::SnapshotCell;
 use crate::worker;
 
 /// Shared dyn-collector handle: workers, publishers, and the submit path
@@ -30,11 +30,13 @@ pub struct PoolConfig {
     pub capacity: usize,
     /// Δ-comparator thresholds shared by every worker's guard.
     pub compare: CompareConfig,
-    /// Compile cache (DNAs and verdicts) shared by every worker's guard.
-    /// The default is one fresh store per pool; handing the same handle
-    /// to several pools shares analysis work across them. Extraction is
-    /// independent of the VDC database, so DNAs stay warm across hot
-    /// swaps; verdicts are stamped with the database generation.
+    /// Compile cache (DNAs, verdicts, pipeline outputs and code) shared
+    /// by every worker's guard. The default is one fresh store per pool;
+    /// handing the same handle to several pools shares compilation and
+    /// analysis work across them. Compilation and extraction are
+    /// independent of the VDC database, so DNAs and code stay warm
+    /// across hot swaps; verdicts are stamped with the database
+    /// generation.
     pub memo: DnaMemo,
     /// Fault injector threaded through every worker (dequeue hook, the
     /// engine's pipeline, the guard's comparator) and the reload path.
@@ -116,13 +118,12 @@ impl Request {
 pub struct PoolResponse {
     /// Worker index that served the request.
     pub worker: usize,
-    /// Epoch of the database snapshot the verdicts came from. Always
-    /// `>= min_epoch` — the no-stale-verdict guarantee.
-    pub db_epoch: u64,
-    /// Generation of that snapshot (ties the response to exact content).
+    /// Generation of the database snapshot the verdicts came from (ties
+    /// the response to exact content). Always `>= min_generation` — the
+    /// no-stale-verdict guarantee.
     pub db_generation: u64,
-    /// Epoch current when the request was submitted.
-    pub min_epoch: u64,
+    /// Generation published when the request was submitted.
+    pub min_generation: u64,
     /// Whether the deadline lapsed and the run fell back to
     /// interpreter-only execution.
     pub degraded: bool,
@@ -247,7 +248,7 @@ impl Drop for Responder {
 pub(crate) struct Job {
     pub(crate) request: Request,
     pub(crate) enqueued_at: Instant,
-    pub(crate) min_epoch: u64,
+    pub(crate) min_generation: u64,
     pub(crate) responder: Responder,
 }
 
@@ -312,14 +313,10 @@ impl PoolStats {
 /// `workers` threads each own a JIT engine and a guard over the current
 /// database snapshot; a bounded queue feeds them; [`Pool::install`] /
 /// [`Pool::remove_cve`] / [`Pool::reload_from_text`] hot-swap the
-/// database mid-traffic via [`EpochCell`].
+/// database mid-traffic via [`SnapshotCell`].
 pub struct Pool {
     queue: Arc<BoundedQueue<Job>>,
-    cell: Arc<EpochCell>,
-    /// The mutable master copy; publishers mutate it under this lock and
-    /// publish an immutable snapshot. Holding the lock across the publish
-    /// keeps epoch order identical to content order.
-    master: Mutex<DnaDatabase>,
+    cell: Arc<SnapshotCell>,
     stats: Arc<StatsInner>,
     collector: Option<SharedCollector>,
     /// Shared per-pool fault injector (clones in every worker).
@@ -351,7 +348,7 @@ impl Pool {
     fn build(config: PoolConfig, db: DnaDatabase, collector: Option<SharedCollector>) -> Self {
         let workers = config.workers.max(1);
         let queue = Arc::new(BoundedQueue::new(config.capacity));
-        let cell = Arc::new(EpochCell::new(db.snapshot()));
+        let cell = Arc::new(SnapshotCell::new(db));
         let stats = Arc::new(StatsInner {
             worker_cycles: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             ..Default::default()
@@ -383,7 +380,6 @@ impl Pool {
         Pool {
             queue,
             cell,
-            master: Mutex::new(db),
             stats,
             collector,
             faults: config.faults,
@@ -412,7 +408,7 @@ impl Pool {
         let job = Job {
             request,
             enqueued_at: Instant::now(),
-            min_epoch: self.cell.epoch(),
+            min_generation: self.cell.generation(),
             responder,
         };
         match self.queue.try_push(job) {
@@ -439,39 +435,33 @@ impl Pool {
         }
     }
 
-    fn publish_master(&self, master: &DnaDatabase) -> u64 {
-        let snap = master.snapshot();
-        let entries = snap.len() as u64;
-        let generation = snap.generation();
-        let epoch = self.cell.publish(snap);
+    /// Publishes what `edit` makes of the database and records the
+    /// hot-swap. Returns `edit`'s result and the generation published.
+    fn publish<R>(&self, edit: impl FnOnce(&mut Arc<DnaDatabase>) -> R) -> (R, u64) {
+        let (result, db) = self.cell.publish(edit);
         self.stats.hotswaps.fetch_add(1, Ordering::Relaxed);
         self.record(Event::PoolHotSwap {
-            epoch,
-            entries,
-            generation,
+            entries: db.len() as u64,
+            generation: db.generation(),
         });
-        epoch
+        (result, db.generation())
     }
 
     /// Installs a VDC entry and publishes the new snapshot mid-traffic.
-    /// Returns the publication epoch.
+    /// Returns the published generation.
     pub fn install(&self, cve: impl Into<String>, function: impl Into<String>, dna: Dna) -> u64 {
-        let mut master = self.master.lock().unwrap_or_else(|e| e.into_inner());
-        master.install(cve, function, dna);
-        self.publish_master(&master)
+        let ((), generation) = self.publish(|db| Arc::make_mut(db).install(cve, function, dna));
+        generation
     }
 
     /// Removes a CVE's entries and publishes. Returns `(entries removed,
-    /// publication epoch)`.
+    /// published generation)`.
     pub fn remove_cve(&self, cve: &str) -> (usize, u64) {
-        let mut master = self.master.lock().unwrap_or_else(|e| e.into_inner());
-        let removed = master.remove_cve(cve);
-        let epoch = self.publish_master(&master);
-        (removed, epoch)
+        self.publish(|db| Arc::make_mut(db).remove_cve(cve))
     }
 
     /// Replaces the whole database from maintainer-update text and
-    /// publishes. Returns the publication epoch.
+    /// publishes. Returns the published generation.
     ///
     /// # Errors
     ///
@@ -480,11 +470,7 @@ impl Pool {
     /// serving untouched.
     pub fn reload_from_text(&self, text: &str, n_slots: usize) -> Result<u64, DbError> {
         match DnaDatabase::from_text(text, n_slots) {
-            Ok(db) => {
-                let mut master = self.master.lock().unwrap_or_else(|e| e.into_inner());
-                *master = db;
-                Ok(self.publish_master(&master))
-            }
+            Ok(db) => Ok(self.publish(|slot| *slot = Arc::new(db)).1),
             Err(e) => {
                 self.record(Event::PoolReloadFailed { kind: e.kind() });
                 Err(e)
@@ -500,7 +486,7 @@ impl Pool {
     /// recorded as an [`Event::ReloadRetry`]; a success that needed
     /// retries as an [`Event::ReloadRecovered`].
     ///
-    /// Returns the publication epoch and the [`LoadReport`] (non-empty
+    /// Returns the published generation and the [`LoadReport`] (non-empty
     /// warnings only under [`LoadMode::Partial`]).
     ///
     /// # Errors
@@ -527,15 +513,13 @@ impl Pool {
         );
         match result {
             Ok((db, report)) => {
-                let mut master = self.master.lock().unwrap_or_else(|e| e.into_inner());
-                *master = db;
-                let epoch = self.publish_master(&master);
+                let ((), generation) = self.publish(|slot| *slot = Arc::new(db));
                 if retries.attempts > 1 {
                     self.record(Event::ReloadRecovered {
                         attempts: retries.attempts,
                     });
                 }
-                Ok((epoch, report))
+                Ok((generation, report))
             }
             Err(e) => {
                 self.record(Event::PoolReloadFailed { kind: e.kind() });
@@ -556,16 +540,10 @@ impl Pool {
         self.quarantine.quarantined()
     }
 
-    /// The currently published `(epoch, snapshot)` pair.
+    /// The currently published snapshot.
     #[must_use]
-    pub fn published(&self) -> (u64, Arc<DnaDatabase>) {
+    pub fn published(&self) -> Arc<DnaDatabase> {
         self.cell.load()
-    }
-
-    /// The current publication epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.cell.epoch()
     }
 
     /// Current queue depth (racy; for gauges).

@@ -1,66 +1,77 @@
-//! Atomic-epoch publication of immutable database snapshots.
+//! Hot-swap publication of the shared database snapshot.
 //!
-//! The serving pool's hot-swap primitive: a publisher replaces the
-//! current [`DnaDatabase`] snapshot and bumps a monotonically increasing
-//! *epoch*; readers cheaply detect staleness by comparing epochs and only
-//! take the lock to reload when the epoch actually moved.
+//! The serving pool's hot-swap primitive: publishers change the one
+//! published [`DnaDatabase`] copy-on-write under the cell's lock, and
+//! every publication draws a fresh [`DnaDatabase::generation`]. Readers
+//! cheaply detect staleness by comparing generations and only take the
+//! lock to reload when the generation actually moved.
 //!
 //! # The no-stale-verdict argument
 //!
-//! * The epoch is bumped *while holding the slot lock*, immediately after
-//!   the new snapshot is stored — so any `load()` observes a consistent
-//!   `(epoch, snapshot)` pair: the epoch it returns was published with
-//!   exactly that snapshot.
-//! * Epochs only increase. A request stamped with `min_epoch = epoch()`
-//!   at submit time is served by a worker whose cached pair satisfies
-//!   `cached_epoch == epoch()` *at or after dequeue*, and dequeue
-//!   happens-after submit — therefore the serving epoch is `>= min_epoch`
-//!   and the response can never reflect a database older than the one
-//!   visible when the request entered the pool.
+//! * The generation is the database's own: the mirror the cell reads
+//!   lock-free is stored *while holding the slot lock*, right after the
+//!   publication touched it, so any `load()` returns a snapshot whose
+//!   generation was published with exactly its content.
+//! * Published generations only increase: each publication draws a fresh
+//!   one from the process-wide counter under the lock. A request stamped
+//!   with `min_generation = generation()` at submit time is served by a
+//!   worker whose guard holds a snapshot with
+//!   `generation == generation()` *at or after dequeue*, and dequeue
+//!   happens-after submit — therefore the serving generation is
+//!   `>= min_generation` and the response can never reflect a database
+//!   older than the one visible when the request entered the pool.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jitbull::DnaDatabase;
 
-/// A hot-swappable `(epoch, Arc<DnaDatabase>)` cell.
+/// A hot-swappable `Arc<DnaDatabase>` snapshot.
 #[derive(Debug)]
-pub struct EpochCell {
-    /// Bumped under `slot`'s lock on every publish; read lock-free.
-    epoch: AtomicU64,
+pub struct SnapshotCell {
+    /// The slot's generation, stored under its lock on every publish;
+    /// read lock-free.
+    generation: AtomicU64,
     slot: Mutex<Arc<DnaDatabase>>,
 }
 
-impl EpochCell {
-    /// Creates a cell publishing `db` at epoch 1.
+impl SnapshotCell {
+    /// Creates a cell publishing `db`.
     #[must_use]
-    pub fn new(db: Arc<DnaDatabase>) -> Self {
-        EpochCell {
-            epoch: AtomicU64::new(1),
-            slot: Mutex::new(db),
+    pub fn new(db: DnaDatabase) -> Self {
+        SnapshotCell {
+            generation: AtomicU64::new(db.generation()),
+            slot: Mutex::new(Arc::new(db)),
         }
     }
 
-    /// The current epoch (lock-free fast path for staleness checks).
+    /// The published generation (lock-free fast path for staleness
+    /// checks).
     #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
-    /// Publishes a new snapshot, returning the epoch it was published
-    /// under. The store and the epoch bump happen under the slot lock, so
-    /// concurrent [`EpochCell::load`] calls always see matching pairs.
-    pub fn publish(&self, db: Arc<DnaDatabase>) -> u64 {
+    /// Publishes what `edit` makes of the snapshot, under a fresh
+    /// generation. `edit` runs under the slot lock and changes the
+    /// database copy-on-write ([`Arc::make_mut`]) or replaces it, so
+    /// workers keep serving the snapshot they hold. Returns `edit`'s
+    /// result and the published snapshot.
+    pub fn publish<R>(
+        &self,
+        edit: impl FnOnce(&mut Arc<DnaDatabase>) -> R,
+    ) -> (R, Arc<DnaDatabase>) {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = db;
-        self.epoch.fetch_add(1, Ordering::Release) + 1
+        let result = edit(&mut slot);
+        Arc::make_mut(&mut slot).touch();
+        self.generation.store(slot.generation(), Ordering::Release);
+        (result, Arc::clone(&slot))
     }
 
-    /// The current `(epoch, snapshot)` pair, read atomically.
+    /// The published snapshot.
     #[must_use]
-    pub fn load(&self) -> (u64, Arc<DnaDatabase>) {
-        let slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        (self.epoch.load(Ordering::Acquire), Arc::clone(&slot))
+    pub fn load(&self) -> Arc<DnaDatabase> {
+        Arc::clone(&self.slot.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -79,51 +90,84 @@ mod tests {
     }
 
     #[test]
-    fn publish_bumps_epoch_and_swaps_content() {
-        let cell = EpochCell::new(db_with("CVE-1").snapshot());
-        assert_eq!(cell.epoch(), 1);
-        let (e, snap) = cell.load();
-        assert_eq!(e, 1);
+    fn publish_moves_generation_and_swaps_content() {
+        let cell = SnapshotCell::new(db_with("CVE-1"));
+        let g1 = cell.generation();
+        let snap = cell.load();
+        assert_eq!(snap.generation(), g1);
         assert_eq!(snap.cves(), vec!["CVE-1"]);
-        let e2 = cell.publish(db_with("CVE-2").snapshot());
-        assert_eq!(e2, 2);
-        let (e, snap) = cell.load();
-        assert_eq!(e, 2);
-        assert_eq!(snap.cves(), vec!["CVE-2"]);
+        let ((), published) = cell.publish(|db| *db = Arc::new(db_with("CVE-2")));
+        let g2 = published.generation();
+        assert!(g2 > g1);
+        assert_eq!(cell.generation(), g2);
+        let next = cell.load();
+        assert_eq!((next.generation(), next.cves()), (g2, vec!["CVE-2"]));
+        // The snapshot a reader holds is left as it was.
+        assert_eq!((snap.generation(), snap.cves()), (g1, vec!["CVE-1"]));
+    }
+
+    #[test]
+    fn a_database_built_before_a_later_publish_still_publishes_newer() {
+        let cell = SnapshotCell::new(DnaDatabase::new());
+        let early = db_with("CVE-1");
+        let (removed, miss) = cell.publish(|db| Arc::make_mut(db).remove_cve("CVE-none"));
+        assert_eq!(removed, 0);
+        assert!(early.generation() < miss.generation());
+        let ((), swapped) = cell.publish(|db| *db = Arc::new(early));
+        assert!(
+            swapped.generation() > miss.generation(),
+            "published generations must increase"
+        );
     }
 
     #[test]
     fn loads_never_see_torn_pairs_under_concurrent_publishes() {
-        let cell = Arc::new(EpochCell::new(db_with("CVE-1").snapshot()));
-        // The cell starts at epoch 1 and the publisher installs
-        // CVE-<epoch>, so content encodes the epoch.
+        let cell = Arc::new(SnapshotCell::new(db_with("CVE-0")));
+        let initial = (cell.generation(), 1);
+        // Each publication installs one more CVE: the publisher records
+        // which entry count it published under which generation.
         let publisher = {
             let cell = Arc::clone(&cell);
             std::thread::spawn(move || {
-                for i in 1..=200u64 {
-                    let e = cell.publish(db_with(&format!("CVE-{}", i + 1)).snapshot());
-                    assert_eq!(e, i + 1);
-                }
+                (1..=200)
+                    .map(|i| {
+                        let mut dna = Dna::with_slots(4);
+                        dna.deltas[1].removed.insert(chain(&["add", "bitor"]));
+                        let ((), db) = cell
+                            .publish(|db| Arc::make_mut(db).install(format!("CVE-{i}"), "f", dna));
+                        (db.generation(), db.len())
+                    })
+                    .collect::<Vec<_>>()
             })
         };
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 std::thread::spawn(move || {
-                    let mut last = 0;
+                    let mut seen = Vec::new();
                     for _ in 0..500 {
-                        let (e, snap) = cell.load();
-                        assert!(e >= last, "epoch went backwards");
-                        last = e;
-                        // The pair is consistent: content matches epoch.
-                        assert_eq!(snap.cves(), vec![format!("CVE-{e}")]);
+                        let mirror = cell.generation();
+                        let snap = cell.load();
+                        // The snapshot is at least as new as the mirror
+                        // read before it.
+                        assert!(snap.generation() >= mirror);
+                        seen.push((snap.generation(), snap.len()));
                     }
+                    seen
                 })
             })
             .collect();
-        publisher.join().unwrap();
+        let published: Vec<_> = publisher.join().unwrap();
+        assert!(published.windows(2).all(|w| w[0].0 < w[1].0));
+        let by_generation: std::collections::HashMap<u64, usize> =
+            std::iter::once(initial).chain(published).collect();
         for r in readers {
-            r.join().unwrap();
+            let seen = r.join().unwrap();
+            assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0), "went backwards");
+            for (g, len) in seen {
+                // The pair is consistent: content matches generation.
+                assert_eq!(by_generation.get(&g), Some(&len));
+            }
         }
     }
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use jitbull::{CompareConfig, DnaDatabase, DnaMemo, Guard};
+use jitbull::{CompareConfig, DnaMemo, Guard};
 use jitbull_chaos::{CircuitBreaker, FaultInjector, FaultKind, FaultSite, Quarantine};
 use jitbull_jit::engine::Engine;
 use jitbull_telemetry::{Collector, Event};
@@ -17,13 +17,13 @@ use jitbull_telemetry::{Collector, Event};
 use crate::error::PoolError;
 use crate::pool::{Job, PoolResponse, SharedCollector, StatsInner};
 use crate::queue::BoundedQueue;
-use crate::swap::EpochCell;
+use crate::swap::SnapshotCell;
 
 /// Everything a worker thread needs, cloned per worker at pool start.
 pub(crate) struct WorkerCtx {
     pub(crate) index: usize,
     pub(crate) queue: Arc<BoundedQueue<Job>>,
-    pub(crate) cell: Arc<EpochCell>,
+    pub(crate) cell: Arc<SnapshotCell>,
     pub(crate) stats: Arc<StatsInner>,
     pub(crate) collector: Option<SharedCollector>,
     pub(crate) compare: CompareConfig,
@@ -57,15 +57,6 @@ impl WorkerCtx {
     }
 }
 
-/// Per-worker mutable state: the snapshot the worker currently serves
-/// from and the warm guard (comparator index + extractor state) built
-/// over it. Dropped wholesale when the epoch moves or the worker respawns.
-struct WorkerState {
-    epoch: u64,
-    db: Option<Arc<DnaDatabase>>,
-    guard: Option<Guard>,
-}
-
 /// The thread body: run [`worker_loop`] until the queue closes; if it
 /// panics, count a restart and run it again with fresh state. The panic
 /// unwinds through the in-flight [`Job`], whose responder delivers
@@ -82,35 +73,41 @@ pub(crate) fn supervise(ctx: WorkerCtx) {
     }
 }
 
+/// The worker's only state is its warm guard (comparator index and
+/// extractor state over the snapshot it serves from), dropped wholesale
+/// when a publication moves the generation or the worker respawns.
 fn worker_loop(ctx: &WorkerCtx) {
-    let mut state = WorkerState {
-        epoch: 0,
-        db: None,
-        guard: None,
-    };
+    let mut guard: Option<Guard> = None;
     while let Some(job) = ctx.queue.pop() {
-        serve(ctx, &mut state, job);
+        serve(ctx, &mut guard, job);
     }
 }
 
-fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
+fn serve(ctx: &WorkerCtx, warm: &mut Option<Guard>, job: Job) {
     let Job {
         request,
         enqueued_at,
-        min_epoch,
+        min_generation,
         responder,
     } = job;
 
-    // Refresh the snapshot if a publisher moved the epoch. The lock-free
-    // check makes the steady state cheap; the reload drops the warm guard
-    // because its database and index belong to the old content.
-    if state.db.is_none() || ctx.cell.epoch() != state.epoch {
-        let (epoch, db) = ctx.cell.load();
-        state.epoch = epoch;
-        state.db = Some(db);
-        state.guard = None;
-    }
-    debug_assert!(state.epoch >= min_epoch, "epoch ran backwards");
+    // Build a new guard over the published snapshot, sharing it rather
+    // than copying, when a publisher moved the generation. The lock-free
+    // check makes the steady state cheap. A new guard gets the pool's
+    // shared compile cache: every worker caches into (and hits from) the
+    // same store. DNAs and code outlive snapshot swaps because neither
+    // extraction nor compilation reads the VDC database; verdicts are
+    // shared by workers on the same snapshot generation.
+    let guard = match warm.take() {
+        Some(guard) if guard.db().generation() == ctx.cell.generation() => guard,
+        _ => {
+            let mut guard = Guard::new(ctx.cell.load(), ctx.compare);
+            guard.set_dna_memo(ctx.memo.clone());
+            guard
+        }
+    };
+    let db_generation = guard.db().generation();
+    debug_assert!(db_generation >= min_generation, "generation ran backwards");
 
     // Chaos hook: one occurrence per dequeued request.
     let mut chaos_blowout = false;
@@ -155,16 +152,6 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     }
     let jit_ran = config.jit_enabled;
 
-    let db = Arc::clone(state.db.as_ref().expect("snapshot loaded"));
-    // A new guard gets the pool's shared compile cache: every worker
-    // caches into (and hits from) the same store. DNAs outlive snapshot
-    // swaps because extraction never reads the VDC database; verdicts are
-    // shared by workers on the same snapshot generation.
-    let guard = state.guard.take().unwrap_or_else(|| {
-        let mut guard = Guard::new((*db).clone(), ctx.compare);
-        guard.set_dna_memo(ctx.memo.clone());
-        guard
-    });
     let mut engine = Engine::with_guard(config, guard);
     if let Some(shared) = &ctx.collector {
         engine.set_collector(Rc::new(RefCell::new(Forward(Arc::clone(shared)))));
@@ -174,7 +161,7 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
     let run_micros = started.elapsed().as_micros() as u64;
     let compile_failures = engine.compile_failures();
     // Keep the warm guard for the next request on this snapshot.
-    state.guard = engine.into_guard();
+    *warm = engine.into_guard();
 
     // Close the breaker loop: a JIT-enabled run reports its compilation
     // health; a degraded run says nothing about it, so its permit is
@@ -219,9 +206,8 @@ fn serve(ctx: &WorkerCtx, state: &mut WorkerState, job: Job) {
             matched_cves.dedup();
             responder.send(Ok(PoolResponse {
                 worker: ctx.index,
-                db_epoch: state.epoch,
-                db_generation: db.generation(),
-                min_epoch,
+                db_generation,
+                min_generation,
                 degraded,
                 printed: out.outcome.printed,
                 cycles: out.outcome.cycles,

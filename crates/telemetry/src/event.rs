@@ -178,11 +178,9 @@ pub enum Event {
     },
     /// A new database snapshot was published to the workers.
     PoolHotSwap {
-        /// The epoch the snapshot was published under.
-        epoch: u64,
         /// Entries in the new snapshot.
         entries: u64,
-        /// The snapshot's database generation.
+        /// The database generation the snapshot was published under.
         generation: u64,
     },
     /// A worker thread panicked while serving and was respawned.

@@ -157,10 +157,9 @@ fn event_line(ev: &Event) -> String {
             "pool_served      worker={worker} degraded={degraded} wait_us={wait_micros} run_us={run_micros}"
         ),
         Event::PoolHotSwap {
-            epoch,
             entries,
             generation,
-        } => format!("pool_hotswap     epoch={epoch} entries={entries} generation={generation}"),
+        } => format!("pool_hotswap     entries={entries} generation={generation}"),
         Event::PoolWorkerRestarted { worker } => {
             format!("pool_worker_restarted worker={worker}")
         }

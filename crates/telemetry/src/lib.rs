@@ -273,10 +273,14 @@ impl Recorder {
                 self.metrics.observe("pool.wait_us", *wait_micros);
                 self.metrics.observe("pool.service_us", *run_micros);
             }
-            Event::PoolHotSwap { epoch, entries, .. } => {
+            Event::PoolHotSwap {
+                entries,
+                generation,
+            } => {
                 self.metrics.counter_inc("pool.hotswaps");
                 self.metrics.gauge_set("pool.db_entries", *entries as i64);
-                self.metrics.gauge_set("pool.db_epoch", *epoch as i64);
+                self.metrics
+                    .gauge_set("pool.db_generation", *generation as i64);
             }
             Event::PoolWorkerRestarted { .. } => {
                 self.metrics.counter_inc("pool.worker_restarts");
@@ -447,7 +451,6 @@ mod tests {
             run_micros: 400,
         });
         rec.record(Event::PoolHotSwap {
-            epoch: 2,
             entries: 5,
             generation: 42,
         });
@@ -463,7 +466,7 @@ mod tests {
         assert_eq!(m.counter("pool.reload_failed.parse"), 1);
         assert_eq!(m.gauge("pool.queue_depth"), Some(8));
         assert_eq!(m.gauge("pool.db_entries"), Some(5));
-        assert_eq!(m.gauge("pool.db_epoch"), Some(2));
+        assert_eq!(m.gauge("pool.db_generation"), Some(42));
         assert_eq!(m.histogram("pool.wait_us").unwrap().count(), 2);
         assert_eq!(m.histogram("pool.service_us").unwrap().count(), 2);
     }

@@ -303,16 +303,18 @@ fn reload_retry_recovers_transient_faults() {
         seed: 9,
         ..RetryPolicy::default()
     };
-    let (epoch, report) = pool
+    let empty_generation = pool.published().generation();
+    let (generation, report) = pool
         .reload_with_retry(&update, N_SLOTS, LoadMode::Strict, &policy)
         .expect("third attempt lands");
-    assert_eq!(epoch, 2);
+    assert!(generation > empty_generation);
+    assert_eq!(pool.published().generation(), generation);
     assert!(report.is_clean());
     let r = pool
         .submit(Request::new(serving_source("ServeArray")).with_config(EngineConfig::fast_test()))
         .and_then(Ticket::wait)
         .expect("serves after recovered reload");
-    assert_eq!(r.db_epoch, 2);
+    assert_eq!(r.db_generation, generation);
     assert!(r.matched_cves.iter().any(|c| c == "CVE-2019-17026"));
     pool.shutdown();
 }
@@ -337,8 +339,7 @@ fn exhausted_reload_retry_never_publishes_partial() {
         },
         db_17026(),
     );
-    let (epoch_before, snapshot_before) = pool.published();
-    let generation_before = snapshot_before.generation();
+    let generation_before = pool.published().generation();
     let err = pool
         .reload_with_retry(
             &db_17026().to_text(),
@@ -352,8 +353,11 @@ fn exhausted_reload_retry_never_publishes_partial() {
         )
         .expect_err("persistent fault exhausts the policy");
     assert_eq!(err.kind(), "parse");
-    assert_eq!(pool.epoch(), epoch_before, "partial state was published");
-    assert_eq!(pool.published().1.generation(), generation_before);
+    assert_eq!(
+        pool.published().generation(),
+        generation_before,
+        "partial state was published"
+    );
     let r = pool
         .submit(Request::new(serving_source("ServeArray")).with_config(EngineConfig::fast_test()))
         .and_then(Ticket::wait)
@@ -540,6 +544,7 @@ fn sweep(seed: u64, requests: usize) {
         },
         DnaDatabase::new(),
     );
+    let empty_generation = pool.published().generation();
     let mix = jitbull_workloads::serving_mix();
     let mut tickets: Vec<(u64, Ticket)> = Vec::new();
     let mut quarantined_midway = Vec::new();
@@ -547,7 +552,7 @@ fn sweep(seed: u64, requests: usize) {
         if i == requests / 2 {
             // Mid-traffic reload rides out the scripted transient I/O
             // fault via retry.
-            let (epoch, report) = pool
+            let (generation, report) = pool
                 .reload_with_retry(
                     &db_17026().to_text(),
                     N_SLOTS,
@@ -559,25 +564,31 @@ fn sweep(seed: u64, requests: usize) {
                     },
                 )
                 .expect("transient reload fault retried away");
-            assert_eq!(epoch, 2);
+            assert!(generation > empty_generation);
             assert!(report.is_clean());
             quarantined_midway = pool.quarantined();
         }
         let w = &mix[i % mix.len()];
-        let submit_epoch = pool.epoch();
+        let submit_generation = pool.published().generation();
         let t = pool
             .submit(Request::new(w.source.clone()).with_config(EngineConfig::fast_test()))
             .expect("capacity sized to the sweep");
-        tickets.push((submit_epoch, t));
+        tickets.push((submit_generation, t));
     }
     let total = tickets.len();
     let mut served = 0usize;
-    for (submit_epoch, t) in tickets {
+    for (submit_generation, t) in tickets {
         // No lost tickets: wait always resolves, Ok or typed error.
         if let Ok(r) = t.wait() {
             served += 1;
-            assert!(r.min_epoch >= submit_epoch, "seed {seed}: epoch went back");
-            assert!(r.db_epoch >= r.min_epoch, "seed {seed}: stale verdict");
+            assert!(
+                r.min_generation >= submit_generation,
+                "seed {seed}: generation went back"
+            );
+            assert!(
+                r.db_generation >= r.min_generation,
+                "seed {seed}: stale verdict"
+            );
             assert!(!r.printed.is_empty(), "seed {seed}: lost output");
         }
     }

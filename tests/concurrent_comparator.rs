@@ -2,16 +2,16 @@
 //!
 //! Four reader threads each keep a *persistent* [`ComparatorIndex`] —
 //! interned labels, prefilter and all — while a publisher hot-swaps the
-//! shared database through an [`EpochCell`], exactly the shape
+//! shared database through a [`SnapshotCell`], exactly the shape
 //! `jitbull-pool` workers run in production. Every verdict from every
 //! thread must be byte-identical to the single-threaded normative
 //! comparator (`jitbull::compare::reference`) evaluated on the same
-//! snapshot. A stale index surviving a generation change, a torn
-//! epoch/snapshot pair, or any non-`Sync` sharing bug shows up here as a
-//! divergence.
+//! snapshot. A stale index surviving a generation change, a snapshot
+//! older than one already seen, or any non-`Sync` sharing bug shows up
+//! here as a divergence.
 //!
 //! Progress is bound by counts, not by time: the publisher swaps only
-//! after every reader has checked a batch on the current epoch, and
+//! after every reader has checked a batch on the current generation, and
 //! readers stop once the publisher is done and they have each run
 //! [`MIN_CHECKS`] comparisons — so a loaded host slows the test down but
 //! cannot starve it.
@@ -24,7 +24,7 @@ use jitbull::compare::{reference, CompareConfig};
 use jitbull::dna::chain;
 use jitbull::index::EntryMatches;
 use jitbull::{Chain, ComparatorIndex, Dna, DnaDatabase};
-use jitbull_pool::EpochCell;
+use jitbull_pool::SnapshotCell;
 use jitbull_prng::Rng;
 
 const LABELS: &[&str] = &[
@@ -112,27 +112,28 @@ impl Drop for ReleaseOnExit<'_> {
 #[test]
 fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
     let mut seed_rng = Rng::seed_from_u64(0xC0C0);
-    let cell = Arc::new(EpochCell::new(random_db(&mut seed_rng, 0).snapshot()));
+    let cell = Arc::new(SnapshotCell::new(random_db(&mut seed_rng, 0)));
     let done = Arc::new(AtomicBool::new(false));
-    // The last epoch each reader finished a batch on.
-    let checked_epochs: Arc<Vec<AtomicU64>> =
+    // The last generation each reader finished a batch on.
+    let checked_generations: Arc<Vec<AtomicU64>> =
         Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
 
     let publisher = {
         let cell = Arc::clone(&cell);
         let done = Arc::clone(&done);
-        let checked_epochs = Arc::clone(&checked_epochs);
+        let checked_generations = Arc::clone(&checked_generations);
         std::thread::spawn(move || {
             let mut rng = Rng::seed_from_u64(0x5EED_5EED);
             for tag in 1..=PUBLISHES {
-                let epoch = cell.epoch();
-                while checked_epochs
+                let generation = cell.generation();
+                while checked_generations
                     .iter()
-                    .any(|e| e.load(Ordering::Acquire) < epoch)
+                    .any(|g| g.load(Ordering::Acquire) < generation)
                 {
                     std::thread::yield_now();
                 }
-                cell.publish(random_db(&mut rng, tag).snapshot());
+                let next = random_db(&mut rng, tag);
+                cell.publish(|db| *db = Arc::new(next));
             }
             done.store(true, Ordering::Release);
         })
@@ -142,21 +143,22 @@ fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
         .map(|reader| {
             let cell = Arc::clone(&cell);
             let done = Arc::clone(&done);
-            let checked_epochs = Arc::clone(&checked_epochs);
+            let checked_generations = Arc::clone(&checked_generations);
             std::thread::spawn(move || {
-                let _release = ReleaseOnExit(&checked_epochs[reader]);
+                let _release = ReleaseOnExit(&checked_generations[reader]);
                 let mut rng = Rng::seed_from_u64(0xBEEF + reader as u64);
                 // Persistent across hot-swaps — the production shape.
                 let mut index = ComparatorIndex::default();
                 let mut generations = BTreeSet::new();
                 let mut checked = 0usize;
-                let mut last_epoch = 0;
+                let mut last_generation = 0;
                 loop {
                     let finish = done.load(Ordering::Acquire);
-                    let (epoch, db) = cell.load();
-                    assert!(epoch >= last_epoch, "epoch went backwards");
-                    last_epoch = epoch;
-                    generations.insert(db.generation());
+                    let db = cell.load();
+                    let generation = db.generation();
+                    assert!(generation >= last_generation, "generation went backwards");
+                    last_generation = generation;
+                    generations.insert(generation);
                     index.ensure(&db);
                     let config = CompareConfig {
                         thr: rng.gen_range(0..4usize),
@@ -175,12 +177,12 @@ fn indexed_comparator_agrees_with_reference_across_threads_and_hot_swaps() {
                         let (got, _) = index.query(&query, &config);
                         assert_eq!(
                             got, expected,
-                            "reader {reader} diverged at epoch {epoch} config {config:?}\nquery:\n{}",
+                            "reader {reader} diverged at generation {generation} config {config:?}\nquery:\n{}",
                             query.to_text()
                         );
                         checked += 1;
                     }
-                    checked_epochs[reader].fetch_max(epoch, Ordering::AcqRel);
+                    checked_generations[reader].fetch_max(generation, Ordering::AcqRel);
                     if finish && checked >= MIN_CHECKS {
                         return (checked, generations.len());
                     }

@@ -137,8 +137,9 @@ fn comparator_cache_never_goes_stale_across_installs_and_removals() {
 
 /// Closing the `db_mut` hazard: a mutation that *bypasses*
 /// `install`/`remove_cve` (wholesale replacement through the mutable
-/// borrow) must still invalidate cached verdicts. `Guard::db_mut` bumps
-/// the generation when its borrow drops, so the bypass is impossible.
+/// borrow) must still invalidate cached verdicts. The replacement brings
+/// its own generation along with its own content, so no verdict cached
+/// under the old generation can match it.
 #[test]
 fn bypass_mutation_through_db_mut_cannot_leave_stale_verdicts() {
     let poc = vdc(CveId::Cve2019_9810);
@@ -158,25 +159,14 @@ fn bypass_mutation_through_db_mut_cannot_leave_stale_verdicts() {
     assert_eq!(guard.memo_stats().verdict_hits, 1);
 
     // Bypass mutation: replace the whole database through the borrow,
-    // never calling install/remove_cve. A clone carries the *donor's*
-    // generation, so without the drop bump a verdict stamped with it
-    // could outlive the replacement.
+    // never calling install/remove_cve. A clone carries the donor's
+    // generation, which was drawn for the donor's (empty) content.
     let empty = DnaDatabase::new();
     *guard.db_mut() = empty.clone();
-    assert!(
-        guard.db().generation() != empty.generation(),
-        "the drop bump must move the generation past the donor's"
-    );
     assert!(
         !hits(&guard),
         "stale verdict served after a bypass replacement"
     );
-
-    // Even a borrow that mutates nothing invalidates (conservative, and
-    // what makes the guarantee unconditional).
-    let g = guard.db().generation();
-    let _ = guard.db_mut();
-    assert!(guard.db().generation() > g);
 }
 
 /// Load failures are typed: an unreadable file reports `io`, malformed

@@ -5,9 +5,9 @@
 //! 1. **No lost responses** — every accepted ticket resolves, even when
 //!    the serving worker panics or the pool shuts down with the queue
 //!    non-empty.
-//! 2. **No stale verdicts** — every response's `db_epoch >= min_epoch`,
-//!    and the response's generation and matched CVEs are exactly those
-//!    of the snapshot published at that epoch.
+//! 2. **No stale verdicts** — every response's
+//!    `db_generation >= min_generation`, and the response's matched CVEs
+//!    are exactly those of the snapshot published under that generation.
 //! 3. **Graceful degradation** — overload rejects fast with
 //!    [`PoolError::Overload`], deadline-lapsed requests fall back to
 //!    interpreter-only execution, and a panicking worker is respawned.
@@ -67,27 +67,25 @@ fn donor() -> DnaDatabase {
     build_database(&[vdc(CveId::Cve2019_17026)]).expect("vdc database builds")
 }
 
-fn install_round(pool: &Pool, round: usize) -> u64 {
-    let mut epoch = 0;
+fn install_round(pool: &Pool, round: usize) {
     for e in donor().entries() {
-        epoch = pool.install(
+        pool.install(
             format!("CVE-SWAP-{round}"),
             e.function.clone(),
             e.dna.clone(),
         );
     }
-    epoch
 }
 
-/// Epoch → (generation, sorted CVE names) for every snapshot this test
-/// published; the single test thread is the only publisher, so reading
+/// Generation → sorted CVE names for every snapshot this test published;
+/// the single test thread is the only publisher, so reading
 /// `published()` right after a publish observes exactly that snapshot.
-fn map_entry(pool: &Pool, map: &mut BTreeMap<u64, (u64, Vec<String>)>) {
-    let (epoch, snap) = pool.published();
+fn map_entry(pool: &Pool, map: &mut BTreeMap<u64, Vec<String>>) {
+    let snap = pool.published();
     let mut cves: Vec<String> = snap.cves().into_iter().map(str::to_owned).collect();
     cves.sort();
     cves.dedup();
-    map.insert(epoch, (snap.generation(), cves));
+    map.insert(snap.generation(), cves);
 }
 
 #[test]
@@ -252,38 +250,33 @@ fn panicking_worker_is_isolated_and_respawned() {
 #[test]
 fn hot_swap_serves_no_stale_verdicts() {
     let pool = Pool::new(config(2, 64), DnaDatabase::new());
-    let mut map: BTreeMap<u64, (u64, Vec<String>)> = BTreeMap::new();
-    map_entry(&pool, &mut map); // epoch 1: empty database
+    let mut map: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    map_entry(&pool, &mut map); // the empty database
     let mut tickets: Vec<(u64, Ticket)> = Vec::new();
     for round in 0..5 {
         for _ in 0..4 {
-            let submit_epoch = pool.epoch();
-            tickets.push((submit_epoch, pool.submit(serve_array()).unwrap()));
+            let submit_generation = pool.published().generation();
+            tickets.push((submit_generation, pool.submit(serve_array()).unwrap()));
         }
         install_round(&pool, round);
         map_entry(&pool, &mut map);
     }
-    for (submit_epoch, t) in tickets {
+    for (submit_generation, t) in tickets {
         let r = t.wait().expect("serves cleanly");
         // The no-stale-verdict guarantee, end to end.
-        assert!(r.min_epoch >= submit_epoch);
+        assert!(r.min_generation >= submit_generation);
         assert!(
-            r.db_epoch >= r.min_epoch,
-            "stale snapshot: served epoch {} < submit-time epoch {}",
-            r.db_epoch,
-            r.min_epoch
+            r.db_generation >= r.min_generation,
+            "stale snapshot: served generation {} < submit-time generation {}",
+            r.db_generation,
+            r.min_generation
         );
-        let (generation, cves) = map
-            .get(&r.db_epoch)
-            .unwrap_or_else(|| panic!("unknown epoch {}", r.db_epoch));
-        assert_eq!(
-            r.db_generation, *generation,
-            "epoch {} served content from a different generation",
-            r.db_epoch
-        );
+        let cves = map
+            .get(&r.db_generation)
+            .unwrap_or_else(|| panic!("unpublished generation {}", r.db_generation));
         // Every installed entry carries the same donor DNA, so the
         // matched set must be exactly the snapshot's CVE list.
-        assert_eq!(&r.matched_cves, cves, "epoch {}", r.db_epoch);
+        assert_eq!(&r.matched_cves, cves, "generation {}", r.db_generation);
     }
     let stats = pool.shutdown();
     assert_eq!(stats.served, 20);
@@ -292,8 +285,8 @@ fn hot_swap_serves_no_stale_verdicts() {
 
 /// Release-profile soak: ~2000 requests across 4 workers with a hot-swap
 /// every 120 requests, fault injection, and zero-deadline stragglers.
-/// Every ticket must resolve; every response must satisfy the epoch and
-/// content checks of [`hot_swap_serves_no_stale_verdicts`].
+/// Every ticket must resolve; every response must satisfy the generation
+/// and content checks of [`hot_swap_serves_no_stale_verdicts`].
 #[test]
 #[ignore = "pool soak; run with --release -- --ignored"]
 fn soak_hot_swaps_chaos_and_deadlines_for_2000_requests() {
@@ -303,9 +296,10 @@ fn soak_hot_swaps_chaos_and_deadlines_for_2000_requests() {
     const LATE_PER_ROUND: usize = 3;
 
     let pool = Pool::new(config(4, 4096), DnaDatabase::new());
-    let mut map: BTreeMap<u64, (u64, Vec<String>)> = BTreeMap::new();
+    let mut map: BTreeMap<u64, Vec<String>> = BTreeMap::new();
     map_entry(&pool, &mut map);
-    // (submit-time epoch, had a deadline, ticket); chaos tracked apart.
+    // (submit-time generation, had a deadline, ticket); chaos tracked
+    // apart.
     let mut normal: Vec<(u64, bool, Ticket)> = Vec::new();
     let mut chaos: Vec<Ticket> = Vec::new();
     for round in 0..ROUNDS {
@@ -316,7 +310,11 @@ fn soak_hot_swaps_chaos_and_deadlines_for_2000_requests() {
             } else {
                 serve_array()
             };
-            normal.push((pool.epoch(), late, pool.submit(request).expect("capacity")));
+            normal.push((
+                pool.published().generation(),
+                late,
+                pool.submit(request).expect("capacity"),
+            ));
         }
         for _ in 0..CHAOS_PER_ROUND {
             chaos.push(
@@ -329,14 +327,13 @@ fn soak_hot_swaps_chaos_and_deadlines_for_2000_requests() {
     }
 
     let total = normal.len();
-    for (submit_epoch, late, t) in normal {
+    for (submit_generation, late, t) in normal {
         let r = t.wait().expect("every non-chaos request serves");
-        assert!(r.min_epoch >= submit_epoch);
-        assert!(r.db_epoch >= r.min_epoch, "stale snapshot served");
-        let (generation, cves) = map
-            .get(&r.db_epoch)
-            .unwrap_or_else(|| panic!("unknown epoch {}", r.db_epoch));
-        assert_eq!(r.db_generation, *generation);
+        assert!(r.min_generation >= submit_generation);
+        assert!(r.db_generation >= r.min_generation, "stale snapshot served");
+        let cves = map
+            .get(&r.db_generation)
+            .unwrap_or_else(|| panic!("unpublished generation {}", r.db_generation));
         if r.degraded {
             assert_eq!(r.matched_cves, Vec::<String>::new());
         } else {
@@ -361,23 +358,28 @@ fn soak_hot_swaps_chaos_and_deadlines_for_2000_requests() {
 #[test]
 fn failed_reload_keeps_the_old_database_serving() {
     let pool = Pool::new(config(1, 8), donor());
-    let epoch_before = pool.epoch();
+    let generation_before = pool.published().generation();
     let err = pool
         .reload_from_text("@entry CVE-X f\n0 ? bad-sign\n", N_SLOTS)
         .expect_err("malformed update is refused");
     assert_eq!(err.kind(), "parse");
-    assert_eq!(pool.epoch(), epoch_before, "failed reload must not publish");
+    assert_eq!(
+        pool.published().generation(),
+        generation_before,
+        "failed reload must not publish"
+    );
     let r = pool.submit(serve_array()).unwrap().wait().unwrap();
     assert!(
         r.matched_cves.iter().any(|c| c == "CVE-2019-17026"),
         "old database still serving after the refused update"
     );
     // A well-formed update in the same wire format goes through.
-    let epoch = pool
+    let generation = pool
         .reload_from_text(&DnaDatabase::new().to_text(), N_SLOTS)
         .expect("empty update is well-formed");
-    assert_eq!(epoch, epoch_before + 1);
+    assert!(generation > generation_before);
+    assert_eq!(pool.published().generation(), generation);
     let r = pool.submit(serve_array()).unwrap().wait().unwrap();
     assert_eq!(r.matched_cves, Vec::<String>::new());
-    assert!(r.db_epoch >= epoch);
+    assert!(r.db_generation >= generation);
 }
