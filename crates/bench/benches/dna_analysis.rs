@@ -6,7 +6,7 @@ use jitbull::{extract_dna, CompareConfig, Guard, Lookup};
 use jitbull_bench::figures::db_with;
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_vm::compile_program;
 
@@ -27,15 +27,13 @@ fn representative_trace() -> jitbull_mir::PassTrace {
 
 fn main() {
     let trace = representative_trace();
-    bench("dna_extract_stream_fn", 5, 50, || {
-        extract_dna(&trace, N_SLOTS)
-    });
+    bench("dna_extract_stream_fn", 5, 50, || extract_dna(&trace));
     println!("dna_analyze_by_db_size");
     for n in [1usize, 4, 8] {
         let (db, _) = db_with(n);
         let guard = Guard::new(db, CompareConfig::default());
         bench(&format!("db_size_{n}"), 5, 20, || {
-            guard.analyze_compile(Lookup::default(), &trace, N_SLOTS, None)
+            guard.analyze_compile(Lookup::default(), &trace, None)
         });
     }
 }

@@ -11,7 +11,7 @@ use jitbull::{DnaMemo, ExtractorMode, IncrementalExtractor, MemoEntry};
 use jitbull_bench::figures::{db_with, run_tuned};
 use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_vm::compile_program;
 use jitbull_workloads::workload;
@@ -78,20 +78,18 @@ fn main() {
     };
     let result = compile(&input, &traced).expect("mir builds");
     let trace = result.trace;
-    bench("reference_walk", 20, 100, || {
-        jitbull::extract_dna(&trace, N_SLOTS)
-    });
+    bench("reference_walk", 20, 100, || jitbull::extract_dna(&trace));
     bench("incremental_cold", 20, 100, || {
-        IncrementalExtractor::new().extract_dna(&trace, N_SLOTS)
+        IncrementalExtractor::new().extract_dna(&trace)
     });
     let mut warm_extractor = IncrementalExtractor::new();
-    warm_extractor.extract_dna(&trace, N_SLOTS);
+    warm_extractor.extract_dna(&trace);
     bench("incremental_warm_runs", 20, 100, || {
-        warm_extractor.extract_dna(&trace, N_SLOTS)
+        warm_extractor.extract_dna(&trace)
     });
     let memo = DnaMemo::default();
     let key = || input.key();
-    let (dna, _) = IncrementalExtractor::new().extract_dna(&trace, N_SLOTS);
+    let (dna, _) = IncrementalExtractor::new().extract_dna(&trace);
     let pre_mir_len = trace.initial.len();
     let entry = MemoEntry {
         dna: Arc::new(dna),

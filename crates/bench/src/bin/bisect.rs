@@ -3,7 +3,8 @@
 //! fixes it (ddmin over `EngineConfig::disabled_slots`).
 
 use jitbull_jit::engine::{Engine, EngineConfig};
-use jitbull_jit::pipeline::{N_SLOTS, PIPELINE};
+use jitbull_jit::pipeline::PIPELINE;
+use jitbull_mir::N_SLOTS;
 
 fn run(src: &str, jit: bool, disabled: &[usize]) -> Vec<String> {
     Engine::run_source(

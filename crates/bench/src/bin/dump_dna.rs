@@ -4,7 +4,7 @@
 use jitbull::dna::chain_text;
 use jitbull::extract_dna;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_vm::compile_program;
 
@@ -23,7 +23,7 @@ fn dump(src: &str, which: &str, vulns: &VulnConfig) {
             ..Default::default()
         };
         let r = compile(&CompileInput::new(f, [], vulns), &traced).unwrap();
-        let dna = extract_dna(&r.trace, N_SLOTS);
+        let dna = extract_dna(&r.trace);
         println!("--- fn {}", f.name);
         for (s, d) in dna.deltas.iter().enumerate() {
             if !d.is_empty() {

@@ -254,7 +254,6 @@ fn serve() {
 
     use jitbull::{CompareConfig, DnaDatabase};
     use jitbull_jit::engine::EngineConfig;
-    use jitbull_jit::pipeline::N_SLOTS;
     use jitbull_jit::CveId;
     use jitbull_pool::{Pool, PoolConfig, Request, SharedCollector};
     use jitbull_telemetry::Recorder;
@@ -303,9 +302,7 @@ fn serve() {
         .expect("vdc database builds")
         .to_text();
     let empty_generation = pool.published().generation();
-    let swap_generation = pool
-        .reload_from_text(&update, N_SLOTS)
-        .expect("well-formed update");
+    let swap_generation = pool.reload_from_text(&update).expect("well-formed update");
     println!(
         "hot-swap published generation {swap_generation} (database was empty at generation {empty_generation})"
     );

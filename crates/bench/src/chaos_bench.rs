@@ -22,7 +22,6 @@ use jitbull_chaos::{
     BreakerConfig, ChaosTally, FaultInjector, FaultKind, FaultPlan, FaultSite, Quarantine,
 };
 use jitbull_jit::engine::{Engine, EngineConfig, TierStats};
-use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::CveId;
 use jitbull_pool::{Pool, PoolConfig, PoolError, Request, SharedCollector, Ticket};
 use jitbull_telemetry::{export_text, Collector, Event, Recorder};
@@ -379,12 +378,12 @@ fn reload_rung(seed: u64, rec: &Arc<Mutex<Recorder>>) -> (LadderStep, ChaosTally
         ..RetryPolicy::default()
     };
     // Two injected I/O faults, then the third attempt lands.
-    let first = pool.reload_with_retry(&update, N_SLOTS, LoadMode::Strict, &policy);
+    let first = pool.reload_with_retry(&update, LoadMode::Strict, &policy);
     let good_generation = first.as_ref().map_or(0, |(generation, _)| *generation);
     let recovered_swap = first.as_ref().is_ok_and(|(_, report)| report.is_clean())
         && pool.published().generation() == good_generation;
     // A persistent parse fault: every attempt fails, nothing publishes.
-    let second = pool.reload_with_retry(&update, N_SLOTS, LoadMode::Strict, &policy);
+    let second = pool.reload_with_retry(&update, LoadMode::Strict, &policy);
     let refused = second.as_ref().is_err_and(|e| e.kind() == "parse");
     let intact = pool.published().generation() == good_generation;
     // The pool still serves verdicts from the last good snapshot.
@@ -429,7 +428,7 @@ fn torn_read_rung(seed: u64) -> (LadderStep, ChaosTally) {
     let text = build_database(&[vdc(CveId::Cve2019_17026), vdc(CveId::Cve2019_9810)])
         .expect("vdc database builds")
         .to_text();
-    let refused = DnaDatabase::from_text_faulted(&text, N_SLOTS, LoadMode::Strict, &inj).is_err();
+    let refused = DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &inj).is_err();
     // Partial-mode salvage: corrupt the second entry's first body line.
     let mut lines: Vec<&str> = text.lines().collect();
     let second_header = lines
@@ -441,7 +440,7 @@ fn torn_read_rung(seed: u64) -> (LadderStep, ChaosTally) {
         .expect("two entries");
     lines.insert(second_header + 1, "12 & torn garbage");
     let mangled = lines.join("\n");
-    let salvage = DnaDatabase::from_text_checked(&mangled, N_SLOTS, LoadMode::Partial);
+    let salvage = DnaDatabase::from_text_checked(&mangled, LoadMode::Partial);
     let (salvaged, warned_line) = match &salvage {
         Ok((db, report)) => (
             db.len() == 1 && report.loaded == 1 && report.skipped == 1,

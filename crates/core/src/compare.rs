@@ -9,6 +9,8 @@
 
 use std::collections::BTreeSet;
 
+use jitbull_mir::N_SLOTS;
+
 use crate::dna::{Chain, Dna, PassDelta};
 
 /// Comparator thresholds. The paper chose `Thr = 3` common sub-chains and
@@ -59,8 +61,7 @@ pub fn deltas_similar(a: &PassDelta, b: &PassDelta, config: &CompareConfig) -> b
 /// ([`crate::index`]) must return byte-identical results to this
 /// function for every input; the differential harness enforces that.
 pub fn reference(f: &Dna, vdc: &Dna, config: &CompareConfig) -> Vec<usize> {
-    let n = f.len().min(vdc.len());
-    (0..n)
+    (0..N_SLOTS)
         .filter(|&i| deltas_similar(&f.deltas[i], &vdc.deltas[i], config))
         .collect()
 }
@@ -156,8 +157,8 @@ mod tests {
     #[test]
     fn trivial_dna_entries_flag_nothing() {
         let cfg = CompareConfig { thr: 0, ratio: 0.0 };
-        let trivial = Dna::with_slots(4);
-        let mut real = Dna::with_slots(4);
+        let trivial = Dna::default();
+        let mut real = Dna::default();
         real.deltas[1].removed = set(&[&["boundscheck", "initializedlength"]]);
         assert!(reference(&real, &trivial, &cfg).is_empty());
         assert!(reference(&trivial, &real, &cfg).is_empty());
@@ -184,8 +185,8 @@ mod tests {
     #[test]
     fn reference_reports_slots() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let mut f = Dna::with_slots(4);
-        let mut v = Dna::with_slots(4);
+        let mut f = Dna::default();
+        let mut v = Dna::default();
         f.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
         v.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
         f.deltas[3].added = set(&[&["mul", "neg"]]);

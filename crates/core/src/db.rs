@@ -223,8 +223,8 @@ impl DnaDatabase {
     ///
     /// Returns a [`DbError::Parse`] for the first malformed line, with
     /// the absolute file line number.
-    pub fn from_text(text: &str, n_slots: usize) -> Result<Self, DbError> {
-        DnaDatabase::from_text_checked(text, n_slots, LoadMode::Strict).map(|(db, _)| db)
+    pub fn from_text(text: &str) -> Result<Self, DbError> {
+        DnaDatabase::from_text_checked(text, LoadMode::Strict).map(|(db, _)| db)
     }
 
     /// Parses [`DnaDatabase::to_text`] output under an explicit
@@ -237,11 +237,7 @@ impl DnaDatabase {
     /// [`LoadMode::Partial`], malformed entries become [`LoadReport`]
     /// warnings instead and the call only fails on I/O-level problems
     /// (none for in-memory text).
-    pub fn from_text_checked(
-        text: &str,
-        n_slots: usize,
-        mode: LoadMode,
-    ) -> Result<(Self, LoadReport), DbError> {
+    pub fn from_text_checked(text: &str, mode: LoadMode) -> Result<(Self, LoadReport), DbError> {
         let mut db = DnaDatabase::new();
         let mut report = LoadReport::default();
         // (cve, function, body, 1-based file line the body starts at)
@@ -251,12 +247,11 @@ impl DnaDatabase {
         fn flush(
             db: &mut DnaDatabase,
             cur: &mut Option<(String, String, String, usize)>,
-            n_slots: usize,
             mode: LoadMode,
             report: &mut LoadReport,
         ) -> Result<(), DbError> {
             if let Some((cve, function, body, body_start)) = cur.take() {
-                match Dna::from_text(&body, n_slots) {
+                match Dna::from_text(&body) {
                     Ok(dna) => {
                         db.entries.push(VdcEntry { cve, function, dna });
                         report.loaded += 1;
@@ -278,7 +273,7 @@ impl DnaDatabase {
         for (ln, line) in text.lines().enumerate() {
             let file_line = ln + 1;
             if let Some(rest) = line.strip_prefix("@entry ") {
-                flush(&mut db, &mut current, n_slots, mode, &mut report)?;
+                flush(&mut db, &mut current, mode, &mut report)?;
                 skipping = false;
                 let mut parts = rest.splitn(2, ' ');
                 let cve = parts.next().unwrap_or_default().to_owned();
@@ -312,7 +307,7 @@ impl DnaDatabase {
                 }
             }
         }
-        flush(&mut db, &mut current, n_slots, mode, &mut report)?;
+        flush(&mut db, &mut current, mode, &mut report)?;
         Ok((db, report))
     }
 
@@ -328,14 +323,13 @@ impl DnaDatabase {
     /// failures themselves.
     pub fn from_text_faulted(
         text: &str,
-        n_slots: usize,
         mode: LoadMode,
         faults: &FaultInjector,
     ) -> Result<(Self, LoadReport), DbError> {
         if DnaDatabase::fault_gate(faults)? {
-            DnaDatabase::from_text_checked(&torn_text(text), n_slots, mode)
+            DnaDatabase::from_text_checked(&torn_text(text), mode)
         } else {
-            DnaDatabase::from_text_checked(text, n_slots, mode)
+            DnaDatabase::from_text_checked(text, mode)
         }
     }
 
@@ -373,8 +367,8 @@ impl DnaDatabase {
     /// Returns [`DbError::Io`] when the file cannot be read and
     /// [`DbError::Parse`] when its content is malformed — the caller can
     /// tell "retry the read" apart from "the update itself is corrupt".
-    pub fn load_from(path: impl AsRef<std::path::Path>, n_slots: usize) -> Result<Self, DbError> {
-        DnaDatabase::from_text(&std::fs::read_to_string(path)?, n_slots)
+    pub fn load_from(path: impl AsRef<std::path::Path>) -> Result<Self, DbError> {
+        DnaDatabase::from_text(&std::fs::read_to_string(path)?)
     }
 }
 
@@ -395,7 +389,7 @@ mod tests {
     use crate::dna::chain;
 
     fn sample_dna() -> Dna {
-        let mut dna = Dna::with_slots(8);
+        let mut dna = Dna::default();
         dna.deltas[3]
             .removed
             .insert(chain(&["boundscheck", "initializedlength", "unbox:array"]));
@@ -420,7 +414,7 @@ mod tests {
     fn trivial_dna_is_not_installed() {
         let mut db = DnaDatabase::new();
         let g0 = db.generation();
-        db.install("CVE-X", "f", Dna::with_slots(8));
+        db.install("CVE-X", "f", Dna::default());
         assert!(db.is_empty());
         // A skipped install leaves the content — and the generation —
         // untouched.
@@ -462,9 +456,9 @@ mod tests {
                 let i = rng.gen_range(0..live.len());
                 let cve = *rng.pick(&CVES);
                 match rng.gen_range(0..8u32) {
-                    0 => live[i].install(cve, "f", Dna::with_slots(8)),
+                    0 => live[i].install(cve, "f", Dna::default()),
                     1 | 2 => {
-                        let mut dna = Dna::with_slots(8);
+                        let mut dna = Dna::default();
                         dna.deltas[rng.gen_range(0..8)]
                             .added
                             .insert(chain(&["add", "bitor"]));
@@ -479,7 +473,7 @@ mod tests {
                         let taken = std::mem::take(&mut live[i]);
                         live.push(taken);
                     }
-                    _ => live.push(DnaDatabase::from_text(&live[i].to_text(), 8).unwrap()),
+                    _ => live.push(DnaDatabase::from_text(&live[i].to_text()).unwrap()),
                 }
                 if live.len() > 8 {
                     live.swap_remove(rng.gen_range(0..live.len()));
@@ -499,14 +493,14 @@ mod tests {
         db.install("CVE-2019-17026", "trigger", sample_dna());
         db.install("CVE-2019-9810", "pwn", sample_dna());
         let text = db.to_text();
-        let back = DnaDatabase::from_text(&text, 8).unwrap();
+        let back = DnaDatabase::from_text(&text).unwrap();
         assert_eq!(db, back);
     }
 
     #[test]
     fn from_text_rejects_garbage() {
-        assert!(DnaDatabase::from_text("not an entry", 8).is_err());
-        assert!(DnaDatabase::from_text("@entry onlyone", 8).is_err());
+        assert!(DnaDatabase::from_text("not an entry").is_err());
+        assert!(DnaDatabase::from_text("@entry onlyone").is_err());
     }
 
     #[test]
@@ -517,22 +511,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("update.dnadb");
         db.save_to(&path).unwrap();
-        let back = DnaDatabase::load_from(&path, 8).unwrap();
+        let back = DnaDatabase::load_from(&path).unwrap();
         assert_eq!(db, back);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn partial_mode_skips_malformed_entries_with_absolute_lines() {
-        let text = "@entry CVE-GOOD f\n3 - add>bitor\n@entry CVE-BAD g\n9 - add>bitor\n\
+        let text = "@entry CVE-GOOD f\n3 - add>bitor\n@entry CVE-BAD g\n32 - add>bitor\n\
                     @entry CVE-ALSO h\n2 - call>div\n";
         // Strict aborts, pinned to the absolute file line of the bad body.
-        match DnaDatabase::from_text_checked(text, 8, LoadMode::Strict) {
+        match DnaDatabase::from_text_checked(text, LoadMode::Strict) {
             Err(DbError::Parse { line, .. }) => assert_eq!(line, 4),
             other => panic!("expected strict parse failure, got {other:?}"),
         }
         // Partial loads the good entries and files one warning per skip.
-        let (db, report) = DnaDatabase::from_text_checked(text, 8, LoadMode::Partial).unwrap();
+        let (db, report) = DnaDatabase::from_text_checked(text, LoadMode::Partial).unwrap();
         assert_eq!(db.len(), 2);
         assert_eq!(db.cves(), vec!["CVE-ALSO", "CVE-GOOD"]);
         assert_eq!((report.loaded, report.skipped), (2, 1));
@@ -546,8 +540,8 @@ mod tests {
     #[test]
     fn partial_mode_skips_malformed_headers_and_their_bodies() {
         let text = "@entry torn\n3 - add>bitor\n@entry CVE-OK f\n2 - call>div\n";
-        assert!(DnaDatabase::from_text(text, 8).is_err());
-        let (db, report) = DnaDatabase::from_text_checked(text, 8, LoadMode::Partial).unwrap();
+        assert!(DnaDatabase::from_text(text).is_err());
+        let (db, report) = DnaDatabase::from_text_checked(text, LoadMode::Partial).unwrap();
         assert_eq!(db.len(), 1);
         assert_eq!(report.skipped, 1);
         match &report.warnings[..] {
@@ -564,7 +558,7 @@ mod tests {
         let text = "@entry CVE-GOOD f\n3 - add>bitor\n@entry CVE-BAD g\n\
                     1 + add>bitor\n4 - loadelement>guardshape\n@entry CVE-ALSO h\n2 - call>div\n";
         // Strict refuses the whole load, at the absolute line of the name.
-        match DnaDatabase::from_text_checked(text, 8, LoadMode::Strict) {
+        match DnaDatabase::from_text_checked(text, LoadMode::Strict) {
             Err(DbError::Parse { line, msg }) => {
                 assert_eq!(line, 5);
                 assert_eq!(msg, "unknown label `guardshape`");
@@ -572,7 +566,7 @@ mod tests {
             other => panic!("expected strict parse failure, got {other:?}"),
         }
         // Partial skips that entry only, with one warning at that line.
-        let (db, report) = DnaDatabase::from_text_checked(text, 8, LoadMode::Partial).unwrap();
+        let (db, report) = DnaDatabase::from_text_checked(text, LoadMode::Partial).unwrap();
         assert_eq!(db.cves(), vec!["CVE-ALSO", "CVE-GOOD"]);
         assert_eq!((report.loaded, report.skipped), (2, 1));
         match &report.warnings[..] {
@@ -598,11 +592,10 @@ mod tests {
             0,
             1,
         ));
-        let err = DnaDatabase::from_text_faulted(&text, 8, LoadMode::Strict, &io).unwrap_err();
+        let err = DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &io).unwrap_err();
         assert_eq!(err.kind(), "io");
         // The window is over: the second attempt succeeds untouched.
-        let (back, report) =
-            DnaDatabase::from_text_faulted(&text, 8, LoadMode::Strict, &io).unwrap();
+        let (back, report) = DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &io).unwrap();
         assert_eq!(back, db);
         assert!(report.is_clean());
 
@@ -612,7 +605,7 @@ mod tests {
             0,
             1,
         ));
-        let err = DnaDatabase::from_text_faulted(&text, 8, LoadMode::Strict, &parse).unwrap_err();
+        let err = DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &parse).unwrap_err();
         assert_eq!(err.kind(), "parse");
 
         // A torn read must never parse as a complete update under Strict…
@@ -622,16 +615,16 @@ mod tests {
             0,
             2,
         ));
-        assert!(DnaDatabase::from_text_faulted(&text, 8, LoadMode::Strict, &torn).is_err());
+        assert!(DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &torn).is_err());
         // …while Partial salvages the intact prefix and reports the tear.
         let (prefix, report) =
-            DnaDatabase::from_text_faulted(&text, 8, LoadMode::Partial, &torn).unwrap();
+            DnaDatabase::from_text_faulted(&text, LoadMode::Partial, &torn).unwrap();
         assert!(prefix.len() < db.len());
         assert!(!report.warnings.is_empty());
 
         // Disabled injector: plain checked load, no occurrences consumed.
         let off = FaultInjector::disabled();
-        let (clean, _) = DnaDatabase::from_text_faulted(&text, 8, LoadMode::Strict, &off).unwrap();
+        let (clean, _) = DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &off).unwrap();
         assert_eq!(clean, db);
         assert_eq!(off.occurrences(FaultSite::DbLoad), 0);
     }
@@ -642,7 +635,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.dnadb");
         std::fs::write(&path, "not a database").unwrap();
-        assert!(DnaDatabase::load_from(&path, 8).is_err());
+        assert!(DnaDatabase::load_from(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 

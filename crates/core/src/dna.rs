@@ -4,16 +4,17 @@
 //! instruction-dependency edges. A [`PassDelta`] (`Δ_i` in the paper) is
 //! the pair `(δ_i^-, δ_i^+)` of removed and added sub-chains for pass
 //! `i`, and a [`Dna`] is the vector `(Δ_1 … Δ_n)` over all pipeline
-//! slots. Chains hold labels everywhere — oracle, incremental extractor,
-//! compile cache and comparator; label names appear only in the text
-//! format ([`Dna::to_text`], [`Dna::from_text`], [`chain_text`]).
-//! Labels order by name, so a `BTreeSet<Chain>` iterates in the order
-//! the same chains spelled as names would.
+//! slots: an array of [`N_SLOTS`] deltas, so every DNA has the
+//! pipeline's length by type. Chains hold labels everywhere — oracle,
+//! incremental extractor, compile cache and comparator; label names
+//! appear only in the text format ([`Dna::to_text`], [`Dna::from_text`],
+//! [`chain_text`]). Labels order by name, so a `BTreeSet<Chain>` iterates
+//! in the order the same chains spelled as names would.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use jitbull_mir::Label;
+use jitbull_mir::{Label, N_SLOTS};
 
 use crate::error::DbError;
 
@@ -46,30 +47,14 @@ impl PassDelta {
 }
 
 /// A function's JIT DNA: one [`PassDelta`] per pipeline slot.
+/// [`Dna::default`] has every delta empty.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Dna {
     /// `deltas[i]` is `Δ_{i+1}` for pipeline slot `i`.
-    pub deltas: Vec<PassDelta>,
+    pub deltas: [PassDelta; N_SLOTS],
 }
 
 impl Dna {
-    /// Creates a DNA vector with `n` empty deltas.
-    pub fn with_slots(n: usize) -> Self {
-        Dna {
-            deltas: vec![PassDelta::default(); n],
-        }
-    }
-
-    /// Number of pipeline slots covered.
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// Whether no slots are covered.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
-    }
-
     /// Whether every delta is empty (compilation that changed nothing).
     pub fn is_trivial(&self) -> bool {
         self.deltas.iter().all(PassDelta::is_empty)
@@ -102,16 +87,15 @@ impl Dna {
         out
     }
 
-    /// Parses the [`Dna::to_text`] format. `n_slots` sizes the vector
-    /// (lines referencing larger slots are rejected), and every chain
-    /// element must be a label name. A line is checked slot first, then
-    /// sign, then labels.
+    /// Parses the [`Dna::to_text`] format. A line's slot must be below
+    /// [`N_SLOTS`], and every chain element must be a label name. A line
+    /// is checked slot first, then sign, then labels.
     ///
     /// # Errors
     ///
     /// Returns a [`DbError::Parse`] pinned to the first malformed line.
-    pub fn from_text(text: &str, n_slots: usize) -> Result<Self, DbError> {
-        let mut dna = Dna::with_slots(n_slots);
+    pub fn from_text(text: &str) -> Result<Self, DbError> {
+        let mut dna = Dna::default();
         for (ln, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -123,7 +107,7 @@ impl Dna {
                 .ok_or_else(|| DbError::parse(ln + 1, "missing slot"))?
                 .parse()
                 .map_err(|_| DbError::parse(ln + 1, "bad slot index"))?;
-            if slot >= n_slots {
+            if slot >= N_SLOTS {
                 return Err(DbError::parse(ln + 1, format!("slot {slot} out of range")));
             }
             let sign = parts
@@ -180,27 +164,27 @@ mod tests {
 
     #[test]
     fn text_round_trip() {
-        let mut dna = Dna::with_slots(4);
+        let mut dna = Dna::default();
         dna.deltas[1]
             .removed
             .insert(chain(&["boundscheck", "initializedlength"]));
         dna.deltas[1].added.insert(chain(&["constant:number"]));
         dna.deltas[3].removed.insert(chain(&["add", "parameter0"]));
         let text = dna.to_text();
-        let back = Dna::from_text(&text, 4).unwrap();
+        let back = Dna::from_text(&text).unwrap();
         assert_eq!(dna, back);
     }
 
     #[test]
     fn from_text_rejects_bad_input() {
-        assert!(Dna::from_text("9 - add>bitor", 4).is_err());
-        assert!(Dna::from_text("x - add", 4).is_err());
-        assert!(Dna::from_text("1 ? add", 4).is_err());
-        assert!(Dna::from_text("1 -", 4).is_err());
+        assert!(Dna::from_text("32 - add>bitor").is_err());
+        assert!(Dna::from_text("x - add").is_err());
+        assert!(Dna::from_text("1 ? add").is_err());
+        assert!(Dna::from_text("1 -").is_err());
     }
 
     fn parse_error(text: &str) -> (usize, String) {
-        match Dna::from_text(text, 4) {
+        match Dna::from_text(text) {
             Err(DbError::Parse { line, msg }) => (line, msg),
             other => panic!("expected a parse error, got {other:?}"),
         }
@@ -214,14 +198,21 @@ mod tests {
         // An empty element (a stray `>`) is not a label either.
         assert_eq!(parse_error("1 - add>").1, "unknown label ``");
         // Slot and sign are checked before labels.
-        assert_eq!(parse_error("9 - nope").1, "slot 9 out of range");
+        assert_eq!(parse_error("32 - nope").1, "slot 32 out of range");
         assert_eq!(parse_error("1 & nope").1, "bad sign `&`");
     }
 
     #[test]
     fn from_text_skips_comments_and_blanks() {
-        let dna = Dna::from_text("# comment\n\n0 - add>bitor\n", 2).unwrap();
+        let dna = Dna::from_text("# comment\n\n0 - add>bitor\n").unwrap();
         assert_eq!(dna.deltas[0].removed.len(), 1);
+    }
+
+    #[test]
+    fn from_text_accepts_the_last_slot() {
+        let dna = Dna::from_text("31 + add>bitor\n").unwrap();
+        assert_eq!(N_SLOTS, 32);
+        assert_eq!(dna.deltas[31].added.len(), 1);
     }
 
     #[test]
@@ -233,8 +224,8 @@ mod tests {
 
     #[test]
     fn triviality() {
-        assert!(Dna::with_slots(3).is_trivial());
-        let mut d = Dna::with_slots(3);
+        assert!(Dna::default().is_trivial());
+        let mut d = Dna::default();
         d.deltas[0].added.insert(chain(&["mul"]));
         assert!(!d.is_trivial());
         assert!(!d.deltas[0].is_empty());
@@ -242,7 +233,7 @@ mod tests {
 
     #[test]
     fn display_summarises() {
-        let mut d = Dna::with_slots(2);
+        let mut d = Dna::default();
         d.deltas[1].removed.insert(chain(&["add"]));
         assert_eq!(d.to_string(), "pass 1: -1 +0\n");
     }

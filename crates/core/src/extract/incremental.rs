@@ -53,7 +53,7 @@
 
 use std::collections::BTreeSet;
 
-use jitbull_mir::{Label, MirSnapshot, PassTrace};
+use jitbull_mir::{Label, MirSnapshot, PassTrace, N_SLOTS};
 
 use crate::dna::{Chain, Dna, PassDelta};
 use crate::index::ChainInterner;
@@ -318,16 +318,16 @@ impl IncrementalExtractor {
 
     /// Incremental Algorithm 1 over a whole trace. Chain-for-chain equal
     /// to [`super::extract_dna`].
-    pub fn extract_dna(&mut self, trace: &PassTrace, n_slots: usize) -> (Dna, ExtractReceipt) {
+    pub fn extract_dna(&mut self, trace: &PassTrace) -> (Dna, ExtractReceipt) {
         self.stats.traces += 1;
-        let mut dna = Dna::with_slots(n_slots);
+        let mut dna = Dna::default();
         let mut receipt = ExtractReceipt::default();
         // The current `before`'s edges, counted on first need: each
         // record's `after` is the next record's `before`.
         let mut before_edges: Option<Edges> = None;
         for (before, record) in trace.passes() {
             let after = &record.after;
-            let in_range = record.slot < n_slots;
+            let in_range = record.slot < N_SLOTS;
             if after == before {
                 // Equal snapshots have equal edges: the delta is empty,
                 // and `before_edges` still describes the next `before`.
@@ -618,11 +618,35 @@ mod tests {
             ],
         };
         let mut inc = IncrementalExtractor::new();
-        let (dna, receipt) = inc.extract_dna(&trace, 4);
-        assert_eq!(dna, super::super::extract_dna(&trace, 4));
+        let (dna, receipt) = inc.extract_dna(&trace);
+        assert_eq!(dna, super::super::extract_dna(&trace));
         assert_eq!(receipt.passes_enumerated, 2);
         // Record 0's `after` enumeration serves record 1's `before`.
         assert!(inc.stats().enum_reuses >= 1, "{:?}", inc.stats());
+    }
+
+    #[test]
+    fn out_of_range_record_resets_the_carried_edges() {
+        // The record at slot `N_SLOTS` is skipped but still changes the
+        // IR, so the next record's `before` edges must be counted afresh.
+        let end = snap(vec![instr(0, "parameter0", &[]), instr(5, "return", &[0])]);
+        let record = |slot, after| PassRecord {
+            slot,
+            name: "GVN",
+            after,
+        };
+        let trace = PassTrace {
+            function: "f".into(),
+            initial: guarded(),
+            records: vec![
+                record(0, unguarded()),
+                record(N_SLOTS, end),
+                record(1, guarded()),
+            ],
+        };
+        let (dna, _) = IncrementalExtractor::new().extract_dna(&trace);
+        assert_eq!(dna, super::super::extract_dna(&trace));
+        assert!(!dna.deltas[0].is_empty() && !dna.deltas[1].is_empty());
     }
 
     #[test]
@@ -645,8 +669,8 @@ mod tests {
             ],
         };
         let mut inc = IncrementalExtractor::new();
-        let (dna, receipt) = inc.extract_dna(&trace, 4);
-        assert_eq!(dna, super::super::extract_dna(&trace, 4));
+        let (dna, receipt) = inc.extract_dna(&trace);
+        assert_eq!(dna, super::super::extract_dna(&trace));
         assert_eq!(receipt.passes_skipped, 1);
         assert_eq!(receipt.passes_enumerated, 1);
         assert!(receipt.cost_cycles > 0);

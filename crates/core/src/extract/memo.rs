@@ -58,7 +58,7 @@ pub const MEMO_KEY_COST_PER_INSTR: u64 = 1;
 /// Flat cycles charged for serving a whole-function DNA from the memo.
 pub const MEMO_HIT_COST: u64 = 40;
 
-/// Default bound on memoised functions before a wholesale clear.
+/// Bound on memoised compilations before a wholesale clear.
 pub const DEFAULT_MEMO_ENTRIES: usize = 1024;
 
 /// What a verdict was given against: database content and comparator
@@ -132,7 +132,6 @@ pub struct MemoStats {
 #[derive(Debug)]
 struct MemoInner {
     entries: HashMap<CompileKey, MemoEntry>,
-    max_entries: usize,
     poisoned: bool,
     stats: MemoStats,
 }
@@ -167,28 +166,21 @@ pub struct DnaMemo {
 
 impl Default for DnaMemo {
     fn default() -> Self {
-        DnaMemo::with_capacity(DEFAULT_MEMO_ENTRIES)
-    }
-}
-
-impl DnaMemo {
-    /// A memo with the default entry bound.
-    #[must_use]
-    pub fn new() -> Self {
-        DnaMemo::default()
-    }
-
-    /// A memo bounded to `max_entries` functions.
-    #[must_use]
-    pub fn with_capacity(max_entries: usize) -> Self {
         DnaMemo {
             inner: Arc::new(Mutex::new(MemoInner {
                 entries: HashMap::new(),
-                max_entries,
                 poisoned: false,
                 stats: MemoStats::default(),
             })),
         }
+    }
+}
+
+impl DnaMemo {
+    /// An empty memo, bounded to [`DEFAULT_MEMO_ENTRIES`] compilations.
+    #[must_use]
+    pub fn new() -> Self {
+        DnaMemo::default()
     }
 
     /// The cached analysis for `key`, if present once a poisoned store
@@ -222,7 +214,7 @@ impl DnaMemo {
         let mut inner = self.inner.lock().expect("memo lock");
         inner.purge_if_poisoned();
         let fresh = !inner.entries.contains_key(&key);
-        if fresh && inner.entries.len() >= inner.max_entries {
+        if fresh && inner.entries.len() >= DEFAULT_MEMO_ENTRIES {
             inner.entries.clear();
             inner.stats.evictions += 1;
         }
@@ -239,7 +231,7 @@ impl DnaMemo {
     /// can never be served.
     pub fn poison(&self) {
         let mut inner = self.inner.lock().expect("memo lock");
-        let mut garbage = Dna::with_slots(1);
+        let mut garbage = Dna::default();
         garbage.deltas[0].removed.insert(vec![Label::UNKNOWN]);
         let garbage = Arc::new(garbage);
         let output = Arc::new(PipelineOutput {
@@ -295,7 +287,7 @@ mod tests {
                 Op::Return,
             ],
         };
-        CompileKey::new(&f, Vec::new(), 8, 0)
+        CompileKey::new(&f, Vec::new(), 0)
     }
 
     fn add() -> CompileKey {
@@ -303,7 +295,7 @@ mod tests {
     }
 
     fn entry(verdict: Option<(VerdictStamp, EntryMatches)>) -> MemoEntry {
-        let mut dna = Dna::with_slots(4);
+        let mut dna = Dna::default();
         dna.deltas[1].removed.insert(chain(&["add", "bitor"]));
         MemoEntry {
             dna: Arc::new(dna),
@@ -376,9 +368,9 @@ mod tests {
 
     #[test]
     fn bound_forces_wholesale_clear() {
-        let memo = DnaMemo::with_capacity(2);
-        for k in [1.0, 2.0, 3.0] {
-            memo.insert(key(k), entry(None));
+        let memo = DnaMemo::new();
+        for k in 0..=DEFAULT_MEMO_ENTRIES {
+            memo.insert(key(k as f64), entry(None));
         }
         assert_eq!(memo.stats().evictions, 1);
         assert_eq!(memo.len(), 1);

@@ -27,7 +27,7 @@ pub mod memo;
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use jitbull_mir::{Label, MirSnapshot, PassTrace};
+use jitbull_mir::{Label, MirSnapshot, PassTrace, N_SLOTS};
 
 use crate::dna::{Chain, Dna, PassDelta};
 
@@ -209,12 +209,12 @@ pub fn extract_delta(before: &MirSnapshot, after: &MirSnapshot) -> PassDelta {
 }
 
 /// Extracts the full DNA vector `(Δ_1 … Δ_n)` from a compilation trace.
-/// `n_slots` is the pipeline length; slots the trace does not cover stay
-/// empty.
-pub fn extract_dna(trace: &PassTrace, n_slots: usize) -> Dna {
-    let mut dna = Dna::with_slots(n_slots);
+/// Slots the trace does not cover stay empty, and a record whose slot is
+/// not below [`N_SLOTS`] is skipped.
+pub fn extract_dna(trace: &PassTrace) -> Dna {
+    let mut dna = Dna::default();
     for (before, record) in trace.passes() {
-        if record.slot < n_slots {
+        if record.slot < N_SLOTS {
             dna.deltas[record.slot] = extract_delta(before, &record.after);
         }
     }
@@ -395,8 +395,7 @@ mod tests {
                 after,
             }],
         };
-        let dna = extract_dna(&trace, 5);
-        assert_eq!(dna.len(), 5);
+        let dna = extract_dna(&trace);
         assert!(!dna.deltas[2].is_empty());
         assert!(dna.deltas[0].is_empty());
         assert!(trace_work(&trace) > 0);

@@ -273,7 +273,6 @@ impl Guard {
         &self,
         lookup: Lookup,
         trace: &PassTrace,
-        n_slots: usize,
         collector: Option<&mut dyn Collector>,
     ) -> Analysis {
         let Lookup {
@@ -293,7 +292,7 @@ impl Guard {
                 };
                 (entry, cost, Some(receipt))
             }
-            None => self.extract_fresh(trace, n_slots, key.is_some()),
+            None => self.extract_fresh(trace, key.is_some()),
         };
         let index_purges = self.index.borrow().stats().poison_purges;
         let (hits, receipt) = match self.mode {
@@ -377,18 +376,17 @@ impl Guard {
     fn extract_fresh(
         &self,
         trace: &PassTrace,
-        n_slots: usize,
         keyed: bool,
     ) -> (MemoEntry, u64, Option<ExtractReceipt>) {
         let pre_mir_len = trace.initial.len();
         let (dna, cost, receipt) = match self.extractor {
             ExtractorMode::Reference => (
-                extract_dna(trace, n_slots),
+                extract_dna(trace),
                 trace_work(trace) * EXTRACT_COST_PER_INSTR,
                 None,
             ),
             ExtractorMode::Incremental => {
-                let (dna, mut receipt) = self.incremental.borrow_mut().extract_dna(trace, n_slots);
+                let (dna, mut receipt) = self.incremental.borrow_mut().extract_dna(trace);
                 if keyed {
                     receipt.cost_cycles += pre_mir_len as u64 * MEMO_KEY_COST_PER_INSTR;
                 }
@@ -467,7 +465,7 @@ mod tests {
             n_locals: 0,
             code: vec![Op::ConstNum(slot as f64), Op::Return],
         };
-        CompileKey::new(&f, Vec::new(), 32, 0)
+        CompileKey::new(&f, Vec::new(), 0)
     }
 
     /// One engine round: look the compilation up, then analyse it (with
@@ -479,7 +477,7 @@ mod tests {
         } else {
             PassTrace::default()
         };
-        guard.analyze_compile(lookup, &trace, 32, collector)
+        guard.analyze_compile(lookup, &trace, collector)
     }
 
     fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
@@ -532,12 +530,12 @@ mod tests {
     fn matching_trace_flags_the_pass() {
         // Build a DB from the "VDC" trace, then analyse an identical trace.
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let vdc_dna = extract_dna(&trace_removing_check(6), 32);
+        let vdc_dna = extract_dna(&trace_removing_check(6));
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
         assert!(guard.enabled());
-        let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(6), 32, None);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(6), None);
         assert_eq!(analysis.dangerous, vec![6]);
         assert_eq!(analysis.matches.len(), 1);
         assert!(analysis.cost_cycles > 0);
@@ -546,18 +544,18 @@ mod tests {
     #[test]
     fn different_slot_does_not_match() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
-        let vdc_dna = extract_dna(&trace_removing_check(6), 32);
+        let vdc_dna = extract_dna(&trace_removing_check(6));
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
-        let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(9), 32, None);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(9), None);
         assert!(analysis.dangerous.is_empty());
     }
 
     #[test]
     fn unrelated_delta_does_not_match() {
         let cfg = CompareConfig::default();
-        let vdc_dna = extract_dna(&trace_removing_check(6), 32);
+        let vdc_dna = extract_dna(&trace_removing_check(6));
         let mut db = DnaDatabase::new();
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
@@ -588,7 +586,7 @@ mod tests {
                 after,
             }],
         };
-        let analysis = guard.analyze_compile(Lookup::default(), &trace, 32, None);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace, None);
         assert!(analysis.dangerous.is_empty(), "{:?}", analysis.matches);
     }
 
@@ -596,8 +594,8 @@ mod tests {
     fn comparator_modes_agree_on_everything_but_cost() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
-        db.install("CVE-B", "g", extract_dna(&trace_removing_check(11), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
+        db.install("CVE-B", "g", extract_dna(&trace_removing_check(11)));
         let indexed = Guard::new(db.clone(), cfg);
         let mut reference = Guard::new(db, cfg);
         reference.set_comparator_mode(ComparatorMode::Reference);
@@ -606,8 +604,8 @@ mod tests {
             trace_removing_check(11),
             trace_removing_check(3),
         ] {
-            let a = indexed.analyze_compile(Lookup::default(), &trace, 32, None);
-            let b = reference.analyze_compile(Lookup::default(), &trace, 32, None);
+            let a = indexed.analyze_compile(Lookup::default(), &trace, None);
+            let b = reference.analyze_compile(Lookup::default(), &trace, None);
             assert_eq!(a.dangerous, b.dangerous);
             assert_eq!(a.matches, b.matches);
             assert_eq!(a.dna, b.dna);
@@ -621,7 +619,7 @@ mod tests {
     fn cached_verdict_hits_on_repeat_and_is_refreshed_on_change() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -641,7 +639,7 @@ mod tests {
     fn reference_comparator_never_touches_verdicts() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         guard.set_comparator_mode(ComparatorMode::Reference);
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -659,7 +657,7 @@ mod tests {
         use jitbull_chaos::{FaultPlan, FaultSite as Site};
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         // Warm the verdict cache.
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -688,8 +686,8 @@ mod tests {
     fn extractor_modes_agree_on_everything_but_cost() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
-        db.install("CVE-B", "g", extract_dna(&trace_removing_check(11), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
+        db.install("CVE-B", "g", extract_dna(&trace_removing_check(11)));
         let mut incremental = Guard::new(db.clone(), cfg);
         incremental.set_extractor_mode(ExtractorMode::Incremental);
         let mut reference = Guard::new(db, cfg);
@@ -713,7 +711,7 @@ mod tests {
     fn memo_hit_skips_the_trace_and_costs_less() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let guard = Guard::new(db, cfg);
         assert!(guard.lookup(key(6)).needs_trace());
         let cold = round(&guard, 6, None);
@@ -737,7 +735,7 @@ mod tests {
         use jitbull_chaos::{FaultPlan, FaultSite as Site};
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         // Warm the memo.
         assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
@@ -766,8 +764,8 @@ mod tests {
     fn multiple_vdcs_union_their_slots() {
         let cfg = CompareConfig { thr: 1, ratio: 0.5 };
         let mut db = DnaDatabase::new();
-        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6), 32));
-        db.install("CVE-B", "f", extract_dna(&trace_removing_check(11), 32));
+        db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
+        db.install("CVE-B", "f", extract_dna(&trace_removing_check(11)));
         let guard = Guard::new(db, cfg);
         // Slot 6 removes the check, slot 8 (in neither entry) restores
         // it, slot 11 removes it again.
@@ -778,7 +776,7 @@ mod tests {
             after: guarded_load(),
         });
         trace.records.extend(trace_removing_check(11).records);
-        let analysis = guard.analyze_compile(Lookup::default(), &trace, 32, None);
+        let analysis = guard.analyze_compile(Lookup::default(), &trace, None);
         assert_eq!(analysis.dangerous, vec![6, 11]);
         assert_eq!(analysis.matches.len(), 2);
     }

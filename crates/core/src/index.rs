@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use jitbull_mir::Label;
+use jitbull_mir::{Label, N_SLOTS};
 
 use crate::compare::CompareConfig;
 use crate::db::DnaDatabase;
@@ -276,15 +276,22 @@ fn delta_pair_similar(
 }
 
 fn dangerous_slots_indexed(
-    query: &[IndexedDelta],
-    entry: &[IndexedDelta],
+    query: &IndexedDna,
+    entry: &IndexedDna,
     config: &CompareConfig,
     counters: &mut ScanCounters,
 ) -> Vec<usize> {
-    let n = query.len().min(entry.len());
-    (0..n)
+    (0..N_SLOTS)
         .filter(|&i| delta_pair_similar(&query[i], &entry[i], config, counters))
         .collect()
+}
+
+/// A [`Dna`] in interned form, slot for slot.
+type IndexedDna = [IndexedDelta; N_SLOTS];
+
+/// Interns every slot of `dna`, in slot order (ids are first-seen).
+fn index_dna(dna: &Dna, interner: &mut ChainInterner) -> IndexedDna {
+    std::array::from_fn(|i| IndexedDelta::from_delta(&dna.deltas[i], interner))
 }
 
 /// The comparator index over one [`DnaDatabase`]'s entries.
@@ -296,9 +303,8 @@ fn dangerous_slots_indexed(
 #[derive(Debug, Clone, Default)]
 pub struct ComparatorIndex {
     interner: ChainInterner,
-    /// Each database entry's per-slot interned deltas (same slot
-    /// indexing as its [`Dna`]).
-    entries: Vec<Vec<IndexedDelta>>,
+    /// Each database entry's interned DNA.
+    entries: Vec<IndexedDna>,
     /// Database generation this index reflects (`0` = never built;
     /// real generations start at 1).
     generation: u64,
@@ -345,12 +351,7 @@ impl ComparatorIndex {
             .entries()
             .iter()
             .map(|e| {
-                let slots: Vec<IndexedDelta> = e
-                    .dna
-                    .deltas
-                    .iter()
-                    .map(|d| IndexedDelta::from_delta(d, &mut self.interner))
-                    .collect();
+                let slots = index_dna(&e.dna, &mut self.interner);
                 let chains: u64 = slots
                     .iter()
                     .map(|s| (s.removed.len() + s.added.len()) as u64)
@@ -373,11 +374,7 @@ impl ComparatorIndex {
     pub fn query(&mut self, dna: &Dna, config: &CompareConfig) -> (EntryMatches, QueryReceipt) {
         self.stats.queries += 1;
         let f_chains = dna.chain_count();
-        let query: Vec<IndexedDelta> = dna
-            .deltas
-            .iter()
-            .map(|d| IndexedDelta::from_delta(d, &mut self.interner))
-            .collect();
+        let query = index_dna(dna, &mut self.interner);
         let mut counters = ScanCounters::default();
         let mut matches = EntryMatches::new();
         for (idx, entry) in self.entries.iter().enumerate() {
@@ -409,7 +406,7 @@ mod tests {
     }
 
     fn dna_with(slot: usize, removed: &[&[&str]], added: &[&[&str]]) -> Dna {
-        let mut dna = Dna::with_slots(8);
+        let mut dna = Dna::default();
         dna.deltas[slot].removed = set(removed);
         dna.deltas[slot].added = set(added);
         dna

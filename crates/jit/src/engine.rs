@@ -37,14 +37,14 @@ use jitbull::{decide, decide_observed, Decision, Guard, Lookup, PipelineOutput};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
 use jitbull_lir::LFunction;
-use jitbull_mir::{MirFunction, PassTrace};
+use jitbull_mir::{MirFunction, PassTrace, N_SLOTS};
 use jitbull_telemetry::{Collector, Event, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
 use jitbull_vm::interp;
 use jitbull_vm::runtime::{ExploitStatus, Outcome, Runtime, BASELINE_COST, INTERP_COST};
 use jitbull_vm::{compile_program, Dispatcher, Value, VmError};
 
-use crate::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions, N_SLOTS};
+use crate::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions};
 use crate::vuln::VulnConfig;
 
 /// Cycle cost charged per bytecode op for a baseline compilation.
@@ -250,9 +250,10 @@ impl Engine {
     }
 
     /// Consumes the engine, returning its guard (with the comparator
-    /// index and extractor state it warmed up). The serving pool uses this
-    /// to carry a worker's warm guard into the replacement engine after a
-    /// database hot-swap instead of re-interning the world from scratch.
+    /// index and extractor state it warmed up). A pool worker uses this to
+    /// carry its warm guard from one request to the next on the same
+    /// database snapshot, and a benchmark batch from one program to the
+    /// next; a new snapshot gets a new guard.
     pub fn into_guard(self) -> Option<Guard> {
         self.guard
     }
@@ -542,10 +543,8 @@ impl Engine {
             }
             let guard = self.guard.as_ref().expect("a lookup comes from the guard");
             let analysis = match &self.collector {
-                Some(c) => {
-                    guard.analyze_compile(lookup, &trace, N_SLOTS, Some(&mut *c.borrow_mut()))
-                }
-                None => guard.analyze_compile(lookup, &trace, N_SLOTS, None),
+                Some(c) => guard.analyze_compile(lookup, &trace, Some(&mut *c.borrow_mut())),
+                None => guard.analyze_compile(lookup, &trace, None),
             };
             if let Some(budget) = self.overrun(spent, analysis.cost_cycles) {
                 return self.watchdog_expire(rt, name, matched, budget, spent);

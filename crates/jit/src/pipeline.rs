@@ -10,7 +10,7 @@ use jitbull::PipelineOutput;
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
 use jitbull_mir::build::MirBuildError;
 use jitbull_mir::{
-    build_mir, CompileKey, MirFunction, MirSnapshot, PassRecord, PassTrace, SlotRun,
+    build_mir, CompileKey, MirFunction, MirSnapshot, PassRecord, PassTrace, SlotRun, N_SLOTS,
 };
 use jitbull_vm::bytecode::Function;
 
@@ -74,8 +74,10 @@ pub mod slot {
     pub const RENUMBER_FINAL: usize = 31;
 }
 
-/// The 32-slot pipeline, in execution order.
-pub const PIPELINE: [PassSlot; 32] = [
+/// The pipeline, in execution order: one entry per slot, [`N_SLOTS`] in
+/// all (`n` in the paper's `Δ_1 … Δ_n`; SpiderMonkey has 32 and so do
+/// we).
+pub const PIPELINE: [PassSlot; N_SLOTS] = [
     PassSlot {
         name: "RenumberInstructions",
         disableable: false,
@@ -238,10 +240,6 @@ pub const PIPELINE: [PassSlot; 32] = [
     },
 ];
 
-/// Number of pipeline slots (`n` in the paper's `Δ_1 … Δ_n`; SpiderMonkey
-/// has 32 and so do we).
-pub const N_SLOTS: usize = PIPELINE.len();
-
 /// Whether a slot may be disabled by JITBULL's policy.
 pub fn slot_disableable(slot_index: usize) -> bool {
     PIPELINE[slot_index].disableable
@@ -289,12 +287,7 @@ impl<'a> CompileInput<'a> {
 
     /// The compile-cache key of this input.
     pub fn key(&self) -> CompileKey {
-        CompileKey::new(
-            self.function,
-            self.skipped.clone(),
-            N_SLOTS,
-            self.vulns.mask(),
-        )
+        CompileKey::new(self.function, self.skipped.clone(), self.vulns.mask())
     }
 
     fn skips(&self, slot: usize) -> bool {

@@ -11,11 +11,16 @@
 //! same graphs, leave the same trace and lower to the same code. That is
 //! what lets the compile cache answer a compilation — DNA, verdict and
 //! code — before running it.
+//! The pipeline length is no input either: it is the constant [`N_SLOTS`].
 
 use std::mem::Discriminant;
 use std::sync::Arc;
 
 use jitbull_vm::bytecode::{Function, Op};
+
+/// The pipeline length: `n` in the paper's JIT DNA `Δ^f = (Δ_1 … Δ_n)`.
+/// IonMonkey runs 32 passes, and `jitbull_jit::PIPELINE` is typed by it.
+pub const N_SLOTS: usize = 32;
 
 /// The inputs of one optimizing compilation.
 ///
@@ -34,7 +39,7 @@ use jitbull_vm::bytecode::{Function, Op};
 /// )?)?;
 /// let key = |name: &str| {
 ///     let f = module.function(module.function_id(name).unwrap());
-///     CompileKey::new(f, Vec::new(), 32, 0)
+///     CompileKey::new(f, Vec::new(), 0)
 /// };
 /// assert_eq!(key("f"), key("g"));
 /// assert_ne!(key("f"), key("h"));
@@ -47,19 +52,17 @@ pub struct CompileKey {
     n_locals: u16,
     /// Disableable slots the pipeline skips, sorted.
     disabled: Vec<usize>,
-    n_slots: usize,
     /// Enabled vulnerabilities, one bit each.
     vulns: u64,
 }
 
 impl CompileKey {
     /// The key for compiling `function` with the disableable slots in
-    /// `disabled` skipped, over an `n_slots`-slot pipeline, in an engine
-    /// whose enabled vulnerabilities form the bitmask `vulns`. Callers
-    /// pass only slots the pipeline honours; mandatory slots run
-    /// whatever the disabled set says.
+    /// `disabled` skipped, in an engine whose enabled vulnerabilities form
+    /// the bitmask `vulns`. Callers pass only slots the pipeline honours;
+    /// mandatory slots run whatever the disabled set says.
     #[must_use]
-    pub fn new(function: &Function, mut disabled: Vec<usize>, n_slots: usize, vulns: u64) -> Self {
+    pub fn new(function: &Function, mut disabled: Vec<usize>, vulns: u64) -> Self {
         disabled.sort_unstable();
         disabled.dedup();
         CompileKey {
@@ -67,7 +70,6 @@ impl CompileKey {
             arity: function.arity,
             n_locals: function.n_locals,
             disabled,
-            n_slots,
             vulns,
         }
     }
@@ -136,7 +138,6 @@ mod tests {
         CompileKey::new(
             module.function(module.function_id("f").unwrap()),
             disabled,
-            32,
             vulns,
         )
     }

@@ -19,9 +19,10 @@
 //!   ([`snapshot::MirSnapshot`]): the *only* IR type the `jitbull` core
 //!   crate consumes, keeping JITBULL decoupled from this particular engine
 //!   just as the paper argues the approach ports to TurboFan;
-//! * [`key`] — the [`CompileKey`] the core's compile cache is keyed on:
-//!   every input of one optimizing compilation, taken before the pipeline
-//!   runs.
+//! * [`key`] — the [`CompileKey`] the core's compile cache is keyed on
+//!   (every input of one optimizing compilation, taken before the
+//!   pipeline runs) and [`N_SLOTS`], the pipeline length: a constant that
+//!   sizes the pipeline table and every DNA, never a parameter.
 //!
 //! # Examples
 //!
@@ -50,7 +51,7 @@ pub mod snapshot;
 pub use build::build_mir;
 pub use graph::{Block, BlockId, MirFunction};
 pub use instr::{InstrId, Instruction};
-pub use key::CompileKey;
+pub use key::{CompileKey, N_SLOTS};
 pub use label::Label;
 pub use opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
 pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SlotRun, SnapInstr};

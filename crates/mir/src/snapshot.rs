@@ -70,7 +70,7 @@ impl MirSnapshot {
 /// `initial`); [`PassTrace::passes`] pairs them up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassRecord {
-    /// Pipeline slot index (`i` in the paper's `Δ_i`), `0..n`.
+    /// Pipeline slot index (`i` in the paper's `Δ_i`), `< N_SLOTS`.
     pub slot: usize,
     /// Human-readable pass name (`"GVN"`, `"LICM"`, …).
     pub name: &'static str,

@@ -468,8 +468,8 @@ impl Pool {
     /// Propagates [`DbError`]; the failure kind is also recorded as an
     /// [`Event::PoolReloadFailed`] and the previous database keeps
     /// serving untouched.
-    pub fn reload_from_text(&self, text: &str, n_slots: usize) -> Result<u64, DbError> {
-        match DnaDatabase::from_text(text, n_slots) {
+    pub fn reload_from_text(&self, text: &str) -> Result<u64, DbError> {
+        match DnaDatabase::from_text(text) {
             Ok(db) => Ok(self.publish(|slot| *slot = Arc::new(db)).1),
             Err(e) => {
                 self.record(Event::PoolReloadFailed { kind: e.kind() });
@@ -496,13 +496,12 @@ impl Pool {
     pub fn reload_with_retry(
         &self,
         text: &str,
-        n_slots: usize,
         mode: LoadMode,
         policy: &RetryPolicy,
     ) -> Result<(u64, LoadReport), DbError> {
         let (result, retries) = retry_with(
             policy,
-            |_| DnaDatabase::from_text_faulted(text, n_slots, mode, &self.faults),
+            |_| DnaDatabase::from_text_faulted(text, mode, &self.faults),
             |attempt, backoff_micros, err: &DbError| {
                 self.record(Event::ReloadRetry {
                     attempt,

@@ -82,7 +82,7 @@ mod tests {
     use jitbull::Dna;
 
     fn db_with(cve: &str) -> DnaDatabase {
-        let mut dna = Dna::with_slots(4);
+        let mut dna = Dna::default();
         dna.deltas[1].removed.insert(chain(&["add", "bitor"]));
         let mut db = DnaDatabase::new();
         db.install(cve, "f", dna);
@@ -131,7 +131,7 @@ mod tests {
             std::thread::spawn(move || {
                 (1..=200)
                     .map(|i| {
-                        let mut dna = Dna::with_slots(4);
+                        let mut dna = Dna::default();
                         dna.deltas[1].removed.insert(chain(&["add", "bitor"]));
                         let ((), db) = cell
                             .publish(|db| Arc::make_mut(db).install(format!("CVE-{i}"), "f", dna));

@@ -61,7 +61,7 @@ impl Collector for NoopCollector {
     fn record(&mut self, _event: Event) {}
 }
 
-/// Default event-ring capacity for [`Recorder::new`].
+/// Event-ring capacity of every [`Recorder`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// Per-slot aggregation of [`Event::PassApplied`] — the cycle-attribution
@@ -96,17 +96,12 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder with the default event capacity.
+    /// A recorder whose event ring holds at most
+    /// [`DEFAULT_EVENT_CAPACITY`] events.
     #[must_use]
     pub fn new() -> Self {
-        Recorder::with_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A recorder whose event ring holds at most `capacity` events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
-            events: RingBuffer::new(capacity),
+            events: RingBuffer::new(DEFAULT_EVENT_CAPACITY),
             metrics: Registry::new(),
             slots: Vec::new(),
         }
@@ -547,17 +542,18 @@ mod tests {
 
     #[test]
     fn recorder_ring_is_bounded() {
-        let mut rec = Recorder::with_capacity(2);
-        for i in 0..5u64 {
+        let mut rec = Recorder::new();
+        let total = DEFAULT_EVENT_CAPACITY as u64 + 3;
+        for i in 0..total {
             rec.record(Event::FuzzSeed {
                 seed: i,
                 find: false,
                 script_error: false,
             });
         }
-        assert_eq!(rec.events().len(), 2);
+        assert_eq!(rec.events().len(), DEFAULT_EVENT_CAPACITY);
         assert_eq!(rec.events().dropped(), 3);
         // Metrics still saw every event.
-        assert_eq!(rec.metrics().counter("fuzz.seeds"), 5);
+        assert_eq!(rec.metrics().counter("fuzz.seeds"), total);
     }
 }

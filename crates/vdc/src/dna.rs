@@ -10,7 +10,7 @@
 
 use jitbull::{Dna, DnaDatabase};
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_vm::{compile_program, VmError};
 
@@ -33,7 +33,7 @@ pub fn extract_dna(v: &Vdc, vulns: &VulnConfig) -> Result<Vec<(String, Dna)>, Vm
             .ok_or_else(|| VmError::Compile(format!("trigger `{name}` missing in {}", v.name)))?;
         let input = CompileInput::new(module.function(fid), [], vulns);
         let result = compile(&input, &traced()).map_err(|e| VmError::Compile(e.to_string()))?;
-        let dna = jitbull::extract_dna(&result.trace, N_SLOTS);
+        let dna = jitbull::extract_dna(&result.trace);
         out.push((name.clone(), dna));
     }
     Ok(out)
@@ -77,7 +77,7 @@ pub fn extract_program_dna_with(
         let Ok(result) = compile(&input, &traced()) else {
             continue;
         };
-        out.push((f.name.clone(), jitbull::extract_dna(&result.trace, N_SLOTS)));
+        out.push((f.name.clone(), jitbull::extract_dna(&result.trace)));
     }
     Ok(out)
 }
@@ -152,7 +152,7 @@ mod tests {
     fn dna_database_round_trips_through_text() {
         let db = build_database(&[vdc(CveId::Cve2019_17026)]).unwrap();
         let text = db.to_text();
-        let back = DnaDatabase::from_text(&text, N_SLOTS).unwrap();
+        let back = DnaDatabase::from_text(&text).unwrap();
         assert_eq!(db, back);
     }
 }

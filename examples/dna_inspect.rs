@@ -9,7 +9,7 @@
 use jitbull::dna::chain_text;
 use jitbull::extract_dna;
 use jitbull_frontend::parse_program;
-use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS, PIPELINE};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, PIPELINE};
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_mir::build_mir;
 use jitbull_vm::compile_program;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         };
         let result = compile(&input, &traced)?;
-        let dna = extract_dna(&result.trace, N_SLOTS);
+        let dna = extract_dna(&result.trace);
         println!("== JIT DNA on {label} ==");
         for (slot, delta) in dna.deltas.iter().enumerate() {
             if delta.is_empty() {

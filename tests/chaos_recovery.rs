@@ -14,7 +14,6 @@ use jitbull_bench::chaos_bench;
 use jitbull_chaos::retry::RetryPolicy;
 use jitbull_chaos::{BreakerConfig, FaultInjector, FaultKind, FaultPlan, FaultSite, Quarantine};
 use jitbull_jit::engine::{Engine, EngineConfig, TierStats};
-use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::CveId;
 use jitbull_pool::{Pool, PoolConfig, Request, Ticket};
 use jitbull_telemetry::Recorder;
@@ -305,7 +304,7 @@ fn reload_retry_recovers_transient_faults() {
     };
     let empty_generation = pool.published().generation();
     let (generation, report) = pool
-        .reload_with_retry(&update, N_SLOTS, LoadMode::Strict, &policy)
+        .reload_with_retry(&update, LoadMode::Strict, &policy)
         .expect("third attempt lands");
     assert!(generation > empty_generation);
     assert_eq!(pool.published().generation(), generation);
@@ -343,7 +342,6 @@ fn exhausted_reload_retry_never_publishes_partial() {
     let err = pool
         .reload_with_retry(
             &db_17026().to_text(),
-            N_SLOTS,
             LoadMode::Strict,
             &RetryPolicy {
                 base_micros: 20,
@@ -380,7 +378,7 @@ fn strict_mode_refuses_torn_update() {
         1,
     ));
     let text = db_17026().to_text();
-    let err = DnaDatabase::from_text_faulted(&text, N_SLOTS, LoadMode::Strict, &inj)
+    let err = DnaDatabase::from_text_faulted(&text, LoadMode::Strict, &inj)
         .expect_err("torn update refused");
     assert_eq!(err.kind(), "parse");
 }
@@ -408,10 +406,10 @@ fn partial_mode_skips_malformed_entries_with_line_numbers() {
     let mangled = lines.join("\n");
 
     // Strict refuses the whole update...
-    assert!(DnaDatabase::from_text_checked(&mangled, N_SLOTS, LoadMode::Strict).is_err());
+    assert!(DnaDatabase::from_text_checked(&mangled, LoadMode::Strict).is_err());
     // ...partial salvages the intact entry and pins the warning.
-    let (db, report) = DnaDatabase::from_text_checked(&mangled, N_SLOTS, LoadMode::Partial)
-        .expect("partial mode salvages");
+    let (db, report) =
+        DnaDatabase::from_text_checked(&mangled, LoadMode::Partial).expect("partial mode salvages");
     assert_eq!(db.len(), 1);
     assert_eq!((report.loaded, report.skipped), (1, 1));
     assert!(!report.is_clean());
@@ -555,7 +553,6 @@ fn sweep(seed: u64, requests: usize) {
             let (generation, report) = pool
                 .reload_with_retry(
                     &db_17026().to_text(),
-                    N_SLOTS,
                     LoadMode::Strict,
                     &RetryPolicy {
                         base_micros: 10,

@@ -34,6 +34,7 @@ const LABELS: &[&str] = &[
     "typeguard:object",
 ];
 
+/// Random DNAs fill only their first `SLOTS` deltas; the rest stay empty.
 const SLOTS: usize = 8;
 
 fn random_chain(rng: &mut Rng) -> Chain {
@@ -50,8 +51,8 @@ fn random_set(rng: &mut Rng, max: usize) -> BTreeSet<Chain> {
 }
 
 fn random_dna(rng: &mut Rng) -> Dna {
-    let mut dna = Dna::with_slots(SLOTS);
-    for delta in &mut dna.deltas {
+    let mut dna = Dna::default();
+    for delta in &mut dna.deltas[..SLOTS] {
         if rng.gen_bool(0.4) {
             delta.removed = random_set(rng, 6);
         }
@@ -209,7 +210,7 @@ fn boundary_sets(
 }
 
 fn dna_from_set(set: &BTreeSet<Chain>, slot: usize, removed_side: bool) -> Dna {
-    let mut dna = Dna::with_slots(SLOTS);
+    let mut dna = Dna::default();
     if removed_side {
         dna.deltas[slot].removed = set.clone();
     } else {
@@ -276,18 +277,17 @@ fn threshold_boundaries_agree() {
     }
 }
 
-/// Trivial and empty shapes: empty DNA, one-sided deltas, and databases
-/// whose entries cover fewer slots than the query.
+/// Trivial and sparse shapes: an all-empty DNA, one-sided deltas, and a
+/// DNA with a single non-empty slot.
 #[test]
 fn degenerate_shapes_agree() {
     let mut rng = Rng::seed_from_u64(7);
     let shapes: Vec<Dna> = vec![
-        Dna::with_slots(SLOTS),                            // fully trivial
-        Dna::with_slots(0),                                // zero slots
+        Dna::default(),                                    // fully trivial
         dna_from_set(&boundary_sets(3, 0, 0).0, 0, true),  // removed only
         dna_from_set(&boundary_sets(3, 0, 0).0, 0, false), // added only
         {
-            let mut d = Dna::with_slots(2); // shorter than the query
+            let mut d = Dna::default(); // slot 1 only
             d.deltas[1].removed = random_set(&mut rng, 5);
             d
         },

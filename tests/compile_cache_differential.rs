@@ -34,9 +34,10 @@ use jitbull_frontend::visit::mutate_exprs_in_stmts;
 use jitbull_frontend::{parse_program, print_program};
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig, FunctionStats};
-use jitbull_jit::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions, N_SLOTS};
+use jitbull_jit::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions};
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_mir::PassTrace;
+use jitbull_mir::N_SLOTS;
 use jitbull_prng::Rng;
 use jitbull_vdc::{all_vdcs, build_database};
 use jitbull_vm::bytecode::Function;
@@ -141,7 +142,7 @@ fn oracle(guard: &Guard, input: &CompileInput<'_>) -> Analysis {
         trace: true,
         ..OptimizeOptions::default()
     };
-    let dna = extract_dna(&compile(input, &traced).unwrap().trace, N_SLOTS);
+    let dna = extract_dna(&compile(input, &traced).unwrap().trace);
     let mut dangerous = Vec::new();
     let mut matches = Vec::new();
     for e in guard.db().entries() {
@@ -231,7 +232,7 @@ fn compile_checked(guard: &Guard, function: &Function, label: &str, seen: &mut C
                 (output, Some(result.mir), result.trace)
             }
         };
-        let got = guard.analyze_compile(lookup, &trace, N_SLOTS, None);
+        let got = guard.analyze_compile(lookup, &trace, None);
         let expected = oracle(guard, &input);
         assert_eq!(got.dna, expected.dna, "{label}: foreign DNA");
         assert_eq!(

@@ -41,6 +41,7 @@ const LABELS: &[&str] = &[
     "typeguard:object",
 ];
 
+/// Random DNAs fill only their first `SLOTS` deltas; the rest stay empty.
 const SLOTS: usize = 8;
 const READERS: usize = 4;
 const PUBLISHES: u64 = 40;
@@ -63,8 +64,8 @@ fn random_set(rng: &mut Rng, max: usize) -> BTreeSet<Chain> {
 }
 
 fn random_dna(rng: &mut Rng) -> Dna {
-    let mut dna = Dna::with_slots(SLOTS);
-    for delta in &mut dna.deltas {
+    let mut dna = Dna::default();
+    for delta in &mut dna.deltas[..SLOTS] {
         if rng.gen_bool(0.4) {
             delta.removed = random_set(rng, 6);
         }

@@ -4,7 +4,6 @@
 
 use jitbull::{CompareConfig, DnaDatabase, Guard};
 use jitbull_jit::engine::{Engine, EngineConfig};
-use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::{CveId, VulnConfig};
 use jitbull_vdc::validate::run_script;
 use jitbull_vdc::{build_database, vdc};
@@ -26,7 +25,7 @@ fn dna_update_survives_the_wire_and_still_protects() {
     );
 
     // User side: parse, preload, protected.
-    let user_db = DnaDatabase::from_text(&update_text, N_SLOTS).unwrap();
+    let user_db = DnaDatabase::from_text(&update_text).unwrap();
     assert_eq!(user_db, db);
     let mut engine = Engine::with_guard(
         EngineConfig {
@@ -51,13 +50,13 @@ fn database_file_workflow() {
     db.save_to(&path).unwrap();
 
     // Next browser start: preload from disk.
-    let mut loaded = DnaDatabase::load_from(&path, N_SLOTS).unwrap();
+    let mut loaded = DnaDatabase::load_from(&path).unwrap();
     assert_eq!(loaded.cves().len(), 2);
 
     // One patch lands; its entries are dropped and the file rewritten.
     assert!(loaded.remove_cve("CVE-2019-9810") > 0);
     loaded.save_to(&path).unwrap();
-    let reloaded = DnaDatabase::load_from(&path, N_SLOTS).unwrap();
+    let reloaded = DnaDatabase::load_from(&path).unwrap();
     assert_eq!(reloaded.cves(), vec!["CVE-2019-9813"]);
 
     std::fs::remove_file(&path).ok();
@@ -81,7 +80,7 @@ fn ion_round(guard: &Guard, source: &str, name: &str, vulns: &VulnConfig) -> jit
         ..Default::default()
     };
     let trace = compile(&input, &options).unwrap().trace;
-    guard.analyze_compile(lookup, &trace, N_SLOTS, None)
+    guard.analyze_compile(lookup, &trace, None)
 }
 
 /// The compile cache must never serve a verdict from a previous database
@@ -179,12 +178,12 @@ fn load_failures_are_typed() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let missing = dir.join("does-not-exist.dnadb");
-    let err = DnaDatabase::load_from(&missing, N_SLOTS).unwrap_err();
+    let err = DnaDatabase::load_from(&missing).unwrap_err();
     assert_eq!(err.kind(), "io");
 
     let corrupt = dir.join("corrupt.dnadb");
     std::fs::write(&corrupt, "@entry CVE-X f\n0 ? bad-sign\n").unwrap();
-    let err = DnaDatabase::load_from(&corrupt, N_SLOTS).unwrap_err();
+    let err = DnaDatabase::load_from(&corrupt).unwrap_err();
     assert_eq!(err.kind(), "parse");
     match err {
         DbError::Parse { line, ref msg } => {
@@ -228,7 +227,7 @@ fn database_generation_is_monotonic_over_the_lifecycle() {
     // state with its own generation — never one that could collide with a
     // cached verdict from the original.
     let text = full.to_text();
-    let back = DnaDatabase::from_text(&text, N_SLOTS).unwrap();
+    let back = DnaDatabase::from_text(&text).unwrap();
     assert_eq!(back, full);
     assert_ne!(back.generation(), full.generation());
 }

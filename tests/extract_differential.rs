@@ -46,6 +46,7 @@ const PASS_NAMES: &[&str] = &[
     "FoldLinearArithmetic",
 ];
 
+/// Random traces draw their slots below `SLOTS`.
 const SLOTS: usize = 16;
 
 fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> SnapInstr {
@@ -212,8 +213,8 @@ fn sweep(seed: u64, traces: usize) -> usize {
         let n_records = rng.gen_range(1..5usize);
         let trace = random_trace(&mut rng, n_records, pathological);
         pairs += trace.records.len();
-        let expected = extract_dna(&trace, SLOTS);
-        let (got, receipt) = incremental.extract_dna(&trace, SLOTS);
+        let expected = extract_dna(&trace);
+        let (got, receipt) = incremental.extract_dna(&trace);
         assert_eq!(
             got, expected,
             "whole-trace divergence: seed={seed} case={case} pathological={pathological} receipt={receipt:?}"
@@ -258,7 +259,7 @@ fn large_random_sweep_finds_zero_divergences() {
 #[test]
 fn full_vdc_catalog_extracts_identically() {
     use jitbull_frontend::parse_program;
-    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
+    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
     use jitbull_jit::VulnConfig;
     use jitbull_vm::compile_program;
 
@@ -274,8 +275,8 @@ fn full_vdc_catalog_extracts_identically() {
                 ..Default::default()
             };
             let result = compile(&CompileInput::new(function, [], &vulns), &traced).unwrap();
-            let expected = extract_dna(&result.trace, N_SLOTS);
-            let (got, _) = incremental.extract_dna(&result.trace, N_SLOTS);
+            let expected = extract_dna(&result.trace);
+            let (got, _) = incremental.extract_dna(&result.trace);
             assert_eq!(got, expected, "divergence: vdc={} fn={name}", v.name);
         }
     }
@@ -292,8 +293,9 @@ fn full_vdc_catalog_extracts_identically() {
 fn real_pipeline_traces_extract_identically() {
     use jitbull_frontend::parse_program;
     use jitbull_fuzzer::{generate, GenConfig};
-    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, N_SLOTS};
+    use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
     use jitbull_jit::{CveId, VulnConfig};
+    use jitbull_mir::N_SLOTS;
     use jitbull_vm::compile_program;
 
     let mut rng = Rng::seed_from_u64(0x9E_11AE);
@@ -322,8 +324,8 @@ fn real_pipeline_traces_extract_identically() {
                 continue;
             };
             let trace = result.trace;
-            let expected = extract_dna(&trace, N_SLOTS);
-            let (got, receipt) = incremental.extract_dna(&trace, N_SLOTS);
+            let expected = extract_dna(&trace);
+            let (got, receipt) = incremental.extract_dna(&trace);
             assert_eq!(
                 got, expected,
                 "divergence: seed={seed} function={fid} input={input:?} receipt={receipt:?}"

@@ -278,7 +278,6 @@ fn key_f(source: &str) -> jitbull_mir::CompileKey {
 #[test]
 fn functions_differing_only_in_literals_never_share_a_memo_entry() {
     use jitbull::{extract_dna, DnaDatabase};
-    use jitbull_jit::pipeline::N_SLOTS;
 
     // Each pair builds identical pre-pipeline snapshots (labels drop
     // literal values) but folds to different graphs, so the reference
@@ -292,8 +291,8 @@ fn functions_differing_only_in_literals_never_share_a_memo_entry() {
     let memo = DnaMemo::default();
     for (pair, (first, second)) in pairs.iter().enumerate() {
         assert_ne!(
-            extract_dna(&traced_f(first), N_SLOTS),
-            extract_dna(&traced_f(second), N_SLOTS),
+            extract_dna(&traced_f(first)),
+            extract_dna(&traced_f(second)),
             "the pair must differ under the oracle for the test to bite"
         );
         // Two guards over one memo, as two pool workers share it: the
@@ -308,8 +307,8 @@ fn functions_differing_only_in_literals_never_share_a_memo_entry() {
                 jitbull_mir::PassTrace::default()
             };
             assert_eq!(
-                *guard.analyze_compile(lookup, &trace, N_SLOTS, None).dna,
-                extract_dna(&traced_f(source), N_SLOTS),
+                *guard.analyze_compile(lookup, &trace, None).dna,
+                extract_dna(&traced_f(source)),
                 "pair {pair}: the memo served a foreign DNA"
             );
         }

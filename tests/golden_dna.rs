@@ -22,7 +22,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use jitbull::Dna;
-use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::VulnConfig;
 use jitbull_vdc::{all_vdcs, extract_dna, extract_program_dna};
 
@@ -161,8 +160,8 @@ fn golden_corpus_round_trips_through_text() {
     for file in workload_corpus().into_iter().chain(vdc_corpus()) {
         for (name, dna) in &file.entries {
             let text = dna.to_text();
-            let parsed = Dna::from_text(&text, N_SLOTS)
-                .unwrap_or_else(|e| panic!("{}/{name}: {e}", file.stem));
+            let parsed =
+                Dna::from_text(&text).unwrap_or_else(|e| panic!("{}/{name}: {e}", file.stem));
             assert_eq!(parsed, *dna, "{}/{name} fails to round-trip", file.stem);
             if dna.is_trivial() {
                 trivial += 1;
@@ -181,8 +180,8 @@ fn golden_corpus_round_trips_through_text() {
 #[test]
 fn golden_file_comments_are_transparent_to_the_parser() {
     let file = vdc_corpus().into_iter().next().expect("catalog non-empty");
-    let merged = Dna::from_text(&render(&file), N_SLOTS).expect("golden file parses");
-    let mut expected = Dna::with_slots(N_SLOTS);
+    let merged = Dna::from_text(&render(&file)).expect("golden file parses");
+    let mut expected = Dna::default();
     for (_, dna) in &file.entries {
         for (slot, d) in dna.deltas.iter().enumerate() {
             expected.deltas[slot]

@@ -6,7 +6,8 @@
 use jitbull_frontend::parse_program;
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig};
-use jitbull_jit::pipeline::{slot_disableable, N_SLOTS};
+use jitbull_jit::pipeline::slot_disableable;
+use jitbull_mir::N_SLOTS;
 use jitbull_workloads::workload;
 
 fn run(source: &str, disabled: &[usize]) -> Vec<String> {

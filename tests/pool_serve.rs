@@ -21,7 +21,6 @@ use std::time::Duration;
 
 use jitbull::{CompareConfig, DnaDatabase};
 use jitbull_jit::engine::EngineConfig;
-use jitbull_jit::pipeline::N_SLOTS;
 use jitbull_jit::CveId;
 use jitbull_pool::{Pool, PoolConfig, PoolError, Request, Ticket};
 use jitbull_vdc::{build_database, vdc};
@@ -360,7 +359,7 @@ fn failed_reload_keeps_the_old_database_serving() {
     let pool = Pool::new(config(1, 8), donor());
     let generation_before = pool.published().generation();
     let err = pool
-        .reload_from_text("@entry CVE-X f\n0 ? bad-sign\n", N_SLOTS)
+        .reload_from_text("@entry CVE-X f\n0 ? bad-sign\n")
         .expect_err("malformed update is refused");
     assert_eq!(err.kind(), "parse");
     assert_eq!(
@@ -375,7 +374,7 @@ fn failed_reload_keeps_the_old_database_serving() {
     );
     // A well-formed update in the same wire format goes through.
     let generation = pool
-        .reload_from_text(&DnaDatabase::new().to_text(), N_SLOTS)
+        .reload_from_text(&DnaDatabase::new().to_text())
         .expect("empty update is well-formed");
     assert!(generation > generation_before);
     assert_eq!(pool.published().generation(), generation);

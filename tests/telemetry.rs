@@ -11,10 +11,10 @@ use jitbull_jit::VulnConfig;
 use jitbull_telemetry::{Event, Recorder, Tier};
 use jitbull_workloads::{microbenches, run_workload, run_workload_observed, serving_mix};
 
+/// A recorder with the default ring. A test that reads the event stream
+/// first asserts its run dropped no event.
 fn recorder() -> Rc<RefCell<Recorder>> {
-    // Generous capacity so no event is dropped and counters can be
-    // cross-checked against the raw stream.
-    Rc::new(RefCell::new(Recorder::with_capacity(1 << 16)))
+    Rc::new(RefCell::new(Recorder::new()))
 }
 
 #[test]
@@ -112,6 +112,7 @@ fn empty_db_observation_is_cycle_neutral_and_guard_silent() {
         met.counter("policy.go") + met.counter("policy.recompile") + met.counter("policy.nojit"),
         0
     );
+    assert_eq!(rec.events().dropped(), 0);
     assert!(rec.events().iter().all(|e| !matches!(
         e,
         Event::GuardAnalyzed { .. } | Event::PolicyDecision { .. }
@@ -124,6 +125,7 @@ fn pass_rounds(engine: &mut Engine, source: &str) -> Vec<Vec<Event>> {
     let rec = recorder();
     engine.set_collector(rec.clone());
     engine.run_source_with(source).unwrap();
+    assert_eq!(rec.borrow().events().dropped(), 0);
     let mut rounds: Vec<Vec<Event>> = Vec::new();
     for e in rec.borrow().events().iter() {
         match e {
