@@ -8,6 +8,7 @@ use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
+use jitbull_mir::SlotSet;
 use jitbull_vm::compile_program;
 
 fn representative_trace() -> jitbull_mir::PassTrace {
@@ -20,9 +21,12 @@ fn representative_trace() -> jitbull_mir::PassTrace {
         trace: true,
         ..Default::default()
     };
-    compile(&CompileInput::new(m.function(fid), [], &vulns), &traced)
-        .unwrap()
-        .trace
+    compile(
+        &CompileInput::new(m.function(fid), SlotSet::new(), &vulns),
+        &traced,
+    )
+    .unwrap()
+    .trace
 }
 
 fn main() {

@@ -13,6 +13,7 @@ use jitbull_bench::timing::bench;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
+use jitbull_mir::SlotSet;
 use jitbull_vm::compile_program;
 use jitbull_workloads::workload;
 
@@ -71,7 +72,7 @@ fn main() {
     let module = compile_program(&program).expect("compiles");
     let fid = module.function_id("f").expect("function exists");
     let vulns = VulnConfig::none();
-    let input = CompileInput::new(module.function(fid), [], &vulns);
+    let input = CompileInput::new(module.function(fid), SlotSet::new(), &vulns);
     let traced = OptimizeOptions {
         trace: true,
         ..Default::default()

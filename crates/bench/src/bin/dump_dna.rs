@@ -6,6 +6,7 @@ use jitbull::extract_dna;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
+use jitbull_mir::SlotSet;
 use jitbull_vm::compile_program;
 
 fn dump(src: &str, which: &str, vulns: &VulnConfig) {
@@ -22,7 +23,7 @@ fn dump(src: &str, which: &str, vulns: &VulnConfig) {
             trace: true,
             ..Default::default()
         };
-        let r = compile(&CompileInput::new(f, [], vulns), &traced).unwrap();
+        let r = compile(&CompileInput::new(f, SlotSet::new(), vulns), &traced).unwrap();
         let dna = extract_dna(&r.trace);
         println!("--- fn {}", f.name);
         for (s, d) in dna.deltas.iter().enumerate() {

@@ -5,6 +5,7 @@ use jitbull::{CompareConfig, Guard};
 use jitbull_frontend::parse_program;
 use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::{CveId, VulnConfig};
+use jitbull_mir::SlotSet;
 use jitbull_vdc::validate::run_script;
 use jitbull_vdc::{
     alternate_implementation, build_database, generate, vdc, VariantKind, Vdc, VdcOutcome,
@@ -27,9 +28,8 @@ pub struct SecurityRow {
     /// Whether JITBULL flagged ≥1 function (disabled passes or vetoed the
     /// JIT).
     pub detected: bool,
-    /// Pipeline slots JITBULL disabled across functions, sorted and
-    /// deduplicated.
-    pub disabled_slots: Vec<usize>,
+    /// Pipeline slots JITBULL disabled across functions.
+    pub disabled_slots: SlotSet,
 }
 
 impl SecurityRow {
@@ -65,13 +65,10 @@ fn run_case(cve: CveId, case: &str, script: &Vdc, base: &Vdc) -> SecurityRow {
     // error ended it; its statistics take the module only for names.
     let program = parse_program(&script.source).expect("script parses");
     let module = compile_program(&program).expect("script compiles");
-    let mut disabled_slots: Vec<usize> = shielded
+    let disabled_slots = shielded
         .function_stats(&module)
         .iter()
-        .flat_map(|f| f.disabled_slots.iter().copied())
-        .collect();
-    disabled_slots.sort_unstable();
-    disabled_slots.dedup();
+        .fold(SlotSet::new(), |set, f| set.union(f.disabled_slots));
     SecurityRow {
         cve,
         case: case.to_string(),

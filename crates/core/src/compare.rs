@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use jitbull_mir::N_SLOTS;
+use jitbull_mir::{SlotSet, N_SLOTS};
 
 use crate::dna::{Chain, Dna, PassDelta};
 
@@ -60,7 +60,7 @@ pub fn deltas_similar(a: &PassDelta, b: &PassDelta, config: &CompareConfig) -> b
 /// (the `DisPass` contribution of this VDC). The indexed comparator
 /// ([`crate::index`]) must return byte-identical results to this
 /// function for every input; the differential harness enforces that.
-pub fn reference(f: &Dna, vdc: &Dna, config: &CompareConfig) -> Vec<usize> {
+pub fn reference(f: &Dna, vdc: &Dna, config: &CompareConfig) -> SlotSet {
     (0..N_SLOTS)
         .filter(|&i| deltas_similar(&f.deltas[i], &vdc.deltas[i], config))
         .collect()
@@ -191,7 +191,7 @@ mod tests {
         v.deltas[2].removed = set(&[&["boundscheck", "initializedlength"]]);
         f.deltas[3].added = set(&[&["mul", "neg"]]);
         v.deltas[3].added = set(&[&["bitxor", "typeof"]]);
-        assert_eq!(reference(&f, &v, &cfg), vec![2]);
+        assert_eq!(reference(&f, &v, &cfg), SlotSet::from_iter([2]));
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use jitbull_lir::LFunction;
-use jitbull_mir::{CompileKey, Label, SlotRun};
+use jitbull_mir::{CompileKey, Label, SlotRun, N_SLOTS};
 
 use crate::compare::CompareConfig;
 use crate::dna::Dna;
@@ -242,7 +242,7 @@ impl DnaMemo {
         for entry in inner.entries.values_mut() {
             entry.dna = Arc::clone(&garbage);
             if let Some((_, matches)) = &mut entry.verdict {
-                *matches = vec![(usize::MAX, vec![usize::MAX])];
+                *matches = vec![(usize::MAX, (0..N_SLOTS).collect())];
             }
             entry.output = Some(Arc::clone(&output));
         }
@@ -272,6 +272,7 @@ impl DnaMemo {
 mod tests {
     use super::*;
     use crate::dna::chain;
+    use jitbull_mir::SlotSet;
     use jitbull_vm::bytecode::{BinOp, Function, Op};
 
     /// The key of `function f(a) { return a + k; }`, no slot disabled.
@@ -287,7 +288,7 @@ mod tests {
                 Op::Return,
             ],
         };
-        CompileKey::new(&f, Vec::new(), 0)
+        CompileKey::new(&f, SlotSet::new(), 0)
     }
 
     fn add() -> CompileKey {
@@ -334,7 +335,7 @@ mod tests {
     #[test]
     fn verdict_is_served_only_under_its_stamp() {
         let memo = DnaMemo::new();
-        let matches: EntryMatches = vec![(0, vec![6])];
+        let matches: EntryMatches = vec![(0, SlotSet::from_iter([6]))];
         memo.insert(add(), entry(Some((stamp(7), matches.clone()))));
         let hit = served(&memo, &add(), Some(&stamp(7))).unwrap();
         assert_eq!(hit.verdict, Some((stamp(7), matches)));

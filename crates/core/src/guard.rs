@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
-use jitbull_mir::{CompileKey, PassTrace};
+use jitbull_mir::{CompileKey, PassTrace, SlotSet};
 use jitbull_telemetry::{Collector, Event};
 
 use crate::compare::CompareConfig;
@@ -61,11 +61,11 @@ pub const COMPARE_COST_PER_CHAIN: u64 = 60;
 /// The result of analysing one compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
-    /// Pipeline slots found similar to at least one VDC entry, sorted and
-    /// deduplicated (the paper's `DisPass`).
-    pub dangerous: Vec<usize>,
+    /// Pipeline slots found similar to at least one VDC entry (the
+    /// paper's `DisPass`).
+    pub dangerous: SlotSet,
     /// Which VDC entries matched: `(cve, function, slots)`.
-    pub matches: Vec<(String, String, Vec<usize>)>,
+    pub matches: Vec<(String, String, SlotSet)>,
     /// Simulated cycles the analysis consumed (extraction + comparison).
     pub cost_cycles: u64,
     /// The extracted DNA (kept so callers can install it into a DB —
@@ -316,15 +316,13 @@ impl Guard {
             self.memo.insert(key, entry);
         }
         let entries = self.db.entries();
-        let mut dangerous: Vec<usize> = Vec::new();
+        let mut dangerous = SlotSet::new();
         let mut matches = Vec::new();
         for (idx, slots) in hits {
             let e = &entries[idx];
-            dangerous.extend(&slots);
+            dangerous = dangerous.union(slots);
             matches.push((e.cve.clone(), e.function.clone(), slots));
         }
-        dangerous.sort_unstable();
-        dangerous.dedup();
         let analysis = Analysis {
             dangerous,
             matches,
@@ -465,7 +463,7 @@ mod tests {
             n_locals: 0,
             code: vec![Op::ConstNum(slot as f64), Op::Return],
         };
-        CompileKey::new(&f, Vec::new(), 0)
+        CompileKey::new(&f, SlotSet::new(), 0)
     }
 
     /// One engine round: look the compilation up, then analyse it (with
@@ -536,7 +534,7 @@ mod tests {
         let guard = Guard::new(db, cfg);
         assert!(guard.enabled());
         let analysis = guard.analyze_compile(Lookup::default(), &trace_removing_check(6), None);
-        assert_eq!(analysis.dangerous, vec![6]);
+        assert_eq!(analysis.dangerous, SlotSet::from_iter([6]));
         assert_eq!(analysis.matches.len(), 1);
         assert!(analysis.cost_cycles > 0);
     }
@@ -621,8 +619,8 @@ mod tests {
         let mut db = DnaDatabase::new();
         db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         assert_eq!(guard.memo_stats().verdict_hits, 1);
         assert_eq!(guard.comparator_stats().queries, 1);
         // Removing the CVE must not serve the stale cached verdict: the
@@ -642,12 +640,12 @@ mod tests {
         db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         guard.set_comparator_mode(ComparatorMode::Reference);
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         // The DNA is shared with an indexed guard; the verdict is not.
         let mut indexed = guard.clone();
         indexed.set_comparator_mode(ComparatorMode::Indexed);
-        assert_eq!(round(&indexed, 6, None).dangerous, vec![6]);
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&indexed, 6, None).dangerous, SlotSet::from_iter([6]));
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         let stats = guard.memo_stats();
         assert_eq!((stats.hits, stats.verdict_hits), (2, 0));
     }
@@ -660,7 +658,7 @@ mod tests {
         db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         // Warm the verdict cache.
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         // Poison the comparator state on the next query.
         guard.set_fault_injector(FaultInjector::from_plan(FaultPlan::new(5).script(
             Site::ComparatorQuery,
@@ -672,13 +670,13 @@ mod tests {
         let analysis = round(&guard, 6, Some(&mut rec));
         assert_eq!(
             analysis.dangerous,
-            vec![6],
+            SlotSet::from_iter([6]),
             "a poisoned index must cost a rebuild, never a wrong verdict"
         );
         assert_eq!(guard.comparator_stats().poison_purges, 1);
         assert_eq!(rec.metrics().counter("recovery.cache_poison_purged"), 1);
         // The fault window is over: the next query is clean again.
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         assert_eq!(guard.comparator_stats().poison_purges, 1);
     }
 
@@ -738,7 +736,7 @@ mod tests {
         db.install("CVE-A", "f", extract_dna(&trace_removing_check(6)));
         let mut guard = Guard::new(db, cfg);
         // Warm the memo.
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         // Poison the memo on the next lookup.
         guard.set_fault_injector(FaultInjector::from_plan(FaultPlan::new(5).script(
             Site::ExtractQuery,
@@ -750,13 +748,13 @@ mod tests {
         let analysis = round(&guard, 6, Some(&mut rec));
         assert_eq!(
             analysis.dangerous,
-            vec![6],
+            SlotSet::from_iter([6]),
             "a poisoned memo must cost a re-extraction, never a wrong verdict"
         );
         assert_eq!(guard.memo_stats().poison_purges, 1);
         assert_eq!(rec.metrics().counter("recovery.extract_memo_purged"), 1);
         // The fault window is over: the next analysis re-warms cleanly.
-        assert_eq!(round(&guard, 6, None).dangerous, vec![6]);
+        assert_eq!(round(&guard, 6, None).dangerous, SlotSet::from_iter([6]));
         assert_eq!(guard.memo_stats().poison_purges, 1);
     }
 
@@ -777,7 +775,7 @@ mod tests {
         });
         trace.records.extend(trace_removing_check(11).records);
         let analysis = guard.analyze_compile(Lookup::default(), &trace, None);
-        assert_eq!(analysis.dangerous, vec![6, 11]);
+        assert_eq!(analysis.dangerous, SlotSet::from_iter([6, 11]));
         assert_eq!(analysis.matches.len(), 2);
     }
 }

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use jitbull_mir::{Label, N_SLOTS};
+use jitbull_mir::{Label, SlotSet, N_SLOTS};
 
 use crate::compare::CompareConfig;
 use crate::db::DnaDatabase;
@@ -224,10 +224,10 @@ pub struct IndexStats {
     pub poison_purges: u64,
 }
 
-/// Per-entry dangerous-slot lists, in database-entry order; entries with
-/// no similar slot are omitted. Index positions refer to
+/// Per-entry dangerous slots, in database-entry order; entries with no
+/// similar slot are omitted. Index positions refer to
 /// [`DnaDatabase::entries`] at the generation the query ran against.
-pub type EntryMatches = Vec<(usize, Vec<usize>)>;
+pub type EntryMatches = Vec<(usize, SlotSet)>;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ScanCounters {
@@ -280,7 +280,7 @@ fn dangerous_slots_indexed(
     entry: &IndexedDna,
     config: &CompareConfig,
     counters: &mut ScanCounters,
-) -> Vec<usize> {
+) -> SlotSet {
     (0..N_SLOTS)
         .filter(|&i| delta_pair_similar(&query[i], &entry[i], config, counters))
         .collect()
@@ -466,7 +466,7 @@ mod tests {
         let mut index = ComparatorIndex::default();
         index.ensure(&db);
         let (matches, receipt) = index.query(&vdc, &cfg);
-        assert_eq!(matches, vec![(0, vec![3])]);
+        assert_eq!(matches, vec![(0, SlotSet::from_iter([3]))]);
         assert!(!receipt.cache_hit);
         assert!(receipt.cost_cycles > 0);
         // Reference agrees.
@@ -487,7 +487,10 @@ mod tests {
         db.install("CVE-A", "f", vdc.clone());
         let mut index = ComparatorIndex::default();
         index.ensure(&db);
-        assert_eq!(index.query(&vdc, &cfg).0, vec![(0, vec![3])]);
+        assert_eq!(
+            index.query(&vdc, &cfg).0,
+            vec![(0, SlotSet::from_iter([3]))]
+        );
         assert_eq!(index.ensure(&db), 0, "an unchanged database is not rebuilt");
         db.remove_cve("CVE-A");
         index.ensure(&db);
@@ -504,7 +507,7 @@ mod tests {
         let mut index = ComparatorIndex::default();
         index.ensure(&db);
         let (clean, _) = index.query(&vdc, &cfg);
-        assert_eq!(clean, vec![(0, vec![3])]);
+        assert_eq!(clean, vec![(0, SlotSet::from_iter([3]))]);
         index.poison();
         // The poisoned generation stamp (0) can never match a real
         // database generation, so ensure() must rebuild and purge.

@@ -1,18 +1,19 @@
 //! The go / no-go policy (paper §V, scenarios 1–3).
 
+use jitbull_mir::SlotSet;
 use jitbull_telemetry::{Collector, Event, Verdict};
 
 /// JITBULL's verdict for one compilation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Scenario 1: no dangerous passes — use the optimized code as-is.
     Go,
     /// Scenario 2: all dangerous passes can be disabled — recompile the
     /// function with exactly these pipeline slots turned off.
-    Recompile(Vec<usize>),
+    Recompile(SlotSet),
     /// Scenario 3: at least one dangerous pass is mandatory — abandon
     /// optimized compilation for this function only.
-    NoJit(Vec<usize>),
+    NoJit(SlotSet),
 }
 
 impl Decision {
@@ -22,21 +23,20 @@ impl Decision {
     }
 
     /// The dangerous pass slots (empty for [`Decision::Go`]).
-    pub fn dangerous_passes(&self) -> &[usize] {
-        match self {
-            Decision::Go => &[],
+    pub fn dangerous_passes(&self) -> SlotSet {
+        match *self {
+            Decision::Go => SlotSet::new(),
             Decision::Recompile(p) | Decision::NoJit(p) => p,
         }
     }
 }
 
-/// Applies the paper's three-scenario policy to a dangerous-pass list.
-/// `disableable(slot)` answers whether the engine can turn that pipeline
-/// slot off.
-pub fn decide(dangerous: Vec<usize>, disableable: impl Fn(usize) -> bool) -> Decision {
+/// Applies the paper's three-scenario policy to the dangerous passes.
+/// `disableable` holds the pipeline slots the engine can turn off.
+pub fn decide(dangerous: SlotSet, disableable: SlotSet) -> Decision {
     if dangerous.is_empty() {
         Decision::Go
-    } else if dangerous.iter().all(|&p| disableable(p)) {
+    } else if dangerous.is_subset(disableable) {
         Decision::Recompile(dangerous)
     } else {
         Decision::NoJit(dangerous)
@@ -46,13 +46,13 @@ pub fn decide(dangerous: Vec<usize>, disableable: impl Fn(usize) -> bool) -> Dec
 /// Like [`decide`], additionally reporting the verdict for `function` as
 /// an [`Event::PolicyDecision`] to `collector`.
 pub fn decide_observed(
-    dangerous: Vec<usize>,
-    disableable: impl Fn(usize) -> bool,
+    dangerous: SlotSet,
+    disableable: SlotSet,
     function: &str,
     collector: &mut dyn Collector,
 ) -> Decision {
     let decision = decide(dangerous, disableable);
-    let verdict = match &decision {
+    let verdict = match decision {
         Decision::Go => Verdict::Go,
         Decision::Recompile(_) => Verdict::Recompile,
         Decision::NoJit(_) => Verdict::NoJit,
@@ -60,7 +60,7 @@ pub fn decide_observed(
     collector.record(Event::PolicyDecision {
         function: function.to_owned(),
         verdict,
-        slots: decision.dangerous_passes().to_vec(),
+        slots: decision.dangerous_passes().iter().collect(),
     });
     decision
 }
@@ -68,10 +68,15 @@ pub fn decide_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jitbull_mir::N_SLOTS;
+
+    fn slots(list: impl IntoIterator<Item = usize>) -> SlotSet {
+        list.into_iter().collect()
+    }
 
     #[test]
     fn empty_list_is_go() {
-        let d = decide(vec![], |_| true);
+        let d = decide(SlotSet::new(), slots(0..N_SLOTS));
         assert_eq!(d, Decision::Go);
         assert!(d.is_go());
         assert!(d.dangerous_passes().is_empty());
@@ -79,15 +84,15 @@ mod tests {
 
     #[test]
     fn all_disableable_recompiles() {
-        let d = decide(vec![3, 7], |_| true);
-        assert_eq!(d, Decision::Recompile(vec![3, 7]));
-        assert_eq!(d.dangerous_passes(), &[3, 7]);
+        let d = decide(slots([3, 7]), slots(0..N_SLOTS));
+        assert_eq!(d, Decision::Recompile(slots([3, 7])));
+        assert_eq!(d.dangerous_passes(), slots([3, 7]));
     }
 
     #[test]
     fn any_mandatory_forces_nojit() {
-        let d = decide(vec![0, 7], |slot| slot != 0);
-        assert_eq!(d, Decision::NoJit(vec![0, 7]));
+        let d = decide(slots([0, 7]), slots(1..N_SLOTS));
+        assert_eq!(d, Decision::NoJit(slots([0, 7])));
         assert!(!d.is_go());
     }
 }

@@ -1,10 +1,9 @@
 //! Campaign running and automatic DNA installation.
 
-use std::collections::HashSet;
-
 use jitbull::{CompareConfig, DnaDatabase, Guard};
 use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::VulnConfig;
+use jitbull_mir::SlotSet;
 use jitbull_telemetry::{Collector, Event, NoopCollector};
 use jitbull_vdc::dna::{extract_program_dna, extract_program_dna_with};
 use jitbull_vdc::validate::run_script;
@@ -197,13 +196,12 @@ pub fn install_until_neutralized_observed(
         let program = jitbull_frontend::parse_program(&find.source)
             .map_err(|e| VmError::Parse(e.to_string()))?;
         let module = jitbull_vm::compile_program(&program)?;
-        let disabled: HashSet<usize> = guarded
+        let disabled = guarded
             .function_stats(&module)
             .iter()
-            .flat_map(|f| f.disabled_slots.iter().copied())
-            .collect();
+            .fold(SlotSet::new(), |set, f| set.union(f.disabled_slots));
         let before = db.len();
-        for (function, dna) in extract_program_dna_with(&find.source, vulns, &disabled)? {
+        for (function, dna) in extract_program_dna_with(&find.source, vulns, disabled)? {
             db.install(format!("FUZZ-{:08}", find.seed), function, dna);
         }
         if db.len() == before {

@@ -28,7 +28,6 @@
 //! its compile cache) and the collector carry from one script to the next.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -37,14 +36,14 @@ use jitbull::{decide, decide_observed, Decision, Guard, Lookup, PipelineOutput};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
 use jitbull_lir::LFunction;
-use jitbull_mir::{MirFunction, PassTrace, N_SLOTS};
+use jitbull_mir::{MirFunction, PassTrace, SlotSet, N_SLOTS};
 use jitbull_telemetry::{Collector, Event, Tier};
 use jitbull_vm::bytecode::{FuncId, Module};
 use jitbull_vm::interp;
 use jitbull_vm::runtime::{ExploitStatus, Outcome, Runtime, BASELINE_COST, INTERP_COST};
 use jitbull_vm::{compile_program, Dispatcher, Value, VmError};
 
-use crate::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions};
+use crate::pipeline::{compile, CompileInput, OptimizeOptions, DISABLEABLE};
 use crate::vuln::VulnConfig;
 
 /// Cycle cost charged per bytecode op for a baseline compilation.
@@ -72,8 +71,9 @@ pub struct EngineConfig {
     /// Execution fuel (ops) for runs started through [`Engine::run_source`].
     pub fuel: u64,
     /// Pipeline slots to skip unconditionally (debugging / ablations —
-    /// e.g. "run everything without GVN"). Mandatory slots still run.
-    pub disabled_slots: HashSet<usize>,
+    /// e.g. "run everything without GVN"). Mandatory slots still run, and
+    /// are still analysed: a dangerous one gets the function no-go.
+    pub disabled_slots: SlotSet,
     /// Chaos fault injector, threaded into the pipeline and the guard.
     /// Disabled by default (zero overhead, zero cycle-model impact).
     pub faults: FaultInjector,
@@ -98,7 +98,7 @@ impl Default for EngineConfig {
             vulns: VulnConfig::none(),
             whole_jit_policy: false,
             fuel: 500_000_000,
-            disabled_slots: HashSet::new(),
+            disabled_slots: SlotSet::new(),
             faults: FaultInjector::disabled(),
             watchdog_budget: None,
             quarantine: Quarantine::default(),
@@ -142,7 +142,7 @@ pub struct FunctionStats {
     /// Final tier.
     pub tier: TierStats,
     /// Pipeline slots JITBULL disabled for this function.
-    pub disabled_slots: Vec<usize>,
+    pub disabled_slots: SlotSet,
     /// Vulnerabilities (by CVE name) whose incorrect transform fired in
     /// this function's final compilation.
     pub vulns_fired: Vec<String>,
@@ -176,9 +176,9 @@ enum FuncTier {
 /// What JITBULL decided for a function's optimizing compilation.
 #[derive(Debug, Default)]
 struct Verdict {
-    /// Slots JITBULL disabled (those the configuration disabled on its own
-    /// excluded), sorted.
-    disabled_slots: Vec<usize>,
+    /// Slots JITBULL disabled (those the pipeline skips for the
+    /// configuration alone excluded).
+    disabled_slots: SlotSet,
     /// VDC entries matched: (cve, vdc function name).
     matched: Vec<(String, String)>,
 }
@@ -291,7 +291,7 @@ impl Engine {
                     FuncTier::Ion { .. } => TierStats::IonPassesDisabled,
                     FuncTier::NoIon => TierStats::NoIon,
                 },
-                disabled_slots: st.verdict.disabled_slots.clone(),
+                disabled_slots: st.verdict.disabled_slots,
                 vulns_fired: match &st.tier {
                     FuncTier::Ion { vulns_fired, .. } => {
                         vulns_fired.iter().map(|&cve| cve.to_owned()).collect()
@@ -359,8 +359,8 @@ impl Engine {
             cause: "watchdog",
         });
         let verdict = Verdict {
-            disabled_slots: Vec::new(),
             matched,
+            ..Verdict::default()
         };
         (FuncTier::Pinned, verdict)
     }
@@ -454,8 +454,11 @@ impl Engine {
         // analyzed again: disabling one dangerous pass can unshadow a
         // different buggy transform further down the pipeline, which the
         // next round then catches. The loop reaches a fixpoint because
-        // the disabled set only grows.
-        let mut disabled: HashSet<usize> = self.config.disabled_slots.clone();
+        // the disabled set only grows. It starts from the configured slots
+        // the pipeline skips: a configured mandatory slot still runs, so
+        // its danger is still news to the policy.
+        let configured = self.config.disabled_slots.intersection(DISABLEABLE);
+        let mut disabled = configured;
         let mut matched: Vec<(String, String)> = Vec::new();
         // Watchdog accounting: cycles charged for this function's whole
         // compilation (every round, analysis included).
@@ -465,7 +468,7 @@ impl Engine {
                 function: name.clone(),
                 tier: Tier::Ion,
             });
-            let input = CompileInput::new(function, disabled.iter().copied(), &self.config.vulns);
+            let input = CompileInput::new(function, disabled, &self.config.vulns);
             let lookup = self
                 .guard
                 .as_ref()
@@ -558,34 +561,21 @@ impl Engine {
                     matched.push(entry);
                 }
             }
-            let fresh: Vec<usize> = analysis
-                .dangerous
-                .iter()
-                .copied()
-                .filter(|s| !disabled.contains(s))
-                .collect();
+            let fresh = analysis.dangerous.difference(disabled);
             let decision = match &self.collector {
-                Some(c) => decide_observed(fresh, slot_disableable, name, &mut *c.borrow_mut()),
-                None => decide(fresh, slot_disableable),
+                Some(c) => decide_observed(fresh, DISABLEABLE, name, &mut *c.borrow_mut()),
+                None => decide(fresh, DISABLEABLE),
             };
             let (no_go, vetoed) = match decision {
-                Decision::Go => (false, Vec::new()),
+                Decision::Go => (false, SlotSet::new()),
                 Decision::Recompile(slots) => {
-                    disabled.extend(slots);
+                    disabled = disabled.union(slots);
                     continue;
                 }
                 Decision::NoJit(slots) => (true, slots),
             };
-            let mut disabled_slots: Vec<usize> = disabled
-                .iter()
-                .copied()
-                .chain(vetoed)
-                .filter(|s| !self.config.disabled_slots.contains(s))
-                .collect();
-            disabled_slots.sort_unstable();
-            disabled_slots.dedup();
             let verdict = Verdict {
-                disabled_slots,
+                disabled_slots: disabled.union(vetoed).difference(configured),
                 matched,
             };
             // The whole-JIT ablation vetoes every function JITBULL touched.
@@ -597,8 +587,8 @@ impl Engine {
         // Could not reach a clean compilation within the round budget:
         // conservative no-Ion fallback.
         let verdict = Verdict {
-            disabled_slots: Vec::new(),
             matched,
+            ..Verdict::default()
         };
         (FuncTier::NoIon, verdict)
     }

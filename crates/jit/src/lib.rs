@@ -6,8 +6,8 @@
 //!
 //! * [`passes`] — the optimization passes (GVN, LICM, DCE, bounds-check
 //!   elimination, type specialization, …). Each pipeline slot is either
-//!   *disableable* or *mandatory*, which is what gives JITBULL's policy its
-//!   three scenarios.
+//!   *disableable* (a member of [`DISABLEABLE`]) or *mandatory*, which is
+//!   what gives JITBULL's policy its three scenarios.
 //! * [`pipeline`] — pass ordering (`OptimizeMIR`), per-slot disabling,
 //!   snapshot tracing for the Δ extractor, and vulnerability hooks.
 //! * [`vuln`] — faithful models of eight real IonMonkey CVEs as *incorrect
@@ -45,5 +45,5 @@ pub mod pipeline;
 pub mod vuln;
 
 pub use engine::{Engine, EngineConfig, EngineOutcome, FunctionStats, TierStats};
-pub use pipeline::{compile, CompileInput, OptimizeOptions, OptimizeResult, PIPELINE};
+pub use pipeline::{compile, CompileInput, OptimizeOptions, OptimizeResult, DISABLEABLE, PIPELINE};
 pub use vuln::{CveId, VulnConfig};

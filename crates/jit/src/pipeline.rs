@@ -10,7 +10,8 @@ use jitbull::PipelineOutput;
 use jitbull_chaos::{FaultInjector, FaultKind, FaultSite};
 use jitbull_mir::build::MirBuildError;
 use jitbull_mir::{
-    build_mir, CompileKey, MirFunction, MirSnapshot, PassRecord, PassTrace, SlotRun, N_SLOTS,
+    build_mir, CompileKey, MirFunction, MirSnapshot, PassRecord, PassTrace, SlotRun, SlotSet,
+    N_SLOTS,
 };
 use jitbull_vm::bytecode::Function;
 
@@ -240,10 +241,19 @@ pub const PIPELINE: [PassSlot; N_SLOTS] = [
     },
 ];
 
-/// Whether a slot may be disabled by JITBULL's policy.
-pub fn slot_disableable(slot_index: usize) -> bool {
-    PIPELINE[slot_index].disableable
-}
+/// The slots JITBULL's policy may disable: every [`PassSlot`] of
+/// [`PIPELINE`] marked `disableable`.
+pub const DISABLEABLE: SlotSet = {
+    let mut set = SlotSet::new();
+    let mut slot = 0;
+    while slot < N_SLOTS {
+        if PIPELINE[slot].disableable {
+            set.insert(slot);
+        }
+        slot += 1;
+    }
+    set
+};
 
 /// Everything one optimizing compilation's output depends on: the
 /// function's bytecode, the disableable slots the pipeline skips and the
@@ -253,8 +263,8 @@ pub fn slot_disableable(slot_index: usize) -> bool {
 #[derive(Debug, Clone)]
 pub struct CompileInput<'a> {
     function: &'a Function,
-    /// Disableable slots to skip, sorted.
-    skipped: Vec<usize>,
+    /// Disableable slots to skip.
+    skipped: SlotSet,
     vulns: &'a VulnConfig,
 }
 
@@ -262,20 +272,10 @@ impl<'a> CompileInput<'a> {
     /// The input for compiling `function` with the slots in `disabled`
     /// off, in an engine with `vulns` present. Mandatory slots run
     /// whatever `disabled` says, so they are dropped from it here.
-    pub fn new(
-        function: &'a Function,
-        disabled: impl IntoIterator<Item = usize>,
-        vulns: &'a VulnConfig,
-    ) -> Self {
-        let mut skipped: Vec<usize> = disabled
-            .into_iter()
-            .filter(|&s| s < N_SLOTS && slot_disableable(s))
-            .collect();
-        skipped.sort_unstable();
-        skipped.dedup();
+    pub fn new(function: &'a Function, disabled: SlotSet, vulns: &'a VulnConfig) -> Self {
         CompileInput {
             function,
-            skipped,
+            skipped: disabled.intersection(DISABLEABLE),
             vulns,
         }
     }
@@ -287,11 +287,7 @@ impl<'a> CompileInput<'a> {
 
     /// The compile-cache key of this input.
     pub fn key(&self) -> CompileKey {
-        CompileKey::new(self.function, self.skipped.clone(), self.vulns.mask())
-    }
-
-    fn skips(&self, slot: usize) -> bool {
-        self.skipped.binary_search(&slot).is_ok()
+        CompileKey::new(self.function, self.skipped, self.vulns.mask())
     }
 }
 
@@ -381,7 +377,7 @@ fn optimize(
     let mut slot_runs = Vec::new();
     let mut injected = Vec::new();
     for (index, slot) in PIPELINE.iter().enumerate() {
-        if input.skips(index) {
+        if input.skipped.contains(index) {
             continue;
         }
         let mut stall_work = 0u64;
@@ -460,7 +456,7 @@ mod tests {
         let m = compile_program(&parse_program(src).unwrap()).unwrap();
         let f = m.function(m.function_id(name).unwrap());
         compile(
-            &CompileInput::new(f, disabled.iter().copied(), vulns),
+            &CompileInput::new(f, disabled.iter().copied().collect(), vulns),
             options,
         )
         .unwrap()
@@ -553,8 +549,11 @@ mod tests {
             compile_program(&parse_program("function f(a) { return a + 1; }").unwrap()).unwrap();
         let f = m.function(m.function_id("f").unwrap());
         let vulns = VulnConfig::none();
-        let input = CompileInput::new(f, [slot::RENUMBER_FINAL], &vulns);
-        assert_eq!(input.key(), CompileInput::new(f, [], &vulns).key());
+        let input = CompileInput::new(f, SlotSet::from_iter([slot::RENUMBER_FINAL]), &vulns);
+        assert_eq!(
+            input.key(),
+            CompileInput::new(f, SlotSet::new(), &vulns).key()
+        );
         let result = compile(&input, &OptimizeOptions::default()).unwrap();
         assert!(result.broken.is_none());
         // Final renumber still ran: ids are dense.
@@ -755,7 +754,11 @@ mod tests {
         let src = "function f(a, b) { return (a + b) * (a + b); }";
         let m = compile_program(&parse_program(src).unwrap()).unwrap();
         let vulns = VulnConfig::none();
-        let input = CompileInput::new(m.function(m.function_id("f").unwrap()), [], &vulns);
+        let input = CompileInput::new(
+            m.function(m.function_id("f").unwrap()),
+            SlotSet::new(),
+            &vulns,
+        );
         let r1 = compile(&input, &OptimizeOptions::default()).unwrap();
         let count1 = r1.mir.instr_count();
         let r2 = optimize(r1.mir, &input, &OptimizeOptions::default());

@@ -21,8 +21,9 @@
 //!   just as the paper argues the approach ports to TurboFan;
 //! * [`key`] — the [`CompileKey`] the core's compile cache is keyed on
 //!   (every input of one optimizing compilation, taken before the
-//!   pipeline runs) and [`N_SLOTS`], the pipeline length: a constant that
-//!   sizes the pipeline table and every DNA, never a parameter.
+//!   pipeline runs), [`N_SLOTS`], the pipeline length: a constant that
+//!   sizes the pipeline table and every DNA, never a parameter, and
+//!   [`SlotSet`], the one set-of-slots type.
 //!
 //! # Examples
 //!
@@ -51,7 +52,7 @@ pub mod snapshot;
 pub use build::build_mir;
 pub use graph::{Block, BlockId, MirFunction};
 pub use instr::{InstrId, Instruction};
-pub use key::{CompileKey, N_SLOTS};
+pub use key::{CompileKey, SlotSet, N_SLOTS};
 pub use label::Label;
 pub use opcode::{CmpOp, ConstVal, MOpcode, TypeHint};
 pub use snapshot::{MirSnapshot, PassRecord, PassTrace, SlotRun, SnapInstr};

@@ -12,6 +12,7 @@ use jitbull::{Dna, DnaDatabase};
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
+use jitbull_mir::SlotSet;
 use jitbull_vm::{compile_program, VmError};
 
 use crate::catalog::Vdc;
@@ -31,7 +32,7 @@ pub fn extract_dna(v: &Vdc, vulns: &VulnConfig) -> Result<Vec<(String, Dna)>, Vm
         let fid = module
             .function_id(name)
             .ok_or_else(|| VmError::Compile(format!("trigger `{name}` missing in {}", v.name)))?;
-        let input = CompileInput::new(module.function(fid), [], vulns);
+        let input = CompileInput::new(module.function(fid), SlotSet::new(), vulns);
         let result = compile(&input, &traced()).map_err(|e| VmError::Compile(e.to_string()))?;
         let dna = jitbull::extract_dna(&result.trace);
         out.push((name.clone(), dna));
@@ -50,7 +51,7 @@ pub fn extract_program_dna(
     source: &str,
     vulns: &VulnConfig,
 ) -> Result<Vec<(String, Dna)>, VmError> {
-    extract_program_dna_with(source, vulns, &std::collections::HashSet::new())
+    extract_program_dna_with(source, vulns, SlotSet::new())
 }
 
 /// Like [`extract_program_dna`], but compiling with the given pipeline
@@ -64,7 +65,7 @@ pub fn extract_program_dna(
 pub fn extract_program_dna_with(
     source: &str,
     vulns: &VulnConfig,
-    disabled_slots: &std::collections::HashSet<usize>,
+    disabled_slots: SlotSet,
 ) -> Result<Vec<(String, Dna)>, VmError> {
     let program = parse_program(source).map_err(|e| VmError::Parse(e.to_string()))?;
     let module = compile_program(&program)?;
@@ -73,7 +74,7 @@ pub fn extract_program_dna_with(
         if f.name == "<main>" {
             continue;
         }
-        let input = CompileInput::new(f, disabled_slots.iter().copied(), vulns);
+        let input = CompileInput::new(f, disabled_slots, vulns);
         let Ok(result) = compile(&input, &traced()) else {
             continue;
         };

@@ -11,7 +11,7 @@ use jitbull::extract_dna;
 use jitbull_frontend::parse_program;
 use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, PIPELINE};
 use jitbull_jit::{CveId, VulnConfig};
-use jitbull_mir::build_mir;
+use jitbull_mir::{build_mir, SlotSet};
 use jitbull_vm::compile_program;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             VulnConfig::with([CveId::Cve2019_17026]),
         ),
     ] {
-        let input = CompileInput::new(module.function(fid), [], &vulns);
+        let input = CompileInput::new(module.function(fid), SlotSet::new(), &vulns);
         let traced = OptimizeOptions {
             trace: true,
             ..Default::default()

@@ -34,10 +34,9 @@ use jitbull_frontend::visit::mutate_exprs_in_stmts;
 use jitbull_frontend::{parse_program, print_program};
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig, FunctionStats};
-use jitbull_jit::pipeline::{compile, slot_disableable, CompileInput, OptimizeOptions};
+use jitbull_jit::pipeline::{compile, CompileInput, OptimizeOptions, DISABLEABLE};
 use jitbull_jit::{CveId, VulnConfig};
-use jitbull_mir::PassTrace;
-use jitbull_mir::N_SLOTS;
+use jitbull_mir::{PassTrace, SlotSet, N_SLOTS};
 use jitbull_prng::Rng;
 use jitbull_vdc::{all_vdcs, build_database};
 use jitbull_vm::bytecode::Function;
@@ -143,17 +142,15 @@ fn oracle(guard: &Guard, input: &CompileInput<'_>) -> Analysis {
         ..OptimizeOptions::default()
     };
     let dna = extract_dna(&compile(input, &traced).unwrap().trace);
-    let mut dangerous = Vec::new();
+    let mut dangerous = SlotSet::new();
     let mut matches = Vec::new();
     for e in guard.db().entries() {
         let slots = reference(&dna, &e.dna, guard.config());
         if !slots.is_empty() {
-            dangerous.extend(&slots);
+            dangerous = dangerous.union(slots);
             matches.push((e.cve.clone(), e.function.clone(), slots));
         }
     }
-    dangerous.sort_unstable();
-    dangerous.dedup();
     Analysis {
         dangerous,
         matches,
@@ -202,12 +199,12 @@ struct Checked {
 /// every round against the oracles.
 fn compile_checked(guard: &Guard, function: &Function, label: &str, seen: &mut Checked) {
     let vulns = VulnConfig::all();
-    let mut disabled: Vec<usize> = Vec::new();
+    let mut disabled = SlotSet::new();
     for round in 1..=N_SLOTS + 1 {
         let label = format!("{label} round {round}");
         seen.rounds += 1;
         seen.recompiled += usize::from(round == 2);
-        let input = CompileInput::new(function, disabled.iter().copied(), &vulns);
+        let input = CompileInput::new(function, disabled, &vulns);
         let mut lookup = guard.lookup(input.key());
         let (output, mir, trace) = match lookup.output().cloned() {
             Some(output) => {
@@ -239,13 +236,8 @@ fn compile_checked(guard: &Guard, function: &Function, label: &str, seen: &mut C
             got.matches, expected.matches,
             "{label}: verdict differs from the reference comparator"
         );
-        let fresh: Vec<usize> = got
-            .dangerous
-            .into_iter()
-            .filter(|s| !disabled.contains(s))
-            .collect();
-        match decide(fresh, slot_disableable) {
-            Decision::Recompile(slots) => disabled.extend(slots),
+        match decide(got.dangerous.difference(disabled), DISABLEABLE) {
+            Decision::Recompile(slots) => disabled = disabled.union(slots),
             Decision::NoJit(_) => return,
             Decision::Go => {
                 output.code.get_or_init(|| {

@@ -5,6 +5,7 @@
 use jitbull::{CompareConfig, DnaDatabase, Guard};
 use jitbull_jit::engine::{Engine, EngineConfig};
 use jitbull_jit::{CveId, VulnConfig};
+use jitbull_mir::SlotSet;
 use jitbull_vdc::validate::run_script;
 use jitbull_vdc::{build_database, vdc};
 
@@ -71,7 +72,7 @@ fn ion_round(guard: &Guard, source: &str, name: &str, vulns: &VulnConfig) -> jit
     let module = jitbull_vm::compile_program(&program).unwrap();
     let input = CompileInput::new(
         module.function(module.function_id(name).unwrap()),
-        [],
+        SlotSet::new(),
         vulns,
     );
     let lookup = guard.lookup(input.key());

@@ -12,7 +12,7 @@
 //! divergence.
 
 use jitbull::{extract_delta, extract_dna, IncrementalExtractor};
-use jitbull_mir::{Label, MirSnapshot, PassRecord, PassTrace, SnapInstr};
+use jitbull_mir::{Label, MirSnapshot, PassRecord, PassTrace, SlotSet, SnapInstr};
 use jitbull_prng::Rng;
 
 const LABELS: &[&str] = &[
@@ -274,7 +274,11 @@ fn full_vdc_catalog_extracts_identically() {
                 trace: true,
                 ..Default::default()
             };
-            let result = compile(&CompileInput::new(function, [], &vulns), &traced).unwrap();
+            let result = compile(
+                &CompileInput::new(function, SlotSet::new(), &vulns),
+                &traced,
+            )
+            .unwrap();
             let expected = extract_dna(&result.trace);
             let (got, _) = incremental.extract_dna(&result.trace);
             assert_eq!(got, expected, "divergence: vdc={} fn={name}", v.name);
@@ -314,7 +318,7 @@ fn real_pipeline_traces_extract_identically() {
             } else {
                 VulnConfig::none()
             };
-            let disabled: Vec<usize> = (0..N_SLOTS).filter(|_| rng.gen_bool(0.2)).collect();
+            let disabled: SlotSet = (0..N_SLOTS).filter(|_| rng.gen_bool(0.2)).collect();
             let input = CompileInput::new(function, disabled, &vulns);
             let traced = OptimizeOptions {
                 trace: true,

@@ -256,7 +256,7 @@ fn traced_f(source: &str) -> jitbull_mir::PassTrace {
     let vulns = VulnConfig::none();
     let input = CompileInput::new(
         module.function(module.function_id("f").unwrap()),
-        [],
+        jitbull_mir::SlotSet::new(),
         &vulns,
     );
     let options = OptimizeOptions {
@@ -272,7 +272,7 @@ fn key_f(source: &str) -> jitbull_mir::CompileKey {
     let program = jitbull_frontend::parse_program(source).unwrap();
     let module = jitbull_vm::compile_program(&program).unwrap();
     let f = module.function(module.function_id("f").unwrap());
-    CompileInput::new(f, [], &VulnConfig::none()).key()
+    CompileInput::new(f, jitbull_mir::SlotSet::new(), &VulnConfig::none()).key()
 }
 
 #[test]

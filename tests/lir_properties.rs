@@ -13,6 +13,7 @@ use jitbull_jit::pipeline::{CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
 use jitbull_lir::regalloc::{allocate, verify};
 use jitbull_lir::{compile, lower};
+use jitbull_mir::SlotSet;
 use jitbull_vm::compile_program;
 
 fn source_for(seed: u64) -> String {
@@ -31,7 +32,7 @@ fn lowering_and_allocation_are_sound() {
         let module = compile_program(&program).expect("compiles");
         let vulns = VulnConfig::none();
         for (i, f) in module.functions.iter().enumerate() {
-            let input = CompileInput::new(f, [], &vulns);
+            let input = CompileInput::new(f, SlotSet::new(), &vulns);
             let optimized =
                 jitbull_jit::compile(&input, &OptimizeOptions::default()).expect("mir builds");
             assert!(optimized.broken.is_none(), "seed {seed}");

@@ -107,14 +107,14 @@ fn iterated_extraction_reaches_a_protective_fixpoint() {
     let hot = stats.iter().find(|f| f.name == "hot").unwrap();
     assert!(
         hot.disabled_slots
-            .contains(&CveId::Cve2019_11707.pass_slot()),
+            .contains(CveId::Cve2019_11707.pass_slot()),
         "slot {} missing from {:?}",
         CveId::Cve2019_11707.pass_slot(),
         hot.disabled_slots
     );
     assert!(
         hot.disabled_slots
-            .contains(&CveId::Cve2020_26952.pass_slot()),
+            .contains(CveId::Cve2020_26952.pass_slot()),
         "slot {} missing from {:?}",
         CveId::Cve2020_26952.pass_slot(),
         hot.disabled_slots

@@ -6,18 +6,18 @@
 use jitbull_frontend::parse_program;
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig};
-use jitbull_jit::pipeline::slot_disableable;
-use jitbull_mir::N_SLOTS;
+use jitbull_jit::pipeline::DISABLEABLE;
+use jitbull_mir::SlotSet;
 use jitbull_workloads::workload;
 
-fn run(source: &str, disabled: &[usize]) -> Vec<String> {
+fn run(source: &str, disabled: SlotSet) -> Vec<String> {
     Engine::run_source(
         source,
         EngineConfig {
             baseline_threshold: 3,
             ion_threshold: 6,
             fuel: 3_000_000,
-            disabled_slots: disabled.iter().copied().collect(),
+            disabled_slots: disabled,
             ..Default::default()
         },
     )
@@ -34,12 +34,9 @@ fn disabling_any_single_slot_preserves_generated_program_behaviour() {
             body_len: 6,
         });
         parse_program(&source).expect("generated source parses");
-        let baseline = run(&source, &[]);
-        for slot in 0..N_SLOTS {
-            if !slot_disableable(slot) {
-                continue;
-            }
-            let got = run(&source, &[slot]);
+        let baseline = run(&source, SlotSet::new());
+        for slot in DISABLEABLE.iter() {
+            let got = run(&source, SlotSet::from_iter([slot]));
             assert_eq!(
                 baseline, got,
                 "seed {seed}: disabling slot {slot} changed behaviour\n{source}"
@@ -51,25 +48,23 @@ fn disabling_any_single_slot_preserves_generated_program_behaviour() {
 #[test]
 fn disabling_every_disableable_slot_preserves_workload_behaviour() {
     // The most pessimistic recompile outcome: everything optional off.
-    let all_optional: Vec<usize> = (0..N_SLOTS).filter(|s| slot_disableable(*s)).collect();
     for name in ["Crypto", "Splay", "Gameboy", "Microbench2"] {
         let w = workload(name).expect("workload exists");
-        let full = run(&w.source, &[]);
-        let stripped = run(&w.source, &all_optional);
+        let full = run(&w.source, SlotSet::new());
+        let stripped = run(&w.source, DISABLEABLE);
         assert_eq!(full, stripped, "{name}: stripped pipeline diverged");
     }
 }
 
 #[test]
 fn stripped_pipeline_is_slower_but_still_beats_no_jit() {
-    let all_optional: Vec<usize> = (0..N_SLOTS).filter(|s| slot_disableable(*s)).collect();
     let w = workload("Crypto").expect("workload exists");
-    let cycles = |disabled: &[usize], jit: bool| {
+    let cycles = |disabled: SlotSet, jit: bool| {
         Engine::run_source(
             &w.source,
             EngineConfig {
                 jit_enabled: jit,
-                disabled_slots: disabled.iter().copied().collect(),
+                disabled_slots: disabled,
                 ..Default::default()
             },
         )
@@ -77,9 +72,9 @@ fn stripped_pipeline_is_slower_but_still_beats_no_jit() {
         .outcome
         .cycles
     };
-    let full = cycles(&[], true);
-    let stripped = cycles(&all_optional, true);
-    let nojit = cycles(&[], false);
+    let full = cycles(SlotSet::new(), true);
+    let stripped = cycles(DISABLEABLE, true);
+    let nojit = cycles(SlotSet::new(), false);
     assert!(
         full <= stripped,
         "optimizations must help ({full} vs {stripped})"

@@ -154,11 +154,6 @@ fn no_jit_engine_is_immune_but_thats_the_expensive_mitigation() {
 fn security_rows_name_the_disabled_slots() {
     for row in jitbull_bench::security::security_eval() {
         let label = format!("{} {}", row.cve.name(), row.case);
-        assert!(
-            row.disabled_slots.windows(2).all(|w| w[0] < w[1]),
-            "{label}: slots not a sorted union: {:?}",
-            row.disabled_slots
-        );
         if row.detected {
             assert!(
                 !row.disabled_slots.is_empty(),
