@@ -95,17 +95,7 @@ impl FaultKind {
     /// Stable lower-case name (tallies, metric keys, demo output).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::PassPanic => "pass_panic",
-            FaultKind::PassStall { .. } => "pass_stall",
-            FaultKind::IrCorrupt => "ir_corrupt",
-            FaultKind::DbIo => "db_io",
-            FaultKind::DbParse => "db_parse",
-            FaultKind::DbTruncate => "db_truncate",
-            FaultKind::CachePoison => "cache_poison",
-            FaultKind::DeadlineBlowout => "deadline_blowout",
-            FaultKind::WorkerPanic => "worker_panic",
-        }
+        FaultKind::NAMES[self.tally_index()]
     }
 
     fn tally_index(self) -> usize {

@@ -397,9 +397,7 @@ mod tests {
         // Code set through one hit is seen by every later one.
         let code = Arc::new(jitbull_lir::LFunction {
             blocks: Vec::new(),
-            n_vregs: 0,
-            locs: Vec::new(),
-            spill_slots: 0,
+            frame_size: 0,
         });
         first.output.unwrap().code.set(code).unwrap();
         assert!(second.output.unwrap().code.get().is_some());

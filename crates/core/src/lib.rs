@@ -64,4 +64,4 @@ pub use extract::memo::{DnaMemo, MemoEntry, MemoLookup, MemoStats, PipelineOutpu
 pub use extract::{extract_delta, extract_dna};
 pub use guard::{Analysis, ComparatorMode, ExtractorMode, Guard, Lookup};
 pub use index::{ChainInterner, ComparatorIndex, IndexStats, QueryReceipt};
-pub use policy::{decide, decide_observed, Decision};
+pub use policy::{decide, Decision};

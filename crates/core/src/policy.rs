@@ -1,7 +1,6 @@
 //! The go / no-go policy (paper §V, scenarios 1–3).
 
 use jitbull_mir::SlotSet;
-use jitbull_telemetry::{Collector, Event, Verdict};
 
 /// JITBULL's verdict for one compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,28 +40,6 @@ pub fn decide(dangerous: SlotSet, disableable: SlotSet) -> Decision {
     } else {
         Decision::NoJit(dangerous)
     }
-}
-
-/// Like [`decide`], additionally reporting the verdict for `function` as
-/// an [`Event::PolicyDecision`] to `collector`.
-pub fn decide_observed(
-    dangerous: SlotSet,
-    disableable: SlotSet,
-    function: &str,
-    collector: &mut dyn Collector,
-) -> Decision {
-    let decision = decide(dangerous, disableable);
-    let verdict = match decision {
-        Decision::Go => Verdict::Go,
-        Decision::Recompile(_) => Verdict::Recompile,
-        Decision::NoJit(_) => Verdict::NoJit,
-    };
-    collector.record(Event::PolicyDecision {
-        function: function.to_owned(),
-        verdict,
-        slots: decision.dangerous_passes().iter().collect(),
-    });
-    decision
 }
 
 #[cfg(test)]

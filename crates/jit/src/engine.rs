@@ -2,8 +2,8 @@
 //!
 //! Tier ladder (thresholds from the paper's §II):
 //!
-//! * **interpreter** — 10 cycles/op, from the first invocation;
-//! * **baseline** — 4 cycles/op, after 100 invocations (unoptimized
+//! * **interpreter** — 25 cycles/op, from the first invocation;
+//! * **baseline** — 5 cycles/op, after 100 invocations (unoptimized
 //!   machine code: same bytecode, cheaper dispatch);
 //! * **optimizing (Ion)** — 1 cycle/LIR instruction, after 1500
 //!   invocations: the 32-slot pipeline's output, lowered and
@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use jitbull::{decide, decide_observed, Decision, Guard, Lookup, PipelineOutput};
+use jitbull::{decide, Decision, Guard, Lookup, PipelineOutput};
 use jitbull_chaos::{FaultInjector, Quarantine};
 use jitbull_frontend::parse_program;
 use jitbull_lir::LFunction;
@@ -562,10 +562,16 @@ impl Engine {
                 }
             }
             let fresh = analysis.dangerous.difference(disabled);
-            let decision = match &self.collector {
-                Some(c) => decide_observed(fresh, DISABLEABLE, name, &mut *c.borrow_mut()),
-                None => decide(fresh, DISABLEABLE),
-            };
+            let decision = decide(fresh, DISABLEABLE);
+            self.emit(|| Event::PolicyDecision {
+                function: name.clone(),
+                verdict: match decision {
+                    Decision::Go => jitbull_telemetry::Verdict::Go,
+                    Decision::Recompile(_) => jitbull_telemetry::Verdict::Recompile,
+                    Decision::NoJit(_) => jitbull_telemetry::Verdict::NoJit,
+                },
+                slots: decision.dangerous_passes().iter().collect(),
+            });
             let (no_go, vetoed) = match decision {
                 Decision::Go => (false, SlotSet::new()),
                 Decision::Recompile(slots) => {

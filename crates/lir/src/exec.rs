@@ -1,11 +1,13 @@
 //! The LIR executor: the optimizing tier's only executor, a register
-//! machine over [`Value`] cells at 1 cycle per instruction.
+//! machine over [`Value`] cells at 1 cycle per instruction. Every operand
+//! is a frame-slot index (register allocation renumbered them), so one
+//! activation is one frame of values plus one guard flag per slot.
 //!
 //! ## Guarded vs raw memory accesses
 //!
 //! This is where the vulnerability models become *exploitable* rather than
 //! cosmetic. A `loadelement`/`storeelement` consults the guards lowering
-//! captured for it ([`GuardRefs`]):
+//! captured for it ([`GuardRefs`](crate::lir::GuardRefs)):
 //!
 //! * if the index flows through a live `boundscheck`, the access takes the
 //!   **raw** fast path when the check passed and the **safe** (interpreter
@@ -25,51 +27,38 @@ use jitbull_vm::runtime::{Runtime, ION_COST};
 use jitbull_vm::value::ArrId;
 use jitbull_vm::{Dispatcher, Value, VmError};
 
-use crate::lir::{GuardRefs, LBlockId, LFunction, LInstr, LOp, Loc, VReg};
+use crate::lir::{LBlockId, LFunction, LInstr, LOp, VReg};
 
-struct Machine {
-    regs: Vec<Value>,
-    spills: Vec<Value>,
+/// One activation: a value and a guard pass/fail flag per frame slot.
+struct Frame {
+    values: Vec<Value>,
     flags: Vec<bool>,
 }
 
-impl Machine {
+impl Frame {
     fn new(f: &LFunction) -> Self {
-        Machine {
-            regs: vec![Value::Undefined; crate::regalloc::N_REGS as usize],
-            spills: vec![Value::Undefined; f.spill_slots as usize],
-            flags: vec![true; f.n_vregs as usize],
+        Frame {
+            values: vec![Value::Undefined; f.frame_size as usize],
+            flags: vec![true; f.frame_size as usize],
         }
     }
 
-    fn read(&self, f: &LFunction, v: VReg) -> Value {
-        match f.locs[v.0 as usize] {
-            Loc::Reg(r) => self.regs[r as usize].clone(),
-            Loc::Spill(s) => self.spills[s as usize].clone(),
-        }
+    fn get(&self, v: VReg) -> Value {
+        self.values[v.0 as usize].clone()
     }
 
-    fn write(&mut self, f: &LFunction, v: VReg, value: Value) {
-        match f.locs[v.0 as usize] {
-            Loc::Reg(r) => self.regs[r as usize] = value,
-            Loc::Spill(s) => self.spills[s as usize] = value,
-        }
-    }
-
-    fn flag(&self, guard: Option<VReg>) -> Option<bool> {
-        guard.map(|v| self.flags[v.0 as usize])
+    /// Whether a guard vouching for `i`'s base or index operand failed.
+    fn guard_failed(&self, i: &LInstr) -> bool {
+        (i.guards.unbox && !self.flags[i.args[0].0 as usize])
+            || (i.guards.bounds && !self.flags[i.args[1].0 as usize])
     }
 }
 
-/// Executes one invocation of register-allocated LIR.
+/// Executes one invocation of LIR, lowered or register-allocated.
 ///
 /// # Errors
 ///
 /// Propagates [`VmError`]s, including crashes from wild raw accesses.
-///
-/// # Panics
-///
-/// Panics if the function was not register-allocated (`locs` empty).
 pub fn run(
     code: &LFunction,
     rt: &mut Runtime,
@@ -78,11 +67,6 @@ pub fn run(
     args: &[Value],
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
-    assert_eq!(
-        code.locs.len(),
-        code.n_vregs as usize,
-        "LIR function must be register-allocated before execution"
-    );
     rt.enter_call()?;
     let result = run_inner(code, rt, module, this, args, dispatcher);
     rt.exit_call();
@@ -134,7 +118,7 @@ fn run_inner(
     args: &[Value],
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
-    let mut m = Machine::new(code);
+    let mut m = Frame::new(code);
     let mut cur = LBlockId(0);
     'blocks: loop {
         let block = &code.blocks[cur.0 as usize];
@@ -142,8 +126,8 @@ fn run_inner(
             rt.consume_op(ION_COST)?;
             match &i.op {
                 LOp::Move => {
-                    let v = m.read(code, i.args[0]);
-                    m.write(code, i.dst.expect("move has dst"), v);
+                    let d = i.dst.expect("move has dst");
+                    m.values[d.0 as usize] = m.get(i.args[0]);
                 }
                 LOp::Jump(t) => {
                     cur = *t;
@@ -153,18 +137,18 @@ fn run_inner(
                     then_block,
                     else_block,
                 } => {
-                    cur = if m.read(code, i.args[0]).truthy() {
+                    cur = if m.get(i.args[0]).truthy() {
                         *then_block
                     } else {
                         *else_block
                     };
                     continue 'blocks;
                 }
-                LOp::Return => return Ok(m.read(code, i.args[0])),
+                LOp::Return => return Ok(m.get(i.args[0])),
                 LOp::Op(op) => {
-                    let result = eval_op(code, rt, module, &mut m, i, op, &this, args, dispatcher)?;
+                    let result = eval_op(rt, module, &mut m, i, op, &this, args, dispatcher)?;
                     if let Some(d) = i.dst {
-                        m.write(code, d, result);
+                        m.values[d.0 as usize] = result;
                     }
                 }
             }
@@ -175,17 +159,16 @@ fn run_inner(
 
 #[allow(clippy::too_many_arguments)]
 fn eval_op(
-    code: &LFunction,
     rt: &mut Runtime,
     module: &Module,
-    m: &mut Machine,
+    m: &mut Frame,
     i: &LInstr,
     op: &MOpcode,
     this: &Value,
     args: &[Value],
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
-    let a = |m: &Machine, k: usize| m.read(code, i.args[k]);
+    let a = |m: &Frame, k: usize| m.get(i.args[k]);
     Ok(match op {
         MOpcode::Parameter(k) => args.get(*k as usize).cloned().unwrap_or(Value::Undefined),
         MOpcode::This => this.clone(),
@@ -265,7 +248,7 @@ fn eval_op(
                 Value::Array(arr) => Value::Number(rt.heap.length(*arr) as f64),
                 Value::Str(s) => Value::Number(s.chars().count() as f64),
                 Value::Object(o) => rt.object(*o).get("length"),
-                Value::Number(k) if i.guards.unbox.is_none() => {
+                Value::Number(k) if !i.guards.unbox => {
                     // Type confusion: the unbox guard was removed.
                     if *k >= 0.0 && k.is_finite() {
                         let v = rt
@@ -286,10 +269,10 @@ fn eval_op(
             jitbull_vm::interp::set_length(rt, &base, &v)?;
             v
         }
-        MOpcode::LoadElement => element_load(code, rt, m, i, &i.guards)?,
+        MOpcode::LoadElement => element_load(rt, m, i)?,
         MOpcode::StoreElement => {
             let v = a(m, 2);
-            element_store(code, rt, m, i, &i.guards, v.clone())?;
+            element_store(rt, m, i, v.clone())?;
             v
         }
         MOpcode::LoadProperty(name) => {
@@ -334,25 +317,17 @@ fn eval_op(
     })
 }
 
-fn element_load(
-    code: &LFunction,
-    rt: &mut Runtime,
-    m: &Machine,
-    i: &LInstr,
-    guards: &GuardRefs,
-) -> Result<Value, VmError> {
-    let base = m.read(code, i.args[0]);
-    let idx = m.read(code, i.args[1]);
-    let base_ok = m.flag(guards.unbox);
-    let idx_ok = m.flag(guards.bounds);
+fn element_load(rt: &mut Runtime, m: &Frame, i: &LInstr) -> Result<Value, VmError> {
+    let base = m.get(i.args[0]);
+    let idx = m.get(i.args[1]);
     match &base {
         Value::Array(arr) => {
-            if base_ok == Some(false) || idx_ok == Some(false) {
+            if m.guard_failed(i) {
                 return jitbull_vm::interp::get_elem(rt, &base, &idx);
             }
             raw_read(rt, *arr, idx.to_number())
         }
-        Value::Number(k) if guards.unbox.is_none() => {
+        Value::Number(k) if !i.guards.unbox => {
             let addr = *k + 2.0 + idx.to_number();
             if addr >= 0.0 && addr.is_finite() {
                 rt.heap
@@ -366,26 +341,17 @@ fn element_load(
     }
 }
 
-fn element_store(
-    code: &LFunction,
-    rt: &mut Runtime,
-    m: &Machine,
-    i: &LInstr,
-    guards: &GuardRefs,
-    value: Value,
-) -> Result<(), VmError> {
-    let base = m.read(code, i.args[0]);
-    let idx = m.read(code, i.args[1]);
-    let base_ok = m.flag(guards.unbox);
-    let idx_ok = m.flag(guards.bounds);
+fn element_store(rt: &mut Runtime, m: &Frame, i: &LInstr, value: Value) -> Result<(), VmError> {
+    let base = m.get(i.args[0]);
+    let idx = m.get(i.args[1]);
     match &base {
         Value::Array(arr) => {
-            if base_ok == Some(false) || idx_ok == Some(false) {
+            if m.guard_failed(i) {
                 return jitbull_vm::interp::set_elem(rt, &base, &idx, value);
             }
             raw_write(rt, *arr, idx.to_number(), value)
         }
-        Value::Number(k) if guards.unbox.is_none() => {
+        Value::Number(k) if !i.guards.unbox => {
             let addr = *k + 2.0 + idx.to_number();
             if addr >= 0.0 && addr.is_finite() {
                 rt.heap

@@ -14,10 +14,11 @@
 //!   register;
 //! * [`regalloc`] — **linear-scan register allocation** over liveness
 //!   intervals computed by backward dataflow, with spill slots when the
-//!   16 simulated machine registers run out;
-//! * [`passes`] — LIR-level cleanups (redundant-move elimination, jump
+//!   16 simulated machine registers run out; it renumbers every operand
+//!   to its frame slot, registers and spill slots in one frame;
+//! * [`passes`] — LIR-level cleanups (self-move elimination, jump
 //!   threading through empty blocks);
-//! * [`exec`] — the LIR executor: a register machine over
+//! * [`exec`] — the LIR executor: a register machine over one frame of
 //!   [`jitbull_vm::Value`] cells whose element accesses go raw wherever
 //!   guards vouch for them — or were wrongly removed — so removed
 //!   `boundscheck`/`unbox` guards stay exploitable end to end.
@@ -34,7 +35,7 @@ pub mod passes;
 pub mod regalloc;
 
 pub use exec::run;
-pub use lir::{GuardRefs, LBlockId, LFunction, LInstr, LOp, Loc, VReg};
+pub use lir::{GuardRefs, LBlockId, LFunction, LInstr, LOp, VReg};
 pub use lower::lower;
 pub use regalloc::{allocate, Allocation};
 
@@ -47,7 +48,7 @@ pub fn compile(mir: &MirFunction) -> LFunction {
     passes::thread_jumps(&mut f);
     let allocation = allocate(&f);
     regalloc::apply(&mut f, &allocation);
-    // Move elimination is location-aware, so it runs post-allocation.
+    // A move between vregs sharing a slot became a self-move.
     passes::eliminate_redundant_moves(&mut f);
     f
 }

@@ -4,33 +4,18 @@ use std::fmt;
 
 use jitbull_mir::MOpcode;
 
-/// A virtual register. Before register allocation each MIR instruction's
-/// value lives in the vreg with its instruction id; phi destinations are
-/// written from several predecessors (the IR is *not* SSA any more).
+/// A virtual register, which is also a frame-slot index. Before register
+/// allocation each MIR instruction's value lives in the vreg with its
+/// instruction id, in a slot of its own; phi destinations are written
+/// from several predecessors (the IR is *not* SSA any more). Register
+/// allocation renumbers every operand to its machine register or spill
+/// slot (see [`crate::regalloc`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VReg(pub u32);
 
 impl fmt::Display for VReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v{}", self.0)
-    }
-}
-
-/// A physical location assigned by the register allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loc {
-    /// One of the simulated machine registers.
-    Reg(u8),
-    /// A stack spill slot.
-    Spill(u16),
-}
-
-impl fmt::Display for Loc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Loc::Reg(r) => write!(f, "r{r}"),
-            Loc::Spill(s) => write!(f, "[sp+{s}]"),
-        }
     }
 }
 
@@ -46,14 +31,16 @@ impl fmt::Display for LBlockId {
 
 /// Which guards vouch for a memory access, captured from the MIR
 /// def-use graph at lowering time (operand identity is lost once phis
-/// become moves). Each entry names the *vreg* the guard instruction
-/// writes; the executor keeps a pass/fail flag per vreg.
+/// become moves). A guard vouches only for the operand it defines, so
+/// its value is live from the guard to the access and no other value
+/// writes that frame slot in between: the executor reads the pass/fail
+/// flag of the operand's own slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GuardRefs {
-    /// The `boundscheck` vouching for the index, if still present.
-    pub bounds: Option<VReg>,
-    /// The `unbox:array` vouching for the base, if still present.
-    pub unbox: Option<VReg>,
+    /// The index operand (`args[1]`) is a still-present `boundscheck`.
+    pub bounds: bool,
+    /// The base operand (`args[0]`) is a still-present `unbox:array`.
+    pub unbox: bool,
 }
 
 /// A LIR operation.
@@ -167,12 +154,10 @@ pub struct LFunction {
     /// Blocks; entry is block 0. Block ids correspond to the MIR blocks
     /// they were lowered from (jump threading may leave orphans).
     pub blocks: Vec<LBlock>,
-    /// Number of virtual registers (flag arrays are sized by this).
-    pub n_vregs: u32,
-    /// Virtual-register locations; empty until register allocation ran.
-    pub locs: Vec<Loc>,
-    /// Spill slots used by the allocation.
-    pub spill_slots: u16,
+    /// Number of frame slots every operand indexes: one per vreg before
+    /// register allocation, the machine registers plus the spill slots
+    /// after it.
+    pub frame_size: u32,
 }
 
 impl LFunction {
@@ -184,13 +169,13 @@ impl LFunction {
     /// Allocates a fresh vreg (used for scratch registers in parallel
     /// move resolution).
     pub fn fresh_vreg(&mut self) -> VReg {
-        let v = VReg(self.n_vregs);
-        self.n_vregs += 1;
+        let v = VReg(self.frame_size);
+        self.frame_size += 1;
         v
     }
 
     /// Structural sanity check: every block reachable from the entry
-    /// ends in a terminator, operands reference valid vregs.
+    /// ends in a terminator, operands index the frame.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = vec![false; self.blocks.len()];
         let mut work = vec![LBlockId(0)];
@@ -209,12 +194,12 @@ impl LFunction {
                     return Err(format!("{b} has a terminator mid-block"));
                 }
                 for a in &instr.args {
-                    if a.0 >= self.n_vregs {
+                    if a.0 >= self.frame_size {
                         return Err(format!("{b}: arg {a} out of range"));
                     }
                 }
                 if let Some(d) = instr.dst {
-                    if d.0 >= self.n_vregs {
+                    if d.0 >= self.frame_size {
                         return Err(format!("{b}: dst {d} out of range"));
                     }
                 }
@@ -232,7 +217,7 @@ impl LFunction {
 
 impl fmt::Display for LFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "lir function ({} vregs)", self.n_vregs)?;
+        writeln!(f, "lir function ({} slots)", self.frame_size)?;
         for (i, b) in self.blocks.iter().enumerate() {
             writeln!(f, "L{i}:")?;
             for instr in &b.instrs {
@@ -257,8 +242,6 @@ mod tests {
         );
         assert_eq!(i.to_string(), "v3 = constant:number");
         assert_eq!(LInstr::mov(VReg(1), VReg(2)).to_string(), "v1 = mov v2");
-        assert_eq!(Loc::Reg(4).to_string(), "r4");
-        assert_eq!(Loc::Spill(2).to_string(), "[sp+2]");
     }
 
     #[test]
@@ -273,9 +256,7 @@ mod tests {
             blocks: vec![LBlock {
                 instrs: vec![LInstr::mov(VReg(0), VReg(0))],
             }],
-            n_vregs: 1,
-            locs: vec![],
-            spill_slots: 0,
+            frame_size: 1,
         };
         assert!(f.validate().is_err());
     }
@@ -293,9 +274,7 @@ mod tests {
                     LInstr::new(LOp::Return, None, vec![VReg(0)]),
                 ],
             }],
-            n_vregs: 1,
-            locs: vec![],
-            spill_slots: 0,
+            frame_size: 1,
         };
         assert_eq!(f.validate(), Ok(()));
     }

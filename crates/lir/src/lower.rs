@@ -16,9 +16,7 @@ use crate::lir::{GuardRefs, LBlock, LBlockId, LFunction, LInstr, LOp, VReg};
 pub fn lower(mir: &MirFunction) -> LFunction {
     let mut f = LFunction {
         blocks: vec![LBlock::default(); mir.block_count()],
-        n_vregs: mir.id_bound(),
-        locs: Vec::new(),
-        spill_slots: 0,
+        frame_size: mir.id_bound(),
     };
     // Opcode kinds per MIR id, for guard-reference capture.
     let mut kinds: HashMap<InstrId, &MOpcode> = HashMap::new();
@@ -87,9 +85,9 @@ pub fn lower(mir: &MirFunction) -> LFunction {
     f
 }
 
-/// Captures which guards (by vreg) vouch for this operation's memory
-/// access: the defining `boundscheck` of the index and `unbox:array` of
-/// the base, which the executor's raw-vs-guarded split reads.
+/// Captures which guards vouch for this operation's memory access: whether
+/// the index is defined by a `boundscheck` and the base by an
+/// `unbox:array`, which the executor's raw-vs-guarded split reads.
 fn capture_guards(
     op: &MOpcode,
     operands: &[InstrId],
@@ -103,15 +101,15 @@ fn capture_guards(
             let base = operands[0];
             let idx = operands[1];
             GuardRefs {
-                bounds: is_bounds(idx).then_some(VReg(idx.0)),
-                unbox: is_unbox_array(base).then_some(VReg(base.0)),
+                bounds: is_bounds(idx),
+                unbox: is_unbox_array(base),
             }
         }
         MOpcode::InitializedLength | MOpcode::ArrayLength => {
             let base = operands[0];
             GuardRefs {
-                bounds: None,
-                unbox: is_unbox_array(base).then_some(VReg(base.0)),
+                bounds: false,
+                unbox: is_unbox_array(base),
             }
         }
         _ => GuardRefs::default(),
@@ -210,8 +208,8 @@ mod tests {
             .flat_map(|b| b.instrs.iter())
             .find(|i| matches!(&i.op, LOp::Op(MOpcode::LoadElement)))
             .unwrap();
-        assert!(load.guards.bounds.is_some());
-        assert!(load.guards.unbox.is_some());
+        assert!(load.guards.bounds);
+        assert!(load.guards.unbox);
     }
 
     #[test]
@@ -219,14 +217,12 @@ mod tests {
         // swap: a <- b, b <- a
         let mut f = LFunction {
             blocks: vec![],
-            n_vregs: 2,
-            locs: vec![],
-            spill_slots: 0,
+            frame_size: 2,
         };
         let seq = sequentialize(&[(VReg(0), VReg(1)), (VReg(1), VReg(0))], &mut f);
         assert_eq!(seq.len(), 3, "{seq:?}");
-        assert_eq!(f.n_vregs, 3); // scratch allocated
-                                  // Simulate to verify the swap.
+        assert_eq!(f.frame_size, 3); // scratch allocated
+                                     // Simulate to verify the swap.
         let mut vals = [10, 20, 0];
         for m in &seq {
             let d = m.dst.unwrap().0 as usize;
@@ -242,9 +238,7 @@ mod tests {
         // a <- b, b <- c: must move a<-b first.
         let mut f = LFunction {
             blocks: vec![],
-            n_vregs: 3,
-            locs: vec![],
-            spill_slots: 0,
+            frame_size: 3,
         };
         let seq = sequentialize(&[(VReg(0), VReg(1)), (VReg(1), VReg(2))], &mut f);
         assert_eq!(seq.len(), 2);
@@ -261,9 +255,7 @@ mod tests {
     fn self_moves_are_dropped() {
         let mut f = LFunction {
             blocks: vec![],
-            n_vregs: 1,
-            locs: vec![],
-            spill_slots: 0,
+            frame_size: 1,
         };
         let seq = sequentialize(&[(VReg(0), VReg(0))], &mut f);
         assert!(seq.is_empty());

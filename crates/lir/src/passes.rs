@@ -2,7 +2,7 @@
 //! undergoes optimization passes, but focuses on binary code
 //! generation").
 
-use crate::lir::{LBlockId, LFunction, LOp, Loc};
+use crate::lir::{LBlockId, LFunction, LOp};
 
 /// Jump threading: a block consisting of nothing but `jmp T` is skipped
 /// by retargeting its predecessors directly at `T`, to a fixpoint.
@@ -57,33 +57,12 @@ pub fn thread_jumps(f: &mut LFunction) {
     }
 }
 
-/// Removes moves whose source and destination were allocated to the same
-/// location (runs after register allocation).
+/// Removes self-moves. After register allocation renumbered the operands,
+/// these are the moves whose source and destination share a frame slot.
 pub fn eliminate_redundant_moves(f: &mut LFunction) {
-    if f.locs.is_empty() {
-        // Pre-allocation invocation: only self-moves can be removed.
-        for b in &mut f.blocks {
-            b.instrs
-                .retain(|i| !(matches!(i.op, LOp::Move) && i.dst == Some(i.args[0])));
-        }
-        return;
-    }
-    let loc = |f: &LFunction, v: crate::lir::VReg| -> Loc { f.locs[v.0 as usize] };
-    for bi in 0..f.blocks.len() {
-        let keep: Vec<bool> = f.blocks[bi]
-            .instrs
-            .iter()
-            .map(|i| {
-                !(matches!(i.op, LOp::Move)
-                    && loc(f, i.dst.expect("move has dst")) == loc(f, i.args[0]))
-            })
-            .collect();
-        let mut k = 0;
-        f.blocks[bi].instrs.retain(|_| {
-            let keep_it = keep[k];
-            k += 1;
-            keep_it
-        });
+    for b in &mut f.blocks {
+        b.instrs
+            .retain(|i| !(matches!(i.op, LOp::Move) && i.dst == Some(i.args[0])));
     }
 }
 
@@ -119,9 +98,7 @@ mod tests {
                 },
                 ret_block(VReg(0)),
             ],
-            n_vregs: 1,
-            locs: vec![],
-            spill_slots: 0,
+            frame_size: 1,
         };
         thread_jumps(&mut f);
         assert_eq!(
@@ -132,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn removes_same_location_moves_after_allocation() {
+    fn removes_self_moves() {
         let mut f = LFunction {
             blocks: vec![LBlock {
                 instrs: vec![
@@ -141,20 +118,18 @@ mod tests {
                         Some(VReg(0)),
                         vec![],
                     ),
-                    LInstr::mov(VReg(1), VReg(0)),
-                    LInstr::new(LOp::Return, None, vec![VReg(1)]),
+                    LInstr::mov(VReg(0), VReg(0)),
+                    LInstr::new(LOp::Return, None, vec![VReg(0)]),
                 ],
             }],
-            n_vregs: 2,
-            locs: vec![Loc::Reg(3), Loc::Reg(3)], // coalesced by chance
-            spill_slots: 0,
+            frame_size: 1,
         };
         eliminate_redundant_moves(&mut f);
         assert_eq!(f.blocks[0].instrs.len(), 2, "{f}");
     }
 
     #[test]
-    fn keeps_moves_between_distinct_locations() {
+    fn keeps_moves_between_distinct_slots() {
         let mut f = LFunction {
             blocks: vec![LBlock {
                 instrs: vec![
@@ -162,9 +137,7 @@ mod tests {
                     LInstr::new(LOp::Return, None, vec![VReg(1)]),
                 ],
             }],
-            n_vregs: 2,
-            locs: vec![Loc::Reg(0), Loc::Spill(0)],
-            spill_slots: 1,
+            frame_size: 2,
         };
         eliminate_redundant_moves(&mut f);
         assert_eq!(f.blocks[0].instrs.len(), 2);

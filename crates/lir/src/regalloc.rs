@@ -8,26 +8,27 @@
 //! exhausted the interval with the furthest end is spilled to a stack
 //! slot.
 //!
-//! The executor reads both register and spill operands uniformly, so the
-//! allocation's *correctness* contract is purely that no two
-//! simultaneously-live vregs share a register — checked by tests and a
-//! `debug_assert`.
+//! Registers and spill slots are one frame: register `r` is frame slot
+//! `r` and spill slot `s` is frame slot `N_REGS + s`. [`apply`] renumbers
+//! every operand of the code to its frame slot, so the executor indexes
+//! one frame and keeps no location table. The allocation's *correctness*
+//! contract is purely that no two simultaneously-live vregs share a
+//! slot — checked by tests and a `debug_assert`.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::lir::{LFunction, Loc, VReg};
+use crate::lir::{LFunction, VReg};
 
 /// Number of simulated machine registers.
-pub const N_REGS: u8 = 16;
+pub const N_REGS: u32 = 16;
 
-/// The result of allocation: a location per vreg plus the spill-slot
-/// count.
+/// The result of allocation: a frame slot per vreg plus the frame size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
-    /// `locs[v]` is where vreg `v` lives.
-    pub locs: Vec<Loc>,
-    /// Number of spill slots used.
-    pub spill_slots: u16,
+    /// `slots[v]` is vreg `v`'s frame slot.
+    pub slots: Vec<u32>,
+    /// The machine registers plus the spill slots used.
+    pub frame_size: u32,
     /// Live interval per vreg (positions), exposed for tests/inspection.
     pub intervals: Vec<(u32, u32)>,
 }
@@ -97,7 +98,6 @@ pub fn allocate(f: &LFunction) -> Allocation {
         for v in &live_out[bi] {
             record(*v, end, &mut touch);
         }
-        let _ = bi;
     }
     // Extend intervals over every block a vreg is live-through.
     for (bi, (start, end)) in block_range.iter().enumerate() {
@@ -108,80 +108,73 @@ pub fn allocate(f: &LFunction) -> Allocation {
         }
     }
 
-    let mut intervals: Vec<(u32, u32)> = vec![(0, 0); f.n_vregs as usize];
+    let mut intervals: Vec<(u32, u32)> = vec![(0, 0); f.frame_size as usize];
     for (v, (s, e)) in &touch {
         intervals[v.0 as usize] = (*s, *e);
     }
     // Linear scan.
     let mut order: Vec<VReg> = touch.keys().copied().collect();
     order.sort_by_key(|v| intervals[v.0 as usize]);
-    let mut locs = vec![Loc::Reg(0); f.n_vregs as usize];
+    let mut slots = vec![0; f.frame_size as usize];
     let mut active: Vec<VReg> = Vec::new(); // holding a register
-    let mut free: Vec<u8> = (0..N_REGS).rev().collect();
-    let mut spill_slots: u16 = 0;
+    let mut free: Vec<u32> = (0..N_REGS).rev().collect();
+    let mut frame_size = N_REGS;
     for v in order {
-        let (start, _) = intervals[v.0 as usize];
+        let (start, end) = intervals[v.0 as usize];
         // Expire finished intervals.
         active.retain(|a| {
-            if intervals[a.0 as usize].1 < start {
-                if let Loc::Reg(r) = locs[a.0 as usize] {
-                    free.push(r);
-                }
-                false
-            } else {
-                true
+            let expired = intervals[a.0 as usize].1 < start;
+            if expired {
+                free.push(slots[a.0 as usize]);
             }
+            !expired
         });
         if let Some(r) = free.pop() {
-            locs[v.0 as usize] = Loc::Reg(r);
+            slots[v.0 as usize] = r;
+            active.push(v);
+            continue;
+        }
+        // Spill the interval with the furthest end.
+        let victim = active
+            .iter()
+            .copied()
+            .max_by_key(|a| intervals[a.0 as usize].1)
+            .expect("register file exhausted implies active intervals");
+        let spill = frame_size;
+        frame_size += 1;
+        if intervals[victim.0 as usize].1 > end {
+            // Victim takes the spill slot; v inherits its register.
+            slots[v.0 as usize] = slots[victim.0 as usize];
+            slots[victim.0 as usize] = spill;
+            active.retain(|a| *a != victim);
             active.push(v);
         } else {
-            // Spill the interval with the furthest end.
-            let victim = active
-                .iter()
-                .copied()
-                .max_by_key(|a| intervals[a.0 as usize].1)
-                .expect("register file exhausted implies active intervals");
-            if intervals[victim.0 as usize].1 > intervals[v.0 as usize].1 {
-                // Victim takes the spill slot; v inherits its register.
-                let r = match locs[victim.0 as usize] {
-                    Loc::Reg(r) => r,
-                    Loc::Spill(_) => unreachable!("active vregs hold registers"),
-                };
-                locs[victim.0 as usize] = Loc::Spill(spill_slots);
-                spill_slots += 1;
-                locs[v.0 as usize] = Loc::Reg(r);
-                active.retain(|a| *a != victim);
-                active.push(v);
-            } else {
-                locs[v.0 as usize] = Loc::Spill(spill_slots);
-                spill_slots += 1;
-            }
+            slots[v.0 as usize] = spill;
         }
     }
     Allocation {
-        locs,
-        spill_slots,
+        slots,
+        frame_size,
         intervals,
     }
 }
 
-/// Applies an allocation to the function (records locations and the
-/// spill-slot count; instructions keep their vreg names — the executor
-/// resolves through `locs`).
+/// Applies an allocation to the function: renumbers every operand to its
+/// frame slot and sets the frame size.
 pub fn apply(f: &mut LFunction, allocation: &Allocation) {
-    f.locs = allocation.locs.clone();
-    f.spill_slots = allocation.spill_slots;
-    debug_assert!(
-        verify(f, allocation),
-        "overlapping intervals share a register"
-    );
+    debug_assert!(verify(allocation), "overlapping intervals share a slot");
+    let slot = |v: &mut VReg| *v = VReg(allocation.slots[v.0 as usize]);
+    for instr in f.blocks.iter_mut().flat_map(|b| b.instrs.iter_mut()) {
+        instr.dst.iter_mut().for_each(slot);
+        instr.args.iter_mut().for_each(slot);
+    }
+    f.frame_size = allocation.frame_size;
 }
 
 /// Checks the allocation invariant: no two vregs with overlapping live
-/// intervals share a machine register.
-pub fn verify(f: &LFunction, allocation: &Allocation) -> bool {
-    let n = f.n_vregs as usize;
+/// intervals share a frame slot.
+pub fn verify(allocation: &Allocation) -> bool {
+    let n = allocation.intervals.len();
     for a in 0..n {
         for b in (a + 1)..n {
             let (s1, e1) = allocation.intervals[a];
@@ -190,12 +183,8 @@ pub fn verify(f: &LFunction, allocation: &Allocation) -> bool {
                 continue; // untouched vreg
             }
             let overlap = s1 <= e2 && s2 <= e1;
-            if overlap {
-                if let (Loc::Reg(r1), Loc::Reg(r2)) = (allocation.locs[a], allocation.locs[b]) {
-                    if r1 == r2 {
-                        return false;
-                    }
-                }
+            if overlap && allocation.slots[a] == allocation.slots[b] {
+                return false;
             }
         }
     }
@@ -221,8 +210,8 @@ mod tests {
     fn small_function_fits_in_registers() {
         let f = lir_of("function f(a, b) { return a * b + a - b; }", "f");
         let alloc = allocate(&f);
-        assert_eq!(alloc.spill_slots, 0);
-        assert!(verify(&f, &alloc));
+        assert_eq!(alloc.frame_size, N_REGS);
+        assert!(verify(&alloc));
     }
 
     #[test]
@@ -232,7 +221,7 @@ mod tests {
             "f",
         );
         let alloc = allocate(&f);
-        assert!(verify(&f, &alloc), "{f}");
+        assert!(verify(&alloc), "{f}");
     }
 
     #[test]
@@ -252,8 +241,8 @@ mod tests {
         src.push_str(";\n}");
         let f = lir_of(&src, "f");
         let alloc = allocate(&f);
-        assert!(alloc.spill_slots > 0, "expected spills");
-        assert!(verify(&f, &alloc));
+        assert!(alloc.frame_size > N_REGS, "expected spills");
+        assert!(verify(&alloc));
     }
 
     #[test]
