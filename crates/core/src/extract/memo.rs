@@ -1,11 +1,11 @@
 //! The compile cache: one entry per optimizing compilation, holding its
 //! DNA, the last verdict given on it and the pipeline's output, so
 //! recompiling a hot function skips the compilation itself — MIR
-//! building, the 32 slots, lowering and register allocation — as well as
+//! building, the 32 slots, lowering and frame-slot assignment — as well as
 //! tracing, Algorithm 1 and, while the database is unchanged, Algorithm 2.
 //!
-//! Entries are keyed on a [`CompileKey`]: the function's bytecode, the
-//! disabled pipeline slots, the pipeline length and the engine's enabled
+//! Entries are keyed on a [`CompileKey`]: the function's bytecode, arity
+//! and local count, the disabled pipeline slots and the engine's enabled
 //! vulnerabilities. The key is built *before* the pipeline runs from the
 //! pipeline's whole input, so equal keys mean equal DNA and equal output,
 //! and the engine runs the pipeline only when the cache holds no output
@@ -81,7 +81,7 @@ pub struct PipelineOutput {
     pub slot_runs: Vec<SlotRun>,
     /// Vulnerabilities, by CVE name, whose incorrect transform fired.
     pub vulns_fired: Vec<&'static str>,
-    /// The lowered, register-allocated code. Set once, by the first
+    /// The lowered, slot-assigned code. Set once, by the first
     /// round under the key that promotes.
     pub code: OnceLock<Arc<LFunction>>,
 }

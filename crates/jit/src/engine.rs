@@ -6,8 +6,8 @@
 //! * **baseline** — 5 cycles/op, after 100 invocations (unoptimized
 //!   machine code: same bytecode, cheaper dispatch);
 //! * **optimizing (Ion)** — 1 cycle/LIR instruction, after 1500
-//!   invocations: the 32-slot pipeline's output, lowered and
-//!   register-allocated by `jitbull-lir`.
+//!   invocations: the 32-slot pipeline's output, lowered to LIR by
+//!   `jitbull-lir`, whose frames hold the peak number of live values.
 //!
 //! When a JITBULL guard is installed *and its database is non-empty*, each
 //! optimizing compilation round is looked up in the guard's compile cache
@@ -15,7 +15,7 @@
 //! recompile-without-passes / no-Ion policy applied. A round whose key
 //! the cache has compiled before is served the stored output in place of
 //! running the pipeline — MIR building, the 32 slots, lowering and
-//! register allocation are skipped — yet charged the same simulated
+//! frame-slot assignment are skipped — yet charged the same simulated
 //! cycles, so the cycle model cannot tell a hit from a compile. A round
 //! that runs the pipeline is traced only when the cache holds no DNA for
 //! it, and only code that promotes is lowered. With a fault injector

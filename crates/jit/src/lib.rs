@@ -19,7 +19,7 @@
 //!   cost 10/op → baseline at 100 calls, cost 4/op → optimizing tier at
 //!   1500 calls, cost 1/op), compile-cost charging, JITBULL guard
 //!   integration, and the per-function statistics behind the paper's
-//!   Figures 4–6. The optimizing tier runs the register-allocated LIR of
+//!   Figures 4–6. The optimizing tier runs the slot-assigned LIR of
 //!   `jitbull-lir`, whose executor turns removed guards into raw
 //!   (unchecked) element accesses.
 //!

@@ -1,6 +1,6 @@
 //! The LIR executor: the optimizing tier's only executor, a register
 //! machine over [`Value`] cells at 1 cycle per instruction. Every operand
-//! is a frame-slot index (register allocation renumbered them), so one
+//! is a frame-slot index (slot assignment renumbered them), so one
 //! activation is one frame of values plus one guard flag per slot.
 //!
 //! ## Guarded vs raw memory accesses
@@ -54,7 +54,7 @@ impl Frame {
     }
 }
 
-/// Executes one invocation of LIR, lowered or register-allocated.
+/// Executes one invocation of LIR, lowered or slot-assigned.
 ///
 /// # Errors
 ///

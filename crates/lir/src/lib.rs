@@ -11,13 +11,13 @@
 //! * [`mod@lower`] — **out-of-SSA translation**: phis become parallel move
 //!   groups on the incoming edges (critical edges were split by the MIR
 //!   pipeline), sequentialized with cycle breaking through a scratch
-//!   register;
-//! * [`regalloc`] — **linear-scan register allocation** over liveness
-//!   intervals computed by backward dataflow, with spill slots when the
-//!   16 simulated machine registers run out; it renumbers every operand
-//!   to its frame slot, registers and spill slots in one frame;
-//! * [`passes`] — LIR-level cleanups (self-move elimination, jump
-//!   threading through empty blocks);
+//!   vreg;
+//! * [`regalloc`] — **frame-slot assignment by liveness**: values whose
+//!   intervals (computed by backward dataflow) do not overlap share a
+//!   slot, so a frame holds the peak number of live values; it renumbers
+//!   every operand to its frame slot;
+//! * [`passes`] — LIR-level cleanup (jump threading through empty
+//!   blocks);
 //! * [`exec`] — the LIR executor: a register machine over one frame of
 //!   [`jitbull_vm::Value`] cells whose element accesses go raw wherever
 //!   guards vouch for them — or were wrongly removed — so removed
@@ -41,14 +41,12 @@ pub use regalloc::{allocate, Allocation};
 
 use jitbull_mir::MirFunction;
 
-/// Compiles optimized MIR all the way to executable, register-allocated
-/// LIR (lower → LIR passes → register allocation).
+/// Compiles optimized MIR all the way to executable LIR (lower → LIR
+/// passes → frame-slot assignment).
 pub fn compile(mir: &MirFunction) -> LFunction {
     let mut f = lower(mir);
     passes::thread_jumps(&mut f);
     let allocation = allocate(&f);
     regalloc::apply(&mut f, &allocation);
-    // A move between vregs sharing a slot became a self-move.
-    passes::eliminate_redundant_moves(&mut f);
     f
 }

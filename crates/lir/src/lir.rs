@@ -4,12 +4,12 @@ use std::fmt;
 
 use jitbull_mir::MOpcode;
 
-/// A virtual register, which is also a frame-slot index. Before register
-/// allocation each MIR instruction's value lives in the vreg with its
+/// A virtual register, which is also a frame-slot index. Before slot
+/// assignment each MIR instruction's value lives in the vreg with its
 /// instruction id, in a slot of its own; phi destinations are written
-/// from several predecessors (the IR is *not* SSA any more). Register
-/// allocation renumbers every operand to its machine register or spill
-/// slot (see [`crate::regalloc`]).
+/// from several predecessors (the IR is *not* SSA any more). Slot
+/// assignment renumbers every operand to a slot it shares only with
+/// values not live at the same time (see [`crate::regalloc`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VReg(pub u32);
 
@@ -46,7 +46,7 @@ pub struct GuardRefs {
 /// A LIR operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LOp {
-    /// `dst = args[0]` (phi resolution and spills use these).
+    /// `dst = args[0]` (phi resolution emits these).
     Move,
     /// A computational MIR opcode (never a terminator or phi). Operand
     /// roles are the MIR ones; the result goes to `dst`.
@@ -76,9 +76,9 @@ impl LOp {
 pub struct LInstr {
     /// The operation.
     pub op: LOp,
-    /// Result register, if the operation produces a value.
+    /// Result vreg, if the operation produces a value.
     pub dst: Option<VReg>,
-    /// Argument registers.
+    /// Argument vregs.
     pub args: Vec<VReg>,
     /// Guard references for memory operations.
     pub guards: GuardRefs,
@@ -95,7 +95,7 @@ impl LInstr {
         }
     }
 
-    /// A register-to-register move.
+    /// A vreg-to-vreg move.
     pub fn mov(dst: VReg, src: VReg) -> Self {
         LInstr::new(LOp::Move, Some(dst), vec![src])
     }
@@ -155,8 +155,7 @@ pub struct LFunction {
     /// they were lowered from (jump threading may leave orphans).
     pub blocks: Vec<LBlock>,
     /// Number of frame slots every operand indexes: one per vreg before
-    /// register allocation, the machine registers plus the spill slots
-    /// after it.
+    /// slot assignment, the peak number of live values after it.
     pub frame_size: u32,
 }
 
@@ -166,8 +165,8 @@ impl LFunction {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
     }
 
-    /// Allocates a fresh vreg (used for scratch registers in parallel
-    /// move resolution).
+    /// Allocates a fresh vreg (used for scratch vregs in parallel move
+    /// resolution).
     pub fn fresh_vreg(&mut self) -> VReg {
         let v = VReg(self.frame_size);
         self.frame_size += 1;

@@ -4,7 +4,7 @@
 //! predecessor (the MIR pipeline's mandatory critical-edge splitting
 //! guarantees a predecessor of a phi block has that block as its only
 //! successor). Parallel moves are sequentialized with the classic
-//! worklist algorithm, breaking cycles through a scratch register.
+//! worklist algorithm, breaking cycles through a scratch vreg.
 
 use std::collections::HashMap;
 
@@ -119,7 +119,7 @@ fn capture_guards(
 /// Sequentializes a parallel move group `dst_i ← src_i`, breaking cycles
 /// through a fresh scratch vreg. Classic algorithm: emit moves whose
 /// destination is not a pending source; when stuck, rotate a cycle via
-/// the scratch register.
+/// the scratch vreg.
 fn sequentialize(moves: &[(VReg, VReg)], f: &mut LFunction) -> Vec<LInstr> {
     let mut pending: Vec<(VReg, VReg)> = moves.iter().copied().filter(|(d, s)| d != s).collect();
     let mut out = Vec::new();

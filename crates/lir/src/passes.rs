@@ -57,15 +57,6 @@ pub fn thread_jumps(f: &mut LFunction) {
     }
 }
 
-/// Removes self-moves. After register allocation renumbered the operands,
-/// these are the moves whose source and destination share a frame slot.
-pub fn eliminate_redundant_moves(f: &mut LFunction) {
-    for b in &mut f.blocks {
-        b.instrs
-            .retain(|i| !(matches!(i.op, LOp::Move) && i.dst == Some(i.args[0])));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,37 +100,48 @@ mod tests {
     }
 
     #[test]
-    fn removes_self_moves() {
+    fn cycle_of_empty_jumps_terminates() {
+        // L0 branches into the cycle L1 <-> L2 or to L3 (return).
         let mut f = LFunction {
-            blocks: vec![LBlock {
-                instrs: vec![
-                    LInstr::new(
-                        LOp::Op(MOpcode::Constant(ConstVal::Number(2.0))),
-                        Some(VReg(0)),
-                        vec![],
-                    ),
-                    LInstr::mov(VReg(0), VReg(0)),
-                    LInstr::new(LOp::Return, None, vec![VReg(0)]),
-                ],
-            }],
+            blocks: vec![
+                LBlock {
+                    instrs: vec![
+                        LInstr::new(
+                            LOp::Op(MOpcode::Constant(ConstVal::Bool(true))),
+                            Some(VReg(0)),
+                            vec![],
+                        ),
+                        LInstr::new(
+                            LOp::Branch {
+                                then_block: LBlockId(1),
+                                else_block: LBlockId(3),
+                            },
+                            None,
+                            vec![VReg(0)],
+                        ),
+                    ],
+                },
+                LBlock {
+                    instrs: vec![LInstr::new(LOp::Jump(LBlockId(2)), None, vec![])],
+                },
+                LBlock {
+                    instrs: vec![LInstr::new(LOp::Jump(LBlockId(1)), None, vec![])],
+                },
+                ret_block(VReg(0)),
+            ],
             frame_size: 1,
         };
-        eliminate_redundant_moves(&mut f);
-        assert_eq!(f.blocks[0].instrs.len(), 2, "{f}");
-    }
-
-    #[test]
-    fn keeps_moves_between_distinct_slots() {
-        let mut f = LFunction {
-            blocks: vec![LBlock {
-                instrs: vec![
-                    LInstr::mov(VReg(1), VReg(0)),
-                    LInstr::new(LOp::Return, None, vec![VReg(1)]),
-                ],
-            }],
-            frame_size: 2,
-        };
-        eliminate_redundant_moves(&mut f);
-        assert_eq!(f.blocks[0].instrs.len(), 2);
+        thread_jumps(&mut f);
+        assert_eq!(f.validate(), Ok(()));
+        match &f.blocks[0].instrs[1].op {
+            LOp::Branch {
+                then_block,
+                else_block,
+            } => {
+                assert!([LBlockId(1), LBlockId(2)].contains(then_block), "{f}");
+                assert_eq!(*else_block, LBlockId(3));
+            }
+            op => panic!("branch became {op:?}"),
+        }
     }
 }

@@ -1,36 +1,36 @@
-//! Linear-scan register allocation (paper step ⑥'s backend half).
+//! Frame-slot assignment by liveness (paper step ⑥'s backend half).
 //!
 //! Liveness is computed by backward dataflow over the LIR CFG; each vreg
 //! gets one conservative interval covering every position where it may
 //! be live (including whole blocks it is live-into/out-of, which safely
-//! handles loops). Intervals are then scanned in start order over
-//! [`N_REGS`] simulated machine registers; when the register file is
-//! exhausted the interval with the furthest end is spilled to a stack
-//! slot.
+//! handles loops). Intervals are scanned in `(start, end, vreg)` order,
+//! and each takes the lowest slot freed by an expired interval, or else
+//! a new slot. Greedy colouring of intervals in start order is optimal,
+//! so the frame holds exactly as many slots as intervals overlap at the
+//! peak.
 //!
-//! Registers and spill slots are one frame: register `r` is frame slot
-//! `r` and spill slot `s` is frame slot `N_REGS + s`. [`apply`] renumbers
-//! every operand of the code to its frame slot, so the executor indexes
-//! one frame and keeps no location table. The allocation's *correctness*
-//! contract is purely that no two simultaneously-live vregs share a
-//! slot — checked by tests and a `debug_assert`.
+//! [`apply`] renumbers every operand of the code to its frame slot, so
+//! the executor indexes one frame and keeps no location table. The
+//! assignment's *correctness* contract is purely that no two
+//! simultaneously-live vregs share a slot — checked by tests and a
+//! `debug_assert`.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use crate::lir::{LFunction, VReg};
 
-/// Number of simulated machine registers.
-pub const N_REGS: u32 = 16;
-
-/// The result of allocation: a frame slot per vreg plus the frame size.
+/// The result of slot assignment: a frame slot per vreg plus the frame
+/// size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// `slots[v]` is vreg `v`'s frame slot.
     pub slots: Vec<u32>,
-    /// The machine registers plus the spill slots used.
+    /// The peak number of simultaneously-live vregs.
     pub frame_size: u32,
-    /// Live interval per vreg (positions), exposed for tests/inspection.
-    pub intervals: Vec<(u32, u32)>,
+    /// Live interval per vreg (positions), `None` for a vreg the code
+    /// never touches; exposed for tests/inspection.
+    pub intervals: Vec<Option<(u32, u32)>>,
 }
 
 /// Computes per-block live-in/live-out sets (backward dataflow).
@@ -65,92 +65,66 @@ fn liveness(f: &LFunction) -> (Vec<HashSet<VReg>>, Vec<HashSet<VReg>>) {
     (live_in, live_out)
 }
 
-/// Runs linear scan and returns the allocation.
+/// Assigns every vreg the code touches a frame slot, reusing the slots
+/// of expired intervals.
 pub fn allocate(f: &LFunction) -> Allocation {
     let (live_in, live_out) = liveness(f);
-    // Linear positions per instruction, block extents.
-    let mut pos = 0u32;
-    let mut block_range: Vec<(u32, u32)> = Vec::with_capacity(f.blocks.len());
-    let mut touch: HashMap<VReg, (u32, u32)> = HashMap::new();
-    let record = |v: VReg, p: u32, touch: &mut HashMap<VReg, (u32, u32)>| {
-        let e = touch.entry(v).or_insert((p, p));
+    let mut intervals: Vec<Option<(u32, u32)>> = vec![None; f.frame_size as usize];
+    let mut record = |v: VReg, p: u32| {
+        let e = intervals[v.0 as usize].get_or_insert((p, p));
         e.0 = e.0.min(p);
         e.1 = e.1.max(p);
     };
+    // Linear positions per instruction, blocks laid out in order.
+    let mut pos = 0u32;
     for (bi, b) in f.blocks.iter().enumerate() {
         let start = pos;
         for i in &b.instrs {
-            if let Some(d) = i.dst {
-                record(d, pos, &mut touch);
-            }
-            for a in &i.args {
-                record(*a, pos, &mut touch);
+            for v in i.dst.iter().chain(&i.args) {
+                record(*v, pos);
             }
             pos += 1;
         }
-        let end = pos.saturating_sub(1).max(start);
-        block_range.push((start, end));
         // Conservative widening: anything live across the block's
-        // boundary covers the whole block.
+        // boundary reaches that boundary, so a vreg live through the
+        // block covers all of it.
+        let end = pos.saturating_sub(1).max(start);
         for v in &live_in[bi] {
-            record(*v, start, &mut touch);
+            record(*v, start);
         }
         for v in &live_out[bi] {
-            record(*v, end, &mut touch);
-        }
-    }
-    // Extend intervals over every block a vreg is live-through.
-    for (bi, (start, end)) in block_range.iter().enumerate() {
-        for v in live_in[bi].intersection(&live_out[bi]) {
-            let e = touch.entry(*v).or_insert((*start, *end));
-            e.0 = e.0.min(*start);
-            e.1 = e.1.max(*end);
+            record(*v, end);
         }
     }
 
-    let mut intervals: Vec<(u32, u32)> = vec![(0, 0); f.frame_size as usize];
-    for (v, (s, e)) in &touch {
-        intervals[v.0 as usize] = (*s, *e);
-    }
-    // Linear scan.
-    let mut order: Vec<VReg> = touch.keys().copied().collect();
-    order.sort_by_key(|v| intervals[v.0 as usize]);
-    let mut slots = vec![0; f.frame_size as usize];
-    let mut active: Vec<VReg> = Vec::new(); // holding a register
-    let mut free: Vec<u32> = (0..N_REGS).rev().collect();
-    let mut frame_size = N_REGS;
-    for v in order {
-        let (start, end) = intervals[v.0 as usize];
-        // Expire finished intervals.
-        active.retain(|a| {
-            let expired = intervals[a.0 as usize].1 < start;
-            if expired {
-                free.push(slots[a.0 as usize]);
+    let mut order: Vec<(u32, u32, usize)> = intervals
+        .iter()
+        .enumerate()
+        .filter_map(|(v, interval)| interval.map(|(start, end)| (start, end, v)))
+        .collect();
+    order.sort_unstable();
+    let mut slots = vec![0; intervals.len()];
+    // `(end, slot)` of the intervals holding a slot, earliest end first.
+    let mut active: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+    let mut frame_size = 0;
+    for (start, end, v) in order {
+        while let Some(&Reverse((e, slot))) = active.peek() {
+            if e >= start {
+                break;
             }
-            !expired
-        });
-        if let Some(r) = free.pop() {
-            slots[v.0 as usize] = r;
-            active.push(v);
-            continue;
+            active.pop();
+            free.push(Reverse(slot));
         }
-        // Spill the interval with the furthest end.
-        let victim = active
-            .iter()
-            .copied()
-            .max_by_key(|a| intervals[a.0 as usize].1)
-            .expect("register file exhausted implies active intervals");
-        let spill = frame_size;
-        frame_size += 1;
-        if intervals[victim.0 as usize].1 > end {
-            // Victim takes the spill slot; v inherits its register.
-            slots[v.0 as usize] = slots[victim.0 as usize];
-            slots[victim.0 as usize] = spill;
-            active.retain(|a| *a != victim);
-            active.push(v);
-        } else {
-            slots[v.0 as usize] = spill;
-        }
+        let slot = match free.pop() {
+            Some(Reverse(slot)) => slot,
+            None => {
+                frame_size += 1;
+                frame_size - 1
+            }
+        };
+        slots[v] = slot;
+        active.push(Reverse((end, slot)));
     }
     Allocation {
         slots,
@@ -171,24 +145,21 @@ pub fn apply(f: &mut LFunction, allocation: &Allocation) {
     f.frame_size = allocation.frame_size;
 }
 
-/// Checks the allocation invariant: no two vregs with overlapping live
-/// intervals share a frame slot.
+/// Checks the allocation invariant: every touched vreg's slot is in the
+/// frame, and no two vregs with overlapping live intervals share a slot.
 pub fn verify(allocation: &Allocation) -> bool {
-    let n = allocation.intervals.len();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let (s1, e1) = allocation.intervals[a];
-            let (s2, e2) = allocation.intervals[b];
-            if (s1, e1) == (0, 0) || (s2, e2) == (0, 0) {
-                continue; // untouched vreg
-            }
-            let overlap = s1 <= e2 && s2 <= e1;
-            if overlap && allocation.slots[a] == allocation.slots[b] {
-                return false;
-            }
-        }
-    }
-    true
+    let live: Vec<(u32, u32, u32)> = allocation
+        .intervals
+        .iter()
+        .zip(&allocation.slots)
+        .filter_map(|(interval, &slot)| interval.map(|(s, e)| (s, e, slot)))
+        .collect();
+    live.iter().enumerate().all(|(k, &(s1, e1, slot1))| {
+        slot1 < allocation.frame_size
+            && live[k + 1..]
+                .iter()
+                .all(|&(s2, e2, slot2)| !(s1 <= e2 && s2 <= e1) || slot1 != slot2)
+    })
 }
 
 #[cfg(test)]
@@ -206,11 +177,23 @@ mod tests {
         lower(&mir)
     }
 
+    /// The most intervals that contain one position.
+    fn peak_live(alloc: &Allocation) -> u32 {
+        let intervals: Vec<(u32, u32)> = alloc.intervals.iter().flatten().copied().collect();
+        let live_at = |p: u32| intervals.iter().filter(|(s, e)| *s <= p && p <= *e).count();
+        intervals
+            .iter()
+            .map(|(s, _)| live_at(*s))
+            .max()
+            .unwrap_or(0) as u32
+    }
+
     #[test]
-    fn small_function_fits_in_registers() {
+    fn small_function_frame_is_peak_live() {
         let f = lir_of("function f(a, b) { return a * b + a - b; }", "f");
         let alloc = allocate(&f);
-        assert_eq!(alloc.frame_size, N_REGS);
+        assert_eq!(alloc.frame_size, peak_live(&alloc));
+        assert!(alloc.frame_size < 16, "{f}");
         assert!(verify(&alloc));
     }
 
@@ -225,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn register_pressure_forces_spills() {
+    fn register_pressure_grows_the_frame() {
         // Build an expression needing > 16 simultaneously-live values.
         let mut src = String::from("function f(a) {\n");
         for i in 0..24 {
@@ -241,8 +224,24 @@ mod tests {
         src.push_str(";\n}");
         let f = lir_of(&src, "f");
         let alloc = allocate(&f);
-        assert!(alloc.frame_size > N_REGS, "expected spills");
+        assert!(alloc.frame_size > 16, "expected a frame above 16 slots");
+        assert_eq!(alloc.frame_size, peak_live(&alloc));
         assert!(verify(&alloc));
+    }
+
+    #[test]
+    fn verify_checks_intervals_at_position_zero() {
+        let shared = Allocation {
+            slots: vec![0, 0],
+            frame_size: 1,
+            intervals: vec![Some((0, 0)), Some((0, 3))],
+        };
+        assert!(!verify(&shared));
+        let untouched = Allocation {
+            intervals: vec![None, Some((0, 3))],
+            ..shared
+        };
+        assert!(verify(&untouched));
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Randomized tests over the LIR backend, driven by the fuzz generator's
-//! program space: every generated program's functions must (a) lower to
-//! valid LIR, (b) receive a register allocation with no two overlapping
-//! live intervals sharing a register, and (c) print the same output (or
-//! fail with the same error) through the tiered LIR engine as through the
-//! bytecode interpreter. Seeds are fixed, so every run checks the same
-//! programs. A hand-written function with more values live than there
-//! are registers checks guard flags in a spilled frame.
+//! program space and the workload programs: every function must (a)
+//! lower to valid LIR, (b) receive a frame-slot assignment with no two
+//! overlapping live intervals sharing a slot, a frame exactly as large as
+//! the peak number of overlapping intervals, and no self-move left, and
+//! (c) print the same output (or fail with the same error) through the
+//! tiered LIR engine as through the bytecode interpreter. Seeds are
+//! fixed, so every run checks the same programs. A hand-written function
+//! with more than 16 values live checks guard flags in a large frame.
 
 use jitbull_frontend::parse_program;
 use jitbull_fuzzer::gen::{generate_complete, GenConfig};
 use jitbull_jit::engine::{Engine, EngineConfig, TierStats};
 use jitbull_jit::pipeline::{CompileInput, OptimizeOptions};
 use jitbull_jit::VulnConfig;
-use jitbull_lir::regalloc::{allocate, verify, N_REGS};
-use jitbull_lir::{compile, lower};
-use jitbull_mir::SlotSet;
+use jitbull_lir::passes::thread_jumps;
+use jitbull_lir::regalloc::{self, allocate, verify};
+use jitbull_lir::{compile, lower, Allocation, LOp};
+use jitbull_mir::{MirFunction, SlotSet};
 use jitbull_vm::compile_program;
 use jitbull_vm::runtime::ExploitStatus;
+use jitbull_workloads::all_workloads;
 
 fn source_for(seed: u64) -> String {
     generate_complete(&GenConfig {
@@ -26,29 +29,61 @@ fn source_for(seed: u64) -> String {
     })
 }
 
+/// The most live intervals that overlap pairwise. For intervals that is
+/// the most that contain one position, and some interval's start is such
+/// a position.
+fn peak_live(allocation: &Allocation) -> u32 {
+    let intervals: Vec<(u32, u32)> = allocation.intervals.iter().flatten().copied().collect();
+    let live_at = |p: u32| intervals.iter().filter(|(s, e)| *s <= p && p <= *e).count();
+    intervals
+        .iter()
+        .map(|(s, _)| live_at(*s))
+        .max()
+        .unwrap_or(0) as u32
+}
+
+/// Runs the backend stage by stage and checks what `compile` produces:
+/// valid LIR, a sound slot assignment, a frame of exactly the peak number
+/// of live intervals, and no self-move.
+fn check_backend(mir: &MirFunction, context: &str) {
+    let mut staged = lower(mir);
+    assert_eq!(staged.validate(), Ok(()), "{context}:\n{staged}");
+    thread_jumps(&mut staged);
+    let allocation = allocate(&staged);
+    assert!(verify(&allocation), "slot overlap in {context}:\n{staged}");
+    regalloc::apply(&mut staged, &allocation);
+    let compiled = compile(mir);
+    assert_eq!(compiled, staged, "{context}");
+    assert_eq!(compiled.validate(), Ok(()), "{context}:\n{compiled}");
+    assert_eq!(
+        compiled.frame_size,
+        peak_live(&allocation),
+        "{context}:\n{compiled}"
+    );
+    let self_move = compiled
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .any(|i| matches!(i.op, LOp::Move) && i.dst == Some(i.args[0]));
+    assert!(!self_move, "self-move in {context}:\n{compiled}");
+}
+
 #[test]
 fn lowering_and_allocation_are_sound() {
-    for seed in 0..64u64 {
-        let source = source_for(seed * 1_543);
-        let program = parse_program(&source).expect("generated source parses");
-        let module = compile_program(&program).expect("compiles");
-        let vulns = VulnConfig::none();
-        for (i, f) in module.functions.iter().enumerate() {
+    let generated = (0..64u64).map(|seed| (format!("seed {seed}"), source_for(seed * 1_543)));
+    let workloads = all_workloads()
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.source));
+    let vulns = VulnConfig::none();
+    for (program, source) in generated.chain(workloads) {
+        let parsed = parse_program(&source).expect("source parses");
+        let module = compile_program(&parsed).expect("compiles");
+        for f in &module.functions {
             let input = CompileInput::new(f, SlotSet::new(), &vulns);
             let optimized =
                 jitbull_jit::compile(&input, &OptimizeOptions::default()).expect("mir builds");
-            assert!(optimized.broken.is_none(), "seed {seed}");
-            // Lower + allocate, then check the allocator invariant.
-            let lowered = lower(&optimized.mir);
-            assert_eq!(lowered.validate(), Ok(()), "seed {seed}:\n{lowered}");
-            let allocation = allocate(&lowered);
-            assert!(
-                verify(&allocation),
-                "allocation overlap for seed {seed} fn {i}:\n{lowered}"
-            );
-            // The full backend pipeline also ends valid.
-            let compiled = compile(&optimized.mir);
-            assert_eq!(compiled.validate(), Ok(()), "seed {seed}:\n{compiled}");
+            assert!(optimized.broken.is_none(), "{program}");
+            check_backend(&optimized.mir, &format!("{program} fn {}", f.name));
         }
     }
 }
@@ -79,9 +114,9 @@ fn lir_tier_agrees_with_interpreter() {
 /// (`a[a.length] = v`, whose `boundscheck` fails, so the write must take
 /// the safe path) and in-range loads. After the loop it makes one more
 /// growth write whose failing `boundscheck` is held across 20 further
-/// values, which puts that guard's flag in a spill slot. Reading a wrong
-/// guard flag turns a growth write into a raw write past the array, which
-/// crashes or corrupts the output.
+/// values, which puts that guard's flag in a slot at or above 16. Reading
+/// a wrong guard flag turns a growth write into a raw write past the
+/// array, which crashes or corrupts the output.
 #[test]
 fn spilled_frame_honours_failing_guards() {
     let xs: String = (0..20)
@@ -117,15 +152,15 @@ print(r); print(a.length); print(a[13]); print(a[14]);
     let input = CompileInput::new(function, SlotSet::new(), &vulns);
     let optimized = jitbull_jit::compile(&input, &OptimizeOptions::default()).unwrap();
     let code = compile(&optimized.mir);
-    assert!(code.frame_size > N_REGS, "no spill slot:\n{code}");
+    assert!(code.frame_size > 16, "no slot above 16:\n{code}");
     let spilled_bounds_flag = code
         .blocks
         .iter()
         .flat_map(|b| &b.instrs)
-        .any(|i| i.guards.bounds && i.args[1].0 >= N_REGS);
+        .any(|i| i.guards.bounds && i.args[1].0 >= 16);
     assert!(
         spilled_bounds_flag,
-        "no bounds flag in a spill slot:\n{code}"
+        "no bounds flag in a slot at or above 16:\n{code}"
     );
 
     let run = |jit_enabled: bool| {
