@@ -160,9 +160,13 @@ enum FuncTier {
     /// Baseline-compiled; the first invocation past the Ion threshold
     /// compiles it (again, after a panic short of quarantine).
     Baseline,
-    /// Runs this optimized code.
+    /// Runs this optimized code. The `Rc` is this run's handle on the
+    /// shared code: every call holds a clone of it while the engine is
+    /// lent out as the dispatcher, and an `Rc` count is not atomic. The
+    /// extra allocation is one per promotion.
     Ion {
-        code: Arc<LFunction>,
+        #[allow(clippy::redundant_allocation)]
+        code: Rc<Arc<LFunction>>,
         /// Vulnerabilities whose incorrect transform fired in `code`.
         vulns_fired: Vec<&'static str>,
     },
@@ -426,7 +430,7 @@ impl Engine {
             Arc::new(jitbull_lir::compile(&mir))
         });
         FuncTier::Ion {
-            code: Arc::clone(code),
+            code: Rc::new(Arc::clone(code)),
             vulns_fired: output.vulns_fired.clone(),
         }
     }
@@ -687,7 +691,7 @@ impl Dispatcher for Engine {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
+        args: &mut [Value],
     ) -> Result<Value, VmError> {
         let ix = func.0 as usize;
         let st = &mut self.run.funcs[ix];
@@ -717,8 +721,8 @@ impl Dispatcher for Engine {
         }
         let cost = match &self.run.funcs[ix].tier {
             FuncTier::Ion { code, .. } => {
-                let code = Arc::clone(code);
-                return jitbull_lir::run(&code, rt, module, this, &args, self);
+                let code = Rc::clone(code);
+                return jitbull_lir::run(&code, rt, module, this, args, self);
             }
             FuncTier::Baseline | FuncTier::NoIon => BASELINE_COST,
             FuncTier::Interpreter | FuncTier::Pinned => INTERP_COST,

@@ -1,7 +1,10 @@
 //! The LIR executor: the optimizing tier's only executor, a register
 //! machine over [`Value`] cells at 1 cycle per instruction. Every operand
 //! is a frame-slot index (slot assignment renumbered them), so one
-//! activation is one frame of values plus one guard flag per slot.
+//! activation is one frame of values plus one guard flag per slot, taken
+//! from the runtime's free list. Operands are read in place; number
+//! operands take inline fast paths and everything else the interpreter's
+//! helpers, so both tiers share one semantics.
 //!
 //! ## Guarded vs raw memory accesses
 //!
@@ -24,37 +27,23 @@ use jitbull_mir::{CmpOp, ConstVal, MOpcode, TypeHint};
 use jitbull_vm::bytecode::Module;
 use jitbull_vm::interp::{eval_binop, eval_intrinsic, eval_math, eval_unop, invoke_value};
 use jitbull_vm::runtime::{Runtime, ION_COST};
-use jitbull_vm::value::ArrId;
-use jitbull_vm::{Dispatcher, Value, VmError};
+use jitbull_vm::value::{is_integral, to_int32, ArrId};
+use jitbull_vm::{Dispatcher, Frame, Value, VmError};
 
 use crate::lir::{LBlockId, LFunction, LInstr, LOp, VReg};
 
-/// One activation: a value and a guard pass/fail flag per frame slot.
-struct Frame {
-    values: Vec<Value>,
-    flags: Vec<bool>,
+/// Arguments and other operand lists up to this length are gathered into
+/// a stack buffer; longer ones into a `Vec`.
+const INLINE_ARGS: usize = 6;
+
+/// Whether a guard vouching for `i`'s base or index operand failed.
+fn guard_failed(m: &Frame, i: &LInstr) -> bool {
+    (i.guards.unbox && !m.flags[i.args[0].0 as usize])
+        || (i.guards.bounds && !m.flags[i.args[1].0 as usize])
 }
 
-impl Frame {
-    fn new(f: &LFunction) -> Self {
-        Frame {
-            values: vec![Value::Undefined; f.frame_size as usize],
-            flags: vec![true; f.frame_size as usize],
-        }
-    }
-
-    fn get(&self, v: VReg) -> Value {
-        self.values[v.0 as usize].clone()
-    }
-
-    /// Whether a guard vouching for `i`'s base or index operand failed.
-    fn guard_failed(&self, i: &LInstr) -> bool {
-        (i.guards.unbox && !self.flags[i.args[0].0 as usize])
-            || (i.guards.bounds && !self.flags[i.args[1].0 as usize])
-    }
-}
-
-/// Executes one invocation of LIR, lowered or slot-assigned.
+/// Executes one invocation of LIR, lowered or slot-assigned. The frame
+/// comes from the runtime's free list and goes back to it on return.
 ///
 /// # Errors
 ///
@@ -68,7 +57,9 @@ pub fn run(
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
     rt.enter_call()?;
-    let result = run_inner(code, rt, module, this, args, dispatcher);
+    let mut frame = rt.take_frame(code.frame_size as usize);
+    let result = run_inner(code, rt, module, &mut frame, &this, args, dispatcher);
+    rt.recycle_frame(frame);
     rt.exit_call();
     result
 }
@@ -98,6 +89,27 @@ fn const_value(c: &ConstVal) -> Value {
     }
 }
 
+/// `v`'s numeric value, without a call when it already is a number.
+#[inline(always)]
+fn num(v: &Value) -> f64 {
+    match v {
+        Value::Number(n) => *n,
+        other => other.to_number(),
+    }
+}
+
+/// The shift count of `x << y`: the low five bits of `y`'s int32.
+#[inline(always)]
+fn shift_count(y: f64) -> u32 {
+    to_int32(y) as u32 & 31
+}
+
+/// Whether `idx` is an array index the raw element path may address.
+#[inline(always)]
+fn is_index(idx: f64) -> bool {
+    idx >= 0.0 && is_integral(idx)
+}
+
 fn wild(rt: &mut Runtime, msg: String) -> VmError {
     rt.note_crash(&msg);
     VmError::Crash(msg)
@@ -110,25 +122,80 @@ fn crash_noted(rt: &mut Runtime, e: VmError) -> VmError {
     e
 }
 
+/// Stores `v` in `i`'s destination slot.
+#[inline(always)]
+fn put(m: &mut Frame, i: &LInstr, v: Value) {
+    if let Some(d) = i.dst {
+        m.values[d.0 as usize] = v;
+    }
+}
+
+/// Stores the number `x` in `i`'s destination slot. Over a number it
+/// replaces only the payload, so no `Value` is built on the stack and
+/// copied (a wide load of a value just written field by field stalls).
+#[inline(always)]
+fn put_num(m: &mut Frame, i: &LInstr, x: f64) {
+    if let Some(d) = i.dst {
+        match &mut m.values[d.0 as usize] {
+            Value::Number(n) => *n = x,
+            slot => *slot = Value::Number(x),
+        }
+    }
+}
+
+/// [`put_num`] for a boolean.
+#[inline(always)]
+fn put_bool(m: &mut Frame, i: &LInstr, x: bool) {
+    if let Some(d) = i.dst {
+        match &mut m.values[d.0 as usize] {
+            Value::Bool(b) => *b = x,
+            slot => *slot = Value::Bool(x),
+        }
+    }
+}
+
+/// Gathers the values in `slots` into one argument slice for `f`: a
+/// stack buffer up to [`INLINE_ARGS`] values, a `Vec` past that.
+fn with_values<R>(m: &Frame, slots: &[VReg], f: impl FnOnce(&mut [Value]) -> R) -> R {
+    if slots.len() <= INLINE_ARGS {
+        let mut buf: [Value; INLINE_ARGS] = Default::default();
+        for (b, s) in buf.iter_mut().zip(slots) {
+            // A number is rebuilt from its payload, not cloned as a
+            // whole `Value` (see `put_num`).
+            *b = match &m.values[s.0 as usize] {
+                Value::Number(x) => Value::Number(*x),
+                v => v.clone(),
+            };
+        }
+        f(&mut buf[..slots.len()])
+    } else {
+        let mut values: Vec<Value> = slots
+            .iter()
+            .map(|s| m.values[s.0 as usize].clone())
+            .collect();
+        f(&mut values)
+    }
+}
+
 fn run_inner(
     code: &LFunction,
     rt: &mut Runtime,
     module: &Module,
-    this: Value,
+    m: &mut Frame,
+    this: &Value,
     args: &[Value],
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
-    let mut m = Frame::new(code);
     let mut cur = LBlockId(0);
     'blocks: loop {
         let block = &code.blocks[cur.0 as usize];
         for i in &block.instrs {
             rt.consume_op(ION_COST)?;
             match &i.op {
-                LOp::Move => {
-                    let d = i.dst.expect("move has dst");
-                    m.values[d.0 as usize] = m.get(i.args[0]);
-                }
+                LOp::Move => match &m.values[i.args[0].0 as usize] {
+                    Value::Number(x) => put_num(m, i, *x),
+                    v => put(m, i, v.clone()),
+                },
                 LOp::Jump(t) => {
                     cur = *t;
                     continue 'blocks;
@@ -137,26 +204,32 @@ fn run_inner(
                     then_block,
                     else_block,
                 } => {
-                    cur = if m.get(i.args[0]).truthy() {
+                    cur = if m.values[i.args[0].0 as usize].truthy() {
                         *then_block
                     } else {
                         *else_block
                     };
                     continue 'blocks;
                 }
-                LOp::Return => return Ok(m.get(i.args[0])),
-                LOp::Op(op) => {
-                    let result = eval_op(rt, module, &mut m, i, op, &this, args, dispatcher)?;
-                    if let Some(d) = i.dst {
-                        m.values[d.0 as usize] = result;
-                    }
+                LOp::Return => {
+                    return Ok(match &mut m.values[i.args[0].0 as usize] {
+                        Value::Number(x) => Value::Number(*x),
+                        v => std::mem::take(v),
+                    })
                 }
+                LOp::Op(op) => eval_op(rt, module, m, i, op, this, args, dispatcher)?,
             }
         }
         return Err(VmError::Type("lir block fell through".into()));
     }
 }
 
+/// Evaluates one non-terminator op into its destination slot. Operands are
+/// read in place. The hot arms handle numbers inline and store their
+/// result straight into the frame (a result merged with the other arms'
+/// first goes through stack temporaries); every other operand type falls
+/// back to the interpreter's helpers.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn eval_op(
     rt: &mut Runtime,
@@ -167,53 +240,116 @@ fn eval_op(
     this: &Value,
     args: &[Value],
     dispatcher: &mut dyn Dispatcher,
-) -> Result<Value, VmError> {
-    let a = |m: &Frame, k: usize| m.get(i.args[k]);
-    Ok(match op {
-        MOpcode::Parameter(k) => args.get(*k as usize).cloned().unwrap_or(Value::Undefined),
+) -> Result<(), VmError> {
+    // Operand `k`, borrowed from the frame.
+    macro_rules! a {
+        ($k:expr) => {
+            &m.values[i.args[$k].0 as usize]
+        };
+    }
+    // Stores a number or boolean result and finishes the op.
+    macro_rules! ret_num {
+        ($x:expr) => {{
+            let x = $x;
+            put_num(m, i, x);
+            return Ok(());
+        }};
+    }
+    macro_rules! ret_bool {
+        ($x:expr) => {{
+            let x = $x;
+            put_bool(m, i, x);
+            return Ok(());
+        }};
+    }
+    // A binary op: `$fast` (via `$ret`) on two numbers, `eval_binop($bin)`
+    // otherwise.
+    macro_rules! binop {
+        ($bin:expr, $ret:ident, |$x:ident, $y:ident| $fast:expr) => {
+            match (a!(0), a!(1)) {
+                (Value::Number($x), Value::Number($y)) => {
+                    let ($x, $y) = (*$x, *$y);
+                    $ret!($fast)
+                }
+                (x, y) => eval_binop($bin, x, y),
+            }
+        };
+    }
+    let result = match op {
+        MOpcode::Parameter(k) => match args.get(*k as usize) {
+            Some(Value::Number(x)) => ret_num!(*x),
+            Some(v) => v.clone(),
+            None => Value::Undefined,
+        },
         MOpcode::This => this.clone(),
+        MOpcode::Constant(ConstVal::Number(n)) => ret_num!(*n),
         MOpcode::Constant(c) => const_value(c),
-        MOpcode::Add => eval_binop(BinOp::Add, &a(m, 0), &a(m, 1)),
-        MOpcode::Sub => eval_binop(BinOp::Sub, &a(m, 0), &a(m, 1)),
-        MOpcode::Mul => eval_binop(BinOp::Mul, &a(m, 0), &a(m, 1)),
-        MOpcode::Div => eval_binop(BinOp::Div, &a(m, 0), &a(m, 1)),
-        MOpcode::Mod => eval_binop(BinOp::Mod, &a(m, 0), &a(m, 1)),
-        MOpcode::Compare(c) => eval_binop(cmp_binop(*c), &a(m, 0), &a(m, 1)),
-        MOpcode::BitAnd => eval_binop(BinOp::BitAnd, &a(m, 0), &a(m, 1)),
-        MOpcode::BitOr => eval_binop(BinOp::BitOr, &a(m, 0), &a(m, 1)),
-        MOpcode::BitXor => eval_binop(BinOp::BitXor, &a(m, 0), &a(m, 1)),
-        MOpcode::Lsh => eval_binop(BinOp::Shl, &a(m, 0), &a(m, 1)),
-        MOpcode::Rsh => eval_binop(BinOp::Shr, &a(m, 0), &a(m, 1)),
-        MOpcode::Ursh => eval_binop(BinOp::Ushr, &a(m, 0), &a(m, 1)),
-        MOpcode::BitNot => eval_unop(UnOp::BitNot, &a(m, 0)),
-        MOpcode::Neg => eval_unop(UnOp::Neg, &a(m, 0)),
-        MOpcode::Not => eval_unop(UnOp::Not, &a(m, 0)),
-        MOpcode::ToNumber => eval_unop(UnOp::Plus, &a(m, 0)),
-        MOpcode::TypeOf => eval_unop(UnOp::Typeof, &a(m, 0)),
+        MOpcode::Add => binop!(BinOp::Add, ret_num, |x, y| x + y),
+        MOpcode::Sub => binop!(BinOp::Sub, ret_num, |x, y| x - y),
+        MOpcode::Mul => binop!(BinOp::Mul, ret_num, |x, y| x * y),
+        MOpcode::Div => binop!(BinOp::Div, ret_num, |x, y| x / y),
+        MOpcode::Mod => binop!(BinOp::Mod, ret_num, |x, y| x % y),
+        MOpcode::Compare(c) => binop!(cmp_binop(*c), ret_bool, |x, y| match c {
+            CmpOp::Eq | CmpOp::StrictEq => x == y,
+            CmpOp::Ne | CmpOp::StrictNe => x != y,
+            CmpOp::Lt => x < y,
+            CmpOp::Le => x <= y,
+            CmpOp::Gt => x > y,
+            CmpOp::Ge => x >= y,
+        }),
+        MOpcode::BitAnd => binop!(BinOp::BitAnd, ret_num, |x, y| f64::from(
+            to_int32(x) & to_int32(y)
+        )),
+        MOpcode::BitOr => binop!(BinOp::BitOr, ret_num, |x, y| f64::from(
+            to_int32(x) | to_int32(y)
+        )),
+        MOpcode::BitXor => binop!(BinOp::BitXor, ret_num, |x, y| f64::from(
+            to_int32(x) ^ to_int32(y)
+        )),
+        MOpcode::Lsh => binop!(BinOp::Shl, ret_num, |x, y| f64::from(
+            to_int32(x) << shift_count(y)
+        )),
+        MOpcode::Rsh => binop!(BinOp::Shr, ret_num, |x, y| f64::from(
+            to_int32(x) >> shift_count(y)
+        )),
+        MOpcode::Ursh => binop!(BinOp::Ushr, ret_num, |x, y| f64::from(
+            to_int32(x) as u32 >> shift_count(y)
+        )),
+        MOpcode::BitNot => eval_unop(UnOp::BitNot, a!(0)),
+        MOpcode::Neg => eval_unop(UnOp::Neg, a!(0)),
+        MOpcode::Not => eval_unop(UnOp::Not, a!(0)),
+        MOpcode::ToNumber => eval_unop(UnOp::Plus, a!(0)),
+        MOpcode::TypeOf => eval_unop(UnOp::Typeof, a!(0)),
         MOpcode::Call(_) => {
-            let callee = a(m, 0);
-            let call_args: Vec<Value> = (1..i.args.len()).map(|k| a(m, k)).collect();
-            invoke_value(rt, module, callee, Value::Undefined, call_args, dispatcher)?
+            let callee = a!(0).clone();
+            with_values(m, &i.args[1..], |call_args| {
+                invoke_value(rt, module, callee, Value::Undefined, call_args, dispatcher)
+            })?
         }
         MOpcode::CallMethod(_) => {
-            let base = a(m, 0);
-            let callee = a(m, 1);
-            let call_args: Vec<Value> = (2..i.args.len()).map(|k| a(m, k)).collect();
-            invoke_value(rt, module, callee, base, call_args, dispatcher)?
+            let (base, callee) = (a!(0).clone(), a!(1).clone());
+            with_values(m, &i.args[2..], |call_args| {
+                invoke_value(rt, module, callee, base, call_args, dispatcher)
+            })?
         }
         MOpcode::New(_) => {
-            let callee = a(m, 0);
-            let call_args: Vec<Value> = (1..i.args.len()).map(|k| a(m, k)).collect();
+            let callee = a!(0).clone();
             let obj = Value::Object(rt.alloc_object());
-            invoke_value(rt, module, callee, obj.clone(), call_args, dispatcher)?;
+            with_values(m, &i.args[1..], |call_args| {
+                invoke_value(rt, module, callee, obj.clone(), call_args, dispatcher)
+            })?;
             obj
         }
         MOpcode::NewArray(_) => {
-            let items: Vec<Value> = (0..i.args.len()).map(|k| a(m, k)).collect();
+            let items: Vec<Value> = i
+                .args
+                .iter()
+                .map(|s| m.values[s.0 as usize].clone())
+                .collect();
             Value::Array(rt.heap.alloc_array_from(items))
         }
         MOpcode::NewArrayN => {
-            let n = a(m, 0).to_number();
+            let n = num(a!(0));
             let n = if n.is_finite() && n >= 0.0 {
                 n as usize
             } else {
@@ -222,108 +358,133 @@ fn eval_op(
             Value::Array(rt.heap.alloc_array(n, n, Value::Undefined))
         }
         MOpcode::NewObject => Value::Object(rt.alloc_object()),
+        // Passes the index through unchanged: an object base's store or
+        // load falls back to the interpreter, which keys it by the index's
+        // string form (`obj["k"]`), not by its number.
         MOpcode::BoundsCheck => {
-            let idx = a(m, 0).to_number();
-            let len = a(m, 1).to_number();
-            let ok = idx >= 0.0 && idx.fract() == 0.0 && idx < len && idx.is_finite();
+            let ok = {
+                let idx = num(a!(0));
+                is_index(idx) && idx < num(a!(1))
+            };
             m.flags[i.dst.expect("boundscheck has dst").0 as usize] = ok;
-            Value::Number(idx)
+            match a!(0) {
+                Value::Number(x) => ret_num!(*x),
+                v => v.clone(),
+            }
         }
         MOpcode::TypeGuard(hint) | MOpcode::Unbox(hint) => {
-            let v = a(m, 0);
+            let v = a!(0);
             let ok = match hint {
                 TypeHint::Number => matches!(v, Value::Number(_)),
-                TypeHint::Int32 => matches!(v, Value::Number(n) if n.fract() == 0.0),
+                TypeHint::Int32 => matches!(v, Value::Number(n) if is_integral(*n)),
                 TypeHint::Bool => matches!(v, Value::Bool(_)),
                 TypeHint::Str => matches!(v, Value::Str(_)),
                 TypeHint::Array => matches!(v, Value::Array(_)),
                 TypeHint::Object => matches!(v, Value::Object(_)),
             };
             m.flags[i.dst.expect("guard has dst").0 as usize] = ok;
-            v
-        }
-        MOpcode::InitializedLength | MOpcode::ArrayLength => {
-            let base = a(m, 0);
-            match &base {
-                Value::Array(arr) => Value::Number(rt.heap.length(*arr) as f64),
-                Value::Str(s) => Value::Number(s.chars().count() as f64),
-                Value::Object(o) => rt.object(*o).get("length"),
-                Value::Number(k) if !i.guards.unbox => {
-                    // Type confusion: the unbox guard was removed.
-                    if *k >= 0.0 && k.is_finite() {
-                        let v = rt
-                            .heap
-                            .raw_read(*k as usize)
-                            .map_err(|e| crash_noted(rt, e))?;
-                        Value::Number(v.to_number())
-                    } else {
-                        return Err(wild(rt, format!("wild length read at {k}")));
-                    }
-                }
-                _ => Value::Number(0.0),
+            match a!(0) {
+                Value::Number(x) => ret_num!(*x),
+                v => v.clone(),
             }
         }
+        MOpcode::InitializedLength | MOpcode::ArrayLength => match a!(0) {
+            Value::Array(arr) => ret_num!(rt.heap.length(*arr) as f64),
+            Value::Str(s) => Value::Number(s.chars().count() as f64),
+            Value::Object(o) => rt.object(*o).get("length"),
+            Value::Number(k) if !i.guards.unbox => {
+                // Type confusion: the unbox guard was removed.
+                if *k >= 0.0 && k.is_finite() {
+                    let v = rt
+                        .heap
+                        .raw_read(*k as usize)
+                        .map_err(|e| crash_noted(rt, e))?;
+                    Value::Number(v.to_number())
+                } else {
+                    return Err(wild(rt, format!("wild length read at {k}")));
+                }
+            }
+            _ => Value::Number(0.0),
+        },
         MOpcode::SetArrayLength => {
-            let base = a(m, 0);
-            let v = a(m, 1);
-            jitbull_vm::interp::set_length(rt, &base, &v)?;
+            let v = a!(1).clone();
+            jitbull_vm::interp::set_length(rt, a!(0), &v)?;
             v
         }
-        MOpcode::LoadElement => element_load(rt, m, i)?,
+        MOpcode::LoadElement => {
+            // The raw path of `element_load` for a live array base, an
+            // integral index and a number in the cell.
+            if let (Value::Array(arr), Value::Number(idx)) = (a!(0), a!(1)) {
+                if is_index(*idx) && !guard_failed(m, i) {
+                    let addr = rt.heap.elem_addr(*arr, *idx as usize);
+                    if let Some(Value::Number(x)) = rt.heap.cell(addr) {
+                        ret_num!(*x)
+                    }
+                }
+            }
+            element_load(rt, m, i)?
+        }
         MOpcode::StoreElement => {
-            let v = a(m, 2);
+            // The raw path of `element_store` for a live array base, an
+            // integral index and a number over a number.
+            if let (Value::Array(arr), Value::Number(idx), Value::Number(x)) = (a!(0), a!(1), a!(2))
+            {
+                if is_index(*idx) && !guard_failed(m, i) {
+                    let addr = rt.heap.elem_addr(*arr, *idx as usize);
+                    if let Some(Value::Number(cell)) = rt.heap.cell_mut(addr) {
+                        *cell = *x;
+                        ret_num!(*x)
+                    }
+                }
+            }
+            let v = a!(2).clone();
             element_store(rt, m, i, v.clone())?;
             v
         }
-        MOpcode::LoadProperty(name) => {
-            let base = a(m, 0);
-            jitbull_vm::interp::get_prop(rt, &base, name)?
-        }
+        MOpcode::LoadProperty(name) => jitbull_vm::interp::get_prop(rt, a!(0), name)?,
         MOpcode::StoreProperty(name) => {
-            let base = a(m, 0);
-            let v = a(m, 1);
-            jitbull_vm::interp::set_prop(rt, &base, name, v.clone())?;
+            let v = a!(1).clone();
+            jitbull_vm::interp::set_prop(rt, a!(0), name, v.clone())?;
             v
         }
         MOpcode::LoadGlobal(slot) => rt.globals[*slot as usize].clone(),
         MOpcode::StoreGlobal(slot) => {
-            let v = a(m, 0);
+            let v = a!(0).clone();
             rt.globals[*slot as usize] = v.clone();
             v
         }
         MOpcode::Print => {
-            let v = a(m, 0);
-            let line = v.to_string();
+            let line = a!(0).to_string();
             rt.printed.push(line);
             Value::Undefined
         }
-        MOpcode::MathFunction(mf) => {
-            let call_args: Vec<Value> = (0..i.args.len()).map(|k| a(m, k)).collect();
-            eval_math(rt, *mf, &call_args)
-        }
+        MOpcode::MathFunction(mf) => with_values(m, &i.args, |xs| eval_math(rt, *mf, xs)),
         MOpcode::Intrinsic(method, _) => {
-            let recv = a(m, 0);
-            let call_args: Vec<Value> = (1..i.args.len()).map(|k| a(m, k)).collect();
-            eval_intrinsic(rt, *method, &recv, &call_args)?
+            with_values(m, &i.args[1..], |xs| eval_intrinsic(rt, *method, a!(0), xs))?
         }
         MOpcode::FromCharCode => {
-            let n = a(m, 0).to_number();
+            let n = num(a!(0));
             let c = char::from_u32(n as u32).unwrap_or('\u{FFFD}');
             Value::str(c.to_string())
         }
         MOpcode::Goto(_) | MOpcode::Test { .. } | MOpcode::Return | MOpcode::Phi => {
             unreachable!("control flow lowered to LIR terminators")
         }
-    })
+    };
+    match result {
+        Value::Number(x) => put_num(m, i, x),
+        v => put(m, i, v),
+    }
+    Ok(())
 }
 
 fn element_load(rt: &mut Runtime, m: &Frame, i: &LInstr) -> Result<Value, VmError> {
-    let base = m.get(i.args[0]);
-    let idx = m.get(i.args[1]);
-    match &base {
+    let base = &m.values[i.args[0].0 as usize];
+    let idx = &m.values[i.args[1].0 as usize];
+    match base {
         Value::Array(arr) => {
-            if m.guard_failed(i) {
-                return jitbull_vm::interp::get_elem(rt, &base, &idx);
+            if guard_failed(m, i) {
+                return jitbull_vm::interp::get_elem(rt, base, idx);
             }
             raw_read(rt, *arr, idx.to_number())
         }
@@ -337,17 +498,17 @@ fn element_load(rt: &mut Runtime, m: &Frame, i: &LInstr) -> Result<Value, VmErro
                 Err(wild(rt, format!("wild read through confused pointer {k}")))
             }
         }
-        _ => jitbull_vm::interp::get_elem(rt, &base, &idx),
+        _ => jitbull_vm::interp::get_elem(rt, base, idx),
     }
 }
 
 fn element_store(rt: &mut Runtime, m: &Frame, i: &LInstr, value: Value) -> Result<(), VmError> {
-    let base = m.get(i.args[0]);
-    let idx = m.get(i.args[1]);
-    match &base {
+    let base = &m.values[i.args[0].0 as usize];
+    let idx = &m.values[i.args[1].0 as usize];
+    match base {
         Value::Array(arr) => {
-            if m.guard_failed(i) {
-                return jitbull_vm::interp::set_elem(rt, &base, &idx, value);
+            if guard_failed(m, i) {
+                return jitbull_vm::interp::set_elem(rt, base, idx, value);
             }
             raw_write(rt, *arr, idx.to_number(), value)
         }
@@ -361,12 +522,12 @@ fn element_store(rt: &mut Runtime, m: &Frame, i: &LInstr, value: Value) -> Resul
                 Err(wild(rt, format!("wild write through confused pointer {k}")))
             }
         }
-        _ => jitbull_vm::interp::set_elem(rt, &base, &idx, value),
+        _ => jitbull_vm::interp::set_elem(rt, base, idx, value),
     }
 }
 
 fn raw_read(rt: &mut Runtime, arr: ArrId, idx: f64) -> Result<Value, VmError> {
-    if !(idx >= 0.0 && idx.fract() == 0.0 && idx.is_finite()) {
+    if !is_index(idx) {
         return rt.heap.get_elem(arr, idx);
     }
     let addr = rt.heap.elem_addr(arr, idx as usize);
@@ -374,7 +535,7 @@ fn raw_read(rt: &mut Runtime, arr: ArrId, idx: f64) -> Result<Value, VmError> {
 }
 
 fn raw_write(rt: &mut Runtime, arr: ArrId, idx: f64, value: Value) -> Result<(), VmError> {
-    if !(idx >= 0.0 && idx.fract() == 0.0 && idx.is_finite()) {
+    if !is_index(idx) {
         return rt.heap.set_elem(arr, idx, value);
     }
     let addr = rt.heap.elem_addr(arr, idx as usize);

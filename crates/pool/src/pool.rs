@@ -12,7 +12,7 @@ use jitbull_jit::engine::EngineConfig;
 use jitbull_telemetry::{Collector, Event};
 
 use crate::error::PoolError;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{BoundedQueue, PushError, Turns};
 use crate::swap::SnapshotCell;
 use crate::worker;
 
@@ -356,11 +356,16 @@ impl Pool {
         let breaker = CircuitBreaker::new(config.breaker);
         let quarantine = Quarantine::default();
         let drain_by = Arc::new(OnceLock::new());
+        // One turn more than cores: a holder the kernel preempts leaves no
+        // core idle, and past that many workers the most loaded still wait.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let turns = Arc::new(Turns::new(workers, cores + 1));
         let handles = (0..workers)
             .map(|ix| {
                 let ctx = worker::WorkerCtx {
                     index: ix,
                     queue: Arc::clone(&queue),
+                    turns: Arc::clone(&turns),
                     cell: Arc::clone(&cell),
                     stats: Arc::clone(&stats),
                     collector: collector.clone(),

@@ -8,6 +8,9 @@
 //! * **Drain-on-close** — after `close()`, producers are refused but
 //!   consumers keep popping until the queue is empty, then observe
 //!   `None`. Nothing accepted is ever dropped.
+//!
+//! `Turns` shares the cores among consumers when there are more of them
+//! than cores.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -110,10 +113,198 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// Shares `permits` concurrent turns among a fixed set of workers, giving
+/// each free turn to the least-loaded waiting worker.
+///
+/// A pool with more workers than cores otherwise hands each worker's CPU
+/// share to the kernel. The kernel may run one worker alone on a core and
+/// the rest on another, start a worker late, or preempt some workers for
+/// milliseconds, and over a short batch the favoured worker serves half
+/// of it. Here at most `permits` workers serve at once (the pool allows
+/// one more than it has cores), a worker waiting for its turn is blocked,
+/// and the next turn goes to the waiting worker that has served the
+/// fewest simulated cycles (ties to the lower index), as if each worker
+/// had a core of its own. A worker waits from the start and again from
+/// the moment a turn ends with [`Turn::end_in_line`], so a worker the
+/// kernel has not run yet keeps its place. Taking turns one request at a
+/// time instead, in a fixed order, can give every worker the same kind
+/// of request each time round a repeating mix.
+#[derive(Debug)]
+pub(crate) struct Turns {
+    state: Mutex<TurnState>,
+    permits: usize,
+    changed: Condvar,
+}
+
+#[derive(Debug)]
+struct TurnState {
+    /// Turns held now.
+    running: usize,
+    /// Per worker: waiting for a turn.
+    waiting: Vec<bool>,
+    /// Per worker: simulated cycles served in ended turns.
+    load: Vec<u64>,
+}
+
+impl TurnState {
+    /// How many waiting workers go before `worker`: those with less load,
+    /// or as much and a lower index.
+    fn ahead_of(&self, worker: usize) -> usize {
+        let key = (self.load[worker], worker);
+        (0..self.waiting.len())
+            .filter(|&w| self.waiting[w] && (self.load[w], w) < key)
+            .count()
+    }
+}
+
+/// One worker's turn. Dropping it ends it and gives up the worker's
+/// place, as a worker that stops serving must.
+#[derive(Debug)]
+pub(crate) struct Turn<'a> {
+    turns: &'a Turns,
+    worker: usize,
+    /// `Some(cycles served)` once the worker keeps its place.
+    served: Option<u64>,
+}
+
+impl Turns {
+    /// `workers` workers sharing at most `permits` turns (minimum 1).
+    pub(crate) fn new(workers: usize, permits: usize) -> Self {
+        Turns {
+            state: Mutex::new(TurnState {
+                running: 0,
+                waiting: vec![true; workers],
+                load: vec![0; workers],
+            }),
+            permits: permits.max(1),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, TurnState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Blocks until a turn is free for `worker`: fewer than `permits`
+    /// turns are held or taken by the waiting workers that go before it.
+    pub(crate) fn take(&self, worker: usize) -> Turn<'_> {
+        let mut st = self.lock();
+        st.waiting[worker] = true;
+        while st.running + st.ahead_of(worker) >= self.permits {
+            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        st.waiting[worker] = false;
+        st.running += 1;
+        Turn {
+            turns: self,
+            worker,
+            served: None,
+        }
+    }
+}
+
+impl Turn<'_> {
+    /// Ends the turn, adds `cycles` to the worker's load and keeps its
+    /// place: it waits for its next turn from now on.
+    pub(crate) fn end_in_line(mut self, cycles: u64) {
+        self.served = Some(cycles);
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut st = self.turns.lock();
+        st.running -= 1;
+        if let Some(cycles) = self.served {
+            st.load[self.worker] += cycles;
+            st.waiting[self.worker] = true;
+        }
+        drop(st);
+        self.turns.changed.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn turns_go_to_the_least_loaded_waiter() {
+        let turns = Turns::new(3, 1);
+        // Every worker waits from the start, so the lowest index goes first.
+        turns.take(0).end_in_line(50);
+        turns.take(1).end_in_line(30);
+        turns.take(2).end_in_line(10);
+        assert_eq!(turns.lock().load, vec![50, 30, 10]);
+        // All three wait again: the least loaded, worker 2, goes next,
+        // even when worker 0 asks first.
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let w0 = s.spawn(|| {
+                turns.take(0).end_in_line(0);
+                order.lock().unwrap().push(0);
+            });
+            let w1 = s.spawn(|| {
+                let t = turns.take(1);
+                order.lock().unwrap().push(1);
+                t.end_in_line(100);
+            });
+            let t = turns.take(2);
+            order.lock().unwrap().push(2);
+            t.end_in_line(100);
+            w0.join().unwrap();
+            w1.join().unwrap();
+        });
+        // 2 (load 10), then 1 (30), then 0 (50): 1 and 2 now carry 130
+        // and 110, so 0 pushed last.
+        assert_eq!(*order.lock().unwrap(), vec![2, 1, 0]);
+        assert_eq!(turns.lock().running, 0);
+    }
+
+    #[test]
+    fn a_worker_that_has_not_asked_yet_keeps_its_place() {
+        let turns = Turns::new(2, 1);
+        turns.take(0).end_in_line(5);
+        // Worker 1 waits from the start with load 0, so it goes before
+        // worker 0 even though it never asked: worker 0 would block.
+        assert_eq!(turns.lock().ahead_of(0), 1);
+        assert_eq!(turns.lock().ahead_of(1), 0);
+        turns.take(1).end_in_line(10);
+        assert_eq!(turns.lock().ahead_of(0), 0);
+        assert_eq!(turns.lock().ahead_of(1), 1);
+    }
+
+    #[test]
+    fn no_worker_waits_while_turns_are_free() {
+        // As many turns as workers: every waiting worker may start.
+        let turns = Turns::new(2, 2);
+        let t1 = turns.take(1);
+        let t0 = turns.take(0);
+        t0.end_in_line(9);
+        t1.end_in_line(1);
+        let (_a, _b) = (turns.take(0), turns.take(1));
+        assert_eq!(turns.lock().running, 2);
+    }
+
+    #[test]
+    fn a_dropped_turn_gives_up_the_place() {
+        let turns = Turns::new(2, 1);
+        // Worker 0 (lowest index) stops serving; worker 1 is not blocked by
+        // it afterwards, although its load stays the smaller.
+        drop(turns.take(0));
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _turn = turns.take(1);
+                panic!("holder fails");
+            })
+            .join()
+        });
+        let t = turns.take(1);
+        assert_eq!(turns.lock().running, 1);
+        t.end_in_line(1);
+        assert_eq!(turns.lock().waiting, vec![false, true]);
+    }
 
     #[test]
     fn push_pop_fifo() {

@@ -16,13 +16,15 @@ use jitbull_telemetry::{Collector, Event};
 
 use crate::error::PoolError;
 use crate::pool::{Job, PoolResponse, SharedCollector, StatsInner};
-use crate::queue::BoundedQueue;
+use crate::queue::{BoundedQueue, Turns};
 use crate::swap::SnapshotCell;
 
 /// Everything a worker thread needs, cloned per worker at pool start.
 pub(crate) struct WorkerCtx {
     pub(crate) index: usize,
     pub(crate) queue: Arc<BoundedQueue<Job>>,
+    /// Shared by all workers: how many serve at once, least-loaded first.
+    pub(crate) turns: Arc<Turns>,
     pub(crate) cell: Arc<SnapshotCell>,
     pub(crate) stats: Arc<StatsInner>,
     pub(crate) collector: Option<SharedCollector>,
@@ -78,12 +80,17 @@ pub(crate) fn supervise(ctx: WorkerCtx) {
 /// when a publication moves the generation or the worker respawns.
 fn worker_loop(ctx: &WorkerCtx) {
     let mut guard: Option<Guard> = None;
-    while let Some(job) = ctx.queue.pop() {
-        serve(ctx, &mut guard, job);
+    loop {
+        let turn = ctx.turns.take(ctx.index);
+        let Some(job) = ctx.queue.pop() else {
+            return;
+        };
+        turn.end_in_line(serve(ctx, &mut guard, job));
     }
 }
 
-fn serve(ctx: &WorkerCtx, warm: &mut Option<Guard>, job: Job) {
+/// Serves one job; returns the simulated cycles it ran.
+fn serve(ctx: &WorkerCtx, warm: &mut Option<Guard>, job: Job) -> u64 {
     let Job {
         request,
         enqueued_at,
@@ -196,7 +203,8 @@ fn serve(ctx: &WorkerCtx, warm: &mut Option<Guard>, job: Job) {
 
     match result {
         Ok(out) => {
-            ctx.stats.worker_cycles[ctx.index].fetch_add(out.outcome.cycles, Ordering::Relaxed);
+            let cycles = out.outcome.cycles;
+            ctx.stats.worker_cycles[ctx.index].fetch_add(cycles, Ordering::Relaxed);
             let mut matched_cves: Vec<String> = out
                 .stats
                 .iter()
@@ -221,7 +229,11 @@ fn serve(ctx: &WorkerCtx, warm: &mut Option<Guard>, job: Job) {
                 breaker_degraded,
                 compile_failures,
             }));
+            cycles
         }
-        Err(e) => responder.send(Err(PoolError::Script(e.to_string()))),
+        Err(e) => {
+            responder.send(Err(PoolError::Script(e.to_string())));
+            0
+        }
     }
 }

@@ -15,7 +15,9 @@ use crate::value::Value;
 /// Routes a function invocation to an execution tier.
 pub trait Dispatcher {
     /// Invokes `func` with the given receiver and arguments, returning its
-    /// result.
+    /// result. The callee may move values out of `args`: the caller's
+    /// argument storage (an interpreter stack segment or a stack buffer) is
+    /// discarded after the call.
     ///
     /// # Errors
     ///
@@ -26,7 +28,7 @@ pub trait Dispatcher {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
+        args: &mut [Value],
     ) -> Result<Value, VmError>;
 }
 
@@ -49,7 +51,7 @@ impl Dispatcher for InterpDispatcher {
         module: &Module,
         func: FuncId,
         this: Value,
-        args: Vec<Value>,
+        args: &mut [Value],
     ) -> Result<Value, VmError> {
         interp::run_function(rt, module, func, this, args, self, INTERP_COST)
     }

@@ -28,7 +28,7 @@
 //!   `BoundsCheck`, raw accesses silently corrupt neighbouring cells.
 
 use crate::error::VmError;
-use crate::value::{ArrId, Value};
+use crate::value::{is_integral, ArrId, Value};
 
 #[derive(Debug, Clone, Copy)]
 struct ArrayMeta {
@@ -82,6 +82,7 @@ impl Heap {
         id
     }
 
+    #[inline]
     fn meta(&self, arr: ArrId) -> ArrayMeta {
         self.arrays[arr.0 as usize]
     }
@@ -93,15 +94,19 @@ impl Heap {
 
     /// The cell address of element `idx` (no checks — address arithmetic
     /// only).
+    #[inline]
     pub fn elem_addr(&self, arr: ArrId, idx: usize) -> usize {
         self.meta(arr).base + 2 + idx
     }
 
     /// The array's current length, as stored in its (corruptible) header
     /// cell. A corrupted header yields whatever number the attacker wrote.
+    #[inline]
     pub fn length(&self, arr: ArrId) -> usize {
-        let base = self.meta(arr).base;
-        let n = self.cells[base].to_number();
+        let n = match &self.cells[self.meta(arr).base] {
+            Value::Number(n) => *n,
+            other => other.to_number(),
+        };
         if n.is_finite() && n >= 0.0 {
             n as usize
         } else {
@@ -169,7 +174,7 @@ impl Heap {
     /// header was corrupted upward, reads past the real storage succeed —
     /// that is the exploit's arbitrary-read primitive.
     pub fn get_elem(&self, arr: ArrId, idx: f64) -> Result<Value, VmError> {
-        if !(idx >= 0.0 && idx.fract() == 0.0 && idx.is_finite()) {
+        if !(idx >= 0.0 && is_integral(idx)) {
             return Ok(Value::Undefined);
         }
         let idx = idx as usize;
@@ -183,7 +188,7 @@ impl Heap {
     /// Checked element write. Within length → plain write; within capacity
     /// → write and extend length; beyond capacity → grow then write.
     pub fn set_elem(&mut self, arr: ArrId, idx: f64, value: Value) -> Result<(), VmError> {
-        if !(idx >= 0.0 && idx.fract() == 0.0 && idx.is_finite()) {
+        if !(idx >= 0.0 && is_integral(idx)) {
             return Ok(()); // non-index keys are ignored by minijs arrays
         }
         let idx = idx as usize;
@@ -205,6 +210,18 @@ impl Heap {
         self.cells[base + 2 + idx] = value;
         self.cells[base] = Value::Number((idx + 1).max(len) as f64);
         Ok(())
+    }
+
+    /// The cell at `addr`, or `None` outside the heap.
+    #[inline]
+    pub fn cell(&self, addr: usize) -> Option<&Value> {
+        self.cells.get(addr)
+    }
+
+    /// The cell at `addr` for writing, or `None` outside the heap.
+    #[inline]
+    pub fn cell_mut(&mut self, addr: usize) -> Option<&mut Value> {
+        self.cells.get_mut(addr)
     }
 
     /// Raw cell read. Only traps when the address escapes the heap

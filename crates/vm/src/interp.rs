@@ -21,7 +21,7 @@ pub fn run_module(
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
     rt.prepare(module);
-    let result = dispatcher.call(rt, module, module.entry, Value::Undefined, Vec::new());
+    let result = dispatcher.call(rt, module, module.entry, Value::Undefined, &mut []);
     if let Err(VmError::Crash(msg)) = &result {
         rt.note_crash(msg);
     }
@@ -29,6 +29,7 @@ pub fn run_module(
 }
 
 /// Interprets one function invocation at `cost` cycles per operation.
+/// The first `arity` arguments are moved out of `args` into locals.
 ///
 /// # Errors
 ///
@@ -38,12 +39,12 @@ pub fn run_function(
     module: &Module,
     func: FuncId,
     this: Value,
-    mut args: Vec<Value>,
+    args: &mut [Value],
     dispatcher: &mut dyn Dispatcher,
     cost: u64,
 ) -> Result<Value, VmError> {
     rt.enter_call()?;
-    let result = run_frame(rt, module, func, this, &mut args, dispatcher, cost);
+    let result = run_frame(rt, module, func, this, args, dispatcher, cost);
     rt.exit_call();
     result
 }
@@ -116,28 +117,44 @@ fn run_frame(
             }
             Op::Return => return Ok(pop!()),
             Op::Call(argc) => {
-                let call_args = split_args(&mut stack, *argc);
-                let callee = pop!();
-                let result =
-                    invoke_value(rt, module, callee, Value::Undefined, call_args, dispatcher)?;
+                let at = stack.len() - *argc as usize;
+                let callee = std::mem::take(&mut stack[at - 1]);
+                let result = invoke_value(
+                    rt,
+                    module,
+                    callee,
+                    Value::Undefined,
+                    &mut stack[at..],
+                    dispatcher,
+                )?;
+                stack.truncate(at - 1);
                 stack.push(result);
             }
             Op::CallMethod(argc) => {
-                let call_args = split_args(&mut stack, *argc);
-                let callee = pop!();
-                let base = pop!();
-                let result = invoke_value(rt, module, callee, base, call_args, dispatcher)?;
+                let at = stack.len() - *argc as usize;
+                let callee = std::mem::take(&mut stack[at - 1]);
+                let base = std::mem::take(&mut stack[at - 2]);
+                let result = invoke_value(rt, module, callee, base, &mut stack[at..], dispatcher)?;
+                stack.truncate(at - 2);
                 stack.push(result);
             }
             Op::New(argc) => {
-                let call_args = split_args(&mut stack, *argc);
-                let callee = pop!();
+                let at = stack.len() - *argc as usize;
+                let callee = std::mem::take(&mut stack[at - 1]);
                 let obj = Value::Object(rt.alloc_object());
-                invoke_value(rt, module, callee, obj.clone(), call_args, dispatcher)?;
+                invoke_value(
+                    rt,
+                    module,
+                    callee,
+                    obj.clone(),
+                    &mut stack[at..],
+                    dispatcher,
+                )?;
+                stack.truncate(at - 1);
                 stack.push(obj);
             }
             Op::NewArray(n) => {
-                let items = split_args(&mut stack, *n as u8);
+                let items = stack.split_off(stack.len() - *n as usize);
                 stack.push(Value::Array(rt.heap.alloc_array_from(items)));
             }
             Op::NewArrayN => {
@@ -202,22 +219,19 @@ fn run_frame(
                 stack.push(Value::str(c.to_string()));
             }
             Op::Math(mf) => {
-                let argc = mf.arity();
-                let call_args = split_args(&mut stack, argc);
-                stack.push(eval_math(rt, *mf, &call_args));
+                let at = stack.len() - mf.arity() as usize;
+                let result = eval_math(rt, *mf, &stack[at..]);
+                stack.truncate(at);
+                stack.push(result);
             }
             Op::Intrinsic(method, argc) => {
-                let call_args = split_args(&mut stack, *argc);
-                let recv = pop!();
-                stack.push(eval_intrinsic(rt, *method, &recv, &call_args)?);
+                let at = stack.len() - *argc as usize;
+                let result = eval_intrinsic(rt, *method, &stack[at - 1], &stack[at..])?;
+                stack.truncate(at - 1);
+                stack.push(result);
             }
         }
     }
-}
-
-fn split_args(stack: &mut Vec<Value>, argc: u8) -> Vec<Value> {
-    let at = stack.len() - argc as usize;
-    stack.split_off(at)
 }
 
 /// Invokes an arbitrary callee value. This is where control-flow hijacking
@@ -234,7 +248,7 @@ pub fn invoke_value(
     module: &Module,
     callee: Value,
     this: Value,
-    args: Vec<Value>,
+    args: &mut [Value],
     dispatcher: &mut dyn Dispatcher,
 ) -> Result<Value, VmError> {
     match callee {
@@ -541,6 +555,17 @@ mod tests {
         assert!(eval_binop(BinOp::Lt, &a, &b).truthy());
         let n = Value::Number(1.0);
         assert_eq!(eval_binop(BinOp::Add, &a, &n).to_string(), "ab1");
+    }
+
+    #[test]
+    fn array_literal_longer_than_255_items() {
+        let items: Vec<String> = (0..300).map(|i| i.to_string()).collect();
+        let src = format!(
+            "var a = [{}]; print(a.length); print(a[0]); print(a[299]);",
+            items.join(", ")
+        );
+        let out = crate::run_source(&src).expect("runs");
+        assert_eq!(out.printed, vec!["300", "0", "299"]);
     }
 
     #[test]

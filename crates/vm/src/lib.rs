@@ -47,7 +47,7 @@ pub use compiler::compile_program;
 pub use dispatch::{Dispatcher, InterpDispatcher};
 pub use error::VmError;
 pub use heap::Heap;
-pub use runtime::{ExploitStatus, Outcome, Runtime};
+pub use runtime::{ExploitStatus, Frame, Outcome, Runtime};
 pub use value::Value;
 
 use jitbull_frontend::parse_program;

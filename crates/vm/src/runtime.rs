@@ -78,6 +78,19 @@ pub struct Outcome {
     pub status: ExploitStatus,
 }
 
+/// Value and guard-flag storage for one optimizing-tier activation: one
+/// value and one guard pass/fail flag per frame slot. Activations borrow
+/// it from [`Runtime::take_frame`] and hand it back with
+/// [`Runtime::recycle_frame`], so a call reuses storage instead of
+/// allocating.
+#[derive(Debug, Default)]
+pub struct Frame {
+    /// The value in each frame slot.
+    pub values: Vec<Value>,
+    /// Whether the guard that defined each slot passed.
+    pub flags: Vec<bool>,
+}
+
 /// Mutable execution state shared by the interpreter, baseline, and
 /// optimizing tiers.
 #[derive(Debug)]
@@ -97,6 +110,8 @@ pub struct Runtime {
     pub status: ExploitStatus,
     depth: u32,
     rng: u64,
+    /// Released activation storage, reused by the next [`Runtime::take_frame`].
+    free_frames: Vec<Frame>,
 }
 
 impl Default for Runtime {
@@ -128,6 +143,7 @@ impl Runtime {
             status: ExploitStatus::Clean,
             depth: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
+            free_frames: Vec::new(),
         }
     }
 
@@ -196,6 +212,25 @@ impl Runtime {
     /// Leaves a call frame.
     pub fn exit_call(&mut self) {
         self.depth = self.depth.saturating_sub(1);
+    }
+
+    /// A frame of `slots` slots, each `undefined` with its flag set,
+    /// taken from the free list when one is there.
+    #[inline]
+    pub fn take_frame(&mut self, slots: usize) -> Frame {
+        let mut frame = self.free_frames.pop().unwrap_or_default();
+        // Recycled frames are empty: fill, don't clone a filler value.
+        frame.values.extend((0..slots).map(|_| Value::Undefined));
+        frame.flags.resize(slots, true);
+        frame
+    }
+
+    /// Returns a frame's storage to the free list, dropping its values.
+    #[inline]
+    pub fn recycle_frame(&mut self, mut frame: Frame) {
+        frame.values.clear();
+        frame.flags.clear();
+        self.free_frames.push(frame);
     }
 
     /// Allocates a fresh empty object.
@@ -268,6 +303,26 @@ mod tests {
         assert!(rt.enter_call().is_err());
         rt.exit_call();
         assert!(rt.enter_call().is_ok());
+    }
+
+    #[test]
+    fn recycled_frames_come_back_reset() {
+        let mut rt = Runtime::new();
+        let mut f = rt.take_frame(3);
+        f.values[1] = Value::Number(7.0);
+        f.flags[2] = false;
+        let storage = f.values.as_ptr();
+        rt.recycle_frame(f);
+        let g = rt.take_frame(2);
+        assert_eq!(g.values.as_ptr(), storage, "storage is reused");
+        assert!(g.values.iter().all(|v| matches!(v, Value::Undefined)));
+        assert_eq!(g.flags, vec![true, true]);
+        let h = rt.take_frame(4);
+        assert_eq!(
+            (h.values.len(), h.flags.len()),
+            (4, 4),
+            "an empty free list allocates"
+        );
     }
 
     #[test]

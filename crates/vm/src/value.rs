@@ -46,6 +46,7 @@ impl Value {
     }
 
     /// JavaScript truthiness.
+    #[inline]
     pub fn truthy(&self) -> bool {
         match self {
             Value::Number(n) => *n != 0.0 && !n.is_nan(),
@@ -70,11 +71,7 @@ impl Value {
 
     /// 32-bit signed integer coercion (`x | 0`).
     pub fn to_i32(&self) -> i32 {
-        let n = self.to_number();
-        if !n.is_finite() {
-            return 0;
-        }
-        n as i64 as i32
+        to_int32(self.to_number())
     }
 
     /// 32-bit unsigned integer coercion (`x >>> 0`).
@@ -158,6 +155,27 @@ impl fmt::Display for Value {
     }
 }
 
+/// 32-bit signed integer coercion of a number; non-finite numbers become 0.
+#[inline]
+pub fn to_int32(n: f64) -> i32 {
+    if !n.is_finite() {
+        return 0;
+    }
+    n as i64 as i32
+}
+
+/// Whether `n` is a finite integer (`n.fract() == 0.0`), without the
+/// library call `fract` makes on targets that lack a rounding instruction.
+#[inline]
+pub fn is_integral(n: f64) -> bool {
+    // Every double of magnitude 2^52 or more is an integer.
+    if n.abs() < 4_503_599_627_370_496.0 {
+        n as i64 as f64 == n
+    } else {
+        n.is_finite()
+    }
+}
+
 /// Formats a number the way JavaScript's `String(n)` does for the common
 /// cases (integers without a trailing `.0`).
 pub fn format_number(n: f64) -> String {
@@ -198,6 +216,32 @@ mod tests {
         assert_eq!(Value::Number(-1.5).to_i32(), -1);
         assert_eq!(Value::Number(-1.0).to_u32(), u32::MAX);
         assert_eq!(Value::Number(f64::INFINITY).to_i32(), 0);
+    }
+
+    #[test]
+    fn is_integral_matches_fract() {
+        let cases = [
+            0.0,
+            -0.0,
+            1.0,
+            -7.0,
+            0.5,
+            -2.5,
+            1e-300,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_993.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for n in cases {
+            assert_eq!(is_integral(n), n.fract() == 0.0, "{n}");
+        }
     }
 
     #[test]
