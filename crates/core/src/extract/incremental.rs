@@ -25,10 +25,11 @@
 //!    empty contributes nothing, so its snapshot is never enumerated.
 //! 4. **Dense-graph enumeration with cached reuse**: when a side must be
 //!    enumerated, the snapshot becomes a graph over dense node positions
-//!    (ids sorted, operands resolved by binary search), and the DFS
-//!    visits nodes in exactly the reference order with the same
-//!    [`super::MAX_CHAINS`] / [`super::MAX_CHAIN_LEN`] caps, recording
-//!    position paths. A record's `after` snapshot is the next record's
+//!    (ids sorted, operands resolved by binary search, each node's
+//!    operands one range of a shared array), and the DFS visits nodes in
+//!    exactly the reference order with the same [`super::MAX_CHAINS`] /
+//!    [`super::MAX_CHAIN_LEN`] caps, appending each emitted position path
+//!    to one flat array. A record's `after` snapshot is the next record's
 //!    `before`, so the last enumeration is kept and reused when the
 //!    snapshots compare equal (full structural equality — reuse can
 //!    never be wrong, and it also serves an equal snapshot of a later
@@ -122,7 +123,12 @@ type Edges = Vec<(Label, Label)>;
 /// `ir`'s instruction ids, ascending, with each id's label (the last
 /// instruction carrying an id wins, as in the reference's maps).
 fn labels_by_id(ir: &MirSnapshot) -> Vec<(u32, Label)> {
-    let mut by_id: Vec<(u32, Label)> = ir.instrs.iter().map(|i| (i.id, i.label)).collect();
+    let mut by_id: Vec<(u32, Label)> = ir
+        .ids()
+        .iter()
+        .copied()
+        .zip(ir.labels().iter().copied())
+        .collect();
     // Stable, so equal ids keep snapshot order and the last one is kept.
     by_id.sort_by_key(|&(id, _)| id);
     by_id.dedup_by(|later, earlier| {
@@ -146,11 +152,10 @@ fn label_of(by_id: &[(u32, Label)], id: u32) -> Label {
 /// `ir`'s [`Edges`]: one `(user, operand)` label pair per operand.
 fn edges(ir: &MirSnapshot) -> Edges {
     let by_id = labels_by_id(ir);
-    let mut edges: Edges = ir
-        .instrs
-        .iter()
-        .flat_map(|i| i.operands.iter().map(|&o| (i.label, label_of(&by_id, o))))
-        .collect();
+    let mut edges: Edges = Vec::with_capacity(ir.all_operands().len());
+    for (k, &label) in ir.labels().iter().enumerate() {
+        edges.extend(ir.operands(k).iter().map(|&o| (label, label_of(&by_id, o))));
+    }
     edges.sort_unstable();
     edges
 }
@@ -185,8 +190,9 @@ fn changed_edges(from: &[(Label, Label)], to: &[(Label, Label)]) -> (Edges, Edge
 /// id order.
 struct Graph {
     labels: Vec<Label>,
-    /// Each node's operands.
-    deps: Vec<Vec<u32>>,
+    /// Node `k`'s operands are `deps[dep_at[k]..dep_at[k + 1]]`.
+    dep_at: Vec<u32>,
+    deps: Vec<u32>,
     /// Graph nodes no one depends on, ascending.
     roots: Vec<u32>,
 }
@@ -196,28 +202,40 @@ impl Graph {
     /// operands and each of its operands enter the graph, operands of
     /// instructions sharing an id concatenate in snapshot order.
     fn build(ir: &MirSnapshot) -> Graph {
-        let mut ids = Vec::with_capacity(2 * ir.len());
-        for i in &ir.instrs {
-            ids.push(i.id);
-            ids.extend_from_slice(&i.operands);
-        }
+        let mut ids = Vec::with_capacity(ir.len() + ir.all_operands().len());
+        ids.extend_from_slice(ir.ids());
+        ids.extend_from_slice(ir.all_operands());
         ids.sort_unstable();
         ids.dedup();
-        let pos = |id: u32| ids.binary_search(&id).expect("every id is a node");
+        let pos = |id: u32| ids.binary_search(&id).expect("every id is a node") as u32;
         let n = ids.len();
+        let at: Vec<u32> = ir.ids().iter().map(|&id| pos(id)).collect();
         let mut labels = vec![Label::UNKNOWN; n];
-        let mut deps = vec![Vec::new(); n];
         let mut in_graph = vec![false; n];
         let mut is_dep = vec![false; n];
-        for i in &ir.instrs {
-            let at = pos(i.id);
-            labels[at] = i.label;
-            in_graph[at] |= !i.operands.is_empty();
-            for &o in &i.operands {
+        // Count each node's operands, then turn the counts into starts.
+        let mut dep_at = vec![0u32; n + 1];
+        for (k, &a) in at.iter().enumerate() {
+            let a = a as usize;
+            let operands = ir.operands(k);
+            labels[a] = ir.labels()[k];
+            in_graph[a] |= !operands.is_empty();
+            dep_at[a + 1] += operands.len() as u32;
+        }
+        for k in 0..n {
+            dep_at[k + 1] += dep_at[k];
+        }
+        // Fill in snapshot order, so a repeated id's operand lists
+        // concatenate in the order its instructions appear.
+        let mut next = dep_at.clone();
+        let mut deps = vec![0u32; ir.all_operands().len()];
+        for (k, &a) in at.iter().enumerate() {
+            for &o in ir.operands(k) {
                 let d = pos(o);
-                deps[at].push(d as u32);
-                in_graph[d] = true;
-                is_dep[d] = true;
+                deps[next[a as usize] as usize] = d;
+                next[a as usize] += 1;
+                in_graph[d as usize] = true;
+                is_dep[d as usize] = true;
             }
         }
         let roots = (0..n)
@@ -226,39 +244,75 @@ impl Graph {
             .collect();
         Graph {
             labels,
+            dep_at,
             deps,
             roots,
         }
+    }
+
+    /// Node `node`'s operands, in the order the reference visits them.
+    fn deps(&self, node: u32) -> &[u32] {
+        let node = node as usize;
+        &self.deps[self.dep_at[node] as usize..self.dep_at[node + 1] as usize]
+    }
+}
+
+/// Position paths in emission order, flat: path `p` is
+/// `nodes[ends[p - 1]..ends[p]]`, with the first start at 0.
+#[derive(Debug, Clone, Default)]
+struct Paths {
+    nodes: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl Paths {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn push(&mut self, path: &[u32]) {
+        self.nodes.extend_from_slice(path);
+        self.ends.push(self.nodes.len() as u32);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.nodes[start as usize..end as usize])
     }
 }
 
 /// The reference DFS (`make_chains`) emitting position paths instead of
 /// label chains: same root order, same cycle guard, same emission
 /// points, same caps — so the path *set* is identical to the
-/// reference's chain set even when [`MAX_CHAINS`] binds.
-fn enumerate_paths(g: &Graph) -> Vec<Vec<u32>> {
-    let mut paths = Vec::new();
+/// reference's chain set even when [`MAX_CHAINS`] binds. Replaces what
+/// `paths` held, keeping its buffers.
+fn enumerate_paths(g: &Graph, paths: &mut Paths) {
+    paths.nodes.clear();
+    paths.ends.clear();
     let mut on_path = vec![false; g.labels.len()];
+    let mut path = Vec::with_capacity(MAX_CHAIN_LEN);
     for &root in &g.roots {
-        let mut path = vec![root];
+        path.clear();
+        path.push(root);
         on_path[root as usize] = true;
-        dfs(g, &mut path, &mut on_path, &mut paths);
+        dfs(g, &mut path, &mut on_path, paths);
         on_path[root as usize] = false;
         if paths.len() >= MAX_CHAINS {
             break;
         }
     }
-    paths
 }
 
-fn dfs(g: &Graph, path: &mut Vec<u32>, on_path: &mut [bool], paths: &mut Vec<Vec<u32>>) {
+fn dfs(g: &Graph, path: &mut Vec<u32>, on_path: &mut [bool], paths: &mut Paths) {
     if paths.len() >= MAX_CHAINS {
         return;
     }
-    let deps = &g.deps[*path.last().expect("path starts at a root") as usize];
+    let deps = g.deps(*path.last().expect("path starts at a root"));
     // Leaf, cycle guard, or depth cap: emit the current path.
     if path.len() >= MAX_CHAIN_LEN || deps.iter().all(|&d| on_path[d as usize]) {
-        paths.push(path.clone());
+        paths.push(path);
         return;
     }
     for &d in deps {
@@ -280,11 +334,11 @@ fn dfs(g: &Graph, path: &mut Vec<u32>, on_path: &mut [bool], paths: &mut Vec<Vec
 
 /// One enumerated snapshot: its node labels plus the position paths the
 /// reference DFS would have emitted, in emission order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct EnumCache {
     snapshot: MirSnapshot,
     labels: Vec<Label>,
-    paths: Vec<Vec<u32>>,
+    paths: Paths,
 }
 
 /// The incremental Δ-extractor. Interner and window table persist
@@ -418,7 +472,7 @@ impl IncrementalExtractor {
         let mut out_ids: Vec<u32> = Vec::new();
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut run: Vec<Label> = Vec::new();
-        for path in &cache.paths {
+        for path in cache.paths.iter() {
             receipt.cost_cycles += SCAN_COST_PER_CHAIN;
             runs.clear();
             let mut start: Option<usize> = None;
@@ -482,30 +536,30 @@ impl IncrementalExtractor {
         }
         receipt.cost_cycles += ir.len() as u64 * ENUM_COST_PER_INSTR;
         let graph = Graph::build(ir);
-        let paths = enumerate_paths(&graph);
-        self.enum_cache = Some(EnumCache {
-            snapshot: ir.clone(),
-            labels: graph.labels,
-            paths,
-        });
+        // Refill the previous enumeration's path buffers.
+        let cache = self.enum_cache.get_or_insert_with(EnumCache::default);
+        cache.snapshot = ir.clone();
+        enumerate_paths(&graph, &mut cache.paths);
+        cache.labels = graph.labels;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jitbull_mir::{PassRecord, SnapInstr};
+    use jitbull_mir::PassRecord;
 
-    fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
-        SnapInstr {
-            id,
-            label: Label::from_name(label).expect("a mnemonic"),
-            operands: operands.to_vec(),
-        }
+    fn instr(id: u32, label: &str, operands: &[u32]) -> (u32, Label, Vec<u32>) {
+        let label = Label::from_name(label).expect("a mnemonic");
+        (id, label, operands.to_vec())
     }
 
-    fn snap(instrs: Vec<SnapInstr>) -> MirSnapshot {
-        MirSnapshot { instrs }
+    fn snap(instrs: Vec<(u32, Label, Vec<u32>)>) -> MirSnapshot {
+        let mut s = MirSnapshot::default();
+        for (id, label, operands) in &instrs {
+            s.push(*id, *label, operands);
+        }
+        s
     }
 
     fn guarded() -> MirSnapshot {

@@ -52,16 +52,16 @@ fn build_graph(ir: &MirSnapshot) -> DepGraph {
     let mut is_dep: HashSet<u32> = HashSet::new();
     let mut in_graph: HashSet<u32> = HashSet::new();
     // Label every instruction up front so operand nodes resolve.
-    for i in &ir.instrs {
+    for i in ir.iter() {
         labels.insert(i.id, i.label);
     }
-    for v in &ir.instrs {
+    for v in ir.iter() {
         if v.operands.is_empty() {
             continue;
         }
         in_graph.insert(v.id);
         let entry = deps.entry(v.id).or_default();
-        for &o in &v.operands {
+        for &o in v.operands {
             entry.push(o);
             is_dep.insert(o);
             in_graph.insert(o);
@@ -127,12 +127,12 @@ type EdgeCounts = HashMap<(Label, Label), usize>;
 /// `loadelement→boundscheck` accesses losing its check.
 fn edge_counts(ir: &MirSnapshot) -> EdgeCounts {
     let mut labels: HashMap<u32, Label> = HashMap::new();
-    for i in &ir.instrs {
+    for i in ir.iter() {
         labels.insert(i.id, i.label);
     }
     let mut counts = HashMap::new();
-    for i in &ir.instrs {
-        for o in &i.operands {
+    for i in ir.iter() {
+        for o in i.operands {
             let to = labels.get(o).copied().unwrap_or(Label::UNKNOWN);
             *counts.entry((i.label, to)).or_insert(0) += 1;
         }
@@ -234,18 +234,18 @@ pub fn trace_work(trace: &PassTrace) -> u64 {
 mod tests {
     use super::*;
     use crate::dna::chain_text;
-    use jitbull_mir::SnapInstr;
 
-    fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
-        SnapInstr {
-            id,
-            label: Label::from_name(label).expect("a mnemonic"),
-            operands: operands.to_vec(),
-        }
+    fn instr(id: u32, label: &str, operands: &[u32]) -> (u32, Label, Vec<u32>) {
+        let label = Label::from_name(label).expect("a mnemonic");
+        (id, label, operands.to_vec())
     }
 
-    fn snap(instrs: Vec<SnapInstr>) -> MirSnapshot {
-        MirSnapshot { instrs }
+    fn snap(instrs: Vec<(u32, Label, Vec<u32>)>) -> MirSnapshot {
+        let mut s = MirSnapshot::default();
+        for (id, label, operands) in &instrs {
+            s.push(*id, *label, operands);
+        }
+        s
     }
 
     #[test]

@@ -452,7 +452,7 @@ impl Guard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jitbull_mir::{Label, MirSnapshot, PassRecord, SnapInstr};
+    use jitbull_mir::{Label, MirSnapshot, PassRecord};
     use jitbull_vm::bytecode::{Function, Op};
 
     /// A compile key standing for the compilation of `trace_removing_check(slot)`.
@@ -478,38 +478,39 @@ mod tests {
         guard.analyze_compile(lookup, &trace, collector)
     }
 
-    fn instr(id: u32, label: &str, operands: &[u32]) -> SnapInstr {
-        SnapInstr {
-            id,
-            label: Label::from_name(label).expect("a mnemonic"),
-            operands: operands.to_vec(),
+    fn instr(id: u32, label: &str, operands: &[u32]) -> (u32, Label, Vec<u32>) {
+        let label = Label::from_name(label).expect("a mnemonic");
+        (id, label, operands.to_vec())
+    }
+
+    fn snap(instrs: Vec<(u32, Label, Vec<u32>)>) -> MirSnapshot {
+        let mut s = MirSnapshot::default();
+        for (id, label, operands) in &instrs {
+            s.push(*id, *label, operands);
         }
+        s
     }
 
     fn guarded_load() -> MirSnapshot {
-        MirSnapshot {
-            instrs: vec![
-                instr(0, "parameter0", &[]),
-                instr(1, "parameter1", &[]),
-                instr(2, "unbox:array", &[0]),
-                instr(3, "initializedlength", &[2]),
-                instr(4, "boundscheck", &[1, 3]),
-                instr(5, "loadelement", &[2, 4]),
-                instr(6, "return", &[5]),
-            ],
-        }
+        snap(vec![
+            instr(0, "parameter0", &[]),
+            instr(1, "parameter1", &[]),
+            instr(2, "unbox:array", &[0]),
+            instr(3, "initializedlength", &[2]),
+            instr(4, "boundscheck", &[1, 3]),
+            instr(5, "loadelement", &[2, 4]),
+            instr(6, "return", &[5]),
+        ])
     }
 
     fn unguarded_load() -> MirSnapshot {
-        MirSnapshot {
-            instrs: vec![
-                instr(0, "parameter0", &[]),
-                instr(1, "parameter1", &[]),
-                instr(2, "unbox:array", &[0]),
-                instr(5, "loadelement", &[2, 1]),
-                instr(6, "return", &[5]),
-            ],
-        }
+        snap(vec![
+            instr(0, "parameter0", &[]),
+            instr(1, "parameter1", &[]),
+            instr(2, "unbox:array", &[0]),
+            instr(5, "loadelement", &[2, 1]),
+            instr(6, "return", &[5]),
+        ])
     }
 
     fn trace_removing_check(slot: usize) -> PassTrace {
@@ -558,23 +559,19 @@ mod tests {
         db.install("CVE-2019-17026", "f", vdc_dna);
         let guard = Guard::new(db, cfg);
         // A benign pass that removed an arithmetic chain instead.
-        let before = MirSnapshot {
-            instrs: vec![
-                instr(0, "parameter0", &[]),
-                instr(1, "constant:number", &[]),
-                instr(2, "add", &[0, 1]),
-                instr(3, "mul", &[2, 2]),
-                instr(4, "return", &[3]),
-            ],
-        };
-        let after = MirSnapshot {
-            instrs: vec![
-                instr(0, "parameter0", &[]),
-                instr(1, "constant:number", &[]),
-                instr(3, "mul", &[0, 0]),
-                instr(4, "return", &[3]),
-            ],
-        };
+        let before = snap(vec![
+            instr(0, "parameter0", &[]),
+            instr(1, "constant:number", &[]),
+            instr(2, "add", &[0, 1]),
+            instr(3, "mul", &[2, 2]),
+            instr(4, "return", &[3]),
+        ]);
+        let after = snap(vec![
+            instr(0, "parameter0", &[]),
+            instr(1, "constant:number", &[]),
+            instr(3, "mul", &[0, 0]),
+            instr(4, "return", &[3]),
+        ]);
         let trace = PassTrace {
             function: "g".into(),
             initial: before,

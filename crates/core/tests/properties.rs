@@ -8,7 +8,7 @@ use jitbull::compare::{compare_chains, CompareConfig};
 use jitbull::extract::extract_delta;
 use jitbull::index::{compare_ids, fingerprint, prefilter_may_match};
 use jitbull::{Chain, ChainInterner};
-use jitbull_mir::{Label, MirSnapshot, SnapInstr};
+use jitbull_mir::{Label, MirSnapshot};
 use jitbull_prng::Rng;
 
 const LABELS: &[&str] = &[
@@ -36,20 +36,19 @@ fn label(rng: &mut Rng) -> Label {
 /// so the graph is acyclic by construction (like freshly built MIR).
 fn snapshot(rng: &mut Rng) -> MirSnapshot {
     let n = rng.gen_range(1..24usize);
-    let instrs = (0..n)
-        .map(|id| SnapInstr {
-            id: id as u32,
-            label: label(rng),
-            operands: if id == 0 {
-                vec![]
-            } else {
-                (0..rng.gen_range(0..3usize))
-                    .map(|_| rng.gen_range(0..id as u32))
-                    .collect()
-            },
-        })
-        .collect();
-    MirSnapshot { instrs }
+    let mut s = MirSnapshot::default();
+    for id in 0..n {
+        let label = label(rng);
+        let operands: Vec<u32> = if id == 0 {
+            vec![]
+        } else {
+            (0..rng.gen_range(0..3usize))
+                .map(|_| rng.gen_range(0..id as u32))
+                .collect()
+        };
+        s.push(id as u32, label, &operands);
+    }
+    s
 }
 
 fn chain_set(rng: &mut Rng) -> BTreeSet<Chain> {
@@ -81,17 +80,11 @@ fn id_permutation_gives_empty_delta() {
         let mut rng = Rng::seed_from_u64(seed);
         let s = snapshot(&mut rng);
         let offset = rng.gen_range(1..1000u32);
-        let renumbered = MirSnapshot {
-            instrs: s
-                .instrs
-                .iter()
-                .map(|i| SnapInstr {
-                    id: i.id + offset,
-                    label: i.label,
-                    operands: i.operands.iter().map(|o| o + offset).collect(),
-                })
-                .collect(),
-        };
+        let mut renumbered = MirSnapshot::default();
+        for i in s.iter() {
+            let operands: Vec<u32> = i.operands.iter().map(|o| o + offset).collect();
+            renumbered.push(i.id + offset, i.label, &operands);
+        }
         let delta = extract_delta(&s, &renumbered);
         assert!(delta.is_empty(), "seed {seed}: {delta:?}");
     }

@@ -7,8 +7,9 @@
 use std::collections::{HashMap, HashSet};
 
 use jitbull_mir::analysis::{dominates, immediate_dominators, reverse_postorder};
-use jitbull_mir::{InstrId, MirFunction};
+use jitbull_mir::{BlockId, InstrId, MirFunction};
 
+use super::gvn::Key;
 use super::util::{remove_instrs, replace_uses_map};
 use super::PassContext;
 
@@ -16,7 +17,7 @@ use super::PassContext;
 pub fn eliminate_redundant_checks(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let idom = immediate_dominators(f);
     let rpo = reverse_postorder(f);
-    let mut table: HashMap<String, Vec<(jitbull_mir::BlockId, InstrId)>> = HashMap::new();
+    let mut table: HashMap<Key<'_>, Vec<(BlockId, InstrId)>> = HashMap::new();
     let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
     let mut dead: HashSet<InstrId> = HashSet::new();
     let resolve = |replacements: &HashMap<InstrId, InstrId>, mut id: InstrId| {
@@ -30,18 +31,15 @@ pub fn eliminate_redundant_checks(f: &mut MirFunction, _cx: &mut PassContext<'_>
             if !i.op.is_guard() {
                 continue;
             }
-            let mut k = format!("{:?}", i.op);
-            for o in &i.operands {
-                k.push_str(&format!(",{}", resolve(&replacements, *o).0));
-            }
+            let operands = i.operands.iter().map(|&o| resolve(&replacements, o));
+            let Some(k) = Key::new(&i.op, operands) else {
+                continue;
+            };
             let entries = table.entry(k).or_default();
-            let mut found = None;
-            for &(db, did) in entries.iter() {
-                if db == b || dominates(db, b, &idom) {
-                    found = Some(did);
-                    break;
-                }
-            }
+            let found = entries
+                .iter()
+                .find(|&&(db, _)| db == b || dominates(db, b, &idom))
+                .map(|&(_, did)| did);
             match found {
                 Some(prev) if prev != i.id => {
                     replacements.insert(i.id, prev);
@@ -60,7 +58,7 @@ mod tests {
     use super::*;
     use crate::vuln::VulnConfig;
     use jitbull_frontend::parse_program;
-    use jitbull_mir::{build_mir, MOpcode};
+    use jitbull_mir::{build_mir, Block, Instruction, MOpcode, TypeHint};
     use jitbull_vm::compile_program;
 
     fn mir(src: &str, name: &str) -> MirFunction {
@@ -94,6 +92,40 @@ mod tests {
         let after = count_checks(&f);
         assert!(after <= before);
         assert_eq!(f.validate(), Ok(()));
+    }
+
+    #[test]
+    fn only_guards_of_one_kind_and_hint_fold() {
+        // Guards on one value: the repeated `unbox:array` folds; a
+        // different hint, or a type guard with the same hint, does not.
+        let mut f = MirFunction::new("t");
+        let v = f.fresh_id();
+        let guards = [
+            MOpcode::Unbox(TypeHint::Array),
+            MOpcode::Unbox(TypeHint::Object),
+            MOpcode::TypeGuard(TypeHint::Array),
+            MOpcode::Unbox(TypeHint::Array),
+        ];
+        let mut instrs = vec![Instruction::new(v, MOpcode::Parameter(0), vec![])];
+        let mut ids = Vec::new();
+        for op in guards {
+            let id = f.fresh_id();
+            instrs.push(Instruction::new(id, op, vec![v]));
+            ids.push(id);
+        }
+        let ret = f.fresh_id();
+        instrs.push(Instruction::new(ret, MOpcode::Return, vec![ids[3]]));
+        f.blocks.push(Block {
+            phis: vec![],
+            phi_preds: vec![],
+            instrs,
+        });
+        let vulns = VulnConfig::default();
+        eliminate_redundant_checks(&mut f, &mut PassContext::new(&vulns));
+        assert_eq!(f.validate(), Ok(()));
+        let left: Vec<InstrId> = f.blocks[0].instrs.iter().map(|i| i.id).collect();
+        assert_eq!(left, vec![v, ids[0], ids[1], ids[2], ret], "{f}");
+        assert_eq!(f.blocks[0].instrs[4].operands, vec![ids[0]], "{f}");
     }
 
     #[test]

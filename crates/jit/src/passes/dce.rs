@@ -30,13 +30,13 @@ pub fn dce(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
         if !live.insert(id) {
             continue;
         }
-        if let Some(i) = defs.get(&id) {
+        if let Some(i) = defs.get(id) {
             work.extend(&i.operands);
         }
     }
     let dead: HashSet<InstrId> = defs
-        .keys()
-        .copied()
+        .iter()
+        .map(|i| i.id)
         .filter(|id| !live.contains(id))
         .collect();
     remove_instrs(f, &dead);

@@ -15,31 +15,74 @@
 use std::collections::{HashMap, HashSet};
 
 use jitbull_mir::analysis::{dominates, immediate_dominators, reverse_postorder};
-use jitbull_mir::{InstrId, MOpcode, MirFunction};
+use jitbull_mir::{BlockId, ConstVal, InstrId, Label, MOpcode, MirFunction};
 
 use super::util::{remove_instrs, replace_uses_map};
 use super::PassContext;
 
-/// Congruence key: mnemonic (which encodes constants' kinds but we need
-/// exact constant identity, so constants get their value embedded) plus
-/// operand ids.
-fn key(op: &MOpcode, operands: &[InstrId]) -> Option<String> {
-    use std::fmt::Write as _;
-    // NOTE: keys must use the full Debug form, not `label()` — the
-    // label deliberately drops payloads (global slot, property name)
-    // for DNA labeling, and two loads of *different* globals must never
-    // be congruent.
-    let tag = match op {
-        MOpcode::Constant(c) => format!("const:{c:?}"),
-        other if other.is_movable() => format!("{other:?}"),
-        MOpcode::BoundsCheck | MOpcode::Unbox(_) | MOpcode::TypeGuard(_) => format!("{op:?}"),
-        _ => return None,
-    };
-    let mut k = tag;
-    for o in operands {
-        let _ = write!(k, ",{}", o.0);
+/// What an opcode's label leaves out: the constant's value, the global
+/// slot or the property name. Two loads of *different* globals share a
+/// label (DNA labels drop payloads on purpose) but must never be
+/// congruent.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Payload<'f> {
+    None,
+    /// A number's bits, every NaN as one pattern: all NaNs are congruent,
+    /// `0.0` and `-0.0` are not.
+    Number(u64),
+    Text(&'f str),
+    Index(u32),
+}
+
+/// The operands a congruence key holds inline. Every opcode that GVN or
+/// check elimination numbers takes at most two.
+const KEY_OPERANDS: usize = 2;
+
+/// Congruence key: the opcode's identity (label plus payload) and its
+/// operand ids after earlier replacements. Redundant-check elimination
+/// keys its guards the same way.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(super) struct Key<'f> {
+    label: Label,
+    payload: Payload<'f>,
+    arity: u8,
+    operands: [u32; KEY_OPERANDS],
+}
+
+impl<'f> Key<'f> {
+    /// `None` for an instruction with more operands than a key holds,
+    /// which leaves it unnumbered.
+    pub(super) fn new(
+        op: &'f MOpcode,
+        operands: impl ExactSizeIterator<Item = InstrId>,
+    ) -> Option<Self> {
+        if operands.len() > KEY_OPERANDS {
+            return None;
+        }
+        let payload = match op {
+            MOpcode::Constant(ConstVal::Number(n)) => Payload::Number(if n.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                n.to_bits()
+            }),
+            MOpcode::Constant(ConstVal::Str(s)) => Payload::Text(s),
+            MOpcode::Constant(ConstVal::Bool(b)) => Payload::Index(u32::from(*b)),
+            MOpcode::Constant(ConstVal::Func(id)) => Payload::Index(id.0),
+            MOpcode::LoadProperty(name) => Payload::Text(name),
+            MOpcode::LoadGlobal(slot) => Payload::Index(u32::from(*slot)),
+            _ => Payload::None,
+        };
+        let mut key = Key {
+            label: op.label(),
+            payload,
+            arity: operands.len() as u8,
+            operands: [0; KEY_OPERANDS],
+        };
+        for (slot, o) in key.operands.iter_mut().zip(operands) {
+            *slot = o.0;
+        }
+        Some(key)
     }
-    Some(k)
 }
 
 /// Runs GVN over the function.
@@ -47,7 +90,9 @@ pub fn gvn(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let idom = immediate_dominators(f);
     let rpo = reverse_postorder(f);
     // Value table: key -> (defining block, id).
-    let mut table: HashMap<String, Vec<(jitbull_mir::BlockId, InstrId)>> = HashMap::new();
+    let mut table: HashMap<Key<'_>, Vec<(BlockId, InstrId)>> = HashMap::new();
+    // Block-local memory-read numbering, reset at effectful ops.
+    let mut mem_table: HashMap<Key<'_>, InstrId> = HashMap::new();
     let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
     let mut dead: HashSet<InstrId> = HashSet::new();
 
@@ -59,24 +104,21 @@ pub fn gvn(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     };
 
     for &b in &rpo {
-        // Block-local memory-read numbering, reset at effectful ops.
-        let mut mem_table: HashMap<String, InstrId> = HashMap::new();
-        let block = f.block(b).clone();
-        for i in &block.instrs {
-            let operands: Vec<InstrId> = i
-                .operands
-                .iter()
-                .map(|o| resolve(&replacements, *o))
-                .collect();
+        mem_table.clear();
+        for i in &f.block(b).instrs {
             if i.op.is_effectful() {
                 mem_table.clear();
                 continue;
             }
+            let numbered = i.op.reads_memory() || i.op.is_movable() || i.op.is_guard();
+            if !numbered {
+                continue;
+            }
+            let operands = i.operands.iter().map(|&o| resolve(&replacements, o));
+            let Some(k) = Key::new(&i.op, operands) else {
+                continue;
+            };
             if i.op.reads_memory() {
-                let mut k = format!("{:?}", i.op);
-                for o in &operands {
-                    k.push_str(&format!(",{}", o.0));
-                }
                 if let Some(&prev) = mem_table.get(&k) {
                     replacements.insert(i.id, prev);
                     dead.insert(i.id);
@@ -85,17 +127,11 @@ pub fn gvn(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
                 }
                 continue;
             }
-            let Some(k) = key(&i.op, &operands) else {
-                continue;
-            };
             let entries = table.entry(k).or_default();
-            let mut found = None;
-            for &(db, did) in entries.iter() {
-                if db == b || dominates(db, b, &idom) {
-                    found = Some(did);
-                    break;
-                }
-            }
+            let found = entries
+                .iter()
+                .find(|&&(db, _)| db == b || dominates(db, b, &idom))
+                .map(|&(_, did)| did);
             match found {
                 Some(prev) if prev != i.id => {
                     replacements.insert(i.id, prev);
@@ -114,13 +150,176 @@ mod tests {
     use super::*;
     use crate::vuln::VulnConfig;
     use jitbull_frontend::parse_program;
-    use jitbull_mir::build_mir;
+    use jitbull_mir::{build_mir, Block, BlockId, ConstVal, Instruction};
     use jitbull_vm::compile_program;
 
     fn mir(src: &str, name: &str) -> MirFunction {
         let p = parse_program(src).unwrap();
         let m = compile_program(&p).unwrap();
         build_mir(m.function(m.function_id(name).unwrap())).unwrap()
+    }
+
+    /// Appends a block of `(id, opcode, operands)` instructions.
+    fn push_block(
+        f: &mut MirFunction,
+        preds: &[u32],
+        instrs: Vec<(InstrId, MOpcode, Vec<InstrId>)>,
+    ) {
+        f.blocks.push(Block {
+            phis: vec![],
+            phi_preds: preds.iter().map(|&p| BlockId(p)).collect(),
+            instrs: instrs
+                .into_iter()
+                .map(|(id, op, operands)| Instruction::new(id, op, operands))
+                .collect(),
+        });
+    }
+
+    /// One block: the given constants, each returned through an `add`
+    /// chain so every one has a user.
+    fn constants(values: &[f64]) -> MirFunction {
+        let mut f = MirFunction::new("t");
+        let mut instrs = Vec::new();
+        let mut ids = Vec::new();
+        for &v in values {
+            let id = f.fresh_id();
+            instrs.push((id, MOpcode::Constant(ConstVal::Number(v)), vec![]));
+            ids.push(id);
+        }
+        let mut acc = ids[0];
+        for &id in &ids[1..] {
+            let sum = f.fresh_id();
+            instrs.push((sum, MOpcode::Add, vec![acc, id]));
+            acc = sum;
+        }
+        let ret = f.fresh_id();
+        instrs.push((ret, MOpcode::Return, vec![acc]));
+        push_block(&mut f, &[], instrs);
+        f
+    }
+
+    fn run_gvn(f: &mut MirFunction) {
+        let vulns = VulnConfig::default();
+        gvn(f, &mut PassContext::new(&vulns));
+        assert_eq!(f.validate(), Ok(()));
+    }
+
+    fn ids_of(f: &MirFunction, pred: impl Fn(&MOpcode) -> bool) -> Vec<InstrId> {
+        let all = f.blocks.iter().flat_map(|b| b.iter_all());
+        all.filter(|i| pred(&i.op)).map(|i| i.id).collect()
+    }
+
+    #[test]
+    fn nan_constants_fold_whatever_their_bits() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        let negative = -quiet;
+        assert!(payload.is_nan() && negative.is_nan());
+        assert_ne!(quiet.to_bits(), payload.to_bits());
+        assert_ne!(quiet.to_bits(), negative.to_bits());
+        let mut f = constants(&[quiet, payload, negative]);
+        run_gvn(&mut f);
+        assert_eq!(count(&f, |o| matches!(o, MOpcode::Constant(_))), 1, "{f}");
+    }
+
+    #[test]
+    fn signed_zeros_do_not_fold() {
+        let mut f = constants(&[0.0, -0.0, 0.0]);
+        run_gvn(&mut f);
+        let zeros: Vec<u64> = f
+            .blocks
+            .iter()
+            .flat_map(|b| b.iter_all())
+            .filter_map(|i| match i.op {
+                MOpcode::Constant(ConstVal::Number(n)) => Some(n.to_bits()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(zeros, vec![0.0f64.to_bits(), (-0.0f64).to_bits()], "{f}");
+    }
+
+    #[test]
+    fn loads_fold_only_for_the_same_global_or_property() {
+        let mut f = MirFunction::new("t");
+        let base = f.fresh_id();
+        let mut instrs = vec![(base, MOpcode::Parameter(0), vec![])];
+        let loads = [
+            (MOpcode::LoadProperty("x".into()), vec![base]),
+            (MOpcode::LoadProperty("y".into()), vec![base]),
+            (MOpcode::LoadProperty("x".into()), vec![base]),
+            (MOpcode::LoadGlobal(1), vec![]),
+            (MOpcode::LoadGlobal(2), vec![]),
+            (MOpcode::LoadGlobal(1), vec![]),
+        ];
+        let mut ids = Vec::new();
+        for (op, operands) in loads {
+            let id = f.fresh_id();
+            instrs.push((id, op, operands));
+            ids.push(id);
+        }
+        let ret = f.fresh_id();
+        instrs.push((ret, MOpcode::Return, vec![ids[0]]));
+        push_block(&mut f, &[], instrs);
+        run_gvn(&mut f);
+        // The second `x` and the second global 1 fold; nothing else does.
+        let left = ids_of(&f, |o| o.reads_memory());
+        assert_eq!(left, vec![ids[0], ids[1], ids[3], ids[4]], "{f}");
+    }
+
+    #[test]
+    fn equal_guards_fold_only_under_dominance() {
+        // block0 checks (i, n) and branches to block1 or block2, which
+        // both go to block3. block1 repeats block0's check (dominated:
+        // folds) and checks (i, m); block2 and block3 check (i, m) too,
+        // and neither block1 nor block2 dominates them: all three stay.
+        let mut f = MirFunction::new("t");
+        let [i, n, m, c, check0] = [(); 5].map(|_| f.fresh_id());
+        let [check1, check_a, goto1] = [(); 3].map(|_| f.fresh_id());
+        let [check_b, goto2, check_c, ret, test] = [(); 5].map(|_| f.fresh_id());
+        let branch = MOpcode::Test {
+            then_block: BlockId(1),
+            else_block: BlockId(2),
+        };
+        push_block(
+            &mut f,
+            &[],
+            vec![
+                (i, MOpcode::Parameter(0), vec![]),
+                (n, MOpcode::Parameter(1), vec![]),
+                (m, MOpcode::Parameter(2), vec![]),
+                (c, MOpcode::Parameter(3), vec![]),
+                (check0, MOpcode::BoundsCheck, vec![i, n]),
+                (test, branch, vec![c]),
+            ],
+        );
+        push_block(
+            &mut f,
+            &[0],
+            vec![
+                (check1, MOpcode::BoundsCheck, vec![i, n]),
+                (check_a, MOpcode::BoundsCheck, vec![i, m]),
+                (goto1, MOpcode::Goto(BlockId(3)), vec![]),
+            ],
+        );
+        push_block(
+            &mut f,
+            &[0],
+            vec![
+                (check_b, MOpcode::BoundsCheck, vec![i, m]),
+                (goto2, MOpcode::Goto(BlockId(3)), vec![]),
+            ],
+        );
+        push_block(
+            &mut f,
+            &[1, 2],
+            vec![
+                (check_c, MOpcode::BoundsCheck, vec![i, m]),
+                (ret, MOpcode::Return, vec![check_c]),
+            ],
+        );
+        run_gvn(&mut f);
+        let checks = ids_of(&f, |o| matches!(o, MOpcode::BoundsCheck));
+        assert_eq!(checks, vec![check0, check_a, check_b, check_c], "{f}");
     }
 
     fn count(f: &MirFunction, pred: impl Fn(&MOpcode) -> bool) -> usize {

@@ -40,7 +40,7 @@ fn numeric_producer(op: &MOpcode) -> bool {
 pub fn fold_linear_arithmetic(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let defs = def_instrs(f);
     let const_num = |id: InstrId| -> Option<f64> {
-        match defs.get(&id).map(|i| &i.op) {
+        match defs.get(id).map(|i| &i.op) {
             Some(MOpcode::Constant(ConstVal::Number(n))) => Some(*n),
             _ => None,
         }
@@ -55,7 +55,7 @@ pub fn fold_linear_arithmetic(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             let Some(c2) = const_num(i.operands[1]) else {
                 continue;
             };
-            let Some(inner) = defs.get(&i.operands[0]) else {
+            let Some(inner) = defs.get(i.operands[0]) else {
                 continue;
             };
             if !matches!(inner.op, MOpcode::Add) {
@@ -67,7 +67,7 @@ pub fn fold_linear_arithmetic(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             let x = inner.operands[0];
             // x must be provably numeric for reassociation to be sound.
             let numeric = defs
-                .get(&x)
+                .get(x)
                 .map(|d| numeric_producer(&d.op))
                 .unwrap_or(false);
             if numeric {

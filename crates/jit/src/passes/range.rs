@@ -64,7 +64,7 @@ fn fixed_length_arrays(f: &MirFunction) -> HashMap<InstrId, f64> {
             match &i.op {
                 MOpcode::NewArrayN => {
                     if let Some(MOpcode::Constant(ConstVal::Number(n))) =
-                        defs.get(&i.operands[0]).map(|d| &d.op)
+                        defs.get(i.operands[0]).map(|d| &d.op)
                     {
                         sizes.insert(i.id, *n);
                     }
@@ -127,7 +127,7 @@ pub fn bounds_check_elimination(f: &mut MirFunction, cx: &mut PassContext<'_>) {
                 continue;
             };
             // len must be initializedlength of a fixed-size array.
-            let Some(len_def) = defs.get(&len) else {
+            let Some(len_def) = defs.get(len) else {
                 continue;
             };
             if !matches!(

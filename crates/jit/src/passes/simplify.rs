@@ -193,8 +193,9 @@ pub fn fold_tests(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             continue;
         };
         let cond = t.operands[0];
-        match defs.get(&cond).map(|d| &d.op) {
-            Some(MOpcode::Constant(c)) => {
+        let Some(def) = defs.get(cond) else { continue };
+        match &def.op {
+            MOpcode::Constant(c) => {
                 let truthy = match c {
                     ConstVal::Number(n) => *n != 0.0 && !n.is_nan(),
                     ConstVal::Str(s) => !s.is_empty(),
@@ -212,8 +213,8 @@ pub fn fold_tests(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
                     abandoned.push((jitbull_mir::BlockId(bi as u32), dropped));
                 }
             }
-            Some(MOpcode::Not) => {
-                let inner = defs[&cond].operands[0];
+            MOpcode::Not => {
+                let inner = def.operands[0];
                 edits.push((
                     bi,
                     Instruction::new(
@@ -332,7 +333,8 @@ mod tests {
             .find(|i| matches!(i.op, MOpcode::Test { .. }))
             .unwrap();
         let defs = def_instrs(&f);
-        assert!(matches!(defs[&test.operands[0]].op, MOpcode::Parameter(0)));
+        let cond = defs.get(test.operands[0]).unwrap();
+        assert!(matches!(cond.op, MOpcode::Parameter(0)));
         assert_eq!(f.validate(), Ok(()));
     }
 }

@@ -37,8 +37,8 @@ pub fn type_specialization(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let defs = def_instrs(f);
     let untyped: HashSet<InstrId> = defs
         .iter()
-        .filter(|(_, i)| is_untyped_source(&i.op))
-        .map(|(id, _)| *id)
+        .filter(|i| is_untyped_source(&i.op))
+        .map(|i| i.id)
         .collect();
     for bi in 0..f.blocks.len() {
         let mut pos = 0;

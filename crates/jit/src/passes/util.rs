@@ -15,15 +15,35 @@ pub fn def_blocks(f: &MirFunction) -> HashMap<InstrId, BlockId> {
     map
 }
 
-/// Maps every instruction id to a clone of its defining instruction.
-pub fn def_instrs(f: &MirFunction) -> HashMap<InstrId, Instruction> {
-    let mut map = HashMap::with_capacity(f.instr_count());
-    for b in &f.blocks {
-        for i in b.iter_all() {
-            map.insert(i.id, i.clone());
-        }
+/// Every instruction of a function by id, borrowed from it: entry `k`
+/// is the instruction defining `InstrId(k)` (the last one in block
+/// order, should two share an id).
+pub struct Defs<'f>(Vec<Option<&'f Instruction>>);
+
+impl<'f> Defs<'f> {
+    /// The instruction defining `id`, if any.
+    pub fn get(&self, id: InstrId) -> Option<&'f Instruction> {
+        self.0.get(id.0 as usize).copied().flatten()
     }
-    map
+
+    /// Every defined instruction, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &'f Instruction> + '_ {
+        self.0.iter().flatten().copied()
+    }
+}
+
+/// Indexes every instruction of `f` by id. Ids are dense below
+/// [`MirFunction::id_bound`], so the index is a table, not a map.
+pub fn def_instrs(f: &MirFunction) -> Defs<'_> {
+    let mut by_id = vec![None; f.id_bound() as usize];
+    for i in f.blocks.iter().flat_map(|b| b.iter_all()) {
+        let k = i.id.0 as usize;
+        if k >= by_id.len() {
+            by_id.resize(k + 1, None);
+        }
+        by_id[k] = Some(i);
+    }
+    Defs(by_id)
 }
 
 /// Counts how many operand references each instruction has.
@@ -93,9 +113,9 @@ pub fn remove_instrs(f: &mut MirFunction, dead: &HashSet<InstrId>) {
 
 /// Strips value-transparent guards (`unbox`, `typeguard`, `boundscheck`)
 /// to find the underlying definition id.
-pub fn strip_guards(defs: &HashMap<InstrId, Instruction>, mut id: InstrId) -> InstrId {
+pub fn strip_guards(defs: &Defs<'_>, mut id: InstrId) -> InstrId {
     loop {
-        match defs.get(&id) {
+        match defs.get(id) {
             Some(i) if i.op.is_guard() && !i.operands.is_empty() => id = i.operands[0],
             _ => return id,
         }
@@ -105,13 +125,13 @@ pub fn strip_guards(defs: &HashMap<InstrId, Instruction>, mut id: InstrId) -> In
 /// Whether two ids denote "the same array" for vulnerability-trigger
 /// purposes: equal after stripping guards, or both loads from the same
 /// global slot / property name.
-pub fn same_array_root(defs: &HashMap<InstrId, Instruction>, a: InstrId, b: InstrId) -> bool {
+pub fn same_array_root(defs: &Defs<'_>, a: InstrId, b: InstrId) -> bool {
     let ra = strip_guards(defs, a);
     let rb = strip_guards(defs, b);
     if ra == rb {
         return true;
     }
-    match (defs.get(&ra).map(|i| &i.op), defs.get(&rb).map(|i| &i.op)) {
+    match (defs.get(ra).map(|i| &i.op), defs.get(rb).map(|i| &i.op)) {
         (Some(MOpcode::LoadGlobal(x)), Some(MOpcode::LoadGlobal(y))) => x == y,
         (Some(MOpcode::LoadProperty(x)), Some(MOpcode::LoadProperty(y))) => x == y,
         _ => false,
@@ -184,7 +204,7 @@ mod tests {
             .find(|i| matches!(i.op, MOpcode::LoadElement))
             .unwrap();
         let root = strip_guards(&defs, load.operands[0]);
-        assert!(matches!(defs[&root].op, MOpcode::Parameter(0)));
+        assert!(matches!(defs.get(root).unwrap().op, MOpcode::Parameter(0)));
         assert!(same_array_root(&defs, load.operands[0], root));
     }
 }

@@ -587,17 +587,11 @@ mod tests {
             .any(|i| matches!(i.op, jitbull_mir::MOpcode::BoundsCheck)));
         // And the GVN pass shows the removal.
         let (before, gvn) = result.trace.passes().nth(slot::GVN_1).unwrap();
-        let before_checks = before
-            .instrs
-            .iter()
-            .filter(|i| i.label.name() == "boundscheck")
-            .count();
-        let after_checks = gvn
-            .after
-            .instrs
-            .iter()
-            .filter(|i| i.label.name() == "boundscheck")
-            .count();
+        let checks = |s: &MirSnapshot| {
+            let labels = s.labels().iter();
+            labels.filter(|l| l.name() == "boundscheck").count()
+        };
+        let (before_checks, after_checks) = (checks(before), checks(&gvn.after));
         assert!(before_checks > after_checks);
     }
 

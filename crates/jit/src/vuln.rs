@@ -239,7 +239,7 @@ fn cve_17026(f: &mut MirFunction) -> bool {
     }
     let mut victims = Vec::new();
     for (id, idx, len) in all_checks(f) {
-        let Some(len_def) = defs.get(&len) else {
+        let Some(len_def) = defs.get(len) else {
             continue;
         };
         if !matches!(
@@ -272,7 +272,7 @@ fn cve_9810(f: &mut MirFunction) -> bool {
     let mut victims = Vec::new();
     for (id, idx, _len) in all_checks(f) {
         let root = strip_guards(&defs, idx);
-        if matches!(defs.get(&root).map(|d| &d.op), Some(MOpcode::BitAnd)) {
+        if matches!(defs.get(root).map(|d| &d.op), Some(MOpcode::BitAnd)) {
             victims.push((id, idx));
         }
     }
@@ -301,7 +301,7 @@ fn cve_11707(f: &mut MirFunction) -> bool {
     }
     let mut victims = Vec::new();
     for (id, idx, len) in all_checks(f) {
-        let Some(len_def) = defs.get(&len) else {
+        let Some(len_def) = defs.get(len) else {
             continue;
         };
         if !matches!(
@@ -334,7 +334,7 @@ fn cve_9791(f: &mut MirFunction) -> bool {
         .filter(|phi| {
             phi.operands.iter().any(|o| {
                 matches!(
-                    defs.get(o).map(|d| &d.op),
+                    defs.get(*o).map(|d| &d.op),
                     Some(MOpcode::Constant(jitbull_mir::ConstVal::Undefined))
                         | Some(MOpcode::Constant(jitbull_mir::ConstVal::Number(_)))
                 )
@@ -411,7 +411,7 @@ fn cve_9795(f: &mut MirFunction) -> bool {
     let mut victims = Vec::new();
     for (id, idx, _len) in all_checks(f) {
         let root = strip_guards(&defs, idx);
-        if matches!(defs.get(&root).map(|d| &d.op), Some(MOpcode::Phi)) {
+        if matches!(defs.get(root).map(|d| &d.op), Some(MOpcode::Phi)) {
             victims.push((id, idx));
         }
     }
@@ -435,7 +435,7 @@ fn cve_9813(f: &mut MirFunction) -> bool {
             if !matches!(i.op, MOpcode::BoundsCheck) {
                 continue;
             }
-            let Some(len_def) = defs.get(&i.operands[1]) else {
+            let Some(len_def) = defs.get(i.operands[1]) else {
                 continue;
             };
             if len_def.operands.is_empty() {
@@ -457,12 +457,12 @@ fn cve_26952(f: &mut MirFunction) -> bool {
     let mut victims = Vec::new();
     for (id, idx, _len) in all_checks(f) {
         let root = strip_guards(&defs, idx);
-        let Some(d) = defs.get(&root) else { continue };
+        let Some(d) = defs.get(root) else { continue };
         if matches!(d.op, MOpcode::Add) {
             let rhs_const = d
                 .operands
                 .get(1)
-                .and_then(|o| defs.get(o))
+                .and_then(|&o| defs.get(o))
                 .map(|x| matches!(x.op, MOpcode::Constant(jitbull_mir::ConstVal::Number(_))))
                 .unwrap_or(false);
             if rhs_const {

@@ -6,8 +6,13 @@
 //! opcode names *without* literal values or variable/property names, so
 //! DNA comparisons key on the structural shape of the optimization —
 //! exactly what lets the paper's system recognise a renamed/minified
-//! exploit variant. Taking a snapshot allocates only operand lists, and
-//! comparing two snapshots compares integers.
+//! exploit variant.
+//!
+//! A snapshot is four arrays, not one record per instruction: ids,
+//! labels, each instruction's operand end offset, and every operand
+//! concatenated in snapshot order. Taking one allocates those four
+//! arrays whatever the function's size, and comparing two snapshots
+//! compares four integer slices.
 //!
 //! A compilation's [`PassTrace`] is the snapshot sequence `IR_0 … IR_n`:
 //! the IR entering the pipeline, then the IR after each executed slot.
@@ -17,51 +22,81 @@
 use crate::graph::MirFunction;
 use crate::label::Label;
 
-/// One instruction in a snapshot.
-#[derive(Debug, Clone, Eq)]
-pub struct SnapInstr {
+/// One instruction of a snapshot, borrowed from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapInstr<'a> {
     /// The instruction's SSA id at snapshot time.
     pub id: u32,
     /// Opcode label (e.g. `boundscheck`, `compare:lt`, `constant:number`).
     pub label: Label,
     /// Operand ids.
-    pub operands: Vec<u32>,
+    pub operands: &'a [u32],
 }
 
-/// Field-by-field, like the derived comparison, but with the operand
-/// lists compared element by element: they hold a few ids each, and the
-/// derived slice comparison's `memcmp` call per instruction made
-/// snapshot equality — which the Δ extractor tests once per pass — cost
-/// more than counting the snapshot's edges.
-impl PartialEq for SnapInstr {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-            && self.label == other.label
-            && self.operands.len() == other.operands.len()
-            && self
-                .operands
-                .iter()
-                .zip(&other.operands)
-                .all(|(a, b)| a == b)
-    }
-}
-
-/// A flat snapshot of a function's IR between two optimization passes.
+/// A flat snapshot of a function's IR between two optimization passes:
+/// its instructions in block order (phis first within each block).
+/// Instruction `k` is `(ids[k], labels[k],
+/// operands[operand_ends[k - 1]..operand_ends[k]])`, with the first
+/// start at 0.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MirSnapshot {
-    /// All instructions, in block order (phis first within each block).
-    pub instrs: Vec<SnapInstr>,
+    ids: Vec<u32>,
+    labels: Vec<Label>,
+    operand_ends: Vec<u32>,
+    operands: Vec<u32>,
 }
 
 impl MirSnapshot {
+    /// Appends one instruction.
+    pub fn push(&mut self, id: u32, label: Label, operands: &[u32]) {
+        self.ids.push(id);
+        self.labels.push(label);
+        self.operands.extend_from_slice(operands);
+        self.operand_ends.push(self.operands.len() as u32);
+    }
+
     /// Number of instructions captured.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.ids.len()
     }
 
     /// Whether the snapshot is empty.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.ids.is_empty()
+    }
+
+    /// Every instruction's id, in snapshot order.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Every instruction's label, in snapshot order.
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
+    /// Instruction `k`'s operand ids.
+    ///
+    /// # Panics
+    ///
+    /// When `k >= self.len()`.
+    pub fn operands(&self, k: usize) -> &[u32] {
+        let start = if k == 0 { 0 } else { self.operand_ends[k - 1] };
+        &self.operands[start as usize..self.operand_ends[k] as usize]
+    }
+
+    /// Every operand of every instruction, concatenated in snapshot order.
+    pub fn all_operands(&self) -> &[u32] {
+        &self.operands
+    }
+
+    /// The instructions, in snapshot order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = SnapInstr<'_>> + '_ {
+        (0..self.len()).map(|k| SnapInstr {
+            id: self.ids[k],
+            label: self.labels[k],
+            operands: self.operands(k),
+        })
     }
 }
 
@@ -123,17 +158,22 @@ impl PassTrace {
 
 /// Takes a snapshot of the current IR.
 pub fn snapshot(f: &MirFunction) -> MirSnapshot {
-    let mut instrs = Vec::with_capacity(f.instr_count());
-    for b in &f.blocks {
-        for i in b.iter_all() {
-            instrs.push(SnapInstr {
-                id: i.id.0,
-                label: i.op.label(),
-                operands: i.operands.iter().map(|o| o.0).collect(),
-            });
-        }
+    let all = || f.blocks.iter().flat_map(|b| b.iter_all());
+    let n_operands = all().map(|i| i.operands.len()).sum();
+    let n_instrs = f.instr_count();
+    let mut snap = MirSnapshot {
+        ids: Vec::with_capacity(n_instrs),
+        labels: Vec::with_capacity(n_instrs),
+        operand_ends: Vec::with_capacity(n_instrs),
+        operands: Vec::with_capacity(n_operands),
+    };
+    for i in all() {
+        snap.ids.push(i.id.0);
+        snap.labels.push(i.op.label());
+        snap.operands.extend(i.operands.iter().map(|o| o.0));
+        snap.operand_ends.push(snap.operands.len() as u32);
     }
-    MirSnapshot { instrs }
+    snap
 }
 
 impl MirFunction {
@@ -163,9 +203,8 @@ mod tests {
             .unwrap()
             .snapshot();
         // Renaming variables and changing literals leaves identical labels.
-        let l1: Vec<_> = s1.instrs.iter().map(|i| i.label).collect();
-        let l2: Vec<_> = s2.instrs.iter().map(|i| i.label).collect();
-        assert_eq!(l1, l2);
+        let l1 = s1.labels();
+        assert_eq!(l1, s2.labels());
         assert!(l1.iter().any(|l| l.name() == "boundscheck"));
     }
 
@@ -176,7 +215,7 @@ mod tests {
         let s = build_mir(m.function(m.function_id("f").unwrap()))
             .unwrap()
             .snapshot();
-        let add = s.instrs.iter().find(|i| i.label.name() == "add").unwrap();
+        let add = s.iter().find(|i| i.label.name() == "add").unwrap();
         assert_eq!(add.operands.len(), 2);
         assert_eq!(add.operands[0], add.operands[1]); // both operands are `a`
     }
@@ -186,5 +225,35 @@ mod tests {
         let s = MirSnapshot::default();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
+        assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn push_and_iter_round_trip() {
+        let add = Label::from_name("add").unwrap();
+        let ret = Label::from_name("return").unwrap();
+        let mut s = MirSnapshot::default();
+        s.push(3, add, &[1, 2, 1, 7]);
+        s.push(4, ret, &[]);
+        s.push(5, ret, &[3]);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.ids(), &[3, 4, 5]);
+        assert_eq!(s.operands(0), &[1, 2, 1, 7]);
+        assert!(s.operands(1).is_empty());
+        assert_eq!(s.operands(2), &[3]);
+        assert_eq!(s.all_operands(), &[1, 2, 1, 7, 3]);
+        let mut rebuilt = MirSnapshot::default();
+        for i in s.iter() {
+            rebuilt.push(i.id, i.label, i.operands);
+        }
+        assert_eq!(rebuilt, s);
+        // Equal instruction lists make equal snapshots, and moving an
+        // operand across an instruction boundary does not.
+        let mut moved = MirSnapshot::default();
+        moved.push(3, add, &[1, 2, 1]);
+        moved.push(4, ret, &[7]);
+        moved.push(5, ret, &[3]);
+        assert_eq!(moved.all_operands(), s.all_operands());
+        assert_ne!(moved, s);
     }
 }

@@ -10,11 +10,28 @@ use jitbull_chaos::retry::{retry_with, RetryPolicy};
 use jitbull_chaos::{BreakerConfig, BreakerStats, CircuitBreaker, FaultInjector, Quarantine};
 use jitbull_jit::engine::EngineConfig;
 use jitbull_telemetry::{Collector, Event};
+use jitbull_vm::Runtime;
 
 use crate::error::PoolError;
 use crate::queue::{BoundedQueue, PushError, Turns};
 use crate::swap::SnapshotCell;
 use crate::worker;
+
+/// Native stack one script call level may take, with headroom. A debug
+/// build measured at most ~10.5 KiB per level on the optimizing tier
+/// (plain, method, constructor and mutual recursion) and ~7.4 KiB in the
+/// interpreter; release frames are smaller.
+const STACK_PER_CALL: usize = 16 << 10;
+
+/// Native stack below a script's calls: the worker loop, the engine and
+/// an optimizing compile with its guard analysis started at full depth.
+const STACK_BASE: usize = 1 << 20;
+
+/// Each worker's native stack: enough for `Runtime::MAX_DEPTH` script
+/// calls, so a script that recurses too deep ends in "call stack depth
+/// exceeded" instead of overflowing the thread (the default 2 MiB ran
+/// out near 190 levels on the optimizing tier in a debug build).
+const WORKER_STACK: usize = STACK_BASE + Runtime::MAX_DEPTH as usize * STACK_PER_CALL;
 
 /// Shared dyn-collector handle: workers, publishers, and the submit path
 /// all record into the same recorder.
@@ -378,6 +395,7 @@ impl Pool {
                 };
                 std::thread::Builder::new()
                     .name(format!("jitbull-pool-worker-{ix}"))
+                    .stack_size(WORKER_STACK)
                     .spawn(move || worker::supervise(ctx))
                     .expect("spawn pool worker")
             })

@@ -5,14 +5,16 @@
 //! fast path, cached enumeration, interned run windows) must return
 //! chain-for-chain identical DNA on every trace. These tests sweep seeded
 //! random MIR snapshot traces — including renumberings, no-op passes,
-//! pathological high-fanout graphs that bind the chain caps, and passes
-//! whose output is unrelated to their input — the full VDC catalog, real
+//! pathological high-fanout graphs that bind the chain caps, instructions
+//! with more operands than real MIR gives them, repeated ids whose
+//! operand lists concatenate, passes whose output is unrelated to their
+//! input and passes that restore an earlier snapshot — the full VDC catalog, real
 //! pipeline traces of seeded fuzzer programs under random disabled-slot
 //! sets, the workload suite at engine level, and fail on the first
 //! divergence.
 
 use jitbull::{extract_delta, extract_dna, IncrementalExtractor};
-use jitbull_mir::{Label, MirSnapshot, PassRecord, PassTrace, SlotSet, SnapInstr};
+use jitbull_mir::{Label, MirSnapshot, PassRecord, PassTrace, SlotSet};
 use jitbull_prng::Rng;
 
 const LABELS: &[&str] = &[
@@ -49,8 +51,32 @@ const PASS_NAMES: &[&str] = &[
 /// Random traces draw their slots below `SLOTS`.
 const SLOTS: usize = 16;
 
-fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> SnapInstr {
-    let n_ops = rng.gen_range(0..3usize);
+/// One instruction being generated: `(id, label, operands)`. Generators
+/// edit lists of these and freeze them into a [`MirSnapshot`].
+type Instr = (u32, Label, Vec<u32>);
+
+fn freeze(instrs: &[Instr]) -> MirSnapshot {
+    let mut snapshot = MirSnapshot::default();
+    for (id, label, operands) in instrs {
+        snapshot.push(*id, *label, operands);
+    }
+    snapshot
+}
+
+fn thaw(snapshot: &MirSnapshot) -> Vec<Instr> {
+    let instrs = snapshot.iter();
+    instrs
+        .map(|i| (i.id, i.label, i.operands.to_vec()))
+        .collect()
+}
+
+fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> Instr {
+    // Mostly the 0–2 operands of real MIR, sometimes a call-sized list.
+    let n_ops = if rng.gen_bool(0.1) {
+        rng.gen_range(4..7usize)
+    } else {
+        rng.gen_range(0..3usize)
+    };
     let operands = (0..n_ops)
         .map(|_| {
             if !prior.is_empty() && rng.gen_bool(0.85) {
@@ -62,11 +88,7 @@ fn instr(rng: &mut Rng, id: u32, prior: &[u32]) -> SnapInstr {
             }
         })
         .collect();
-    SnapInstr {
-        id,
-        label: label(rng),
-        operands,
-    }
+    (id, label(rng), operands)
 }
 
 fn random_snapshot(rng: &mut Rng, max_instrs: usize) -> MirSnapshot {
@@ -75,17 +97,26 @@ fn random_snapshot(rng: &mut Rng, max_instrs: usize) -> MirSnapshot {
     let mut instrs = Vec::new();
     let mut next = 0u32;
     for _ in 0..n {
-        next += rng.gen_range(1..3u32); // occasional id gaps
-        instrs.push(instr(rng, next, &ids));
-        ids.push(next);
+        // Sometimes an id repeats: its instructions' operand lists
+        // concatenate in snapshot order and the last label wins.
+        let id = if !ids.is_empty() && rng.gen_bool(0.08) {
+            *rng.pick(&ids)
+        } else {
+            next += rng.gen_range(1..3u32); // occasional id gaps
+            next
+        };
+        instrs.push(instr(rng, id, &ids));
+        ids.push(id);
     }
-    MirSnapshot { instrs }
+    freeze(&instrs)
 }
 
 /// A dense layered graph wide and deep enough that the reference
 /// extractor's MAX_CHAINS / MAX_CHAIN_LEN caps bind — the regime where
 /// enumeration *order* becomes observable and any ordering drift in the
-/// incremental path would change the emitted set.
+/// incremental path would change the emitted set. Some nodes list their
+/// operands over two instructions sharing their id, so the order in
+/// which repeated ids' operands concatenate is observable too.
 fn pathological_snapshot(rng: &mut Rng) -> MirSnapshot {
     let width = rng.gen_range(3..6usize);
     let depth = rng.gen_range(4..8usize);
@@ -93,80 +124,87 @@ fn pathological_snapshot(rng: &mut Rng) -> MirSnapshot {
     for layer in 0..depth {
         for lane in 0..width {
             let id = (layer * width + lane) as u32;
-            let operands = if layer == 0 {
+            let mut operands: Vec<u32> = if layer == 0 {
                 Vec::new()
             } else {
                 ((layer - 1) * width..layer * width)
                     .map(|p| p as u32)
                     .collect()
             };
-            instrs.push(SnapInstr {
-                id,
-                label: label(rng),
-                operands,
-            });
+            if operands.len() > 1 && rng.gen_bool(0.3) {
+                let rest = operands.split_off(rng.gen_range(1..operands.len()));
+                instrs.push((id, label(rng), rest));
+            }
+            instrs.push((id, label(rng), operands));
         }
     }
-    MirSnapshot { instrs }
+    freeze(&instrs)
 }
 
 /// Derives `after` from `before` the way a pass would: a few removals,
 /// insertions, rewires, relabels — or a pure renumbering / no-op, the
 /// cases the incremental fast path must prove empty without enumerating.
 fn mutate(rng: &mut Rng, before: &MirSnapshot) -> MirSnapshot {
-    let mut after = before.clone();
+    let mut after = thaw(before);
     match rng.gen_range(0..10u32) {
         0 => {} // no-op pass: identical snapshot
         1 => {
             // Pure renumbering: same label structure, shifted ids.
             let shift = rng.gen_range(1..50u32);
-            for i in &mut after.instrs {
-                i.id += shift;
-                for o in &mut i.operands {
+            for (id, _, operands) in &mut after {
+                *id += shift;
+                for o in operands {
                     *o += shift;
                 }
             }
         }
         _ => {
             for _ in 0..rng.gen_range(1..4usize) {
-                if after.instrs.is_empty() {
+                if after.is_empty() {
                     break;
                 }
                 match rng.gen_range(0..4u32) {
                     0 => {
-                        let at = rng.gen_range(0..after.instrs.len());
-                        after.instrs.remove(at);
+                        let at = rng.gen_range(0..after.len());
+                        after.remove(at);
                     }
                     1 => {
-                        let prior: Vec<u32> = after.instrs.iter().map(|i| i.id).collect();
+                        let prior: Vec<u32> = after.iter().map(|i| i.0).collect();
                         let id = prior.iter().max().unwrap_or(&0) + rng.gen_range(1..4u32);
                         let ins = instr(rng, id, &prior);
-                        let at = rng.gen_range(0..after.instrs.len() + 1);
-                        after.instrs.insert(at, ins);
+                        let at = rng.gen_range(0..after.len() + 1);
+                        after.insert(at, ins);
                     }
                     2 => {
-                        let at = rng.gen_range(0..after.instrs.len());
-                        after.instrs[at].label = label(rng);
+                        let at = rng.gen_range(0..after.len());
+                        after[at].1 = label(rng);
                     }
                     _ => {
-                        let at = rng.gen_range(0..after.instrs.len());
-                        if !after.instrs[at].operands.is_empty() {
-                            let o = rng.gen_range(0..after.instrs[at].operands.len());
-                            after.instrs[at].operands[o] = rng.gen_range(0..40u32);
+                        let at = rng.gen_range(0..after.len());
+                        let operands = &mut after[at].2;
+                        if !operands.is_empty() {
+                            let o = rng.gen_range(0..operands.len());
+                            operands[o] = rng.gen_range(0..40u32);
                         }
                     }
                 }
             }
         }
     }
-    after
+    freeze(&after)
 }
 
 /// Builds a trace of `n_records` passes. With probability ~0.7 a pass
 /// derives its `after` from the IR it starts from (the way a real pass
 /// rewrites it, exercising the enumeration-reuse path); otherwise its
-/// `after` is a fresh snapshot unrelated to its `before`.
-fn random_trace(rng: &mut Rng, n_records: usize, pathological: bool) -> PassTrace {
+/// `after` is a fresh snapshot unrelated to its `before`, or — a pass
+/// undoing an earlier one — a copy of an earlier snapshot of the trace.
+fn random_trace(
+    rng: &mut Rng,
+    initial: MirSnapshot,
+    n_records: usize,
+    pathological: bool,
+) -> PassTrace {
     let fresh = |rng: &mut Rng| {
         if pathological {
             pathological_snapshot(rng)
@@ -174,11 +212,16 @@ fn random_trace(rng: &mut Rng, n_records: usize, pathological: bool) -> PassTrac
             random_snapshot(rng, 14)
         }
     };
-    let initial = fresh(rng);
     let mut records: Vec<PassRecord> = Vec::new();
     for _ in 0..n_records {
         let before = records.last().map_or(&initial, |r| &r.after);
-        let after = if rng.gen_bool(0.3) {
+        let after = if rng.gen_bool(0.1) {
+            let earlier = rng.gen_range(0..records.len() + 1);
+            earlier
+                .checked_sub(1)
+                .map_or(&initial, |r| &records[r].after)
+                .clone()
+        } else if rng.gen_bool(0.3) {
             fresh(rng)
         } else {
             mutate(rng, before)
@@ -208,10 +251,18 @@ fn sweep(seed: u64, traces: usize) -> usize {
     let mut rng = Rng::seed_from_u64(seed);
     let mut incremental = IncrementalExtractor::new();
     let mut pairs = 0;
+    let mut previous_end: Option<MirSnapshot> = None;
     for case in 0..traces {
         let pathological = rng.gen_bool(0.05);
         let n_records = rng.gen_range(1..5usize);
-        let trace = random_trace(&mut rng, n_records, pathological);
+        // Sometimes a trace starts from the IR the previous trace ended
+        // with, as a recompile of the same function would.
+        let initial = match &previous_end {
+            Some(end) if rng.gen_bool(0.1) => MirSnapshot::clone(end),
+            _ if pathological => pathological_snapshot(&mut rng),
+            _ => random_snapshot(&mut rng, 14),
+        };
+        let trace = random_trace(&mut rng, initial, n_records, pathological);
         pairs += trace.records.len();
         let expected = extract_dna(&trace);
         let (got, receipt) = incremental.extract_dna(&trace);
@@ -227,11 +278,16 @@ fn sweep(seed: u64, traces: usize) -> usize {
                 "per-pass divergence: seed={seed} case={case} record={i}"
             );
         }
+        previous_end = trace.records.last().map(|r| r.after.clone());
     }
     let stats = incremental.stats();
     assert!(
         stats.passes_skipped > 0 && stats.passes_enumerated > 0,
         "sweep never exercised both the fast path and the slow path: {stats:?}"
+    );
+    assert!(
+        stats.enum_reuses > 0,
+        "sweep never reused an enumeration: {stats:?}"
     );
     pairs
 }

@@ -228,6 +228,36 @@ fn lapsed_deadline_degrades_to_interpreter_only() {
     assert_eq!(stats.degraded, 1);
 }
 
+/// A script recursing past `Runtime::MAX_DEPTH` (600 frames: the entry
+/// frame plus 599 calls) ends in the depth error, on the optimizing tier
+/// and in the interpreter, even in a debug build, whose frames are
+/// largest: a worker's native stack holds `MAX_DEPTH` script calls.
+#[test]
+fn recursion_past_the_depth_limit_ends_in_a_script_error() {
+    let recursion = |depth: u32| {
+        Request::new(format!(
+            "function down(n) {{ if (n == 0) {{ return 0; }} return down(n - 1) + 1; }}
+for (var i = 0; i < 20; i++) {{ down(i); }}
+print(down({depth}));"
+        ))
+        .with_config(EngineConfig::fast_test())
+    };
+    let pool = Pool::new(config(1, 8), donor());
+    let deepest = pool.submit(recursion(598)).unwrap().wait();
+    let deepest = deepest.expect("MAX_DEPTH frames run");
+    assert!(deepest.nr_jit >= 1, "the recursion reaches the JIT");
+    assert_eq!(deepest.printed.last().map(String::as_str), Some("598"));
+    for request in [recursion(599), recursion(599).with_deadline(Duration::ZERO)] {
+        match pool.submit(request).unwrap().wait() {
+            Err(PoolError::Script(e)) => {
+                assert!(e.contains("call stack depth exceeded"), "{e}")
+            }
+            other => panic!("expected the depth error, got {other:?}"),
+        }
+    }
+    pool.shutdown();
+}
+
 #[test]
 fn panicking_worker_is_isolated_and_respawned() {
     let pool = Pool::new(config(1, 8), DnaDatabase::new());
