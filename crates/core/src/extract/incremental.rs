@@ -13,8 +13,9 @@
 //!    its `before` has an empty delta, so nothing is counted. Most
 //!    pipeline slots leave the IR exactly as they found it.
 //! 2. **Edge-multiset fast path**: otherwise a pass's label-pair edge
-//!    multisets — sorted `(Label, Label)` vectors — are compared before
-//!    anything else. Each snapshot of a trace is counted at most once: a
+//!    multisets — sorted vectors of `(Label, Label)` pairs, each packed
+//!    into one integer — are compared before anything else. Each
+//!    snapshot of a trace is counted at most once: a
 //!    record's `after` edges are the next record's `before` edges,
 //!    because that is the same snapshot. Equal multisets mean both
 //!    directed changed-edge sets are empty, which means the reference's
@@ -25,29 +26,36 @@
 //!    empty contributes nothing, so its snapshot is never enumerated.
 //! 4. **Dense-graph enumeration with cached reuse**: when a side must be
 //!    enumerated, the snapshot becomes a graph over dense node positions
-//!    (ids sorted, operands resolved by binary search, each node's
-//!    operands one range of a shared array), and the DFS visits nodes in
-//!    exactly the reference order with the same [`super::MAX_CHAINS`] /
-//!    [`super::MAX_CHAIN_LEN`] caps, appending each emitted position path
-//!    to one flat array. A record's `after` snapshot is the next record's
+//!    (a table indexed by id maps ids to positions; ids too sparse for
+//!    one are sorted and binary-searched; each node's operands are one
+//!    range of a shared edge array), and the DFS visits nodes in exactly
+//!    the reference order with the same [`super::MAX_CHAINS`] /
+//!    [`super::MAX_CHAIN_LEN`] caps, appending each emitted path — the
+//!    edges it takes, starting with an entry edge into its root — to one
+//!    flat array. A record's `after` snapshot is the next record's
 //!    `before`, so the last enumeration is kept and reused when the
 //!    snapshots compare equal (full structural equality — reuse can
 //!    never be wrong, and it also serves an equal snapshot of a later
 //!    trace).
-//! 5. **Interned runs and memoised windows**: changed-edge runs along a
-//!    path are interned in a [`ChainInterner`] and expanded into their
-//!    contiguous windows via a per-run-id table. Duplicate sub-chains —
-//!    the overwhelmingly common case, since every window of every chain
-//!    through a changed region repeats — are deduplicated as a sorted id
-//!    vector, and each distinct id's interned [`Chain`] is handed out
-//!    once.
+//! 5. **Interned runs and memoised windows**: each graph edge is tested
+//!    against a side's changed-edge list once, so scanning a path reads
+//!    one flag per step. Changed-edge runs along a path are interned in
+//!    a [`ChainInterner`] and expanded into their contiguous windows via
+//!    a per-run-id table; a run over the same edges as one of the
+//!    previous such path's runs takes that run's id without hashing its
+//!    labels again. Duplicate sub-chains — the overwhelmingly common
+//!    case, since every window of every chain through a changed region
+//!    repeats — are collected once per run and side, deduplicated as a
+//!    sorted id vector, and each distinct id's interned [`Chain`] is
+//!    handed out once.
 //!
 //! Exactness argument, step by step: (1), (2) and (3) only ever
 //! *conclude empty* when the reference provably emits empty; (4) walks
 //! the same paths in the same order under the same caps, so the emitted
 //! chain *set* is identical even when the caps bind; (5) is a pure
-//! representation change — interning is injective, run → windows is
-//! deterministic, and the final `BTreeSet` dedup is order-independent.
+//! representation change — interning is injective, equal edges have
+//! equal labels, run → windows is deterministic, and the final
+//! `BTreeSet` dedup is order-independent.
 //! The differential harness (`tests/extract_differential.rs`) locks this
 //! in against tens of thousands of random snapshot pairs and real
 //! pipeline traces.
@@ -114,47 +122,93 @@ pub struct IncrementalStats {
     pub enum_reuses: u64,
 }
 
+/// A `(user, operand)` label pair packed into one integer, ordered as
+/// the pair is.
+type Edge = u32;
+
+fn edge(from: Label, to: Label) -> Edge {
+    u32::from(from.code()) << 16 | u32::from(to.code())
+}
+
+/// How `edge`'s first label orders against `from`: `Equal` when the
+/// edge leaves a node labeled `from`.
+fn edge_source_order(edge: Edge, from: Label) -> std::cmp::Ordering {
+    (edge >> 16).cmp(&u32::from(from.code()))
+}
+
 /// A snapshot's label-pair edge multiset, sorted. Counting
 /// multiplicities (rather than set membership) keeps a removal visible
 /// even when an identically-labeled edge survives elsewhere in the
 /// function.
-type Edges = Vec<(Label, Label)>;
+type Edges = Vec<Edge>;
 
-/// `ir`'s instruction ids, ascending, with each id's label (the last
-/// instruction carrying an id wins, as in the reference's maps).
-fn labels_by_id(ir: &MirSnapshot) -> Vec<(u32, Label)> {
-    let mut by_id: Vec<(u32, Label)> = ir
-        .ids()
-        .iter()
-        .copied()
-        .zip(ir.labels().iter().copied())
-        .collect();
-    // Stable, so equal ids keep snapshot order and the last one is kept.
-    by_id.sort_by_key(|&(id, _)| id);
-    by_id.dedup_by(|later, earlier| {
-        let same = later.0 == earlier.0;
-        if same {
-            earlier.1 = later.1;
-        }
-        same
-    });
-    by_id
+/// A table indexed by snapshot id has at most this many slots per
+/// instruction and operand (plus [`DENSE_SLACK`]); past that the ids are
+/// sparse, and ids are sorted and binary-searched instead. Pipeline
+/// snapshots are dense: their ids were allocated one by one below the
+/// function's id bound.
+const DENSE_FACTOR: usize = 4;
+/// Slots a dense id table may have whatever the snapshot's size.
+const DENSE_SLACK: usize = 64;
+
+/// The size of a table indexed by `ir`'s ids (one past the largest id
+/// or operand), or `None` when the ids are too sparse for one.
+fn dense_bound(ir: &MirSnapshot) -> Option<usize> {
+    let entries = ir.ids().iter().chain(ir.all_operands());
+    let bound = entries.max().map_or(0, |&id| id as usize + 1);
+    let size = ir.len() + ir.all_operands().len();
+    (bound <= DENSE_FACTOR * size + DENSE_SLACK).then_some(bound)
 }
 
-/// The label of operand `id`: its instruction's, or [`Label::UNKNOWN`]
-/// when no instruction defines it.
-fn label_of(by_id: &[(u32, Label)], id: u32) -> Label {
-    by_id
-        .binary_search_by_key(&id, |&(i, _)| i)
-        .map_or(Label::UNKNOWN, |k| by_id[k].1)
+/// Each id's label: its instruction's (the last instruction carrying an
+/// id wins, as in the reference's maps), or [`Label::UNKNOWN`] when no
+/// instruction defines it.
+enum LabelsById {
+    /// Indexed by id.
+    Dense(Vec<Label>),
+    /// `(id, label)` by ascending id, for sparse ids.
+    Sparse(Vec<(u32, Label)>),
+}
+
+impl LabelsById {
+    fn new(ir: &MirSnapshot) -> Self {
+        let by_id = ir.ids().iter().copied().zip(ir.labels().iter().copied());
+        if let Some(bound) = dense_bound(ir) {
+            let mut labels = vec![Label::UNKNOWN; bound];
+            for (id, label) in by_id {
+                labels[id as usize] = label;
+            }
+            return LabelsById::Dense(labels);
+        }
+        let mut by_id: Vec<(u32, Label)> = by_id.collect();
+        // Stable, so equal ids keep snapshot order and the last one is kept.
+        by_id.sort_by_key(|&(id, _)| id);
+        by_id.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 = later.1;
+            }
+            same
+        });
+        LabelsById::Sparse(by_id)
+    }
+
+    fn get(&self, id: u32) -> Label {
+        match self {
+            LabelsById::Dense(labels) => labels[id as usize],
+            LabelsById::Sparse(by_id) => by_id
+                .binary_search_by_key(&id, |&(i, _)| i)
+                .map_or(Label::UNKNOWN, |k| by_id[k].1),
+        }
+    }
 }
 
 /// `ir`'s [`Edges`]: one `(user, operand)` label pair per operand.
 fn edges(ir: &MirSnapshot) -> Edges {
-    let by_id = labels_by_id(ir);
+    let by_id = LabelsById::new(ir);
     let mut edges: Edges = Vec::with_capacity(ir.all_operands().len());
     for (k, &label) in ir.labels().iter().enumerate() {
-        edges.extend(ir.operands(k).iter().map(|&o| (label, label_of(&by_id, o))));
+        edges.extend(ir.operands(k).iter().map(|&o| edge(label, by_id.get(o))));
     }
     edges.sort_unstable();
     edges
@@ -162,7 +216,7 @@ fn edges(ir: &MirSnapshot) -> Edges {
 
 /// The distinct edges whose multiplicity strictly dropped, each way:
 /// `(from → to drops, to → from drops)`, both sorted.
-fn changed_edges(from: &[(Label, Label)], to: &[(Label, Label)]) -> (Edges, Edges) {
+fn changed_edges(from: &[Edge], to: &[Edge]) -> (Edges, Edges) {
     let (mut dropped, mut grew) = (Vec::new(), Vec::new());
     let (mut a, mut b) = (0, 0);
     while a < from.len() || b < to.len() {
@@ -185,16 +239,60 @@ fn changed_edges(from: &[(Label, Label)], to: &[(Label, Label)]) -> (Edges, Edge
     (dropped, grew)
 }
 
-/// A snapshot's dependency graph over dense node positions: every
-/// instruction id and every operand id, ascending, so position order is
-/// id order.
+/// Each id's node position: every instruction id and every operand id,
+/// ascending, so position order is id order.
+enum Positions {
+    /// Indexed by id; ids that are no node hold [`Positions::ABSENT`].
+    Dense(Vec<u32>),
+    /// The node ids, ascending, for sparse ids.
+    Sparse(Vec<u32>),
+}
+
+impl Positions {
+    const ABSENT: u32 = u32::MAX;
+
+    /// The positions of `ir`'s ids, and the number of nodes.
+    fn new(ir: &MirSnapshot) -> (Positions, usize) {
+        let ids = ir.ids().iter().chain(ir.all_operands()).copied();
+        if let Some(bound) = dense_bound(ir) {
+            let mut at = vec![Positions::ABSENT; bound];
+            ids.for_each(|id| at[id as usize] = 0);
+            let mut n = 0;
+            for p in at.iter_mut().filter(|p| **p != Positions::ABSENT) {
+                *p = n;
+                n += 1;
+            }
+            return (Positions::Dense(at), n as usize);
+        }
+        let mut sorted: Vec<u32> = ids.collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let n = sorted.len();
+        (Positions::Sparse(sorted), n)
+    }
+
+    /// The node position of `id`, which is an id or operand of the
+    /// snapshot.
+    fn get(&self, id: u32) -> u32 {
+        match self {
+            Positions::Dense(at) => at[id as usize],
+            Positions::Sparse(sorted) => {
+                sorted.binary_search(&id).expect("every id is a node") as u32
+            }
+        }
+    }
+}
+
+/// A snapshot's dependency graph over dense node positions (see
+/// [`Positions`]). Edges are numbered by their index in `deps`, which
+/// holds each edge's target: node `k`'s operand edges first, then one
+/// *entry edge* into each root, which is where a path starts.
+#[derive(Debug, Clone, Default)]
 struct Graph {
     labels: Vec<Label>,
-    /// Node `k`'s operands are `deps[dep_at[k]..dep_at[k + 1]]`.
+    /// Node `k`'s operand edges are `dep_at[k]..dep_at[k + 1]`.
     dep_at: Vec<u32>,
     deps: Vec<u32>,
-    /// Graph nodes no one depends on, ascending.
-    roots: Vec<u32>,
 }
 
 impl Graph {
@@ -202,14 +300,8 @@ impl Graph {
     /// operands and each of its operands enter the graph, operands of
     /// instructions sharing an id concatenate in snapshot order.
     fn build(ir: &MirSnapshot) -> Graph {
-        let mut ids = Vec::with_capacity(ir.len() + ir.all_operands().len());
-        ids.extend_from_slice(ir.ids());
-        ids.extend_from_slice(ir.all_operands());
-        ids.sort_unstable();
-        ids.dedup();
-        let pos = |id: u32| ids.binary_search(&id).expect("every id is a node") as u32;
-        let n = ids.len();
-        let at: Vec<u32> = ir.ids().iter().map(|&id| pos(id)).collect();
+        let (pos, n) = Positions::new(ir);
+        let at: Vec<u32> = ir.ids().iter().map(|&id| pos.get(id)).collect();
         let mut labels = vec![Label::UNKNOWN; n];
         let mut in_graph = vec![false; n];
         let mut is_dep = vec![false; n];
@@ -231,37 +323,41 @@ impl Graph {
         let mut deps = vec![0u32; ir.all_operands().len()];
         for (k, &a) in at.iter().enumerate() {
             for &o in ir.operands(k) {
-                let d = pos(o);
+                let d = pos.get(o);
                 deps[next[a as usize] as usize] = d;
                 next[a as usize] += 1;
                 in_graph[d as usize] = true;
                 is_dep[d as usize] = true;
             }
         }
-        let roots = (0..n)
-            .filter(|&k| in_graph[k] && !is_dep[k])
-            .map(|k| k as u32)
-            .collect();
+        // Graph nodes no one depends on are the roots, ascending.
+        deps.extend((0..n as u32).filter(|&k| in_graph[k as usize] && !is_dep[k as usize]));
         Graph {
             labels,
             dep_at,
             deps,
-            roots,
         }
     }
 
-    /// Node `node`'s operands, in the order the reference visits them.
-    fn deps(&self, node: u32) -> &[u32] {
+    /// The entry edges, one per root, in ascending root order.
+    fn entries(&self) -> std::ops::Range<usize> {
+        self.dep_at[self.labels.len()] as usize..self.deps.len()
+    }
+
+    /// The operand edges out of node `node`, in the order the reference
+    /// visits its operands.
+    fn edges(&self, node: u32) -> std::ops::Range<usize> {
         let node = node as usize;
-        &self.deps[self.dep_at[node] as usize..self.dep_at[node + 1] as usize]
+        self.dep_at[node] as usize..self.dep_at[node + 1] as usize
     }
 }
 
-/// Position paths in emission order, flat: path `p` is
-/// `nodes[ends[p - 1]..ends[p]]`, with the first start at 0.
+/// Paths in emission order, each the edges it takes from its root's
+/// entry edge on, flat: path `p` is `edges[ends[p - 1]..ends[p]]`, with
+/// the first start at 0.
 #[derive(Debug, Clone, Default)]
 struct Paths {
-    nodes: Vec<u32>,
+    edges: Vec<u32>,
     ends: Vec<u32>,
 }
 
@@ -271,34 +367,35 @@ impl Paths {
     }
 
     fn push(&mut self, path: &[u32]) {
-        self.nodes.extend_from_slice(path);
-        self.ends.push(self.nodes.len() as u32);
+        self.edges.extend_from_slice(path);
+        self.ends.push(self.edges.len() as u32);
     }
 
     fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts
             .zip(&self.ends)
-            .map(|(start, &end)| &self.nodes[start as usize..end as usize])
+            .map(|(start, &end)| &self.edges[start as usize..end as usize])
     }
 }
 
-/// The reference DFS (`make_chains`) emitting position paths instead of
-/// label chains: same root order, same cycle guard, same emission
-/// points, same caps — so the path *set* is identical to the
+/// The reference DFS (`make_chains`) emitting paths of graph edges
+/// instead of label chains: same root order, same cycle guard, same
+/// emission points, same caps — so the path *set* is identical to the
 /// reference's chain set even when [`MAX_CHAINS`] binds. Replaces what
 /// `paths` held, keeping its buffers.
 fn enumerate_paths(g: &Graph, paths: &mut Paths) {
-    paths.nodes.clear();
+    paths.edges.clear();
     paths.ends.clear();
     let mut on_path = vec![false; g.labels.len()];
     let mut path = Vec::with_capacity(MAX_CHAIN_LEN);
-    for &root in &g.roots {
+    for entry in g.entries() {
+        let root = g.deps[entry] as usize;
         path.clear();
-        path.push(root);
-        on_path[root as usize] = true;
+        path.push(entry as u32);
+        on_path[root] = true;
         dfs(g, &mut path, &mut on_path, paths);
-        on_path[root as usize] = false;
+        on_path[root] = false;
         if paths.len() >= MAX_CHAINS {
             break;
         }
@@ -309,19 +406,21 @@ fn dfs(g: &Graph, path: &mut Vec<u32>, on_path: &mut [bool], paths: &mut Paths) 
     if paths.len() >= MAX_CHAINS {
         return;
     }
-    let deps = g.deps(*path.last().expect("path starts at a root"));
+    let last = *path.last().expect("path starts at an entry edge");
+    let edges = g.edges(g.deps[last as usize]);
+    let deps = &g.deps[edges.clone()];
     // Leaf, cycle guard, or depth cap: emit the current path.
     if path.len() >= MAX_CHAIN_LEN || deps.iter().all(|&d| on_path[d as usize]) {
         paths.push(path);
         return;
     }
-    for &d in deps {
+    for (edge, &d) in edges.zip(deps) {
         // The path is the same at every iteration, so this is the
         // reference's up-front "extendable" filter.
         if on_path[d as usize] {
             continue;
         }
-        path.push(d);
+        path.push(edge as u32);
         on_path[d as usize] = true;
         dfs(g, path, on_path, paths);
         on_path[d as usize] = false;
@@ -332,12 +431,12 @@ fn dfs(g: &Graph, path: &mut Vec<u32>, on_path: &mut [bool], paths: &mut Paths) 
     }
 }
 
-/// One enumerated snapshot: its node labels plus the position paths the
-/// reference DFS would have emitted, in emission order.
+/// One enumerated snapshot: its graph plus the paths the reference DFS
+/// would have emitted, in emission order.
 #[derive(Debug, Clone, Default)]
 struct EnumCache {
     snapshot: MirSnapshot,
-    labels: Vec<Label>,
+    graph: Graph,
     paths: Paths,
 }
 
@@ -351,6 +450,11 @@ pub struct IncrementalExtractor {
     interner: ChainInterner,
     /// Run id → ids of all its contiguous windows (≥2), once expanded.
     windows: Vec<Option<Box<[u32]>>>,
+    /// Run id → the last side (numbered by `sides`) that collected its
+    /// windows: a run that many paths cross is collected once per side.
+    collected: Vec<u64>,
+    /// Delta sides computed so far.
+    sides: u64,
     /// Last enumerated snapshot, reused when the next record's
     /// counterpart compares structurally equal.
     enum_cache: Option<EnumCache>,
@@ -447,7 +551,7 @@ impl IncrementalExtractor {
     fn side(
         &mut self,
         ir: &MirSnapshot,
-        changed: &[(Label, Label)],
+        changed: &[Edge],
         receipt: &mut ExtractReceipt,
     ) -> BTreeSet<Chain> {
         if changed.is_empty() {
@@ -456,31 +560,44 @@ impl IncrementalExtractor {
         }
         self.ensure_enumerated(ir, receipt);
         let cache = self.enum_cache.as_ref().expect("just enumerated");
-        let labels = &cache.labels;
-        // Whether a changed edge leaves each node: most path edges fail
-        // this flag test and never reach the pair search.
-        let starts: Vec<bool> = labels
-            .iter()
-            .map(|&l| changed.binary_search_by(|e| e.0.cmp(&l)).is_ok())
-            .collect();
-        let is_changed = |a: u32, b: u32| {
-            starts[a as usize]
-                && changed
-                    .binary_search(&(labels[a as usize], labels[b as usize]))
-                    .is_ok()
-        };
+        let g = &cache.graph;
+        // Whether each graph edge is a changed edge: one search per edge
+        // of the snapshot, however many paths walk it. Most nodes start
+        // no changed edge, which one search over the sources rules out.
+        let mut is_changed = vec![false; g.deps.len()];
+        for (node, &from) in g.labels.iter().enumerate() {
+            if changed
+                .binary_search_by(|&e| edge_source_order(e, from))
+                .is_err()
+            {
+                continue;
+            }
+            for e in g.edges(node as u32) {
+                let to = g.labels[g.deps[e] as usize];
+                is_changed[e] = changed.binary_search(&edge(from, to)).is_ok();
+            }
+        }
+        self.sides += 1;
         let mut out_ids: Vec<u32> = Vec::new();
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut run: Vec<Label> = Vec::new();
+        // The last path that crossed a changed edge and its runs with
+        // their ids. The DFS emits paths that share long prefixes, and a
+        // run over the same edges has the same labels: its id needs no
+        // hashing, and its windows are collected for this side already.
+        let mut last_path: &[u32] = &[];
+        let mut last_runs: Vec<(usize, usize, u32)> = Vec::new();
+        let mut path_runs: Vec<(usize, usize, u32)> = Vec::new();
         for path in cache.paths.iter() {
             receipt.cost_cycles += SCAN_COST_PER_CHAIN;
             runs.clear();
+            // Edge `k` leads from the path's node `k - 1` to its node `k`.
             let mut start: Option<usize> = None;
-            for k in 0..path.len().saturating_sub(1) {
-                if is_changed(path[k], path[k + 1]) {
-                    start.get_or_insert(k);
+            for k in 1..path.len() {
+                if is_changed[path[k] as usize] {
+                    start.get_or_insert(k - 1);
                 } else if let Some(s) = start.take() {
-                    runs.push((s, k + 1));
+                    runs.push((s, k));
                 }
             }
             if let Some(s) = start {
@@ -493,16 +610,37 @@ impl IncrementalExtractor {
             }
             receipt.chains_enumerated += 1;
             self.stats.chains_enumerated += 1;
+            path_runs.clear();
             for &(s, e) in &runs {
+                receipt.cost_cycles += (e - s) as u64 * RUN_INTERN_COST_PER_LABEL;
+                let last = last_runs
+                    .iter()
+                    .find(|&&(ls, le, _)| (ls, le) == (s, e) && last_path[s..e] == path[s..e]);
+                if let Some(&(_, _, run_id)) = last {
+                    receipt.cost_cycles += RUN_CACHE_HIT_COST;
+                    self.stats.run_cache_hits += 1;
+                    path_runs.push((s, e, run_id));
+                    continue;
+                }
                 run.clear();
-                run.extend(path[s..e].iter().map(|&n| labels[n as usize]));
-                receipt.cost_cycles += run.len() as u64 * RUN_INTERN_COST_PER_LABEL;
-                let run_id = self.interner.intern(&run) as usize;
+                run.extend(
+                    path[s..e]
+                        .iter()
+                        .map(|&edge| g.labels[g.deps[edge as usize] as usize]),
+                );
+                let run_id = self.interner.intern(&run);
+                path_runs.push((s, e, run_id));
+                let run_id = run_id as usize;
                 self.windows.resize(self.interner.len(), None);
+                self.collected.resize(self.interner.len(), 0);
+                let first_in_side = self.collected[run_id] != self.sides;
+                self.collected[run_id] = self.sides;
                 if let Some(windows) = &self.windows[run_id] {
                     receipt.cost_cycles += RUN_CACHE_HIT_COST;
                     self.stats.run_cache_hits += 1;
-                    out_ids.extend_from_slice(windows);
+                    if first_in_side {
+                        out_ids.extend_from_slice(windows);
+                    }
                     continue;
                 }
                 let mut windows = Vec::new();
@@ -515,6 +653,8 @@ impl IncrementalExtractor {
                 out_ids.extend_from_slice(&windows);
                 self.windows[run_id] = Some(windows.into_boxed_slice());
             }
+            last_path = path;
+            std::mem::swap(&mut last_runs, &mut path_runs);
         }
         out_ids.sort_unstable();
         out_ids.dedup();
@@ -535,12 +675,11 @@ impl IncrementalExtractor {
             }
         }
         receipt.cost_cycles += ir.len() as u64 * ENUM_COST_PER_INSTR;
-        let graph = Graph::build(ir);
         // Refill the previous enumeration's path buffers.
         let cache = self.enum_cache.get_or_insert_with(EnumCache::default);
-        cache.snapshot = ir.clone();
-        enumerate_paths(&graph, &mut cache.paths);
-        cache.labels = graph.labels;
+        cache.snapshot.clone_from(ir);
+        cache.graph = Graph::build(ir);
+        enumerate_paths(&cache.graph, &mut cache.paths);
     }
 }
 

@@ -4,28 +4,23 @@
 //! is a pure function of its operand *values*, which are the same SSA
 //! values.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use jitbull_mir::analysis::{dominates, immediate_dominators, reverse_postorder};
-use jitbull_mir::{BlockId, InstrId, MirFunction};
+use jitbull_mir::analysis::{immediate_dominators, reverse_postorder};
+use jitbull_mir::dense::IdMap;
+use jitbull_mir::{InstrId, MirFunction};
 
-use super::gvn::Key;
-use super::util::{remove_instrs, replace_uses_map};
+use super::gvn::{number, resolve, Key, KeyDefs};
+use super::util::forward;
 use super::PassContext;
 
 /// Runs redundant-check elimination.
 pub fn eliminate_redundant_checks(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let idom = immediate_dominators(f);
     let rpo = reverse_postorder(f);
-    let mut table: HashMap<Key<'_>, Vec<(BlockId, InstrId)>> = HashMap::new();
-    let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
-    let mut dead: HashSet<InstrId> = HashSet::new();
-    let resolve = |replacements: &HashMap<InstrId, InstrId>, mut id: InstrId| {
-        while let Some(&n) = replacements.get(&id) {
-            id = n;
-        }
-        id
-    };
+    // Keyed by script content, so std's keyed hasher stays.
+    let mut table: HashMap<Key<'_>, KeyDefs> = HashMap::new();
+    let mut replacements: IdMap<InstrId, InstrId> = IdMap::with_bound(f.id_bound() as usize);
     for &b in &rpo {
         for i in &f.block(b).instrs {
             if !i.op.is_guard() {
@@ -35,22 +30,12 @@ pub fn eliminate_redundant_checks(f: &mut MirFunction, _cx: &mut PassContext<'_>
             let Some(k) = Key::new(&i.op, operands) else {
                 continue;
             };
-            let entries = table.entry(k).or_default();
-            let found = entries
-                .iter()
-                .find(|&&(db, _)| db == b || dominates(db, b, &idom))
-                .map(|&(_, did)| did);
-            match found {
-                Some(prev) if prev != i.id => {
-                    replacements.insert(i.id, prev);
-                    dead.insert(i.id);
-                }
-                _ => entries.push((b, i.id)),
+            if let Some(prev) = number(&mut table, k, b, i.id, &idom) {
+                replacements.insert(i.id, prev);
             }
         }
     }
-    replace_uses_map(f, &replacements);
-    remove_instrs(f, &dead);
+    forward(f, &replacements);
 }
 
 #[cfg(test)]

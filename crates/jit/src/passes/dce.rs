@@ -5,16 +5,15 @@
 //! access they protect survives — an orphaned guard is removable, which is
 //! correct because nothing consumes its vouching.
 
-use std::collections::HashSet;
-
+use jitbull_mir::dense::IdSet;
 use jitbull_mir::{InstrId, MirFunction};
 
-use super::util::remove_instrs;
+use super::util::{def_instrs, remove_instrs};
 use super::PassContext;
 
 /// Removes pure instructions and phis that no live instruction references.
 pub fn dce(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
-    let mut live: HashSet<InstrId> = HashSet::new();
+    let mut live: IdSet<InstrId> = IdSet::with_bound(f.id_bound() as usize);
     let mut work: Vec<InstrId> = Vec::new();
     for b in &f.blocks {
         for i in &b.instrs {
@@ -25,7 +24,7 @@ pub fn dce(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
         }
     }
     // Operand index for transitive marking.
-    let defs = super::util::def_instrs(f);
+    let defs = def_instrs(f);
     while let Some(id) = work.pop() {
         if !live.insert(id) {
             continue;
@@ -34,11 +33,7 @@ pub fn dce(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             work.extend(&i.operands);
         }
     }
-    let dead: HashSet<InstrId> = defs
-        .iter()
-        .map(|i| i.id)
-        .filter(|id| !live.contains(id))
-        .collect();
+    let dead: IdSet<InstrId> = defs.keys().filter(|&id| !live.contains(id)).collect();
     remove_instrs(f, &dead);
 }
 

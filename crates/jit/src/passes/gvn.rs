@@ -12,12 +12,14 @@
 //!   are folded only within a block with no intervening effectful
 //!   instruction, which keeps the legitimate pass conservative.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use jitbull_mir::analysis::{dominates, immediate_dominators, reverse_postorder};
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{BlockId, ConstVal, InstrId, Label, MOpcode, MirFunction};
 
-use super::util::{remove_instrs, replace_uses_map};
+use super::util::forward;
 use super::PassContext;
 
 /// What an opcode's label leaves out: the constant's value, the global
@@ -85,23 +87,81 @@ impl<'f> Key<'f> {
     }
 }
 
+/// The definitions of one congruence key a dominator-ordered walk has
+/// kept: no two of them dominate each other (a later one would have
+/// folded onto the earlier), so at most one dominates any block.
+/// Almost every key has one definition, which is held inline.
+pub(super) enum KeyDefs {
+    One(BlockId, InstrId),
+    Many(Vec<(BlockId, InstrId)>),
+}
+
+impl KeyDefs {
+    /// The definition dominating block `b`, if any.
+    fn dominating(&self, b: BlockId, idom: &[Option<BlockId>]) -> Option<InstrId> {
+        let dominates_b = |db: BlockId| db == b || dominates(db, b, idom);
+        match *self {
+            KeyDefs::One(db, id) => dominates_b(db).then_some(id),
+            KeyDefs::Many(ref defs) => defs
+                .iter()
+                .find(|&&(db, _)| dominates_b(db))
+                .map(|&(_, id)| id),
+        }
+    }
+
+    fn push(&mut self, b: BlockId, id: InstrId) {
+        match *self {
+            KeyDefs::One(db, did) => *self = KeyDefs::Many(vec![(db, did), (b, id)]),
+            KeyDefs::Many(ref mut defs) => defs.push((b, id)),
+        }
+    }
+}
+
+/// A dominator-ordered value table: looks `(b, id)`'s key up and
+/// returns the dominating congruent definition to fold `id` onto, or
+/// records `id` as the key's definition in block `b`. Blocks must be
+/// visited in an order where a block's dominators come first.
+pub(super) fn number<'f>(
+    table: &mut HashMap<Key<'f>, KeyDefs>,
+    key: Key<'f>,
+    b: BlockId,
+    id: InstrId,
+    idom: &[Option<BlockId>],
+) -> Option<InstrId> {
+    match table.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(KeyDefs::One(b, id));
+            None
+        }
+        Entry::Occupied(mut slot) => match slot.get().dominating(b, idom) {
+            Some(prev) if prev != id => Some(prev),
+            _ => {
+                slot.get_mut().push(b, id);
+                None
+            }
+        },
+    }
+}
+
+/// Follows a replacement chain to the instruction that survives.
+pub(super) fn resolve(replacements: &IdMap<InstrId, InstrId>, mut id: InstrId) -> InstrId {
+    while let Some(&n) = replacements.get(id) {
+        id = n;
+    }
+    id
+}
+
 /// Runs GVN over the function.
 pub fn gvn(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let idom = immediate_dominators(f);
     let rpo = reverse_postorder(f);
-    // Value table: key -> (defining block, id).
-    let mut table: HashMap<Key<'_>, Vec<(BlockId, InstrId)>> = HashMap::new();
+    // Value table: key -> its definitions, sized for every instruction
+    // so it never rehashes. Keys are script content, so the table keeps
+    // std's keyed hasher.
+    let mut table: HashMap<Key<'_>, KeyDefs> = HashMap::with_capacity(f.instr_count());
     // Block-local memory-read numbering, reset at effectful ops.
     let mut mem_table: HashMap<Key<'_>, InstrId> = HashMap::new();
-    let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
-    let mut dead: HashSet<InstrId> = HashSet::new();
-
-    let resolve = |replacements: &HashMap<InstrId, InstrId>, mut id: InstrId| {
-        while let Some(&n) = replacements.get(&id) {
-            id = n;
-        }
-        id
-    };
+    let mut replacements: IdMap<InstrId, InstrId> = IdMap::with_bound(f.id_bound() as usize);
 
     for &b in &rpo {
         mem_table.clear();
@@ -121,28 +181,17 @@ pub fn gvn(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             if i.op.reads_memory() {
                 if let Some(&prev) = mem_table.get(&k) {
                     replacements.insert(i.id, prev);
-                    dead.insert(i.id);
                 } else {
                     mem_table.insert(k, i.id);
                 }
                 continue;
             }
-            let entries = table.entry(k).or_default();
-            let found = entries
-                .iter()
-                .find(|&&(db, _)| db == b || dominates(db, b, &idom))
-                .map(|&(_, did)| did);
-            match found {
-                Some(prev) if prev != i.id => {
-                    replacements.insert(i.id, prev);
-                    dead.insert(i.id);
-                }
-                _ => entries.push((b, i.id)),
+            if let Some(prev) = number(&mut table, k, b, i.id, &idom) {
+                replacements.insert(i.id, prev);
             }
         }
     }
-    replace_uses_map(f, &replacements);
-    remove_instrs(f, &dead);
+    forward(f, &replacements);
 }
 
 #[cfg(test)]

@@ -6,9 +6,8 @@
 //! `boundscheck` past a call that can shrink the array is exactly the
 //! CVE-2019-9792 model in [`crate::vuln`].
 
-use std::collections::HashSet;
-
 use jitbull_mir::analysis::natural_loops;
+use jitbull_mir::dense::IdSet;
 use jitbull_mir::{BlockId, InstrId, MirFunction};
 
 use super::util::def_blocks;
@@ -16,12 +15,12 @@ use super::PassContext;
 
 /// Finds the preheader of a loop: the unique predecessor of the header
 /// outside the loop.
-pub fn preheader(f: &MirFunction, header: BlockId, members: &HashSet<BlockId>) -> Option<BlockId> {
+pub fn preheader(f: &MirFunction, header: BlockId, members: &IdSet<BlockId>) -> Option<BlockId> {
     let preds = f.predecessors();
     let outside: Vec<BlockId> = preds[header.0 as usize]
         .iter()
         .copied()
-        .filter(|p| !members.contains(p))
+        .filter(|&p| !members.contains(p))
         .collect();
     match outside.as_slice() {
         [single] => Some(*single),
@@ -42,14 +41,14 @@ pub fn licm(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             // An instruction is invariant if movable and all operands are
             // defined outside the loop.
             let mut hoisted = false;
-            for &b in &l.members {
+            for b in l.members.iter() {
                 let mut idx = 0;
                 while idx < f.block(b).instrs.len() {
                     let i = &f.block(b).instrs[idx];
                     let invariant = i.op.is_movable()
                         && i.operands.iter().all(|o| {
-                            defs.get(o)
-                                .map(|db| !l.members.contains(db))
+                            defs.get(*o)
+                                .map(|&db| !l.members.contains(db))
                                 .unwrap_or(false)
                         });
                     if invariant {
@@ -71,10 +70,10 @@ pub fn licm(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
 }
 
 /// Ids of instructions inside loop `members` (test helper).
-pub fn loop_instr_ids(f: &MirFunction, members: &HashSet<BlockId>) -> HashSet<InstrId> {
+pub fn loop_instr_ids(f: &MirFunction, members: &IdSet<BlockId>) -> IdSet<InstrId> {
     members
         .iter()
-        .flat_map(|b| f.block(*b).iter_all().map(|i| i.id))
+        .flat_map(|b| f.block(b).iter_all().map(|i| i.id))
         .collect()
 }
 
@@ -112,7 +111,7 @@ mod tests {
             .blocks
             .iter()
             .flat_map(|b| b.iter_all())
-            .filter(|i| matches!(i.op, MOpcode::Mul) && ids.contains(&i.id))
+            .filter(|i| matches!(i.op, MOpcode::Mul) && ids.contains(i.id))
             .count();
         assert_eq!(mul_in_loop, 0, "{f}");
     }
@@ -134,7 +133,7 @@ mod tests {
         for i in f.blocks.iter().flat_map(|b| b.iter_all()) {
             if matches!(i.op, MOpcode::LoadElement | MOpcode::BoundsCheck) {
                 assert!(
-                    ids.contains(&i.id),
+                    ids.contains(i.id),
                     "hoisted {i}\nbefore:\n{before}\nafter:\n{f}"
                 );
             }

@@ -4,8 +4,7 @@
 //! is provably numeric (its operand went through a number unbox or is an
 //! int32 producer), since `+` on strings is concatenation.
 
-use std::collections::HashMap;
-
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{ConstVal, InstrId, MOpcode, MirFunction, TypeHint};
 
 use super::util::def_instrs;
@@ -46,7 +45,7 @@ pub fn fold_linear_arithmetic(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
         }
     };
     // Planned rewrites: (instr id) -> (x, combined constant).
-    let mut plans: HashMap<InstrId, (InstrId, f64)> = HashMap::new();
+    let mut plans: IdMap<InstrId, (InstrId, f64)> = IdMap::with_bound(f.id_bound() as usize);
     for b in &f.blocks {
         for i in &b.instrs {
             if !matches!(i.op, MOpcode::Add) {
@@ -82,7 +81,7 @@ pub fn fold_linear_arithmetic(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
         let mut pos = 0;
         while pos < f.blocks[bi].instrs.len() {
             let id = f.blocks[bi].instrs[pos].id;
-            if let Some(&(x, c)) = plans.get(&id) {
+            if let Some(&(x, c)) = plans.get(id) {
                 let cid = f.fresh_id();
                 f.blocks[bi].instrs.insert(
                     pos,

@@ -6,46 +6,43 @@
 //! write memory — is forwarded. Writes to a property invalidate cached
 //! entries for that name on *every* base (aliasing-conservative).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{InstrId, MOpcode, MirFunction};
 
-use super::util::{remove_instrs, replace_uses_map};
+use super::util::forward;
 use super::PassContext;
 
 /// Runs redundant-load elimination.
 pub fn redundant_load_elimination(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
-    let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
-    let mut dead: HashSet<InstrId> = HashSet::new();
+    let mut replacements: IdMap<InstrId, InstrId> = IdMap::with_bound(f.id_bound() as usize);
+    // (base, name) -> known value. Names are script content, so the
+    // table keeps std's keyed hasher.
+    let mut known: HashMap<(InstrId, &str), InstrId> = HashMap::new();
     for b in &f.blocks {
-        // (base, name) -> known value
-        let mut known: HashMap<(InstrId, String), InstrId> = HashMap::new();
+        known.clear();
         for i in &b.instrs {
             match &i.op {
                 MOpcode::LoadProperty(name) => {
-                    let base = i.operands[0];
-                    let k = (base, name.to_string());
+                    let k = (i.operands[0], &**name);
                     if let Some(&v) = known.get(&k) {
                         replacements.insert(i.id, v);
-                        dead.insert(i.id);
                     } else {
                         known.insert(k, i.id);
                     }
                 }
                 MOpcode::StoreProperty(name) => {
-                    let base = i.operands[0];
-                    let value = i.operands[1];
-                    let name = name.to_string();
-                    known.retain(|(_, n), _| *n != name);
-                    known.insert((base, name), value);
+                    let (base, value) = (i.operands[0], i.operands[1]);
+                    known.retain(|&(_, n), _| n != &**name);
+                    known.insert((base, &**name), value);
                 }
                 op if op.is_effectful() => known.clear(),
                 _ => {}
             }
         }
     }
-    replace_uses_map(f, &replacements);
-    remove_instrs(f, &dead);
+    forward(f, &replacements);
 }
 
 #[cfg(test)]

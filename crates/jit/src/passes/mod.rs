@@ -21,8 +21,7 @@ pub mod splitedges;
 pub mod typespec;
 pub mod util;
 
-use std::collections::HashMap;
-
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::InstrId;
 
 use crate::vuln::{CveId, VulnConfig};
@@ -44,7 +43,7 @@ pub struct PassContext<'a> {
     pub vulns: &'a VulnConfig,
     /// Ranges computed by [`range::range_analysis`], consumed by
     /// bounds-check elimination.
-    pub ranges: HashMap<InstrId, Range>,
+    pub ranges: IdMap<InstrId, Range>,
     /// Log of (vulnerability, pipeline slot) incorrect transforms that
     /// actually fired during this compilation.
     pub triggered: Vec<(CveId, usize)>,
@@ -58,7 +57,7 @@ impl<'a> PassContext<'a> {
     pub fn new(vulns: &'a VulnConfig) -> Self {
         PassContext {
             vulns,
-            ranges: HashMap::new(),
+            ranges: IdMap::new(),
             triggered: Vec::new(),
             broken: None,
         }

@@ -1,18 +1,17 @@
 //! Phi cleanup passes: trivial-phi elimination (IonMonkey `EliminatePhis`
 //! folding) and dead-phi removal.
 
-use std::collections::{HashMap, HashSet};
-
+use jitbull_mir::dense::{IdMap, IdSet};
 use jitbull_mir::{InstrId, MirFunction};
 
-use super::util::{remove_instrs, replace_uses_map, use_counts};
+use super::util::{forward, remove_instrs, used_ids};
 use super::PassContext;
 
 /// Replaces phis whose inputs are all the same value (ignoring
 /// self-references) with that value, to a fixpoint.
 pub fn eliminate_trivial_phis(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     loop {
-        let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
+        let mut replacements: IdMap<InstrId, InstrId> = IdMap::with_bound(f.id_bound() as usize);
         for b in &f.blocks {
             for phi in &b.phis {
                 let mut unique: Option<InstrId> = None;
@@ -40,21 +39,19 @@ pub fn eliminate_trivial_phis(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
         if replacements.is_empty() {
             return;
         }
-        replace_uses_map(f, &replacements);
-        let dead: HashSet<InstrId> = replacements.keys().copied().collect();
-        remove_instrs(f, &dead);
+        forward(f, &replacements);
     }
 }
 
 /// Removes phis (transitively) used by nothing.
 pub fn eliminate_dead_phis(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     loop {
-        let uses = use_counts(f);
-        let dead: HashSet<InstrId> = f
+        let used = used_ids(f);
+        let dead: IdSet<InstrId> = f
             .blocks
             .iter()
             .flat_map(|b| b.phis.iter())
-            .filter(|p| uses.get(&p.id).copied().unwrap_or(0) == 0)
+            .filter(|p| !used.contains(p.id))
             .map(|p| p.id)
             .collect();
         if dead.is_empty() {

@@ -2,8 +2,7 @@
 //! `RemoveUnmarkedBlocks`). Mandatory: later passes assume every block is
 //! reachable.
 
-use std::collections::HashMap;
-
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{BlockId, MOpcode, MirFunction};
 
 use super::PassContext;
@@ -28,7 +27,7 @@ pub fn prune_unreachable(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
         return;
     }
     // Old id -> new id for surviving blocks.
-    let mut remap: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut remap: IdMap<BlockId, BlockId> = IdMap::with_bound(n);
     let mut next = 0u32;
     for (i, ok) in reachable.iter().enumerate() {
         if *ok {
@@ -64,17 +63,17 @@ pub fn prune_unreachable(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             });
         }
         for p in &mut b.phi_preds {
-            *p = remap[p];
+            *p = remap[*p];
         }
         if let Some(t) = b.instrs.last_mut() {
             match &mut t.op {
-                MOpcode::Goto(x) => *x = remap[x],
+                MOpcode::Goto(x) => *x = remap[*x],
                 MOpcode::Test {
                     then_block,
                     else_block,
                 } => {
-                    *then_block = remap[then_block];
-                    *else_block = remap[else_block];
+                    *then_block = remap[*then_block];
+                    *else_block = remap[*else_block];
                 }
                 _ => {}
             }

@@ -3,11 +3,10 @@
 //! annotation-only slots (`EdgeCaseAnalysis`, `RangeAssertions`,
 //! `AliasAnalysis`) that exist in the pipeline but do not transform IR.
 
-use std::collections::{HashMap, HashSet};
-
+use jitbull_mir::dense::{IdMap, IdSet};
 use jitbull_mir::{ConstVal, InstrId, MOpcode, MirFunction};
 
-use super::util::{def_instrs, remove_instrs, replace_uses_map};
+use super::util::{def_instrs, forward};
 use super::{PassContext, Range};
 
 /// Computes conservative value ranges and stores them in the context.
@@ -29,14 +28,14 @@ pub fn range_analysis(f: &mut MirFunction, cx: &mut PassContext<'_>) {
                     // x & c is within [0, c] when c >= 0.
                     i.operands
                         .iter()
-                        .filter_map(|o| cx.ranges.get(o))
+                        .filter_map(|o| cx.ranges.get(*o))
                         .filter(|r| r.lo >= 0.0)
                         .map(|r| Range { lo: 0.0, hi: r.hi })
                         .next()
                 }
                 MOpcode::Add => {
-                    let a = i.operands.first().and_then(|o| cx.ranges.get(o));
-                    let b = i.operands.get(1).and_then(|o| cx.ranges.get(o));
+                    let a = i.operands.first().and_then(|o| cx.ranges.get(*o));
+                    let b = i.operands.get(1).and_then(|o| cx.ranges.get(*o));
                     match (a, b) {
                         (Some(x), Some(y)) => Some(Range {
                             lo: x.lo + y.lo,
@@ -56,9 +55,9 @@ pub fn range_analysis(f: &mut MirFunction, cx: &mut PassContext<'_>) {
 
 /// Lengths provably fixed: arrays allocated in this function with a
 /// constant size and never resized or written.
-fn fixed_length_arrays(f: &MirFunction) -> HashMap<InstrId, f64> {
+fn fixed_length_arrays(f: &MirFunction) -> IdMap<InstrId, f64> {
     let defs = def_instrs(f);
-    let mut sizes: HashMap<InstrId, f64> = HashMap::new();
+    let mut sizes: IdMap<InstrId, f64> = IdMap::with_bound(f.id_bound() as usize);
     for b in &f.blocks {
         for i in &b.instrs {
             match &i.op {
@@ -79,7 +78,7 @@ fn fixed_length_arrays(f: &MirFunction) -> HashMap<InstrId, f64> {
     // Disqualify arrays that are resized, written, passed to calls, or
     // stored anywhere (conservative escape analysis).
     let strip = |id: InstrId| super::util::strip_guards(&defs, id);
-    let mut disqualified: HashSet<InstrId> = HashSet::new();
+    let mut disqualified: IdSet<InstrId> = IdSet::with_bound(f.id_bound() as usize);
     for b in &f.blocks {
         for i in &b.instrs {
             match &i.op {
@@ -116,14 +115,13 @@ fn fixed_length_arrays(f: &MirFunction) -> HashMap<InstrId, f64> {
 pub fn bounds_check_elimination(f: &mut MirFunction, cx: &mut PassContext<'_>) {
     let defs = def_instrs(f);
     let fixed = fixed_length_arrays(f);
-    let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
-    let mut dead: HashSet<InstrId> = HashSet::new();
+    let mut replacements: IdMap<InstrId, InstrId> = IdMap::with_bound(f.id_bound() as usize);
     for b in &f.blocks {
         for i in &b.instrs {
             let MOpcode::BoundsCheck = i.op else { continue };
             let idx = i.operands[0];
             let len = i.operands[1];
-            let Some(r) = cx.ranges.get(&idx) else {
+            let Some(r) = cx.ranges.get(idx) else {
                 continue;
             };
             // len must be initializedlength of a fixed-size array.
@@ -137,17 +135,15 @@ pub fn bounds_check_elimination(f: &mut MirFunction, cx: &mut PassContext<'_>) {
                 continue;
             }
             let array = super::util::strip_guards(&defs, len_def.operands[0]);
-            let Some(&size) = fixed.get(&array) else {
+            let Some(&size) = fixed.get(array) else {
                 continue;
             };
             if r.lo >= 0.0 && r.hi < size {
                 replacements.insert(i.id, idx);
-                dead.insert(i.id);
             }
         }
     }
-    replace_uses_map(f, &replacements);
-    remove_instrs(f, &dead);
+    forward(f, &replacements);
 }
 
 /// Annotation-only slot: alias analysis (computes nothing the simplified
@@ -252,7 +248,7 @@ mod tests {
             .flat_map(|b| b.instrs.iter())
             .find(|i| matches!(i.op, MOpcode::BitAnd))
             .unwrap();
-        let r = cx.ranges[&band.id];
+        let r = cx.ranges[band.id];
         assert_eq!(r.lo, 0.0);
         assert_eq!(r.hi, 15.0);
     }

@@ -3,15 +3,14 @@
 //! Assigns dense, block-ordered ids. Mandatory: lowering sizes its vreg
 //! table by id, and several passes assume `id_bound()` is tight.
 
-use std::collections::HashMap;
-
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{InstrId, MirFunction};
 
 use super::PassContext;
 
 /// Renumbers all instructions densely in block order (phis first).
 pub fn renumber(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
-    let mut map: HashMap<InstrId, InstrId> = HashMap::with_capacity(f.instr_count());
+    let mut map: IdMap<InstrId, InstrId> = IdMap::with_bound(f.id_bound() as usize);
     let mut next = 0u32;
     for b in &f.blocks {
         for i in b.iter_all() {
@@ -21,9 +20,9 @@ pub fn renumber(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     }
     for b in &mut f.blocks {
         for i in b.phis.iter_mut().chain(b.instrs.iter_mut()) {
-            i.id = map[&i.id];
+            i.id = map[i.id];
             for o in &mut i.operands {
-                *o = map[o];
+                *o = map[*o];
             }
         }
     }

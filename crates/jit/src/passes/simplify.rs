@@ -1,15 +1,15 @@
 //! Eager simplification: constant folding, safe algebraic identities, and
 //! test folding (IonMonkey `FoldConstants` / `FoldTests`).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use jitbull_frontend::ast::{BinOp, UnOp};
+use jitbull_mir::dense::{IdMap, IdSet};
 use jitbull_mir::{CmpOp, ConstVal, InstrId, Instruction, MOpcode, MirFunction};
 use jitbull_vm::interp::{eval_binop, eval_unop};
 use jitbull_vm::Value;
 
-use super::util::{def_instrs, remove_instrs, replace_uses_map};
+use super::util::{def_instrs, forward};
 use super::PassContext;
 
 fn const_value(c: &ConstVal) -> Option<Value> {
@@ -91,31 +91,29 @@ fn produces_int32(op: &MOpcode) -> bool {
 /// use-replacement.
 pub fn eager_simplify(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     loop {
-        let consts: HashMap<InstrId, ConstVal> = f
-            .blocks
-            .iter()
-            .flat_map(|b| b.instrs.iter())
-            .filter_map(|i| match &i.op {
-                MOpcode::Constant(c) => Some((i.id, c.clone())),
-                _ => None,
-            })
-            .collect();
-        let int32_defs: HashSet<InstrId> = f
-            .blocks
-            .iter()
-            .flat_map(|b| b.instrs.iter())
-            .filter(|i| produces_int32(&i.op))
-            .map(|i| i.id)
-            .collect();
+        let bound = f.id_bound() as usize;
+        let mut consts: IdMap<InstrId, ConstVal> = IdMap::with_bound(bound);
+        let mut int32_defs: IdSet<InstrId> = IdSet::with_bound(bound);
+        for i in f.blocks.iter().flat_map(|b| b.instrs.iter()) {
+            match &i.op {
+                MOpcode::Constant(c) => {
+                    consts.insert(i.id, c.clone());
+                }
+                op if produces_int32(op) => {
+                    int32_defs.insert(i.id);
+                }
+                _ => {}
+            }
+        }
         let mut folded = false;
-        let mut replacements: HashMap<InstrId, InstrId> = HashMap::new();
+        let mut replacements: IdMap<InstrId, InstrId> = IdMap::with_bound(bound);
         for b in &mut f.blocks {
             for i in &mut b.instrs {
                 // Constant folding through the real VM semantics.
                 if let Some(bin) = binop_of(&i.op) {
                     if let (Some(ca), Some(cb)) = (
-                        i.operands.first().and_then(|o| consts.get(o)),
-                        i.operands.get(1).and_then(|o| consts.get(o)),
+                        i.operands.first().and_then(|&o| consts.get(o)),
+                        i.operands.get(1).and_then(|&o| consts.get(o)),
                     ) {
                         if let (Some(va), Some(vb)) = (const_value(ca), const_value(cb)) {
                             let result = eval_binop(bin, &va, &vb);
@@ -131,10 +129,10 @@ pub fn eager_simplify(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
                     if matches!(i.op, MOpcode::BitOr) {
                         if let (Some(&x), Some(c)) = (
                             i.operands.first(),
-                            i.operands.get(1).and_then(|o| consts.get(o)),
+                            i.operands.get(1).and_then(|&o| consts.get(o)),
                         ) {
                             if matches!(c, ConstVal::Number(n) if *n == 0.0)
-                                && int32_defs.contains(&x)
+                                && int32_defs.contains(x)
                             {
                                 replacements.insert(i.id, x);
                                 continue;
@@ -143,7 +141,7 @@ pub fn eager_simplify(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
                     }
                 }
                 if let Some(un) = unop_of(&i.op) {
-                    if let Some(ca) = i.operands.first().and_then(|o| consts.get(o)) {
+                    if let Some(ca) = i.operands.first().and_then(|&o| consts.get(o)) {
                         if let Some(va) = const_value(ca) {
                             let result = eval_unop(un, &va);
                             if let Some(c) = value_const(&result) {
@@ -164,9 +162,7 @@ pub fn eager_simplify(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             }
         }
         if !replacements.is_empty() {
-            let dead: HashSet<InstrId> = replacements.keys().copied().collect();
-            replace_uses_map(f, &replacements);
-            remove_instrs(f, &dead);
+            forward(f, &replacements);
             folded = true;
         }
         if !folded {

@@ -2,27 +2,41 @@
 //! block that uses them, shortening live ranges and keeping work off paths
 //! that never need it.
 
-use std::collections::HashMap;
-
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{BlockId, InstrId, MirFunction};
 
 use super::PassContext;
 
+/// Where an instruction's uses are, as far as sinking cares.
+#[derive(Clone, Copy, PartialEq)]
+enum UseSites {
+    /// Every use is a non-phi operand in this block.
+    Block(BlockId),
+    /// Uses in more than one block, or a phi use.
+    Spread,
+}
+
 /// Sinks movable instructions whose uses all live in one other block
 /// (and none of which are phis) to just before their first use.
 pub fn sink(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
-    // use sites: id -> set of (block, is_phi)
-    let mut use_blocks: HashMap<InstrId, Vec<(BlockId, bool)>> = HashMap::new();
+    // Use sites per id; an id with no entry has no use.
+    let mut use_sites: IdMap<InstrId, UseSites> = IdMap::with_bound(f.id_bound() as usize);
+    let mut note = |o: InstrId, site: UseSites| {
+        let sites = use_sites.get_or_insert_with(o, || site);
+        if *sites != site {
+            *sites = UseSites::Spread;
+        }
+    };
     for b in f.block_ids() {
         let block = f.block(b);
         for phi in &block.phis {
-            for o in &phi.operands {
-                use_blocks.entry(*o).or_default().push((b, true));
+            for &o in &phi.operands {
+                note(o, UseSites::Spread);
             }
         }
         for i in &block.instrs {
-            for o in &i.operands {
-                use_blocks.entry(*o).or_default().push((b, false));
+            for &o in &i.operands {
+                note(o, UseSites::Block(b));
             }
         }
     }
@@ -33,17 +47,11 @@ pub fn sink(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
             if !i.op.is_movable() {
                 continue;
             }
-            let Some(uses) = use_blocks.get(&i.id) else {
-                continue;
-            };
-            if uses.iter().any(|(_, is_phi)| *is_phi) {
-                continue;
+            if let Some(&UseSites::Block(target)) = use_sites.get(i.id) {
+                if target != b {
+                    moves.push((b, i.id, target));
+                }
             }
-            let target = uses[0].0;
-            if target == b || !uses.iter().all(|(ub, _)| *ub == target) {
-                continue;
-            }
-            moves.push((b, i.id, target));
         }
     }
     // Apply moves one at a time; skip an instruction if a prior move

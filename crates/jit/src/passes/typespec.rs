@@ -5,8 +5,7 @@
 //! whether each speculation held and keeps generic semantics for the
 //! consumers, so a missed speculation never changes a result.
 
-use std::collections::HashSet;
-
+use jitbull_mir::dense::IdSet;
 use jitbull_mir::{InstrId, Instruction, MOpcode, MirFunction, TypeHint};
 
 use super::util::def_instrs;
@@ -35,10 +34,10 @@ fn wants_number_operands(op: &MOpcode) -> bool {
 /// merges duplicates later).
 pub fn type_specialization(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
     let defs = def_instrs(f);
-    let untyped: HashSet<InstrId> = defs
+    let untyped: IdSet<InstrId> = defs
         .iter()
-        .filter(|i| is_untyped_source(&i.op))
-        .map(|i| i.id)
+        .filter(|(_, i)| is_untyped_source(&i.op))
+        .map(|(id, _)| id)
         .collect();
     for bi in 0..f.blocks.len() {
         let mut pos = 0;
@@ -49,7 +48,7 @@ pub fn type_specialization(f: &mut MirFunction, _cx: &mut PassContext<'_>) {
                     i.operands
                         .iter()
                         .enumerate()
-                        .filter(|(_, o)| untyped.contains(o))
+                        .filter(|&(_, &o)| untyped.contains(o))
                         .map(|(k, _)| k)
                         .collect()
                 } else {

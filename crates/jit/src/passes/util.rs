@@ -1,12 +1,11 @@
 //! Shared helpers for pass implementations.
 
-use std::collections::{HashMap, HashSet};
-
+use jitbull_mir::dense::{IdMap, IdSet};
 use jitbull_mir::{BlockId, InstrId, Instruction, MOpcode, MirFunction};
 
 /// Maps every instruction id to the block defining it.
-pub fn def_blocks(f: &MirFunction) -> HashMap<InstrId, BlockId> {
-    let mut map = HashMap::with_capacity(f.instr_count());
+pub fn def_blocks(f: &MirFunction) -> IdMap<InstrId, BlockId> {
+    let mut map = IdMap::with_bound(f.id_bound() as usize);
     for b in f.block_ids() {
         for i in f.block(b).iter_all() {
             map.insert(i.id, b);
@@ -15,48 +14,27 @@ pub fn def_blocks(f: &MirFunction) -> HashMap<InstrId, BlockId> {
     map
 }
 
-/// Every instruction of a function by id, borrowed from it: entry `k`
-/// is the instruction defining `InstrId(k)` (the last one in block
+/// Every instruction of a function by id, borrowed from it: the entry
+/// for `id` is the instruction defining it (the last one in block
 /// order, should two share an id).
-pub struct Defs<'f>(Vec<Option<&'f Instruction>>);
+pub type Defs<'f> = IdMap<InstrId, &'f Instruction>;
 
-impl<'f> Defs<'f> {
-    /// The instruction defining `id`, if any.
-    pub fn get(&self, id: InstrId) -> Option<&'f Instruction> {
-        self.0.get(id.0 as usize).copied().flatten()
-    }
-
-    /// Every defined instruction, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &'f Instruction> + '_ {
-        self.0.iter().flatten().copied()
-    }
-}
-
-/// Indexes every instruction of `f` by id. Ids are dense below
-/// [`MirFunction::id_bound`], so the index is a table, not a map.
+/// Indexes every instruction of `f` by id.
 pub fn def_instrs(f: &MirFunction) -> Defs<'_> {
-    let mut by_id = vec![None; f.id_bound() as usize];
+    let mut by_id = IdMap::with_bound(f.id_bound() as usize);
     for i in f.blocks.iter().flat_map(|b| b.iter_all()) {
-        let k = i.id.0 as usize;
-        if k >= by_id.len() {
-            by_id.resize(k + 1, None);
-        }
-        by_id[k] = Some(i);
+        by_id.insert(i.id, i);
     }
-    Defs(by_id)
+    by_id
 }
 
-/// Counts how many operand references each instruction has.
-pub fn use_counts(f: &MirFunction) -> HashMap<InstrId, usize> {
-    let mut map = HashMap::new();
-    for b in &f.blocks {
-        for i in b.iter_all() {
-            for o in &i.operands {
-                *map.entry(*o).or_insert(0) += 1;
-            }
-        }
+/// The ids some instruction (phis included) uses as an operand.
+pub fn used_ids(f: &MirFunction) -> IdSet<InstrId> {
+    let mut used = IdSet::with_bound(f.id_bound() as usize);
+    for i in f.blocks.iter().flat_map(|b| b.iter_all()) {
+        used.extend(i.operands.iter().copied());
     }
-    map
+    used
 }
 
 /// Replaces every use of `from` with `to` across the whole function
@@ -75,13 +53,13 @@ pub fn replace_uses(f: &mut MirFunction, from: InstrId, to: InstrId) {
 
 /// Applies a set of `from → to` replacements in one sweep, following
 /// chains (`a→b, b→c` rewrites `a` to `c`).
-pub fn replace_uses_map(f: &mut MirFunction, map: &HashMap<InstrId, InstrId>) {
+fn replace_uses_map(f: &mut MirFunction, map: &IdMap<InstrId, InstrId>) {
     if map.is_empty() {
         return;
     }
     let resolve = |mut id: InstrId| {
         let mut hops = 0;
-        while let Some(&next) = map.get(&id) {
+        while let Some(&next) = map.get(id) {
             id = next;
             hops += 1;
             if hops > map.len() {
@@ -100,15 +78,27 @@ pub fn replace_uses_map(f: &mut MirFunction, map: &HashMap<InstrId, InstrId>) {
 }
 
 /// Removes the given non-terminator instructions (body and phi lists).
-pub fn remove_instrs(f: &mut MirFunction, dead: &HashSet<InstrId>) {
+pub fn remove_instrs(f: &mut MirFunction, dead: &IdSet<InstrId>) {
     if dead.is_empty() {
         return;
     }
     for b in &mut f.blocks {
-        b.phis.retain(|i| !dead.contains(&i.id));
+        b.phis.retain(|i| !dead.contains(i.id));
         b.instrs
-            .retain(|i| i.op.is_terminator() || !dead.contains(&i.id));
+            .retain(|i| i.op.is_terminator() || !dead.contains(i.id));
     }
+}
+
+/// Forwards each replaced instruction to its replacement: rewrites
+/// every use of a key of `map` to its value, following chains
+/// (`a→b, b→c` rewrites `a` to `c`), then removes the keys'
+/// instructions.
+pub fn forward(f: &mut MirFunction, map: &IdMap<InstrId, InstrId>) {
+    if map.is_empty() {
+        return;
+    }
+    replace_uses_map(f, map);
+    remove_instrs(f, &map.keys().collect());
 }
 
 /// Strips value-transparent guards (`unbox`, `typeguard`, `boundscheck`)
@@ -152,14 +142,15 @@ mod tests {
     }
 
     #[test]
-    fn def_and_use_maps() {
+    fn def_and_use_tables() {
         let f = mir("function f(a) { return a + a; }", "f");
         let defs = def_blocks(&f);
         assert_eq!(defs.len(), f.instr_count());
-        let uses = use_counts(&f);
-        // Parameter a is used twice by the add.
+        let used = used_ids(&f);
+        // Parameter a is used (twice) by the add; the return is unused.
         let param = f.blocks[0].instrs[0].id;
-        assert_eq!(uses[&param], 2);
+        let ret = f.blocks[0].instrs.last().unwrap().id;
+        assert!(used.contains(param) && !used.contains(ret));
     }
 
     #[test]
@@ -175,7 +166,7 @@ mod tests {
             .find(|i| matches!(i.op, MOpcode::Add))
             .unwrap();
         assert_eq!(add.operands, vec![a, a]);
-        let mut dead = HashSet::new();
+        let mut dead = IdSet::new();
         dead.insert(b);
         remove_instrs(&mut f, &dead);
         assert_eq!(f.validate(), Ok(()));
@@ -186,7 +177,7 @@ mod tests {
         let mut f = mir("function f(a, b) { return a + b; }", "f");
         let a = f.blocks[0].instrs[0].id;
         let b = f.blocks[0].instrs[1].id;
-        let mut map = HashMap::new();
+        let mut map = IdMap::new();
         map.insert(a, b); // a -> b
         map.insert(b, a); // pathological cycle must not hang
         replace_uses_map(&mut f, &map);

@@ -15,15 +15,14 @@
 //! unpatched Firefox 65); it does not by itself exploit anything — the
 //! demonstrator codes in `jitbull-vdc` do that.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use jitbull_mir::analysis::natural_loops;
+use jitbull_mir::dense::{IdMap, IdSet};
 use jitbull_mir::{InstrId, MOpcode, MirFunction};
 
-use crate::passes::util::{
-    def_instrs, remove_instrs, replace_uses_map, same_array_root, strip_guards,
-};
+use crate::passes::util::{def_instrs, forward, same_array_root, strip_guards};
 use crate::passes::PassContext;
 use crate::pipeline::slot;
 
@@ -204,10 +203,7 @@ fn drop_checks(f: &mut MirFunction, checks: Vec<(InstrId, InstrId)>) -> bool {
     if checks.is_empty() {
         return false;
     }
-    let map: std::collections::HashMap<InstrId, InstrId> = checks.iter().copied().collect();
-    let dead: HashSet<InstrId> = checks.iter().map(|(id, _)| *id).collect();
-    replace_uses_map(f, &map);
-    remove_instrs(f, &dead);
+    forward(f, &checks.into_iter().collect());
     true
 }
 
@@ -327,7 +323,7 @@ fn cve_9791(f: &mut MirFunction) -> bool {
     let defs = def_instrs(f);
     // A phi is "poisoned" when one of its inputs is constant undefined or
     // a number while others are not.
-    let poisoned_phis: HashSet<InstrId> = f
+    let poisoned_phis: IdSet<InstrId> = f
         .blocks
         .iter()
         .flat_map(|b| b.phis.iter())
@@ -346,15 +342,13 @@ fn cve_9791(f: &mut MirFunction) -> bool {
         return false;
     }
     // Drop unbox:array guards whose operand resolves to a poisoned phi.
-    let mut map = std::collections::HashMap::new();
-    let mut dead = HashSet::new();
+    let mut map = IdMap::with_bound(f.id_bound() as usize);
     for b in &f.blocks {
         for i in &b.instrs {
             if let MOpcode::Unbox(jitbull_mir::TypeHint::Array) = i.op {
                 let root = strip_guards(&defs, i.operands[0]);
-                if poisoned_phis.contains(&root) {
+                if poisoned_phis.contains(root) {
                     map.insert(i.id, i.operands[0]);
-                    dead.insert(i.id);
                 }
             }
         }
@@ -362,8 +356,7 @@ fn cve_9791(f: &mut MirFunction) -> bool {
     if map.is_empty() {
         return false;
     }
-    replace_uses_map(f, &map);
-    remove_instrs(f, &dead);
+    forward(f, &map);
     true
 }
 
@@ -375,7 +368,7 @@ fn cve_9792(f: &mut MirFunction) -> bool {
     let mut victims = Vec::new();
     for l in &loops {
         let has_call = l.members.iter().any(|b| {
-            f.block(*b)
+            f.block(b)
                 .instrs
                 .iter()
                 .any(|i| matches!(i.op, MOpcode::Call(_) | MOpcode::CallMethod(_)))
@@ -383,8 +376,8 @@ fn cve_9792(f: &mut MirFunction) -> bool {
         if !has_call {
             continue;
         }
-        for b in &l.members {
-            for i in &f.block(*b).instrs {
+        for b in l.members.iter() {
+            for i in &f.block(b).instrs {
                 if matches!(i.op, MOpcode::BoundsCheck) {
                     victims.push((i.id, i.operands[0]));
                 }
@@ -428,7 +421,7 @@ fn cve_9813(f: &mut MirFunction) -> bool {
         return false;
     }
     // Block-order position of each check.
-    let mut seen_roots: HashSet<InstrId> = HashSet::new();
+    let mut seen_roots: IdSet<InstrId> = IdSet::with_bound(f.id_bound() as usize);
     let mut victims = Vec::new();
     for b in &f.blocks {
         for i in &b.instrs {

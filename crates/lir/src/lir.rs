@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use jitbull_mir::dense::Id;
 use jitbull_mir::MOpcode;
 
 /// A virtual register, which is also a frame-slot index. Before slot
@@ -12,6 +13,18 @@ use jitbull_mir::MOpcode;
 /// values not live at the same time (see [`crate::regalloc`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VReg(pub u32);
+
+impl Id for VReg {
+    #[inline]
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    #[inline]
+    fn from_index(index: usize) -> Self {
+        VReg(index as u32)
+    }
+}
 
 impl fmt::Display for VReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

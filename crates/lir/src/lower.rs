@@ -6,8 +6,7 @@
 //! successor). Parallel moves are sequentialized with the classic
 //! worklist algorithm, breaking cycles through a scratch vreg.
 
-use std::collections::HashMap;
-
+use jitbull_mir::dense::IdMap;
 use jitbull_mir::{InstrId, MOpcode, MirFunction, TypeHint};
 
 use crate::lir::{GuardRefs, LBlock, LBlockId, LFunction, LInstr, LOp, VReg};
@@ -19,7 +18,7 @@ pub fn lower(mir: &MirFunction) -> LFunction {
         frame_size: mir.id_bound(),
     };
     // Opcode kinds per MIR id, for guard-reference capture.
-    let mut kinds: HashMap<InstrId, &MOpcode> = HashMap::new();
+    let mut kinds: IdMap<InstrId, &MOpcode> = IdMap::with_bound(mir.id_bound() as usize);
     for b in &mir.blocks {
         for i in b.iter_all() {
             kinds.insert(i.id, &i.op);
@@ -91,11 +90,11 @@ pub fn lower(mir: &MirFunction) -> LFunction {
 fn capture_guards(
     op: &MOpcode,
     operands: &[InstrId],
-    kinds: &HashMap<InstrId, &MOpcode>,
+    kinds: &IdMap<InstrId, &MOpcode>,
 ) -> GuardRefs {
     let is_unbox_array =
-        |id: InstrId| matches!(kinds.get(&id), Some(MOpcode::Unbox(TypeHint::Array)));
-    let is_bounds = |id: InstrId| matches!(kinds.get(&id), Some(MOpcode::BoundsCheck));
+        |id: InstrId| matches!(kinds.get(id), Some(MOpcode::Unbox(TypeHint::Array)));
+    let is_bounds = |id: InstrId| matches!(kinds.get(id), Some(MOpcode::BoundsCheck));
     match op {
         MOpcode::LoadElement | MOpcode::StoreElement => {
             let base = operands[0];

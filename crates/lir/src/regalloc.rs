@@ -16,7 +16,9 @@
 //! `debug_assert`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
+
+use jitbull_mir::dense::IdSet;
 
 use crate::lir::{LFunction, VReg};
 
@@ -34,30 +36,30 @@ pub struct Allocation {
 }
 
 /// Computes per-block live-in/live-out sets (backward dataflow).
-fn liveness(f: &LFunction) -> (Vec<HashSet<VReg>>, Vec<HashSet<VReg>>) {
+fn liveness(f: &LFunction) -> (Vec<IdSet<VReg>>, Vec<IdSet<VReg>>) {
     let n = f.blocks.len();
-    let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
+    let empty = IdSet::with_bound(f.frame_size as usize);
+    let mut live_in = vec![empty.clone(); n];
+    let mut live_out = vec![empty.clone(); n];
+    let (mut out, mut live) = (empty.clone(), empty);
     let mut changed = true;
     while changed {
         changed = false;
         for b in (0..n).rev() {
-            let mut out = HashSet::new();
+            out.clear();
             for s in f.blocks[b].successors() {
-                out.extend(live_in[s.0 as usize].iter().copied());
+                out.union_with(&live_in[s.0 as usize]);
             }
-            let mut live = out.clone();
+            live.clone_from(&out);
             for i in f.blocks[b].instrs.iter().rev() {
                 if let Some(d) = i.dst {
-                    live.remove(&d);
+                    live.remove(d);
                 }
-                for a in &i.args {
-                    live.insert(*a);
-                }
+                live.extend(i.args.iter().copied());
             }
             if live != live_in[b] || out != live_out[b] {
-                live_in[b] = live;
-                live_out[b] = out;
+                live_in[b].clone_from(&live);
+                live_out[b].clone_from(&out);
                 changed = true;
             }
         }
@@ -89,11 +91,11 @@ pub fn allocate(f: &LFunction) -> Allocation {
         // boundary reaches that boundary, so a vreg live through the
         // block covers all of it.
         let end = pos.saturating_sub(1).max(start);
-        for v in &live_in[bi] {
-            record(*v, start);
+        for v in live_in[bi].iter() {
+            record(v, start);
         }
-        for v in &live_out[bi] {
-            record(*v, end);
+        for v in live_out[bi].iter() {
+            record(v, end);
         }
     }
 

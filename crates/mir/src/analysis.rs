@@ -1,8 +1,7 @@
 //! CFG analyses used by the optimization passes: reverse postorder,
 //! dominator tree, and natural-loop detection.
 
-use std::collections::HashSet;
-
+use crate::dense::IdSet;
 use crate::graph::{BlockId, MirFunction};
 
 /// Blocks in reverse postorder starting from the entry (unreachable blocks
@@ -109,13 +108,13 @@ pub struct NaturalLoop {
     /// The loop header (dominates every member).
     pub header: BlockId,
     /// All blocks in the loop, header included.
-    pub members: HashSet<BlockId>,
+    pub members: IdSet<BlockId>,
 }
 
 impl NaturalLoop {
     /// Whether the block belongs to the loop.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.members.contains(&b)
+        self.members.contains(b)
     }
 }
 
@@ -133,7 +132,7 @@ pub fn natural_loops(f: &MirFunction) -> Vec<NaturalLoop> {
         for s in f.block(b).successors() {
             if dominates(s, b, &idom) {
                 // Back edge b -> s; walk predecessors from b up to s.
-                let mut members = HashSet::new();
+                let mut members = IdSet::with_bound(f.block_count());
                 members.insert(s);
                 let mut work = vec![b];
                 while let Some(x) = work.pop() {
@@ -144,7 +143,7 @@ pub fn natural_loops(f: &MirFunction) -> Vec<NaturalLoop> {
                     }
                 }
                 if let Some(existing) = loops.iter_mut().find(|l| l.header == s) {
-                    existing.members.extend(members);
+                    existing.members.union_with(&members);
                 } else {
                     loops.push(NaturalLoop { header: s, members });
                 }

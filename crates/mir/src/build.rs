@@ -18,7 +18,6 @@
 //! so that a pass which (incorrectly) removes the `boundscheck` leaves a
 //! raw, exploitable `loadelement`/`storeelement` behind.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -66,8 +65,9 @@ struct Builder<'f> {
     function: &'f Function,
     /// Sorted bytecode offsets at which blocks begin (reachable only).
     starts: Vec<usize>,
-    /// Bytecode offset → MIR block id.
-    block_of: HashMap<usize, BlockId>,
+    /// Bytecode offset → MIR block id, for offsets where a kept block
+    /// starts.
+    block_of: Vec<Option<BlockId>>,
     /// Per block: does it need phis (join point or loop header)?
     needs_phis: Vec<bool>,
     mir: MirFunction,
@@ -78,9 +78,9 @@ struct Builder<'f> {
 impl<'f> Builder<'f> {
     fn new(function: &'f Function) -> Result<Self, MirBuildError> {
         let code = &function.code;
-        // 1. Block boundaries.
-        let mut starts: BTreeSet<usize> = BTreeSet::new();
-        starts.insert(0);
+        // 1. Block boundaries: whether a block starts at each offset.
+        let mut starts = vec![false; code.len().max(1)];
+        starts[0] = true;
         for (pc, op) in code.iter().enumerate() {
             match op {
                 Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => {
@@ -88,18 +88,18 @@ impl<'f> Builder<'f> {
                     if t >= code.len() {
                         return Err(MirBuildError(format!("jump target {t} out of range")));
                     }
-                    starts.insert(t);
+                    starts[t] = true;
                     if pc + 1 < code.len() {
-                        starts.insert(pc + 1);
+                        starts[pc + 1] = true;
                     }
                 }
                 Op::Return if pc + 1 < code.len() => {
-                    starts.insert(pc + 1);
+                    starts[pc + 1] = true;
                 }
                 _ => {}
             }
         }
-        let all_starts: Vec<usize> = starts.iter().copied().collect();
+        let all_starts: Vec<usize> = (0..starts.len()).filter(|&pc| starts[pc]).collect();
         // 2. Bytecode-level successor map and reachability.
         let range_end = |i: usize| all_starts.get(i + 1).copied().unwrap_or(code.len());
         let succs_of = |i: usize| -> Vec<usize> {
@@ -124,11 +124,11 @@ impl<'f> Builder<'f> {
                 }
             }
         };
-        let index_of: BTreeMap<usize, usize> = all_starts
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
+        // Bytecode offset → index in `all_starts`, for block starts.
+        let mut index_of = vec![usize::MAX; starts.len()];
+        for (i, &s) in all_starts.iter().enumerate() {
+            index_of[s] = i;
+        }
         let mut reachable = vec![false; all_starts.len()];
         let mut work = vec![0usize];
         while let Some(i) = work.pop() {
@@ -137,7 +137,7 @@ impl<'f> Builder<'f> {
             }
             reachable[i] = true;
             for s in succs_of(i) {
-                work.push(index_of[&s]);
+                work.push(index_of[s]);
             }
         }
         // 3. Keep reachable blocks, in pc order.
@@ -147,18 +147,17 @@ impl<'f> Builder<'f> {
             .filter(|(i, _)| reachable[*i])
             .map(|(_, &s)| s)
             .collect();
-        let block_of: HashMap<usize, BlockId> = kept
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, BlockId(i as u32)))
-            .collect();
+        let mut block_of = vec![None; starts.len()];
+        for (i, &s) in kept.iter().enumerate() {
+            block_of[s] = Some(BlockId(i as u32));
+        }
         // 4. Predecessor counts and back-edge detection (on reachable set).
         let mut pred_count = vec![0usize; kept.len()];
         let mut has_back_edge = vec![false; kept.len()];
         for (i, &start) in kept.iter().enumerate() {
-            let orig = index_of[&start];
+            let orig = index_of[start];
             for s in succs_of(orig) {
-                if let Some(target) = block_of.get(&s) {
+                if let Some(target) = block_of[s] {
                     pred_count[target.0 as usize] += 1;
                     if s <= start {
                         has_back_edge[target.0 as usize] = true;
@@ -181,6 +180,12 @@ impl<'f> Builder<'f> {
             mir,
             entry_state,
         })
+    }
+
+    /// The block starting at bytecode offset `pc`: every jump target and
+    /// fall-through of a reachable block starts a kept block.
+    fn block_at(&self, pc: usize) -> BlockId {
+        self.block_of[pc].expect("a reachable block starts here")
     }
 
     fn run(mut self) -> Result<MirFunction, MirBuildError> {
@@ -431,7 +436,7 @@ impl<'f> Builder<'f> {
                     state.stack.push(id);
                 }
                 Op::Jump(t) => {
-                    let target = self.block_of[&(*t as usize)];
+                    let target = self.block_at(*t as usize);
                     emit!(MOpcode::Goto(target), vec![]);
                     self.edge(BlockId(bi as u32), target, &state)?;
                     terminated = true;
@@ -439,8 +444,8 @@ impl<'f> Builder<'f> {
                 }
                 Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => {
                     let cond = pop!();
-                    let target = self.block_of[&(*t as usize)];
-                    let fall = self.block_of[&end];
+                    let target = self.block_at(*t as usize);
+                    let fall = self.block_at(end);
                     let (then_block, else_block) = if matches!(op, Op::JumpIfFalse(_)) {
                         (fall, target)
                     } else {
@@ -469,7 +474,7 @@ impl<'f> Builder<'f> {
         }
         if !terminated {
             // Fell off the end of the block: implicit goto to the next one.
-            let fall = self.block_of[&end];
+            let fall = self.block_at(end);
             let id = self.mir.fresh_id();
             out.push(Instruction::new(id, MOpcode::Goto(fall), vec![]));
             self.mir.blocks[bi].instrs = out;

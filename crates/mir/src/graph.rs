@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::dense::IdSet;
 use crate::instr::{InstrId, Instruction};
 use crate::opcode::MOpcode;
 
@@ -133,8 +134,7 @@ impl MirFunction {
     /// between passes: terminators present, operand references defined,
     /// phi arity matches `phi_preds`.
     pub fn validate(&self) -> Result<(), String> {
-        use std::collections::HashSet;
-        let mut defined = HashSet::new();
+        let mut defined = IdSet::with_bound(self.next_id as usize);
         for b in &self.blocks {
             for i in b.iter_all() {
                 if !defined.insert(i.id) {
@@ -167,7 +167,7 @@ impl MirFunction {
             }
             for i in b.iter_all() {
                 for op in &i.operands {
-                    if !defined.contains(op) {
+                    if !defined.contains(*op) {
                         return Err(format!(
                             "instruction {} references undefined operand {}",
                             i.id, op

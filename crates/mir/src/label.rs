@@ -170,6 +170,12 @@ impl Label {
     /// The label of an operand no instruction in the snapshot defines.
     pub const UNKNOWN: Label = Label(0);
 
+    /// The label's index in the mnemonic table, ordered as labels are.
+    #[must_use]
+    pub const fn code(self) -> u16 {
+        self.0
+    }
+
     /// The mnemonic (e.g. `boundscheck`, `compare:lt`, `?`).
     #[must_use]
     pub fn name(self) -> &'static str {

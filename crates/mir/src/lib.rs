@@ -11,6 +11,9 @@
 //!   Listing 1);
 //! * [`build`] — construction of MIR from the VM's stack bytecode by
 //!   abstract interpretation (the paper's step ③, bytecode → MIR);
+//! * [`dense`] — [`dense::IdMap`] and [`dense::IdSet`], the tables
+//!   keyed by instruction, block or register id that the compile path
+//!   indexes instead of hashing;
 //! * [`analysis`] — CFG utilities (reverse postorder, dominators, natural
 //!   loops) used by the optimization passes in `jitbull-jit`;
 //! * [`label`] — [`Label`], the fixed integer table of opcode mnemonics
@@ -42,6 +45,7 @@
 
 pub mod analysis;
 pub mod build;
+pub mod dense;
 pub mod graph;
 pub mod instr;
 pub mod key;

@@ -7,7 +7,7 @@
 //! random MIR snapshot traces — including renumberings, no-op passes,
 //! pathological high-fanout graphs that bind the chain caps, instructions
 //! with more operands than real MIR gives them, repeated ids whose
-//! operand lists concatenate, passes whose output is unrelated to their
+//! operand lists concatenate, sparse ids up to near `u32::MAX`, passes whose output is unrelated to their
 //! input and passes that restore an earlier snapshot — the full VDC catalog, real
 //! pipeline traces of seeded fuzzer programs under random disabled-slot
 //! sets, the workload suite at engine level, and fail on the first
@@ -242,6 +242,45 @@ fn random_trace(
     }
 }
 
+/// Applies `remap` to every id and operand of every snapshot of `trace`.
+fn remap_trace(trace: &PassTrace, remap: impl Fn(u32) -> u32) -> PassTrace {
+    let remap_snapshot = |snapshot: &MirSnapshot| {
+        let mut instrs = thaw(snapshot);
+        for (id, _, operands) in &mut instrs {
+            *id = remap(*id);
+            operands.iter_mut().for_each(|o| *o = remap(*o));
+        }
+        freeze(&instrs)
+    };
+    PassTrace {
+        function: trace.function.clone(),
+        initial: remap_snapshot(&trace.initial),
+        records: trace
+            .records
+            .iter()
+            .map(|r| PassRecord {
+                after: remap_snapshot(&r.after),
+                ..r.clone()
+            })
+            .collect(),
+    }
+}
+
+/// The same trace over sparse, very large ids: every id spread apart by
+/// a seeded gap of thousands and pushed up against `u32::MAX`, in the
+/// same order, so the DNA cannot change. A table indexed by id alone
+/// would need billions of slots here.
+fn sparse_trace(rng: &mut Rng, trace: &PassTrace) -> PassTrace {
+    let snapshots = std::iter::once(&trace.initial).chain(trace.records.iter().map(|r| &r.after));
+    let top = snapshots
+        .flat_map(|s| s.ids().iter().chain(s.all_operands()))
+        .copied()
+        .max()
+        .unwrap_or(0);
+    let gap = rng.gen_range(1_000..100_000u32);
+    remap_trace(trace, |id| u32::MAX - 1 - (top - id) * gap)
+}
+
 /// Runs seeded random traces through both extractors and asserts
 /// chain-for-chain identical DNA (whole-trace) and identical per-pass
 /// deltas (pairwise). One `IncrementalExtractor` persists across the
@@ -299,6 +338,52 @@ fn sweep(seed: u64, traces: usize) -> usize {
 fn random_sweep_finds_zero_divergences() {
     let pairs = sweep(0xE0_7C47, 4200);
     assert!(pairs >= 10_000, "only {pairs} snapshot pairs checked");
+}
+
+/// Snapshots whose ids are sparse and very large (up to near
+/// `u32::MAX`) take the extractor's sorted-id path: every such trace
+/// extracts identically under both extractors, to the DNA of the same
+/// trace over small ids. A second kind keeps small ids but gives one
+/// instruction per snapshot an operand no instruction defines, with an
+/// id near `u32::MAX`, so that one id alone would size a table.
+#[test]
+fn sparse_large_ids_extract_identically() {
+    let mut rng = Rng::seed_from_u64(0x5BA6_5E1D);
+    let mut incremental = IncrementalExtractor::new();
+    let mut pairs = 0;
+    for case in 0..800 {
+        let pathological = rng.gen_bool(0.05);
+        let initial = if pathological {
+            pathological_snapshot(&mut rng)
+        } else {
+            random_snapshot(&mut rng, 14)
+        };
+        let n_records = rng.gen_range(1..5usize);
+        let dense = random_trace(&mut rng, initial, n_records, pathological);
+        pairs += dense.records.len();
+        let sparse = sparse_trace(&mut rng, &dense);
+        let expected = extract_dna(&dense);
+        assert_eq!(extract_dna(&sparse), expected, "reference: case={case}");
+        let (got, _) = incremental.extract_dna(&sparse);
+        assert_eq!(got, expected, "spread ids: case={case}");
+
+        let far = u32::MAX - rng.gen_range(0..4u32);
+        let mut one_far = dense.clone();
+        let snapshots = std::iter::once(&mut one_far.initial)
+            .chain(one_far.records.iter_mut().map(|r| &mut r.after));
+        for snapshot in snapshots {
+            let mut instrs = thaw(snapshot);
+            if instrs.is_empty() {
+                continue;
+            }
+            let at = rng.gen_range(0..instrs.len());
+            instrs[at].2.push(far);
+            *snapshot = freeze(&instrs);
+        }
+        let (got, _) = incremental.extract_dna(&one_far);
+        assert_eq!(got, extract_dna(&one_far), "one far operand: case={case}");
+    }
+    assert!(pairs >= 2_000, "only {pairs} snapshot pairs checked");
 }
 
 /// Large release-profile sweep, run by the CI `--ignored` job.
